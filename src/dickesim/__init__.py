@@ -25,10 +25,9 @@ from .dicke import (QubitDensity, QubitState, coherence_two_qubit,
 from .errors import (ConvergenceError, DataError, DickesimError,
                      IdentifiabilityError, SearchError, SweepError,
                      UnstableCrystalError)
-from .sideband import (JointSpace, JointState, PulseResult, SweepRow, evolve,
+from .sideband import (ExcitationSector, PulseResult, SweepRow,
                        fidelity_vs_mass_ratio, first_max_fidelity,
-                       first_max_from_couplings, initial_state,
-                       phonon_distribution, reduce_to_qubits,
-                       rsb_hamiltonian, total_excitation)
+                       first_max_from_couplings, reduce_to_qubits,
+                       rsb_hamiltonian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

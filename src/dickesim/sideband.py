@@ -4,8 +4,16 @@ N qubits couple to a single motional mode through
 ``H = sum_i (Omega_i / 2)(sigma_i^+ a + sigma_i^- a^dagger)`` (rotating
 frame, Lamb-Dicke limit).  The factor 1/2 makes the single-excitation
 phonon population oscillate exactly at ``Omega' = sqrt(sum Omega_i^2)``.
-H conserves the total excitation number (phonons plus up qubits), so a
-Fock cutoff equal to the initial phonon number is lossless.
+
+H conserves the excitation number, phonons plus up qubits (the
+Tavis-Cummings structure), so the pulse started from all qubits down with
+m phonons never leaves the m-excitation sector: the states
+``|q> (x) |m - popcount(q) phonons>`` with ``popcount(q) <= m``.  There are
+``sum_{k<=m} C(N, k)`` of them (638 at N = 10, m = 5, against the
+``2^N (m + 1)`` = 6144 of the qubit-times-Fock space), and the dynamics
+are solved exactly on them.  The phonon number fixes the qubit weight, so
+the reduced qubit density is block-diagonal by weight; it is built only
+when a caller reads it.
 
 Times are dimensionless throughout, in units of 1/Omega_0 (the carrier
 Rabi rate used to build the couplings).
@@ -14,167 +22,121 @@ Rabi rate used to build the couplings).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from . import chain as chain_mod
-from .dicke import QubitDensity, dicke_vector, weights
+from .dicke import QubitDensity, weights
 from .errors import SearchError, SweepError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class JointSpace:
-    """Tensor product of an N-qubit register and Fock states 0..fock_cutoff.
+class ExcitationSector:
+    """The states of N qubits and one mode that hold exactly m excitations.
 
-    Basis index = qubit_index * (fock_cutoff + 1) + phonon_number, with the
-    qubit index in the convention of :mod:`dickesim.dicke` (qubit 0 is the
-    most significant bit).
+    State j is ``|qubits[j]> (x) |phonons[j]>``, with the qubit indices
+    (popcount <= m) in ascending order and in the convention of
+    :mod:`dickesim.dicke` (qubit 0 is the most significant bit).  State 0
+    is all qubits down with m phonons.
     """
 
     n_qubits: int
-    fock_cutoff: int
+    m: int
+    qubits: np.ndarray = field(init=False, repr=False, compare=False)
+    phonons: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if self.fock_cutoff < 0:
-            raise ValueError("fock_cutoff must be >= 0")
-
-    @property
-    def n_fock(self):
-        return self.fock_cutoff + 1
+        if self.m < 0:
+            raise ValueError("excitation number must be >= 0")
+        ups = weights(self.n_qubits)
+        qubits = np.flatnonzero(ups <= self.m)
+        phonons = self.m - ups[qubits]
+        for name, arr in (("qubits", qubits), ("phonons", phonons)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dimension(self):
-        return 2**self.n_qubits * self.n_fock
-
-    def index(self, qubit_index, n_phonon):
-        return qubit_index * self.n_fock + n_phonon
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Wavefunction over a JointSpace (unit norm)."""
-
-    amplitudes: np.ndarray
-    space: JointSpace
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.space.dimension,):
-            raise ValueError("amplitude vector does not match space dimension")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm!r} is not 1")
-
-    def grid(self):
-        """Amplitudes reshaped to (qubit basis, phonon number)."""
-        return self.amplitudes.reshape(2**self.space.n_qubits, self.space.n_fock)
+        return len(self.qubits)
 
 
 @dataclass(frozen=True)
 class PulseResult:
     """Outcome of the first-maximum pulse search.
 
-    ``duration`` is in units of 1/Omega_0; ``reduced_density`` is the qubit
-    state after tracing out the motion at that duration.
+    ``duration`` is in units of 1/Omega_0; ``state`` holds the amplitudes
+    over ``sector`` at that duration.
     """
 
     duration: float
     fidelity: float
-    reduced_density: QubitDensity
     phonon_distribution: np.ndarray
     couplings: np.ndarray
+    sector: ExcitationSector
+    state: np.ndarray
 
     def __post_init__(self):
-        pd = np.array(self.phonon_distribution, dtype=float)
-        pd.setflags(write=False)
-        object.__setattr__(self, "phonon_distribution", pd)
-        om = np.array(self.couplings, dtype=float)
-        om.setflags(write=False)
-        object.__setattr__(self, "couplings", om)
+        for name, dtype in (("phonon_distribution", float), ("couplings", float),
+                            ("state", complex)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        if abs(float(np.sum(pd)) - 1.0) > 1e-10:
+        if abs(float(np.sum(self.phonon_distribution)) - 1.0) > 1e-10:
             raise ValueError("phonon distribution must sum to 1")
 
-
-def initial_state(space, m):
-    """All qubits down, exactly m phonons (the ancilla injection pulse is
-    taken to be ideal)."""
-    if not 0 <= m <= space.fock_cutoff:
-        raise ValueError(f"initial phonon number {m} exceeds the Fock cutoff")
-    amps = np.zeros(space.dimension, dtype=complex)
-    amps[space.index(0, m)] = 1.0
-    return JointState(amplitudes=amps, space=space)
+    @cached_property
+    def reduced_density(self):
+        """Qubit state after tracing out the motion (built on first read)."""
+        return reduce_to_qubits(self.sector, self.state)
 
 
-def rsb_hamiltonian(space, couplings):
-    """Resonant red-sideband Hamiltonian for the given per-qubit couplings.
+def rsb_hamiltonian(sector, couplings):
+    """Resonant red-sideband Hamiltonian on an excitation sector.
 
-    Returns a real symmetric matrix on the joint space (couplings must be
-    real; time units 1/Omega_0).
+    Returns a real symmetric matrix over ``sector``'s basis (couplings must
+    be real; time units 1/Omega_0).
     """
     om = np.asarray(couplings)
     if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0:
         raise ValueError("couplings must be real")
     om = om.astype(float)
-    if om.shape != (space.n_qubits,):
-        raise ValueError(
-            f"need exactly {space.n_qubits} couplings, got {om.shape}")
-    nf = space.n_fock
-    dim = space.dimension
-    lower = np.zeros((dim, dim))  # sigma^+ a part; H = lower + lower^T
-    for q in range(2**space.n_qubits):
-        for n in range(1, nf):
-            src = q * nf + n
-            for i in range(space.n_qubits):
-                bit = 1 << (space.n_qubits - 1 - i)
-                if not q & bit:
-                    dst = (q | bit) * nf + (n - 1)
-                    lower[dst, src] += 0.5 * om[i] * np.sqrt(n)
+    n = sector.n_qubits
+    if om.shape != (n,):
+        raise ValueError(f"need exactly {n} couplings, got {om.shape}")
+    # sigma_i^+ a takes |q, k> to |q with qubit i up, k - 1> with amplitude
+    # sqrt(k); the target has one more up qubit, so it is in the sector too
+    position = np.zeros(2**n, dtype=int)
+    position[sector.qubits] = np.arange(sector.dimension)
+    bits = 1 << (n - 1 - np.arange(n))
+    src, qubit = np.nonzero(((sector.qubits[:, None] & bits) == 0)
+                            & (sector.phonons[:, None] > 0))
+    dst = position[sector.qubits[src] | bits[qubit]]
+    lower = np.zeros((sector.dimension, sector.dimension))
+    lower[dst, src] = 0.5 * om[qubit] * np.sqrt(sector.phonons[src])
     return lower + lower.T
 
 
-def evolve(state, hamiltonian, t):
-    """Propagate by exp(-i H t) via exact eigendecomposition."""
-    h = np.asarray(hamiltonian)
-    if h.shape != (state.space.dimension, state.space.dimension):
-        raise ValueError("Hamiltonian dimension does not match the state")
-    if t < 0:
-        raise ValueError("pulse duration must be >= 0")
-    evals, vecs = np.linalg.eigh(h)
-    coeffs = vecs.conj().T @ state.amplitudes
-    amps = vecs @ (np.exp(-1j * evals * t) * coeffs)
-    return JointState(amplitudes=amps, space=state.space)
-
-
-def reduce_to_qubits(state):
-    """Partial trace over the Fock factor."""
-    g = state.grid()
-    rho = g @ g.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return QubitDensity(matrix=rho, n_qubits=state.space.n_qubits)
-
-
-def phonon_distribution(state):
-    """Probability of each phonon number 0..fock_cutoff."""
-    g = state.grid()
-    return np.sum(np.abs(g) ** 2, axis=0)
-
-
-def total_excitation(state):
-    """Expectation of the conserved excitation number a^dagger a + sum_i up_i."""
-    g = state.grid()
-    probs = np.abs(g) ** 2
-    phonons = float(np.sum(probs @ np.arange(state.space.n_fock)))
-    spins = float(np.sum(weights(state.space.n_qubits) @ probs))
-    return phonons + spins
+def reduce_to_qubits(sector, amplitudes):
+    """Partial trace over the mode of a state on an excitation sector."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (sector.dimension,):
+        raise ValueError("amplitude vector does not match the sector dimension")
+    # states with different phonon numbers are orthogonal in the mode, so
+    # only pairs of equal qubit weight survive the trace
+    same_weight = sector.phonons[:, None] == sector.phonons[None, :]
+    rho = np.zeros((2**sector.n_qubits, 2**sector.n_qubits), dtype=complex)
+    rho[np.ix_(sector.qubits, sector.qubits)] = np.where(
+        same_weight, np.outer(amps, amps.conj()), 0.0)
+    return QubitDensity(matrix=rho, n_qubits=sector.n_qubits)
 
 
 def _golden_max(f, a, b, tol):
@@ -195,9 +157,8 @@ def _golden_max(f, a, b, tol):
     return xm, f(xm)
 
 
-def first_max_from_couplings(couplings, m, fock_cutoff=None,
-                             grid_per_period=50, max_periods=20.0,
-                             refine_tol=1e-6, n_maxima=1):
+def first_max_from_couplings(couplings, m, grid_per_period=50,
+                             max_periods=20.0, refine_tol=1e-6, n_maxima=1):
     """Locate the first local maximum of F(t) = <D(N,m)| rho(t) |D(N,m)>
     under the red-sideband pulse, starting from all-down with m phonons.
 
@@ -215,65 +176,64 @@ def first_max_from_couplings(couplings, m, fock_cutoff=None,
     om = np.asarray(couplings, dtype=float)
     if m < 1:
         raise ValueError("need at least one phonon to convert")
+    if m > len(om):
+        raise ValueError(f"{m} phonons cannot all be absorbed by {len(om)} qubits")
     if n_maxima < 1:
         raise ValueError("n_maxima must be >= 1")
     omega_prime = float(np.linalg.norm(om))
     if omega_prime == 0.0:
         raise ValueError("at least one coupling must be nonzero")
-    cutoff = m if fock_cutoff is None else fock_cutoff
-    space = JointSpace(n_qubits=len(om), fock_cutoff=cutoff)
-    h = rsb_hamiltonian(space, om)
-    evals, vecs = np.linalg.eigh(h)
-    psi0 = np.zeros(space.dimension)
-    psi0[space.index(0, m)] = 1.0
-    coeffs = vecs.T @ psi0
-    target = dicke_vector(space.n_qubits, m)
-
-    def state_at(t):
-        return vecs @ (np.exp(-1j * evals * t) * coeffs)
+    sector = ExcitationSector(n_qubits=len(om), m=m)
+    evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om))
+    start = vecs[0]
+    # |D(N,m)> with the mode in vacuum spans exactly the phonon-free states
+    dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(len(om), m))
+    weight = dicke * start  # F(t) = |sum_k weight_k exp(-i E_k t)|^2
 
     def fid(t):
-        g = state_at(t).reshape(2**space.n_qubits, space.n_fock)
-        return float(np.sum(np.abs(target @ g) ** 2))
+        return float(abs(np.exp(-1j * evals * t) @ weight) ** 2)
 
     dt = np.pi / (grid_per_period * omega_prime)
     steps_cap = int(np.ceil(grid_per_period * max_periods))
-    brackets = []
-    f_prev = fid(dt)
-    rising = f_prev > fid(0.0)
-    for j in range(2, steps_cap + 1):
-        f_cur = fid(j * dt)
-        if rising and f_prev >= f_cur:
-            brackets.append(((j - 2) * dt, j * dt))
-            if len(brackets) >= n_maxima:
-                break
-        rising = f_cur > f_prev
-        f_prev = f_cur
-    if not brackets:
+    grid = np.arange(steps_cap + 1) * dt
+    f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
+    # grid point j + 1 is a maximum, bracketed by its neighbours, when F
+    # rose into it and does not rise out of it
+    peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[:n_maxima]
+    if not peaks.size:
         raise SearchError(
             f"no fidelity maximum found before t = {steps_cap * dt:.3f}/Omega_0")
 
     best_t, best_f = None, -1.0
-    for a, b in brackets:
-        t_star, f_star = _golden_max(fid, a, b, refine_tol)
+    for j in peaks:
+        t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], refine_tol)
         if f_star > best_f:
             best_t, best_f = t_star, f_star
 
-    final = JointState(amplitudes=state_at(best_t), space=space)
+    state = vecs @ (np.exp(-1j * evals * best_t) * start)
     return PulseResult(
         duration=float(best_t),
         fidelity=min(best_f, 1.0),
-        reduced_density=reduce_to_qubits(final),
-        phonon_distribution=phonon_distribution(final),
+        phonon_distribution=np.bincount(sector.phonons, weights=np.abs(state) ** 2,
+                                        minlength=m + 1),
         couplings=om,
+        sector=sector,
+        state=state,
     )
 
 
-def first_max_fidelity(config, addressed, m, carrier_rate=1.0, **search_kwargs):
+def first_max_fidelity(config, addressed, m, carrier_rate=1.0,
+                       equilibrium=None, **search_kwargs):
     """Full pipeline from a chain configuration: equilibrium -> modes ->
-    in-phase couplings for the addressed ions -> first-maximum search."""
-    eq = chain_mod.solve_equilibrium(config)
-    modes = chain_mod.solve_axial_modes(config, eq)
+    in-phase couplings for the addressed ions -> first-maximum search.
+
+    ``equilibrium`` reuses a solution of :func:`chain.solve_equilibrium`
+    for a chain of the same ion count; the scaled positions depend on
+    nothing else.
+    """
+    if equilibrium is None:
+        equilibrium = chain_mod.solve_equilibrium(config)
+    modes = chain_mod.solve_axial_modes(config, equilibrium)
     om = chain_mod.coupling_strengths(modes, addressed, carrier_rate)
     return first_max_from_couplings(om, m, **search_kwargs)
 
@@ -296,8 +256,9 @@ def fidelity_vs_mass_ratio(template, mu_grid, m, fail_fast=True,
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
     Rebuilds the chain for every mu via ``template.config_for`` and runs
-    :func:`first_max_fidelity` on the qubit ions.  Rows come back in grid
-    order.  With ``fail_fast`` (default) the first failing row raises a
+    :func:`first_max_fidelity` on the qubit ions, with the equilibrium
+    solved once for the whole grid.  Rows come back in grid order.  With
+    ``fail_fast`` (default) the first failing row raises a
     :class:`SweepError` annotated with its mu; otherwise failures are
     recorded in the row and the sweep continues.  ``jobs > 1`` runs rows in
     a thread pool (each row is a pure function of its inputs).
@@ -307,15 +268,23 @@ def fidelity_vs_mass_ratio(template, mu_grid, m, fail_fast=True,
         raise ValueError("all mass ratios must be positive")
     addressed = template.addressed()
 
+    def failed_row(mu, exc):
+        if fail_fast:
+            raise SweepError(f"sweep failed at mu={mu}: {exc}", mu=mu) from exc
+        return SweepRow(mu=mu, duration=None, fidelity=None,
+                        phonon_distribution=None, error=str(exc))
+
+    try:
+        equilibrium = chain_mod.solve_equilibrium(template.config_for(1.0))
+    except Exception as exc:
+        return [failed_row(mu, exc) for mu in mu_grid]
+
     def run_row(mu):
         try:
             result = first_max_fidelity(template.config_for(mu), addressed, m,
-                                        **search_kwargs)
+                                        equilibrium=equilibrium, **search_kwargs)
         except Exception as exc:
-            if fail_fast:
-                raise SweepError(f"sweep failed at mu={mu}: {exc}", mu=mu) from exc
-            return SweepRow(mu=mu, duration=None, fidelity=None,
-                            phonon_distribution=None, error=str(exc))
+            return failed_row(mu, exc)
         return SweepRow(
             mu=mu,
             duration=result.duration,

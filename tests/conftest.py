@@ -2,12 +2,14 @@
 
 These deliberately avoid the solver paths they check: the equilibrium
 oracle is a cyclic single-coordinate relaxation (no Newton step, no
-coupled Hessian), and the propagator oracle goes through dense
-scaling-and-squaring instead of eigendecomposition.
+coupled Hessian), and the pulse oracle works on the whole qubit-times-Fock
+space, not the conserved excitation sector, and propagates by dense
+scaling-and-squaring (``scipy.linalg.expm``) instead of eigendecomposition.
 """
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg import expm
+from scipy.optimize import brentq, minimize_scalar
 
 
 def relax_equilibrium(n_ions, max_sweeps=2000, move_tol=1e-13):
@@ -38,3 +40,104 @@ def relax_equilibrium(n_ions, max_sweeps=2000, move_tol=1e-13):
         if moved < move_tol:
             break
     return u
+
+
+class FullSpace:
+    """Tensor product of an N-qubit register and Fock states 0..cutoff.
+
+    Basis index = qubit_index * (cutoff + 1) + phonon_number, with qubit 0
+    the most significant bit (the convention of dickesim.dicke).
+    """
+
+    def __init__(self, n_qubits, cutoff):
+        self.n_qubits = n_qubits
+        self.cutoff = cutoff
+        self.n_fock = cutoff + 1
+        self.dimension = 2**n_qubits * self.n_fock
+        self.ups = np.array([bin(q).count("1") for q in range(2**n_qubits)])
+
+    def index(self, qubit_index, n_phonon):
+        return qubit_index * self.n_fock + n_phonon
+
+    def hamiltonian(self, couplings):
+        """Dense red-sideband Hamiltonian sum_i (Omega_i/2)(sigma_i^+ a + h.c.),
+        built element by element."""
+        om = np.asarray(couplings, dtype=float)
+        lower = np.zeros((self.dimension, self.dimension))  # sigma^+ a part
+        for q in range(2**self.n_qubits):
+            for n in range(1, self.n_fock):
+                for i in range(self.n_qubits):
+                    bit = 1 << (self.n_qubits - 1 - i)
+                    if not q & bit:
+                        lower[self.index(q | bit, n - 1), self.index(q, n)] += (
+                            0.5 * om[i] * np.sqrt(n))
+        return lower + lower.T
+
+    def initial_state(self, m):
+        """All qubits down, exactly m phonons."""
+        if not 0 <= m <= self.cutoff:
+            raise ValueError(f"initial phonon number {m} exceeds the Fock cutoff")
+        psi = np.zeros(self.dimension, dtype=complex)
+        psi[self.index(0, m)] = 1.0
+        return psi
+
+    def grid(self, psi):
+        """Amplitudes as a (qubit basis, phonon number) array."""
+        return np.reshape(psi, (2**self.n_qubits, self.n_fock))
+
+    def phonon_distribution(self, psi):
+        return np.sum(np.abs(self.grid(psi)) ** 2, axis=0)
+
+    def total_excitation(self, psi):
+        """Expectation of a^dagger a + sum_i up_i."""
+        probs = np.abs(self.grid(psi)) ** 2
+        return float(np.sum(probs @ np.arange(self.n_fock)) + np.sum(self.ups @ probs))
+
+    def reduced_density(self, psi):
+        """Partial trace over the Fock factor, as a plain matrix."""
+        g = self.grid(psi)
+        return g @ g.conj().T
+
+    def dicke_fidelity(self, psi, m):
+        """<D(N,m)| rho_qubits |D(N,m)>."""
+        dicke = (self.ups == m) / np.sqrt(np.sum(self.ups == m))
+        return float(np.sum(np.abs(dicke @ self.grid(psi)) ** 2))
+
+
+def evolve(psi, hamiltonian, t):
+    """exp(-i H t) psi by dense scaling-and-squaring."""
+    h = np.asarray(hamiltonian)
+    if h.shape != (len(psi), len(psi)):
+        raise ValueError("Hamiltonian dimension does not match the state")
+    if t < 0:
+        raise ValueError("pulse duration must be >= 0")
+    return expm(-1j * h * t) @ psi
+
+
+def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
+    """Duration and fidelity of the first local maximum of the Dicke
+    fidelity, from the full space: a scan that steps the state by
+    expm(-i H dt), then a bounded Brent search over expm(-i H t) psi0
+    converged far below the program's refine_tol."""
+    om = np.asarray(couplings, dtype=float)
+    space = FullSpace(len(om), cutoff)
+    h = space.hamiltonian(om)
+    psi0 = space.initial_state(m)
+
+    def fid(t):
+        return space.dicke_fidelity(evolve(psi0, h, t), m)
+
+    dt = np.pi / (grid_per_period * np.linalg.norm(om))
+    step = expm(-1j * h * dt)
+    psi, fids = psi0, [space.dicke_fidelity(psi0, m)]
+    for _ in range(100 * grid_per_period):
+        psi = step @ psi
+        fids.append(space.dicke_fidelity(psi, m))
+        if len(fids) >= 3 and fids[-2] > fids[-3] and fids[-2] >= fids[-1]:
+            break
+    else:
+        raise RuntimeError("no fidelity maximum in 100 periods")
+    j = len(fids) - 2  # the grid point bracketed as the maximum
+    res = minimize_scalar(lambda t: -fid(t), bounds=((j - 1) * dt, (j + 1) * dt),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(res.x), -float(res.fun)

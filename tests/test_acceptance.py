@@ -12,14 +12,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import relax_equilibrium
+from conftest import FullSpace, evolve, relax_equilibrium
 
-from dickesim import (ChainConfig, ChainTemplate, JointSpace, ReadoutModel,
-                      composite_dists, coupling_strengths, evolve,
+from dickesim import (ChainConfig, ChainTemplate, ReadoutModel,
+                      composite_dists, coupling_strengths,
                       fidelity_vs_mass_ratio, first_max_from_couplings,
-                      initial_state, ml_fit, phonon_distribution,
-                      rsb_hamiltonian, solve_axial_modes, solve_equilibrium,
-                      synthesize_shots, total_excitation, w_fidelity_analytic)
+                      ml_fit, solve_axial_modes, solve_equilibrium,
+                      synthesize_shots, w_fidelity_analytic)
 from dickesim.chain import ChainFile
 from dickesim.cli import run_experiment
 
@@ -166,25 +165,24 @@ def test_conservation_suite():
     for _ in range(50):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
-        space = JointSpace(n_qubits=n, fock_cutoff=m)
-        h = rsb_hamiltonian(space, rng.uniform(0.1, 1.5, size=n))
-        psi = initial_state(space, m)
+        space = FullSpace(n_qubits=n, cutoff=m)
+        h = space.hamiltonian(rng.uniform(0.1, 1.5, size=n))
+        psi = space.initial_state(m)
         out = evolve(psi, h, float(rng.uniform(0.0, 10.0)))
-        worst_norm = max(worst_norm,
-                         abs(np.linalg.norm(out.amplitudes) - 1.0))
-        worst_exc = max(worst_exc,
-                        abs(total_excitation(out) - total_excitation(psi)))
+        worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
+        worst_exc = max(worst_exc, abs(space.total_excitation(out)
+                                       - space.total_excitation(psi)))
         assert worst_norm < 1e-10 and worst_exc < 1e-10
     worst_ms = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 6))
         om = rng.uniform(0.2, 1.5, size=n)
-        space = JointSpace(n_qubits=n, fock_cutoff=1)
-        h = rsb_hamiltonian(space, om)
-        psi = initial_state(space, 1)
+        space = FullSpace(n_qubits=n, cutoff=1)
+        h = space.hamiltonian(om)
+        psi = space.initial_state(1)
         omega_prime = np.linalg.norm(om)
         for t in rng.uniform(0.0, 5.0, size=5):
-            p1 = phonon_distribution(evolve(psi, h, float(t)))[1]
+            p1 = space.phonon_distribution(evolve(psi, h, float(t)))[1]
             err = abs(p1 - np.cos(omega_prime * t / 2) ** 2)
             worst_ms = max(worst_ms, err)
             assert err < 1e-8

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from conftest import FullSpace, evolve, first_max_full_space
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dickesim import (ChainTemplate, JointSpace, SearchError, SweepError,
-                      dicke_fidelity, dicke_state, dicke_vector, evolve,
+from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
+                      SearchError, SweepError, dicke_fidelity, dicke_vector,
                       fidelity_vs_mass_ratio, first_max_fidelity,
-                      first_max_from_couplings, initial_state,
-                      phonon_distribution, reduce_to_qubits, rsb_hamiltonian,
-                      total_excitation, w_fidelity_analytic)
+                      first_max_from_couplings, reduce_to_qubits,
+                      rsb_hamiltonian, solve_equilibrium,
+                      w_fidelity_analytic)
+from dickesim import chain as chain_mod
 
 
 def ladder_first_max(n, m):
@@ -47,70 +50,95 @@ def ladder_first_max(n, m):
     return t, top_pop(t)
 
 
-# --- initial states -----------------------------------------------------------
+# --- full-space oracle: initial states ------------------------------------------
 
 
 def test_initial_state_placement():
-    space = JointSpace(n_qubits=2, fock_cutoff=1)
-    psi = initial_state(space, 1)
+    space = FullSpace(n_qubits=2, cutoff=1)
+    psi = space.initial_state(1)
     expected = np.zeros(8)
     expected[space.index(0, 1)] = 1.0
-    assert psi.amplitudes == pytest.approx(expected)
-    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0)
+    assert psi == pytest.approx(expected)
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
 
 
 def test_initial_state_ground_is_annihilated():
-    space = JointSpace(n_qubits=3, fock_cutoff=2)
-    psi = initial_state(space, 0)
-    h = rsb_hamiltonian(space, (0.7, 1.1, 0.4))
-    assert np.max(np.abs(h @ psi.amplitudes)) == 0.0
+    space = FullSpace(n_qubits=3, cutoff=2)
+    psi = space.initial_state(0)
+    h = space.hamiltonian((0.7, 1.1, 0.4))
+    assert np.max(np.abs(h @ psi)) == 0.0
 
 
 def test_initial_state_rejects_m_beyond_cutoff():
     with pytest.raises(ValueError):
-        initial_state(JointSpace(n_qubits=2, fock_cutoff=1), 2)
+        FullSpace(n_qubits=2, cutoff=1).initial_state(2)
 
 
-# --- Hamiltonian --------------------------------------------------------------
+# --- excitation sector ----------------------------------------------------------
+
+
+def test_sector_basis():
+    sector = ExcitationSector(n_qubits=4, m=2)
+    assert sector.dimension == 1 + 4 + 6
+    assert sector.qubits[0] == 0 and sector.phonons[0] == 2
+    assert [bin(q).count("1") for q in sector.qubits] == list(2 - sector.phonons)
+    assert list(sector.qubits) == sorted(sector.qubits)
+    # m >= N: the sector holds every qubit state
+    assert ExcitationSector(n_qubits=3, m=5).dimension == 8
+
+
+def test_sector_hamiltonian_is_full_space_restriction():
+    rng = np.random.default_rng(19)
+    for n, m in [(1, 1), (2, 1), (3, 2), (4, 3), (5, 2)]:
+        om = rng.uniform(0.1, 1.5, size=n)
+        sector = ExcitationSector(n_qubits=n, m=m)
+        space = FullSpace(n_qubits=n, cutoff=m)
+        rows = [space.index(q, k) for q, k in zip(sector.qubits, sector.phonons)]
+        full = space.hamiltonian(om)
+        assert np.array_equal(rsb_hamiltonian(sector, om), full[np.ix_(rows, rows)])
 
 
 def test_hamiltonian_hermitian_and_real():
-    space = JointSpace(n_qubits=3, fock_cutoff=2)
-    h = rsb_hamiltonian(space, (0.5, 1.0, 0.25))
+    sector = ExcitationSector(n_qubits=3, m=2)
+    h = rsb_hamiltonian(sector, (0.5, 1.0, 0.25))
     assert np.max(np.abs(h - h.T)) < 1e-12
     assert np.isrealobj(h)
 
 
 def test_hamiltonian_rejects_bad_couplings():
-    space = JointSpace(n_qubits=2, fock_cutoff=1)
+    sector = ExcitationSector(n_qubits=2, m=1)
     with pytest.raises(ValueError):
-        rsb_hamiltonian(space, (1.0,))
+        rsb_hamiltonian(sector, (1.0,))
     with pytest.raises(ValueError):
-        rsb_hamiltonian(space, (1.0, 1.0j))
+        rsb_hamiltonian(sector, (1.0, 1.0j))
+
+
+# --- full-space oracle: dynamics -------------------------------------------------
 
 
 def test_single_ion_full_transfer_at_pi_time():
     # one ion, one phonon: Rabi flopping at Omega_0 * eta, complete
     # phonon-to-spin conversion at t = pi / (Omega_0 eta)
     eta = 0.37
-    space = JointSpace(n_qubits=1, fock_cutoff=1)
-    h = rsb_hamiltonian(space, (eta,))
-    psi = initial_state(space, 1)
+    space = FullSpace(n_qubits=1, cutoff=1)
+    h = space.hamiltonian((eta,))
+    psi = space.initial_state(1)
     out = evolve(psi, h, np.pi / eta)
     up_idx = space.index(1, 0)
-    assert abs(out.amplitudes[up_idx]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(out[up_idx]) == pytest.approx(1.0, abs=1e-12)
     # halfway: equal populations
     half = evolve(psi, h, np.pi / (2 * eta))
-    assert abs(half.amplitudes[up_idx]) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert abs(half[up_idx]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_excitation_number_commutes():
+    # the premise of the sector solver: H never changes the excitation number
     rng = np.random.default_rng(17)
     for _ in range(6):
         n = int(rng.integers(1, 5))
         cutoff = int(rng.integers(1, 4))
-        space = JointSpace(n_qubits=n, fock_cutoff=cutoff)
-        h = rsb_hamiltonian(space, rng.uniform(0.1, 1.5, size=n))
+        space = FullSpace(n_qubits=n, cutoff=cutoff)
+        h = space.hamiltonian(rng.uniform(0.1, 1.5, size=n))
         # N_exc = a^dag a + sum up projectors, diagonal in this basis
         diag = np.zeros(space.dimension)
         for q in range(2**n):
@@ -123,12 +151,12 @@ def test_excitation_number_commutes():
 def test_two_ion_phonon_rabi_at_omega_prime():
     # equal unit couplings: phonon population follows cos^2(Omega' t / 2)
     # with Omega'^2 = sum of squares = 2
-    space = JointSpace(n_qubits=2, fock_cutoff=1)
-    h = rsb_hamiltonian(space, (1.0, 1.0))
-    psi = initial_state(space, 1)
+    space = FullSpace(n_qubits=2, cutoff=1)
+    h = space.hamiltonian((1.0, 1.0))
+    psi = space.initial_state(1)
     omega_prime = np.sqrt(2.0)
     for t in np.linspace(0.0, 3.0, 16):
-        pops = phonon_distribution(evolve(psi, h, t))
+        pops = space.phonon_distribution(evolve(psi, h, t))
         assert pops[1] == pytest.approx(np.cos(omega_prime * t / 2) ** 2,
                                         abs=1e-10)
 
@@ -139,11 +167,11 @@ def test_effective_two_level_phonon_law_random_couplings():
         n = int(rng.integers(2, 6))
         om = rng.uniform(0.2, 1.5, size=n)
         omega_prime = np.linalg.norm(om)
-        space = JointSpace(n_qubits=n, fock_cutoff=1)
-        h = rsb_hamiltonian(space, om)
-        psi = initial_state(space, 1)
+        space = FullSpace(n_qubits=n, cutoff=1)
+        h = space.hamiltonian(om)
+        psi = space.initial_state(1)
         for t in rng.uniform(0.0, 4.0, size=4):
-            pops = phonon_distribution(evolve(psi, h, t))
+            pops = space.phonon_distribution(evolve(psi, h, t))
             assert pops[1] == pytest.approx(np.cos(omega_prime * t / 2) ** 2,
                                             abs=1e-8)
 
@@ -156,10 +184,10 @@ def test_w_state_amplitudes_proportional_to_couplings():
         n = int(rng.integers(2, 6))
         om = rng.uniform(0.2, 1.5, size=n)
         omega_prime = np.linalg.norm(om)
-        space = JointSpace(n_qubits=n, fock_cutoff=1)
-        h = rsb_hamiltonian(space, om)
-        out = evolve(initial_state(space, 1), h, np.pi / omega_prime)
-        grid = out.grid()
+        space = FullSpace(n_qubits=n, cutoff=1)
+        h = space.hamiltonian(om)
+        out = evolve(space.initial_state(1), h, np.pi / omega_prime)
+        grid = space.grid(out)
         qubit_amps = grid[:, 0]  # phonon vacuum column
         expected = np.zeros(2**n)
         for i in range(n):
@@ -167,27 +195,27 @@ def test_w_state_amplitudes_proportional_to_couplings():
         phase = qubit_amps[np.argmax(np.abs(qubit_amps))]
         phase /= abs(phase)
         assert qubit_amps / phase == pytest.approx(expected, abs=1e-8)
-        assert phonon_distribution(out)[0] == pytest.approx(1.0, abs=1e-10)
+        assert space.phonon_distribution(out)[0] == pytest.approx(1.0, abs=1e-10)
 
 
-# --- evolve -------------------------------------------------------------------
+# --- full-space oracle: propagator -------------------------------------------------
 
 
 def test_evolve_zero_time_is_identity():
-    space = JointSpace(n_qubits=2, fock_cutoff=2)
-    h = rsb_hamiltonian(space, (0.3, 0.9))
-    psi = initial_state(space, 2)
+    space = FullSpace(n_qubits=2, cutoff=2)
+    h = space.hamiltonian((0.3, 0.9))
+    psi = space.initial_state(2)
     out = evolve(psi, h, 0.0)
-    assert out.amplitudes == pytest.approx(psi.amplitudes)
+    assert out == pytest.approx(psi)
 
 
 def test_evolve_group_property():
-    space = JointSpace(n_qubits=2, fock_cutoff=2)
-    h = rsb_hamiltonian(space, (0.4, 1.2))
-    psi = initial_state(space, 2)
+    space = FullSpace(n_qubits=2, cutoff=2)
+    h = space.hamiltonian((0.4, 1.2))
+    psi = space.initial_state(2)
     one = evolve(evolve(psi, h, 0.7), h, 1.9)
     oneshot = evolve(psi, h, 2.6)
-    assert one.amplitudes == pytest.approx(oneshot.amplitudes, abs=1e-10)
+    assert one == pytest.approx(oneshot, abs=1e-10)
 
 
 def test_evolve_norm_and_excitation_conserved():
@@ -195,34 +223,36 @@ def test_evolve_norm_and_excitation_conserved():
     for _ in range(10):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
-        space = JointSpace(n_qubits=n, fock_cutoff=m)
-        h = rsb_hamiltonian(space, rng.uniform(0.1, 1.5, size=n))
-        psi = initial_state(space, m)
-        n0 = total_excitation(psi)
+        space = FullSpace(n_qubits=n, cutoff=m)
+        h = space.hamiltonian(rng.uniform(0.1, 1.5, size=n))
+        psi = space.initial_state(m)
+        n0 = space.total_excitation(psi)
         for t in rng.uniform(0.0, 8.0, size=3):
             out = evolve(psi, h, t)
-            assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
-            assert total_excitation(out) == pytest.approx(n0, abs=1e-10)
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
+            assert space.total_excitation(out) == pytest.approx(n0, abs=1e-10)
 
 
 def test_evolve_matches_dense_expm():
+    # scaling-and-squaring against an exact eigendecomposition
     rng = np.random.default_rng(37)
     for n, m in [(1, 1), (2, 2), (3, 2)]:
-        space = JointSpace(n_qubits=n, fock_cutoff=m)
-        h = rsb_hamiltonian(space, rng.uniform(0.2, 1.4, size=n))
-        psi = initial_state(space, m)
+        space = FullSpace(n_qubits=n, cutoff=m)
+        h = space.hamiltonian(rng.uniform(0.2, 1.4, size=n))
+        psi = space.initial_state(m)
+        evals, vecs = np.linalg.eigh(h)
         for t in (0.4, 1.7, 3.3):
-            ours = evolve(psi, h, t).amplitudes
-            dense = expm(-1j * h * t) @ psi.amplitudes
-            assert ours == pytest.approx(dense, abs=1e-9)
+            ours = evolve(psi, h, t)
+            eig = vecs @ (np.exp(-1j * evals * t) * (vecs.T @ psi))
+            assert ours == pytest.approx(eig, abs=1e-9)
 
 
 def test_evolve_rejects_bad_inputs():
-    space = JointSpace(n_qubits=2, fock_cutoff=1)
-    psi = initial_state(space, 1)
+    space = FullSpace(n_qubits=2, cutoff=1)
+    psi = space.initial_state(1)
     with pytest.raises(ValueError):
         evolve(psi, np.eye(3), 1.0)
-    h = rsb_hamiltonian(space, (1.0, 1.0))
+    h = space.hamiltonian((1.0, 1.0))
     with pytest.raises(ValueError):
         evolve(psi, h, -0.1)
 
@@ -231,19 +261,20 @@ def test_evolve_rejects_bad_inputs():
 
 
 def test_reduce_product_state_is_pure():
-    space = JointSpace(n_qubits=2, fock_cutoff=1)
-    rho = reduce_to_qubits(initial_state(space, 1))
+    sector = ExcitationSector(n_qubits=2, m=1)
+    amps = np.zeros(sector.dimension)
+    amps[0] = 1.0  # all down, one phonon
+    rho = reduce_to_qubits(sector, amps)
     assert rho.matrix[0, 0] == pytest.approx(1.0)
     assert rho.purity() == pytest.approx(1.0)
 
 
 def test_reduce_schmidt_pair_is_maximally_mixed():
-    space = JointSpace(n_qubits=2, fock_cutoff=1)
-    amps = np.zeros(space.dimension, dtype=complex)
-    amps[space.index(0b01, 0)] = 1 / np.sqrt(2)
-    amps[space.index(0b00, 1)] = 1 / np.sqrt(2)
-    from dickesim import JointState
-    rho = reduce_to_qubits(JointState(amplitudes=amps, space=space))
+    sector = ExcitationSector(n_qubits=2, m=1)
+    amps = np.zeros(sector.dimension, dtype=complex)
+    amps[list(sector.qubits).index(0b01)] = 1 / np.sqrt(2)  # |du>, vacuum
+    amps[list(sector.qubits).index(0b00)] = 1 / np.sqrt(2)  # |dd>, one phonon
+    rho = reduce_to_qubits(sector, amps)
     assert rho.purity() == pytest.approx(0.5)
     assert rho.matrix[0, 0] == pytest.approx(0.5)
     assert rho.matrix[1, 1] == pytest.approx(0.5)
@@ -253,12 +284,29 @@ def test_reduce_schmidt_pair_is_maximally_mixed():
 def test_reduce_trace_one_random():
     rng = np.random.default_rng(41)
     for _ in range(5):
-        space = JointSpace(n_qubits=2, fock_cutoff=2)
-        amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+        sector = ExcitationSector(n_qubits=2, m=2)
+        amps = rng.normal(size=sector.dimension) + 1j * rng.normal(size=sector.dimension)
         amps /= np.linalg.norm(amps)
-        from dickesim import JointState
-        rho = reduce_to_qubits(JointState(amplitudes=amps, space=space))
+        rho = reduce_to_qubits(sector, amps)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reduce_matches_full_space_trace():
+    rng = np.random.default_rng(43)
+    for n, m in [(2, 1), (3, 2), (4, 3)]:
+        sector = ExcitationSector(n_qubits=n, m=m)
+        space = FullSpace(n_qubits=n, cutoff=m)
+        amps = rng.normal(size=sector.dimension) + 1j * rng.normal(size=sector.dimension)
+        amps /= np.linalg.norm(amps)
+        full = np.zeros(space.dimension, dtype=complex)
+        full[[space.index(q, k) for q, k in zip(sector.qubits, sector.phonons)]] = amps
+        rho = reduce_to_qubits(sector, amps)
+        assert np.max(np.abs(rho.matrix - space.reduced_density(full))) < 1e-15
+
+
+def test_reduce_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        reduce_to_qubits(ExcitationSector(n_qubits=2, m=1), np.ones(4) / 2)
 
 
 # --- first-maximum search -----------------------------------------------------
@@ -300,12 +348,20 @@ def test_first_max_m3_matches_ladder_oracle(n, m):
     assert res.duration == pytest.approx(t_oracle, abs=1e-5)
 
 
-def test_first_max_larger_cutoff_same_answer():
+def test_first_max_matches_full_space_oracle_at_larger_cutoff():
+    # Fock states up to 5 leave room outside the sector; none gets populated
     om = np.array([0.5, 1.0, 0.75, 0.9])
-    tight = first_max_from_couplings(om, 2)
-    loose = first_max_from_couplings(om, 2, fock_cutoff=5)
-    assert loose.fidelity == pytest.approx(tight.fidelity, abs=1e-12)
-    assert loose.duration == pytest.approx(tight.duration, abs=1e-9)
+    res = first_max_from_couplings(om, 2)
+    space = FullSpace(n_qubits=4, cutoff=5)
+    psi = evolve(space.initial_state(2), space.hamiltonian(om), res.duration)
+    assert space.dicke_fidelity(psi, 2) == pytest.approx(res.fidelity, abs=1e-12)
+    pops = space.phonon_distribution(psi)
+    assert pops[:3] == pytest.approx(res.phonon_distribution, abs=1e-12)
+    assert np.max(pops[3:]) < 1e-24
+    assert np.max(np.abs(space.reduced_density(psi)
+                         - res.reduced_density.matrix)) < 1e-12
+    t_oracle, _ = first_max_full_space(om, 2, cutoff=5)
+    assert res.duration == pytest.approx(t_oracle, abs=1e-6)
 
 
 def test_first_max_later_maxima_can_beat_first():
@@ -326,21 +382,86 @@ def test_first_max_rejects_bad_args():
         first_max_from_couplings(np.ones(2), 0)
     with pytest.raises(ValueError):
         first_max_from_couplings(np.zeros(2), 1)
+    with pytest.raises(ValueError):
+        first_max_from_couplings(np.ones(2), 3)
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (4, 3), (5, 2)])
 def test_symmetric_dynamics_stay_in_ladder(n, m):
     # equal couplings: population outside (Dicke state x Fock) span < 1e-10
     res = first_max_from_couplings(np.ones(n), m)
-    space = JointSpace(n_qubits=n, fock_cutoff=m)
-    h = rsb_hamiltonian(space, np.ones(n))
-    psi = initial_state(space, m)
+    space = FullSpace(n_qubits=n, cutoff=m)
+    h = space.hamiltonian(np.ones(n))
+    psi = space.initial_state(m)
     dicke_basis = np.stack([dicke_vector(n, k) for k in range(m + 1)])
     rng = np.random.default_rng(47)
     for t in rng.uniform(0.0, 3 * res.duration, size=6):
-        grid = evolve(psi, h, t).grid()
+        grid = space.grid(evolve(psi, h, t))
         inside = np.sum(np.abs(dicke_basis @ grid) ** 2)
         assert inside == pytest.approx(1.0, abs=1e-10)
+
+
+# --- properties ------------------------------------------------------------------
+
+REFINE_TOL = 1e-6  # the search's default refine_tol
+
+
+@st.composite
+def couplings_and_m(draw, min_m=1, max_m=3):
+    """Couplings of N <= 6 qubits, with m <= min(N, 3) phonons."""
+    n = draw(st.integers(min_value=max(1, min_m), max_value=6))
+    m = draw(st.integers(min_value=min_m, max_value=min(n, max_m)))
+    om = draw(st.lists(st.floats(min_value=0.1, max_value=1.5), min_size=n,
+                       max_size=n))
+    return np.array(om), m
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(couplings_and_m())
+def test_sector_search_matches_full_space_oracle(case):
+    om, m = case
+    res = first_max_from_couplings(om, m)
+    space = FullSpace(n_qubits=len(om), cutoff=m)
+    psi = evolve(space.initial_state(m), space.hamiltonian(om), res.duration)
+    assert space.dicke_fidelity(psi, m) == pytest.approx(res.fidelity, abs=1e-10)
+    assert space.phonon_distribution(psi) == pytest.approx(
+        res.phonon_distribution, abs=1e-10)
+    assert np.max(np.abs(space.reduced_density(psi)
+                         - res.reduced_density.matrix)) < 1e-10
+    t_oracle, _ = first_max_full_space(om, m, cutoff=m)
+    assert res.duration == pytest.approx(t_oracle, abs=REFINE_TOL)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(couplings_and_m(), st.randoms(use_true_random=False))
+def test_search_invariant_under_coupling_permutation(case, random):
+    om, m = case
+    perm = list(range(len(om)))
+    random.shuffle(perm)
+    res = first_max_from_couplings(om, m)
+    shuffled = first_max_from_couplings(om[perm], m)
+    assert shuffled.fidelity == pytest.approx(res.fidelity, abs=1e-10)
+    assert shuffled.duration == pytest.approx(res.duration, abs=REFINE_TOL)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(couplings_and_m(), st.floats(min_value=0.25, max_value=4.0))
+def test_search_time_scales_with_couplings(case, scale):
+    # each search lands within refine_tol / 2 of its own maximum
+    om, m = case
+    res = first_max_from_couplings(om, m)
+    scaled = first_max_from_couplings(scale * om, m)
+    assert scaled.fidelity == pytest.approx(res.fidelity, abs=1e-10)
+    assert scaled.duration == pytest.approx(
+        res.duration / scale, abs=REFINE_TOL * max(1.0, 1.0 / scale))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(couplings_and_m(max_m=1))
+def test_single_phonon_search_matches_closed_form(case):
+    om, _ = case
+    res = first_max_from_couplings(om, 1)
+    assert res.fidelity == pytest.approx(w_fidelity_analytic(om), abs=1e-9)
 
 
 # --- chain-driven pipeline and sweeps -------------------------------------------
@@ -409,6 +530,34 @@ def test_sweep_records_errors_per_row():
                                   max_periods=0.02)
     assert all(row.error is not None for row in rows)
     assert all(row.fidelity is None for row in rows)
+
+
+def test_sweep_solves_equilibrium_once(monkeypatch):
+    calls = []
+
+    def counted(config, **kwargs):
+        calls.append(config.n_ions)
+        return solve_equilibrium(config, **kwargs)
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", counted)
+    template = ChainTemplate.symmetric(3, placement="edge")
+    rows = fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], 1)
+    assert calls == [4]
+    assert rows[1].fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
+    def stalled(config, **kwargs):
+        raise ConvergenceError("equilibrium solver stalled", residual_norm=1.0)
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", stalled)
+    template = ChainTemplate.symmetric(2, placement="center")
+    rows = fidelity_vs_mass_ratio(template, [0.5, 2.0], 1, fail_fast=False)
+    assert [row.mu for row in rows] == [0.5, 2.0]
+    assert all("stalled" in row.error and row.fidelity is None for row in rows)
+    with pytest.raises(SweepError) as err:
+        fidelity_vs_mass_ratio(template, [0.5, 2.0], 1)
+    assert err.value.mu == 0.5
 
 
 def test_sweep_keep_density():
