@@ -7,16 +7,15 @@ __version__ = "0.1.0"
 
 from .chain import (ChainConfig, ChainFile, ChainTemplate,
                     EquilibriumSolution, LambDickeWarning, ModeSet,
-                    coupling_strengths, length_scale, load_chain_config,
-                    modes_to_csv, read_chain_file, scaled_gradient,
-                    scaled_hessian, scaled_potential, solve_axial_modes,
-                    solve_equilibrium)
+                    coupling_strengths, length_scale, modes_to_csv,
+                    read_chain_file, scaled_gradient, scaled_hessian,
+                    scaled_potential, solve_axial_modes, solve_equilibrium)
 from .detection import (CalibrationResult, CountDistribution, CountModel,
-                        FitResult, ParityScanResult, ReadoutModel,
-                        bright_ion_dist, calibrate, composite_dists, convolve,
-                        dark_ion_dist, estimate_period, ml_fit,
-                        parity_from_fit, parity_scan_analysis,
-                        parity_std_from_fit, poisson_dist, synthesize_shots)
+                        FitResult, ParityScanResult, ReadoutModel, calibrate,
+                        composite_dists, convolve, dark_ion_dist,
+                        estimate_period, ml_fit, parity_from_fit,
+                        parity_scan_analysis, parity_std_from_fit,
+                        poisson_dist, synthesize_shots)
 from .dicke import (QubitDensity, QubitState, coherence_two_qubit,
                     collective_rotation, dicke_fidelity, dicke_state,
                     dicke_vector, fidelity_two_qubit, parity_expectation,

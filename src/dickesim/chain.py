@@ -69,6 +69,8 @@ class ChainConfig:
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if len(self.masses) < 2:
             raise ValueError("a chain needs at least 2 ions")
+        if not np.all(np.isfinite((*self.masses, self.omega_z, self.k_projection))):
+            raise ValueError("masses, omega_z and k_projection must be finite")
         if any(m <= 0 for m in self.masses):
             raise ValueError("all masses must be positive")
         if not 0 <= self.reference_index < len(self.masses):
@@ -420,6 +422,20 @@ class ChainFile:
     omega_z_hz: float
 
 
+def text_lines(path):
+    """Yield ``(line number, text)`` for each non-blank line of a UTF-8 text
+    file, with ``#`` comments removed.  Bytes that are not UTF-8 raise a
+    :class:`DataError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_chain_file(path):
     """Read a plain-text key/value chain description.
 
@@ -428,20 +444,16 @@ def read_chain_file(path):
     ``#`` starts a comment.  The resulting config is in SI mode.
     """
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CHAIN_KEYS:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in entries:
-                raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = (lineno, value)
+    for lineno, line in text_lines(path):
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CHAIN_KEYS:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in entries:
+            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = (lineno, value)
 
     def _parse(key, conv, default=None, required=False):
         if key not in entries:
@@ -478,11 +490,6 @@ def read_chain_file(path):
         raise DataError(f"{path}: {exc}") from exc
     return ChainFile(config=config, ancilla_index=ancilla_index,
                      omega_z_hz=omega_z_hz)
-
-
-def load_chain_config(path):
-    """Shorthand for ``read_chain_file(path).config``."""
-    return read_chain_file(path).config
 
 
 MODES_CSV_SCHEMA = "modes.v1"

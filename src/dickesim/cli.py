@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .chain import (ChainTemplate, modes_to_csv, read_chain_file,
-                    solve_axial_modes, solve_equilibrium)
+                    solve_axial_modes, solve_equilibrium, text_lines)
 from .detection import (ReadoutModel, calibrate, composite_dists,
                         estimate_period, ml_fit, parity_from_fit,
                         parity_scan_analysis, parity_std_from_fit,
@@ -189,9 +189,7 @@ def cmd_sweep(args):
     chain_file = read_chain_file(args.config)
     template = _template_from_file(chain_file, args.config)
     grid = _mu_grid(args)
-    rows = fidelity_vs_mass_ratio(template, grid, args.m, fail_fast=False,
-                                  keep_density=args.format == "json",
-                                  jobs=args.jobs)
+    rows = fidelity_vs_mass_ratio(template, grid, args.m, fail_fast=False)
     with _open_out(args.out) as out:
         if args.format == "csv":
             _write_sweep_csv(rows, args.m, out, carrier_rate=args.carrier_rate)
@@ -380,20 +378,16 @@ def cmd_experiment(args):
 
 def _read_shot_file(path, n_max):
     counts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: not an integer count: "
-                                f"{line!r}") from exc
-            if value < 0 or value > n_max:
-                raise DataError(f"{path}:{lineno}: count {value} outside "
-                                f"[0, {n_max}]")
-            counts.append(value)
+    for lineno, line in text_lines(path):
+        try:
+            value = int(line)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: not an integer count: "
+                            f"{line!r}") from exc
+        if value < 0 or value > n_max:
+            raise DataError(f"{path}:{lineno}: count {value} outside "
+                            f"[0, {n_max}]")
+        counts.append(value)
     if not counts:
         raise DataError(f"{path}: no shot records found")
     return np.array(counts, dtype=int)
@@ -401,24 +395,22 @@ def _read_shot_file(path, n_max):
 
 def _read_histogram(path, n_max):
     hist = np.zeros(n_max + 1)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line or line.lower().startswith("n,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'n,count'")
-            try:
-                n, count = int(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad histogram row "
-                                f"{line!r}") from exc
-            if n < 0 or n > n_max:
-                raise DataError(f"{path}:{lineno}: bin {n} outside [0, {n_max}]")
-            if count < 0:
-                raise DataError(f"{path}:{lineno}: negative count")
-            hist[n] += count
+    for lineno, line in text_lines(path):
+        if line.lower().startswith("n,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'n,count'")
+        try:
+            n, count = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad histogram row "
+                            f"{line!r}") from exc
+        if n < 0 or n > n_max:
+            raise DataError(f"{path}:{lineno}: bin {n} outside [0, {n_max}]")
+        if count < 0:
+            raise DataError(f"{path}:{lineno}: negative count")
+        hist[n] += count
     return hist
 
 
@@ -463,8 +455,8 @@ def cmd_synth(args):
         raise _UsageError("--c0/--c1/--c2 must be non-negative and sum to 1")
     if args.shots < 0:
         raise _UsageError("--shots must be >= 0")
-    model = _model_from_args(args)
-    counts = synthesize_shots(c, model, args.shots, _resolve_seed(args.seed))
+    cm = composite_dists(_model_from_args(args))
+    counts = synthesize_shots(c, cm, args.shots, _resolve_seed(args.seed))
     with _open_out(args.out) as out:
         for value in counts:
             out.write(f"{value}\n")
@@ -500,8 +492,6 @@ def build_parser():
     p_sweep.add_argument("--carrier-rate", type=float, default=None,
                          help="carrier Rabi rate Omega_0 (rad/s) for "
                               "converting durations to seconds")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers for sweep rows")
     p_sweep.add_argument("--out", default="-")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)

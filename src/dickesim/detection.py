@@ -10,7 +10,9 @@ is integrated out numerically (Simpson rule over a uniform tau grid,
 validated against Monte Carlo sampling in the test suite).
 
 Composite distributions for 0/1/2 bright ions are discrete convolutions of
-background and single-ion distributions; an observed sample of counts is
+background and single-ion distributions, built once per readout model by
+:func:`composite_dists` as a :class:`CountModel`; shot synthesis, fits and
+parity scans all take that CountModel.  An observed sample of counts is
 fit with the three-component mixture by maximizing the log-likelihood over
 the population simplex (EM-style multiplicative updates; the problem is
 concave, so the interior optimum is global).  Uncertainties come from a
@@ -29,7 +31,7 @@ from scipy.integrate import simpson
 from .errors import DataError, IdentifiabilityError
 
 DEFAULT_N_MAX = 100
-DEFAULT_QUAD_NODES = 513  # 512 Simpson intervals over the detection window
+QUAD_NODES = 513  # 512 Simpson intervals over the detection window
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,7 @@ def convolve(g, h):
     return CountDistribution(out)
 
 
-def bright_ion_dist(model, n_max=DEFAULT_N_MAX):
-    """Counts from a single bright (down) ion: plain Poisson."""
-    return poisson_dist(model.lambda_bright, n_max)
-
-
-def dark_ion_dist(model, n_max=DEFAULT_N_MAX, quad_nodes=DEFAULT_QUAD_NODES):
+def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
     """Counts from a single ion that starts dark (up).
 
     With probability exp(-gamma T) the ion survives the window dark and
@@ -128,7 +125,7 @@ def dark_ion_dist(model, n_max=DEFAULT_N_MAX, quad_nodes=DEFAULT_QUAD_NODES):
     gt = model.gamma_t
     if gt == 0.0:
         return poisson_dist(model.lambda_dark, n_max)
-    x = np.linspace(0.0, 1.0, quad_nodes)  # tau / T
+    x = np.linspace(0.0, 1.0, QUAD_NODES)  # tau / T
     means = model.lambda_dark * x + model.lambda_bright * (1.0 - x)
     density = gt * np.exp(-gt * x)
     pmf = stats.poisson.pmf(np.arange(n_max + 1)[:, None], means[None, :])
@@ -157,7 +154,7 @@ class CountModel:
 
 
 @lru_cache(maxsize=32)
-def composite_dists(model, n_max=DEFAULT_N_MAX, quad_nodes=DEFAULT_QUAD_NODES):
+def composite_dists(model, n_max=DEFAULT_N_MAX):
     """Composite count distributions for two equally illuminated ions:
 
     P(n|0) = P_bg * P_up * P_up,
@@ -165,8 +162,8 @@ def composite_dists(model, n_max=DEFAULT_N_MAX, quad_nodes=DEFAULT_QUAD_NODES):
     P(n|2) = P_bg * P_down * P_down.
     """
     bg = poisson_dist(model.lambda_bg, n_max)
-    up = dark_ion_dist(model, n_max, quad_nodes)
-    down = bright_ion_dist(model, n_max)
+    up = dark_ion_dist(model, n_max)
+    down = poisson_dist(model.lambda_bright, n_max)
     return CountModel(
         dists=(
             convolve(convolve(bg, up), up),
@@ -176,12 +173,6 @@ def composite_dists(model, n_max=DEFAULT_N_MAX, quad_nodes=DEFAULT_QUAD_NODES):
         model=model,
         n_max=n_max,
     )
-
-
-def _as_count_model(model, n_max=DEFAULT_N_MAX):
-    if isinstance(model, CountModel):
-        return model
-    return composite_dists(model, n_max)
 
 
 @dataclass(frozen=True)
@@ -215,26 +206,24 @@ def _em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):
     c /= np.sum(c)
     ll_prev = -np.inf
     for _ in range(max_iter):
-        mix = c @ pmat
-        ll = float(hist @ np.log(np.clip(mix, 1e-300, None)))
+        mix = np.clip(c @ pmat, 1e-300, None)
+        ll = float(hist @ np.log(mix))
         if ll - ll_prev <= tol:
             break
         ll_prev = ll
-        resp = pmat @ (hist / np.clip(mix, 1e-300, None))
+        resp = pmat @ (hist / mix)
         c = c * resp / total
-        c = np.clip(c, 0.0, None)
         c /= np.sum(c)
     return c, ll
 
 
-def ml_fit(samples, model, n_bootstrap=200, seed=0, n_max=DEFAULT_N_MAX):
+def ml_fit(samples, cm, n_bootstrap=200, seed=0):
     """Fit mixture populations (c0, c1, c2) to a sample of photon counts.
 
-    ``model`` may be a ReadoutModel (composites are built at the default
-    n_max) or a prebuilt CountModel.  Standard errors are the bootstrap
-    standard deviations over ``n_bootstrap`` multinomial resamples.
+    ``cm`` is the CountModel from :func:`composite_dists`.  Standard errors
+    are the bootstrap standard deviations over ``n_bootstrap`` multinomial
+    resamples.
     """
-    cm = _as_count_model(model, n_max)
     counts = np.asarray(samples)
     if counts.size == 0:
         raise ValueError("need at least one sample")
@@ -286,8 +275,9 @@ def parity_std_from_fit(fit):
     return float(np.std(b[:, 0] + b[:, 2] - b[:, 1], ddof=1))
 
 
-def synthesize_shots(populations, model, n_shots, seed, n_max=DEFAULT_N_MAX):
-    """Draw i.i.d. photon counts from the mixture sum_i c_i P(n|i).
+def synthesize_shots(populations, cm, n_shots, seed):
+    """Draw i.i.d. photon counts from the mixture sum_i c_i P(n|i) of the
+    CountModel ``cm``.
 
     Reproducible for a fixed seed (an int, SeedSequence or Generator).
     """
@@ -298,7 +288,6 @@ def synthesize_shots(populations, model, n_shots, seed, n_max=DEFAULT_N_MAX):
         raise ValueError("populations must sum to 1")
     if n_shots < 0:
         raise ValueError("n_shots must be >= 0")
-    cm = _as_count_model(model, n_max)
     if len(c) != len(cm.dists):
         raise ValueError("populations length must match the model components")
     rng = np.random.default_rng(seed)
@@ -372,8 +361,7 @@ def _pearson_chi2(hist, probs):
     return chi2, max(len(obs_m) - 1, 1)
 
 
-def calibrate(ref_bright, ref_dark, t_detect=200e-6, n_max=None, fix=None,
-              quad_nodes=DEFAULT_QUAD_NODES):
+def calibrate(ref_bright, ref_dark, t_detect=200e-6, n_max=None, fix=None):
     """Joint maximum-likelihood fit of the readout model to two reference
     histograms: an all-bright preparation (both ions down, P(n|2)) and an
     all-dark preparation (both ions up, P(n|0)).
@@ -429,7 +417,7 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, n_max=None, fix=None,
         )
 
     def nll(theta):
-        cm = composite_dists(build(theta), n_max, quad_nodes)
+        cm = composite_dists(build(theta), n_max)
         p2 = np.clip(cm.dists[2].probabilities, 1e-300, None)
         p0 = np.clip(cm.dists[0].probabilities, 1e-300, None)
         return -(hb @ np.log(p2) + hd @ np.log(p0))
@@ -438,7 +426,7 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, n_max=None, fix=None,
     bounds = [(1e-9, None) if p != "gamma" else (0.0, 20.0) for p in free]
     res = optimize.minimize(nll, x0, method="L-BFGS-B", bounds=bounds)
     model = build(res.x)
-    cm = composite_dists(model, n_max, quad_nodes)
+    cm = composite_dists(model, n_max)
     chi2_b, dof_b = _pearson_chi2(hb, cm.dists[2].probabilities)
     chi2_d, dof_d = _pearson_chi2(hd, cm.dists[0].probabilities)
     return CalibrationResult(
@@ -470,16 +458,15 @@ class ParityScanResult:
     coherence_term: float
 
 
-def parity_scan_analysis(scans, model, n_bootstrap=100, seed=0,
-                         n_max=DEFAULT_N_MAX):
+def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     """Per-phase ML parity estimates and a least-squares sinusoid fit.
 
-    ``scans`` is an iterable of (phi, samples).  The fit enforces the pi
+    ``scans`` is an iterable of (phi, samples), each fit against the
+    CountModel ``cm``.  The fit enforces the pi
     period of a two-qubit parity oscillation; the coherence term reported
     is the two-phase average (parity(0) + parity(pi/2)) / 2 evaluated from
     the fit, which equals the fitted offset.
     """
-    cm = _as_count_model(model, n_max)
     scans = list(scans)
     phases = np.array([float(phi) for phi, _ in scans])
     if len(np.unique(np.round(phases, 12))) < 4:

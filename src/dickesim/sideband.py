@@ -13,7 +13,8 @@ m phonons never leaves the m-excitation sector: the states
 ``2^N (m + 1)`` = 6144 of the qubit-times-Fock space), and the dynamics
 are solved exactly on them.  The phonon number fixes the qubit weight, so
 the reduced qubit density is block-diagonal by weight; it is built only
-when a caller reads it.
+when a caller reads it, from a pulse result or from a sweep row (which
+holds its pulse result).
 
 Times are dimensionless throughout, in units of 1/Omega_0 (the carrier
 Rabi rate used to build the couplings).
@@ -21,7 +22,6 @@ Rabi rate used to build the couplings).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -158,15 +158,13 @@ def _golden_max(f, a, b, tol):
 
 
 def first_max_from_couplings(couplings, m, grid_per_period=50,
-                             max_periods=20.0, refine_tol=1e-6, n_maxima=1):
+                             max_periods=20.0, refine_tol=1e-6):
     """Locate the first local maximum of F(t) = <D(N,m)| rho(t) |D(N,m)>
     under the red-sideband pulse, starting from all-down with m phonons.
 
     The fidelity is scanned on a grid of step pi/(grid_per_period * Omega')
-    out to ``max_periods * pi / Omega'``; each detected local maximum is
-    refined by golden-section search to ``refine_tol`` in Omega_0 t.  With
-    ``n_maxima > 1`` the best of the first that many maxima is returned
-    (fidelity generally keeps growing at later maxima).
+    out to ``max_periods * pi / Omega'``; the first detected local maximum
+    is refined by golden-section search to ``refine_tol`` in Omega_0 t.
 
     Raises
     ------
@@ -178,8 +176,6 @@ def first_max_from_couplings(couplings, m, grid_per_period=50,
         raise ValueError("need at least one phonon to convert")
     if m > len(om):
         raise ValueError(f"{m} phonons cannot all be absorbed by {len(om)} qubits")
-    if n_maxima < 1:
-        raise ValueError("n_maxima must be >= 1")
     omega_prime = float(np.linalg.norm(om))
     if omega_prime == 0.0:
         raise ValueError("at least one coupling must be nonzero")
@@ -199,21 +195,17 @@ def first_max_from_couplings(couplings, m, grid_per_period=50,
     f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
     # grid point j + 1 is a maximum, bracketed by its neighbours, when F
     # rose into it and does not rise out of it
-    peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[:n_maxima]
+    peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
     if not peaks.size:
         raise SearchError(
             f"no fidelity maximum found before t = {steps_cap * dt:.3f}/Omega_0")
+    j = peaks[0]
+    t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], refine_tol)
 
-    best_t, best_f = None, -1.0
-    for j in peaks:
-        t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], refine_tol)
-        if f_star > best_f:
-            best_t, best_f = t_star, f_star
-
-    state = vecs @ (np.exp(-1j * evals * best_t) * start)
+    state = vecs @ (np.exp(-1j * evals * t_star) * start)
     return PulseResult(
-        duration=float(best_t),
-        fidelity=min(best_f, 1.0),
+        duration=float(t_star),
+        fidelity=min(f_star, 1.0),
         phonon_distribution=np.bincount(sector.phonons, weights=np.abs(state) ** 2,
                                         minlength=m + 1),
         couplings=om,
@@ -240,19 +232,34 @@ def first_max_fidelity(config, addressed, m, carrier_rate=1.0,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One point of a mass-ratio sweep (``error`` is set instead of the
-    numeric fields when the row failed and errors are being recorded)."""
+    """One point of a mass-ratio sweep: the row's ``pulse``, or ``error``
+    in its place when the row failed and errors are being recorded (the
+    numeric fields then read None)."""
 
     mu: float
-    duration: float | None
-    fidelity: float | None
-    phonon_distribution: np.ndarray | None
-    reduced_density: QubitDensity | None = None
+    pulse: PulseResult | None = None
     error: str | None = None
+
+    @property
+    def duration(self):
+        return None if self.pulse is None else self.pulse.duration
+
+    @property
+    def fidelity(self):
+        return None if self.pulse is None else self.pulse.fidelity
+
+    @property
+    def phonon_distribution(self):
+        return None if self.pulse is None else self.pulse.phonon_distribution
+
+    @property
+    def reduced_density(self):
+        """Qubit state at the pulse's end (built on first read)."""
+        return None if self.pulse is None else self.pulse.reduced_density
 
 
 def fidelity_vs_mass_ratio(template, mu_grid, m, fail_fast=True,
-                           keep_density=False, jobs=1, **search_kwargs):
+                           **search_kwargs):
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
     Rebuilds the chain for every mu via ``template.config_for`` and runs
@@ -260,8 +267,7 @@ def fidelity_vs_mass_ratio(template, mu_grid, m, fail_fast=True,
     solved once for the whole grid.  Rows come back in grid order.  With
     ``fail_fast`` (default) the first failing row raises a
     :class:`SweepError` annotated with its mu; otherwise failures are
-    recorded in the row and the sweep continues.  ``jobs > 1`` runs rows in
-    a thread pool (each row is a pure function of its inputs).
+    recorded in the row and the sweep continues.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mu_grid):
@@ -271,8 +277,7 @@ def fidelity_vs_mass_ratio(template, mu_grid, m, fail_fast=True,
     def failed_row(mu, exc):
         if fail_fast:
             raise SweepError(f"sweep failed at mu={mu}: {exc}", mu=mu) from exc
-        return SweepRow(mu=mu, duration=None, fidelity=None,
-                        phonon_distribution=None, error=str(exc))
+        return SweepRow(mu=mu, error=str(exc))
 
     try:
         equilibrium = chain_mod.solve_equilibrium(template.config_for(1.0))
@@ -281,19 +286,10 @@ def fidelity_vs_mass_ratio(template, mu_grid, m, fail_fast=True,
 
     def run_row(mu):
         try:
-            result = first_max_fidelity(template.config_for(mu), addressed, m,
-                                        equilibrium=equilibrium, **search_kwargs)
+            return SweepRow(mu=mu, pulse=first_max_fidelity(
+                template.config_for(mu), addressed, m,
+                equilibrium=equilibrium, **search_kwargs))
         except Exception as exc:
             return failed_row(mu, exc)
-        return SweepRow(
-            mu=mu,
-            duration=result.duration,
-            fidelity=result.fidelity,
-            phonon_distribution=result.phonon_distribution,
-            reduced_density=result.reduced_density if keep_density else None,
-        )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_row, mu_grid))
     return [run_row(mu) for mu in mu_grid]

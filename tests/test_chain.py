@@ -3,11 +3,14 @@ import io
 import numpy as np
 import pytest
 from conftest import relax_equilibrium
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
                       LambDickeWarning, coupling_strengths, length_scale,
                       modes_to_csv, read_chain_file, scaled_gradient,
-                      solve_axial_modes, solve_equilibrium)
+                      scaled_hessian, scaled_potential, solve_axial_modes,
+                      solve_equilibrium)
 from dickesim.errors import DataError
 
 # closed forms: two ions at +-a with 2a^3 = ... dV/da = 2a - 1/(2a^2) = 0
@@ -41,6 +44,29 @@ def test_invalid_configs_rejected():
         ChainConfig(masses=(25.0, 25.0), omega_z=0.0)
     with pytest.raises(ValueError):
         ChainConfig(masses=(25.0, 25.0), k_projection=-1.0)
+    for nonfinite in ({"masses": (25.0, np.nan)}, {"masses": (np.inf, 25.0)},
+                      {"omega_z": np.nan}, {"omega_z": np.inf},
+                      {"k_projection": np.nan}, {"k_projection": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            ChainConfig(**{"masses": (25.0, 25.0), **nonfinite})
+
+
+@pytest.mark.parametrize("n_ions", range(2, 9))
+def test_gradient_and_hessian_match_potential_differences(n_ions):
+    # perturbed equilibria keep every pair well apart; random points could
+    # put two ions close enough for 1/d^3 to swamp the difference quotients
+    eq = solve_equilibrium(ChainConfig(masses=(1.0,) * n_ions))
+    u = eq.positions + 0.05 * np.random.default_rng(n_ions).standard_normal(n_ions)
+    eye = np.eye(n_ions)
+    h = 1e-5
+    grad = [(scaled_potential(u + h * e) - scaled_potential(u - h * e)) / (2 * h)
+            for e in eye]
+    assert np.max(np.abs(scaled_gradient(u) - grad)) < 1e-8
+    h = 1e-4
+    hess = [[(scaled_potential(u + h * (a + b)) - scaled_potential(u + h * (a - b))
+              - scaled_potential(u - h * (a - b)) + scaled_potential(u - h * (a + b)))
+             / (4 * h * h) for b in eye] for a in eye]
+    assert np.max(np.abs(scaled_hessian(u) - hess)) < 1e-6 * np.max(np.abs(hess))
 
 
 @pytest.mark.parametrize("n_ions", [2, 3, 4, 5, 6, 7])
@@ -272,6 +298,50 @@ def test_chain_file_rejects_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(DataError):
         read_chain_file(path)
+
+
+_FUZZ_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(min_value=1e-3, max_value=1e9).map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "1e308", "0", "-2"]),
+)
+_FUZZ_INDICES = st.integers(-1, 4).map(str)
+_FUZZ_VALUES = st.one_of(_FUZZ_NUMBERS, _FUZZ_INDICES, st.text(max_size=12))
+_FUZZ_CONFIGS = st.fixed_dictionaries(
+    {"masses": st.lists(_FUZZ_NUMBERS, min_size=1, max_size=4).map(", ".join),
+     "omega_z": _FUZZ_NUMBERS},
+    optional={"reference_index": _FUZZ_INDICES, "k_projection": _FUZZ_NUMBERS,
+              "ancilla_index": _FUZZ_INDICES},
+).map(lambda entries: "".join(f"{k} = {v}\n" for k, v in entries.items()))
+_FUZZ_LINES = st.one_of(
+    st.builds("{} = {}".format,
+              st.sampled_from(["masses", "omega_z", "reference_index",
+                               "k_projection", "ancilla_index"]),
+              _FUZZ_VALUES),
+    st.text(max_size=24),
+)
+_FUZZ_FILES = st.one_of(
+    _FUZZ_CONFIGS.map(str.encode),
+    st.lists(_FUZZ_LINES, max_size=7).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_FUZZ_FILES)
+def test_read_chain_file_fuzz_gives_data_error_or_finite_config(tmp_path, content):
+    # a fresh file per example: truncating a file in place can force a flush
+    path = tmp_path / f"fuzz{len(list(tmp_path.iterdir()))}.cfg"
+    path.write_bytes(content)
+    try:
+        chain_file = read_chain_file(path)
+    except DataError:
+        return
+    cfg = chain_file.config
+    assert np.all(np.isfinite(cfg.masses))
+    assert np.isfinite(cfg.omega_z) and np.isfinite(cfg.k_projection)
+    assert np.isfinite(chain_file.omega_z_hz)
 
 
 def test_modes_csv_export():

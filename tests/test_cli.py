@@ -77,6 +77,29 @@ def test_modes_missing_file_exits_2(tmp_path):
     assert main(["modes", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("masses,omega", [
+    ("25, 25, 27", "nan"),
+    ("nan, 25", "2.55e6"),
+    ("25, inf, 27", "2.55e6"),
+    ("25, 25, 27", "1e400"),
+])
+def test_modes_nonfinite_config_exits_2(tmp_path, capsys, masses, omega):
+    cfg = write_chain(tmp_path, masses=masses, omega=omega, ancilla="")
+    out = tmp_path / "modes.json"
+    assert main(["modes", "--config", cfg, "--out", str(out),
+                 "--format", "json"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_modes_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# café\nmasses = 25, 25\nomega_z = 2.55e6\n"
+                    .encode("latin-1"))
+    assert main(["modes", "--config", str(cfg)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["modes"])  # missing --config
@@ -170,18 +193,6 @@ def test_sweep_four_qubit_two_excitations_at_equal_mass(tmp_path):
 def test_sweep_without_ancilla_index_exits_2(tmp_path):
     cfg = write_chain(tmp_path, masses="25, 25, 27", ancilla="")
     assert main(["sweep", "--config", cfg]) == 2
-
-
-def test_sweep_jobs_flag_matches_serial(tmp_path):
-    cfg = write_chain(tmp_path, masses="25, 25, 25",
-                      ancilla="ancilla_index = 1\n")
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    args = ["sweep", "--config", cfg, "--m", "2", "--mu-start", "0.5",
-            "--mu-stop", "4", "--mu-points", "4"]
-    assert main(args + ["--out", str(out_a)]) == 0
-    assert main(args + ["--out", str(out_b), "--jobs", "3"]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
 
 
 # --- experiment -----------------------------------------------------------------
@@ -303,6 +314,20 @@ def test_fit_empty_shot_file_exits_2(tmp_path, capsys):
     code = main(["fit", "--shots", str(shots), "--ref-bright", str(refs),
                  "--ref-dark", str(refs)])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["shots", "ref"])
+def test_fit_non_utf8_input_exits_2(tmp_path, capsys, bad):
+    shots = tmp_path / "shots.txt"
+    shots.write_text("3\n5\n")
+    refs = tmp_path / "ref.csv"
+    refs.write_text("n,count\n0,10\n1,20\n")
+    target = shots if bad == "shots" else refs
+    target.write_bytes(b"# caf\xe9\n" + target.read_bytes())
+    code = main(["fit", "--shots", str(shots), "--ref-bright", str(refs),
+                 "--ref-dark", str(refs)])
+    assert code == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_fit_count_beyond_n_max_names_line(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dickesim import (CountDistribution, DataError, FitResult,
@@ -191,22 +193,25 @@ def test_composite_one_bright_matches_monte_carlo():
 
 
 def test_synthesize_deterministic_under_seed():
-    a = synthesize_shots((0.2, 0.5, 0.3), MODEL, 500, seed=99)
-    b = synthesize_shots((0.2, 0.5, 0.3), MODEL, 500, seed=99)
+    cm = composite_dists(MODEL)
+    a = synthesize_shots((0.2, 0.5, 0.3), cm, 500, seed=99)
+    b = synthesize_shots((0.2, 0.5, 0.3), cm, 500, seed=99)
     assert np.array_equal(a, b)
-    c = synthesize_shots((0.2, 0.5, 0.3), MODEL, 500, seed=100)
+    c = synthesize_shots((0.2, 0.5, 0.3), cm, 500, seed=100)
     assert not np.array_equal(a, c)
 
 
 def test_synthesize_zero_shots():
-    assert len(synthesize_shots((1.0, 0.0, 0.0), MODEL, 0, seed=1)) == 0
+    cm = composite_dists(MODEL)
+    assert len(synthesize_shots((1.0, 0.0, 0.0), cm, 0, seed=1)) == 0
 
 
 def test_synthesize_rejects_bad_simplex():
+    cm = composite_dists(MODEL)
     with pytest.raises(ValueError):
-        synthesize_shots((0.5, 0.2, 0.1), MODEL, 10, seed=1)
+        synthesize_shots((0.5, 0.2, 0.1), cm, 10, seed=1)
     with pytest.raises(ValueError):
-        synthesize_shots((-0.2, 0.6, 0.6), MODEL, 10, seed=1)
+        synthesize_shots((-0.2, 0.6, 0.6), cm, 10, seed=1)
 
 
 def test_synthesize_law_of_large_numbers():
@@ -289,6 +294,17 @@ def test_ml_fit_deterministic():
     assert np.array_equal(a.std_errors, b.std_errors)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 100), min_size=1, max_size=300),
+       st.integers(0, 2**32 - 1))
+def test_ml_fit_populations_stay_on_simplex(samples, seed):
+    fit = ml_fit(np.array(samples), composite_dists(MODEL), n_bootstrap=3,
+                 seed=seed)
+    for c in (fit.populations, *fit.bootstrap_populations):
+        assert np.all(c >= 0.0)
+        assert np.sum(c) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ml_fit_rejects_bad_samples():
     cm = composite_dists(MODEL, n_max=100)
     with pytest.raises(ValueError):
@@ -359,7 +375,7 @@ def test_calibrate_goodness_of_fit_reasonable():
 
 def test_calibrate_rejects_degenerate_references():
     good = np.bincount(
-        synthesize_shots((0.0, 0.0, 1.0), MODEL, 1000, seed=30),
+        synthesize_shots((0.0, 0.0, 1.0), composite_dists(MODEL), 1000, seed=30),
         minlength=101)
     with pytest.raises(IdentifiabilityError):
         calibrate(good, np.zeros(101))
@@ -402,7 +418,8 @@ def test_parity_scan_ideal_w_state_is_flat():
     rho = dicke_state(2, 1).density()
     phases = np.arange(12) * np.pi / 12
     scans = _scan_shots(rho, phases, 20_000, seed=40)
-    res = parity_scan_analysis(scans, MODEL, n_bootstrap=40, seed=41)
+    res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=40,
+                               seed=41)
     assert res.amplitude < 0.02
     # even-parity plateau at +1: the coherence term equals the offset
     assert res.offset == pytest.approx(1.0, abs=0.02)
@@ -413,7 +430,8 @@ def test_parity_scan_double_rotation_full_contrast():
     rho = dicke_state(2, 1).density()
     phases = np.arange(12) * np.pi / 12
     scans = _scan_shots(rho, phases, 20_000, seed=42, double=True)
-    res = parity_scan_analysis(scans, MODEL, n_bootstrap=40, seed=43)
+    res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=40,
+                               seed=43)
     assert res.amplitude == pytest.approx(1.0, abs=0.03)
     period = estimate_period(res.phases, res.parities)
     assert period == pytest.approx(np.pi, rel=0.02)
@@ -423,7 +441,7 @@ def test_parity_scan_needs_four_phases():
     rho = dicke_state(2, 1).density()
     scans = _scan_shots(rho, [0.0, 0.5, 1.0], 500, seed=44)
     with pytest.raises(IdentifiabilityError):
-        parity_scan_analysis(scans, MODEL)
+        parity_scan_analysis(scans, composite_dists(MODEL))
 
 
 def test_estimate_period_on_clean_sinusoid():
@@ -444,19 +462,20 @@ def test_parity_scan_on_imperfect_state_recovers_coherence():
     rho = QubitDensity(matrix=mat, n_qubits=2)
     phases = np.arange(12) * np.pi / 12
 
+    cm = composite_dists(MODEL)
     scans = _scan_shots(rho, phases, 30_000, seed=50)
-    res = parity_scan_analysis(scans, MODEL, n_bootstrap=40, seed=51)
+    res = parity_scan_analysis(scans, cm, n_bootstrap=40, seed=51)
     assert res.coherence_term == pytest.approx(0.74, abs=0.02)
     assert res.amplitude < 0.02
 
     double = _scan_shots(rho, phases, 30_000, seed=52, double=True)
-    res2 = parity_scan_analysis(double, MODEL, n_bootstrap=40, seed=53)
+    res2 = parity_scan_analysis(double, cm, n_bootstrap=40, seed=53)
     assert res2.amplitude == pytest.approx(0.67, abs=0.02)
     assert estimate_period(res2.phases, res2.parities) == pytest.approx(
         np.pi, rel=0.03)
 
     # full fidelity assembly: fitted odd population plus coherence, halved
-    direct = synthesize_shots(bright_populations(rho), MODEL, 30_000, seed=54)
-    fit = ml_fit(direct, MODEL, n_bootstrap=0)
+    direct = synthesize_shots(bright_populations(rho), cm, 30_000, seed=54)
+    fit = ml_fit(direct, cm, n_bootstrap=0)
     fidelity = 0.5 * (fit.populations[1] + res.coherence_term)
     assert fidelity == pytest.approx(0.77, abs=0.015)
