@@ -88,13 +88,16 @@ def _write_json(data, stream):
 
 
 def _model_from_args(args):
-    return ReadoutModel(
-        lambda_bright=args.lambda_bright,
-        lambda_dark=args.lambda_dark,
-        lambda_bg=args.lambda_bg,
-        gamma=args.gamma,
-        t_detect=args.t_detect,
-    )
+    try:
+        return ReadoutModel(
+            lambda_bright=args.lambda_bright,
+            lambda_dark=args.lambda_dark,
+            lambda_bg=args.lambda_bg,
+            gamma=args.gamma,
+            t_detect=args.t_detect,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"readout model flags: {exc}") from exc
 
 
 def _add_model_flags(parser):
@@ -260,7 +263,9 @@ def run_experiment(chain_file, shots, seed, model=None, n_phases=12,
     hist_bright = np.bincount(ref_bright, minlength=cm_true.n_max + 1)
     hist_dark = np.bincount(ref_dark, minlength=cm_true.n_max + 1)
     cal = calibrate(hist_bright, hist_dark, t_detect=model.t_detect)
-    cm_fit = composite_dists(cal.model)
+    # calibrate's own (model, n_max) cache key, as the references have
+    # cm_true.n_max + 1 bins, so its last build is reused
+    cm_fit = composite_dists(cal.model, cm_true.n_max)
 
     exp_shots = synthesize_shots(_bright_populations(rho), cm_true, shots,
                                  next(seed_iter))
@@ -408,8 +413,8 @@ def _read_histogram(path, n_max):
                             f"{line!r}") from exc
         if n < 0 or n > n_max:
             raise DataError(f"{path}:{lineno}: bin {n} outside [0, {n_max}]")
-        if count < 0:
-            raise DataError(f"{path}:{lineno}: negative count")
+        if not 0 <= count < np.inf:
+            raise DataError(f"{path}:{lineno}: count must be finite and >= 0")
         hist[n] += count
     return hist
 

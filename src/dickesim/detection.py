@@ -16,7 +16,9 @@ parity scans all take that CountModel.  An observed sample of counts is
 fit with the three-component mixture by maximizing the log-likelihood over
 the population simplex (EM-style multiplicative updates; the problem is
 concave, so the interior optimum is global).  Uncertainties come from a
-nonparametric bootstrap.
+nonparametric bootstrap.  The fits of a call run in two batches through
+one EM loop: the point fits (one sample, or every phase of a parity scan),
+then all of their bootstrap resamples.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from scipy import optimize, stats
 from scipy.integrate import simpson
 
-from .errors import DataError, IdentifiabilityError
+from .errors import ConvergenceError, DataError, IdentifiabilityError
 
 DEFAULT_N_MAX = 100
 QUAD_NODES = 513  # 512 Simpson intervals over the detection window
@@ -78,10 +80,10 @@ class ReadoutModel:
 
     def __post_init__(self):
         for name in ("lambda_bright", "lambda_dark", "lambda_bg", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.t_detect <= 0:
-            raise ValueError("t_detect must be positive")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 < self.t_detect < np.inf:
+            raise ValueError("t_detect must be finite and positive")
 
     @property
     def gamma_t(self):
@@ -198,32 +200,43 @@ class FitResult:
             raise ValueError("populations must sum to 1")
 
 
-def _em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):
-    """Maximize sum_n h_n log(sum_i c_i P_in) over the simplex."""
-    total = float(np.sum(hist))
-    k = pmat.shape[0]
-    c = np.full(k, 1.0 / k) if c0 is None else np.array(c0, dtype=float)
-    c /= np.sum(c)
-    ll_prev = -np.inf
-    for _ in range(max_iter):
-        mix = np.clip(c @ pmat, 1e-300, None)
-        ll = float(hist @ np.log(mix))
-        if ll - ll_prev <= tol:
-            break
-        ll_prev = ll
-        resp = pmat @ (hist / mix)
-        c = c * resp / total
-        c /= np.sum(c)
-    return c, ll
-
-
-def ml_fit(samples, cm, n_bootstrap=200, seed=0):
-    """Fit mixture populations (c0, c1, c2) to a sample of photon counts.
-
-    ``cm`` is the CountModel from :func:`composite_dists`.  Standard errors
-    are the bootstrap standard deviations over ``n_bootstrap`` multinomial
-    resamples.
+def _em(h, pmat, starts, tol=1e-10, max_iter=200000):
+    """Maximize sum_n h_bn log(sum_i c_bi P_in) over the simplex for each
+    histogram row b of ``h``, from ``starts``, with one batched EM update per
+    iteration; returns the (B, k) populations and (B,) log-likelihoods.  A
+    row stops, and leaves the batch, once an update gains at most ``tol``;
+    rows still running after ``max_iter`` updates raise ConvergenceError.
     """
+    h = np.asarray(h, dtype=float)
+    total = h.sum(axis=1, keepdims=True)
+    c = starts / starts.sum(axis=1, keepdims=True)
+    out_c, out_ll = np.empty_like(c), np.empty(len(h))
+    rows = np.arange(len(h))
+    ll_prev = np.full(len(h), -np.inf)
+    for _ in range(max_iter):
+        # stacked matmuls take one BLAS vector product per row, so a row's
+        # arithmetic is that of a one-histogram fit, whatever the batch
+        mix = np.matmul(c[:, None, :], pmat)[:, 0]
+        np.maximum(mix, 1e-300, out=mix)
+        ll = np.matmul(h[:, None, :], np.log(mix)[:, :, None])[:, 0, 0]
+        resp = np.matmul(pmat, (h / mix)[:, :, None])[:, :, 0]
+        done = ll - ll_prev <= tol
+        if done.any():
+            out_c[rows[done]], out_ll[rows[done]] = c[done], ll[done]
+            rows, h, total, c, resp, ll = (
+                a[~done] for a in (rows, h, total, c, resp, ll))
+            if not len(rows):
+                return out_c, out_ll
+        ll_prev = ll
+        c = c * resp / total
+        c /= c.sum(axis=1, keepdims=True)
+    raise ConvergenceError(f"EM fit: {len(rows)} of {len(out_ll)} histograms "
+                           f"did not converge in {max_iter} iterations")
+
+
+def _histogram(samples, cm):
+    """Bin a sample of photon counts on 0..cm.n_max, rejecting counts that
+    are not integers in that range."""
     counts = np.asarray(samples)
     if counts.size == 0:
         raise ValueError("need at least one sample")
@@ -236,29 +249,40 @@ def ml_fit(samples, cm, n_bootstrap=200, seed=0):
         raise DataError(
             f"photon counts must lie in [0, {cm.n_max}]; "
             f"got range [{counts.min()}, {counts.max()}]")
+    return np.bincount(counts, minlength=cm.n_max + 1).astype(float)
 
-    hist = np.bincount(counts, minlength=cm.n_max + 1).astype(float)
+
+def _fit(hists, cm, n_bootstrap, seeds):
+    """One FitResult per row of ``hists``: all rows are fit in one batch,
+    then all bootstrap resamples (drawn for row j from ``seeds[j]``) in
+    another."""
     pmat = cm.probability_matrix()
-    c_hat, ll = _em_fit(hist, pmat)
-
-    boots = None
-    errors = np.zeros(3)
+    c_hat, ll = _em(hists, pmat, np.full((len(hists), 3), 1.0 / 3.0))
+    boots = [None] * len(hists)
     if n_bootstrap > 0:
-        rng = np.random.default_rng(seed)
-        n = int(np.sum(hist))
-        boots = np.empty((n_bootstrap, 3))
-        for b in range(n_bootstrap):
-            resampled = rng.multinomial(n, hist / n).astype(float)
-            boots[b], _ = _em_fit(resampled, pmat, c0=np.clip(c_hat, 1e-6, None))
-        errors = np.std(boots, axis=0, ddof=1)
+        starts = np.repeat(np.clip(c_hat, 1e-6, None), n_bootstrap, axis=0)
+        # resamples built inside the call, so that _em holds their only
+        # reference and frees them as its working set shrinks
+        boots = _em(np.concatenate([
+            np.random.default_rng(seed).multinomial(int(n), h / n,
+                                                    size=n_bootstrap)
+            for seed, h, n in zip(seeds, hists, np.sum(hists, axis=1))],
+            dtype=float), pmat, starts)[0].reshape(len(hists), -1, 3)
+    return [FitResult(populations=c, log_likelihood=float(l),
+                      std_errors=(np.zeros(3) if b is None
+                                  else np.std(b, axis=0, ddof=1)),
+                      n_samples=int(np.sum(h)), bootstrap_populations=b)
+            for c, l, b, h in zip(c_hat, ll, boots, hists)]
 
-    return FitResult(
-        populations=c_hat,
-        log_likelihood=ll,
-        std_errors=errors,
-        n_samples=int(np.sum(hist)),
-        bootstrap_populations=boots,
-    )
+
+def ml_fit(samples, cm, n_bootstrap=200, seed=0):
+    """Fit mixture populations (c0, c1, c2) to a sample of photon counts.
+
+    ``cm`` is the CountModel from :func:`composite_dists`.  Standard errors
+    are the bootstrap standard deviations over ``n_bootstrap`` multinomial
+    resamples.
+    """
+    return _fit(_histogram(samples, cm)[None], cm, n_bootstrap, [seed])[0]
 
 
 def parity_from_fit(fit):
@@ -474,14 +498,10 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
 
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
-    rng_seeds = root.spawn(len(scans))
-    parities = np.empty(len(scans))
-    errors = np.empty(len(scans))
-    for j, (_, samples) in enumerate(scans):
-        fit = ml_fit(samples, cm, n_bootstrap=n_bootstrap, seed=rng_seeds[j])
-        parities[j] = parity_from_fit(fit)
-        std = parity_std_from_fit(fit)
-        errors[j] = std if std is not None else np.nan
+    hists = np.stack([_histogram(samples, cm) for _, samples in scans])
+    fits = _fit(hists, cm, n_bootstrap, root.spawn(len(scans)))
+    parities = np.array([parity_from_fit(fit) for fit in fits])
+    errors = np.array([parity_std_from_fit(fit) for fit in fits], dtype=float)
 
     design = np.column_stack([np.cos(2 * phases), np.sin(2 * phases),
                               np.ones_like(phases)])

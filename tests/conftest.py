@@ -5,6 +5,9 @@ oracle is a cyclic single-coordinate relaxation (no Newton step, no
 coupled Hessian), and the pulse oracle works on the whole qubit-times-Fock
 space, not the conserved excitation sector, and propagates by dense
 scaling-and-squaring (``scipy.linalg.expm``) instead of eigendecomposition.
+The readout-fit oracle runs the EM update on one histogram at a time, and
+draws and fits bootstrap resamples one after another, where the program
+fits a whole stack of histograms in one batch.
 """
 
 import numpy as np
@@ -141,3 +144,38 @@ def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
     res = minimize_scalar(lambda t: -fid(t), bounds=((j - 1) * dt, (j + 1) * dt),
                           method="bounded", options={"xatol": 1e-10})
     return float(res.x), -float(res.fun)
+
+
+def em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):
+    """Maximize sum_n h_n log(sum_i c_i P_in) over the simplex for one
+    histogram: the scalar multiplicative (EM) loop, one fit at a time,
+    stopping once an update gains at most ``tol`` in log-likelihood."""
+    total = float(np.sum(hist))
+    k = pmat.shape[0]
+    c = np.full(k, 1.0 / k) if c0 is None else np.array(c0, dtype=float)
+    c /= np.sum(c)
+    ll_prev = -np.inf
+    for _ in range(max_iter):
+        mix = np.clip(c @ pmat, 1e-300, None)
+        ll = float(hist @ np.log(mix))
+        if ll - ll_prev <= tol:
+            return c, ll
+        ll_prev = ll
+        c = c * (pmat @ (hist / mix)) / total
+        c /= np.sum(c)
+    raise RuntimeError(f"EM fit did not converge in {max_iter} iterations")
+
+
+def ml_fit_sequential(samples, cm, n_bootstrap, seed):
+    """Populations and bootstrap populations of one sample of counts, with
+    every resample drawn and fit one after another."""
+    hist = np.bincount(samples, minlength=cm.n_max + 1).astype(float)
+    pmat = cm.probability_matrix()
+    c_hat, ll = em_fit(hist, pmat)
+    rng = np.random.default_rng(seed)
+    n = int(np.sum(hist))
+    boots = np.array([
+        em_fit(rng.multinomial(n, hist / n).astype(float), pmat,
+               c0=np.clip(c_hat, 1e-6, None))[0]
+        for _ in range(n_bootstrap)])
+    return c_hat, ll, boots

@@ -341,3 +341,56 @@ def test_fit_count_beyond_n_max_names_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "shots.txt:3" in err
     assert "400" in err
+
+
+@pytest.mark.parametrize("count", ["nan", "inf", "-inf"])
+def test_fit_nonfinite_histogram_count_exits_2(tmp_path, capsys, count):
+    shots = tmp_path / "shots.txt"
+    shots.write_text("3\n5\n")
+    good = tmp_path / "good.csv"
+    good.write_text("n,count\n0,10\n1,20\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"n,count\n0,10\n1,{count}\n")
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--shots", str(shots), "--ref-bright", str(bad),
+                 "--ref-dark", str(good), "--out", str(out)])
+    assert code == 2
+    assert "bad.csv:3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+@pytest.mark.parametrize("flag,value", [
+    ("--lambda-bright", "nan"),
+    ("--t-detect", "inf"),
+    ("--gamma", "-inf"),
+    ("--lambda-bg", "-1"),
+    ("--t-detect", "0"),
+])
+def test_bad_readout_model_flag_exits_1(tmp_path, capsys, command, flag,
+                                        value):
+    cfg = write_chain(tmp_path)
+    args = {"synth": ["synth", "--c0", "1", "--c1", "0", "--c2", "0"],
+            "experiment": ["experiment", "--config", cfg]}[command]
+    assert main(args + [f"{flag}={value}"]) == 1
+    assert "readout model flags" in capsys.readouterr().err
+
+
+def test_experiment_builds_no_count_model_after_calibration(tmp_path,
+                                                            monkeypatch):
+    # the fits reuse the distributions calibrate built for its own model
+    from dickesim import cli, detection
+
+    misses = []
+
+    def calibrate(*args, **kwargs):
+        result = detection.calibrate(*args, **kwargs)
+        misses.append(detection.composite_dists.cache_info().misses)
+        return result
+
+    monkeypatch.setattr(cli, "calibrate", calibrate)
+    detection.composite_dists.cache_clear()
+    assert main(["experiment", "--config", write_chain(tmp_path),
+                 "--shots", "2000", "--seed", "3",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert detection.composite_dists.cache_info().misses == misses[0]

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from conftest import em_fit, ml_fit_sequential
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dickesim import (CountDistribution, DataError, FitResult,
-                      IdentifiabilityError, ReadoutModel, calibrate,
+from dickesim import (ConvergenceError, CountDistribution, DataError,
+                      FitResult, IdentifiabilityError, ReadoutModel, calibrate,
                       composite_dists, convolve, dark_ion_dist, dicke_state,
                       estimate_period, ml_fit, parity_from_fit,
-                      parity_scan_analysis, poisson_dist, rotated_density,
-                      synthesize_shots)
+                      parity_scan_analysis, parity_std_from_fit,
+                      poisson_dist, rotated_density, synthesize_shots)
+from dickesim.detection import _em
 from dickesim.dicke import weights
 
 
@@ -305,6 +307,68 @@ def test_ml_fit_populations_stay_on_simplex(samples, seed):
         assert np.sum(c) == pytest.approx(1.0, abs=1e-12)
 
 
+def _histograms(cm, populations, shots, seed):
+    return np.array([
+        np.bincount(synthesize_shots(c, cm, shots, seed=seed + j),
+                    minlength=cm.n_max + 1)
+        for j, c in enumerate(populations)], dtype=float)
+
+
+def test_em_engine_matches_scalar_oracle():
+    # pure and two-component truths pin fits at the simplex boundary,
+    # where EM crawls for thousands of iterations
+    cm = composite_dists(MODEL)
+    pmat = cm.probability_matrix()
+    truths = [(0.3, 0.4, 0.3), (0.08, 0.80, 0.12), (0.0, 0.9, 0.1),
+              (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
+    hists = np.concatenate([_histograms(cm, truths, shots, seed=60 + shots)
+                            for shots in (50, 2_000, 20_000)])
+    rng = np.random.default_rng(61)
+    starts = np.vstack([np.full((len(truths), 3), 1.0 / 3.0),
+                        rng.dirichlet(np.ones(3), size=2 * len(truths))])
+    pops, lls = _em(hists, pmat, starts)
+    assert np.min(pops) < 1e-12  # some fits did reach the boundary
+    for h, start, c, ll in zip(hists, starts, pops, lls):
+        c_ref, ll_ref = em_fit(h, pmat, c0=start)
+        assert np.max(np.abs(c - c_ref)) < 1e-8
+        assert ll == pytest.approx(ll_ref, rel=1e-12)
+
+
+def test_em_engine_raises_at_iteration_cap():
+    cm = composite_dists(MODEL)
+    hists = _histograms(cm, [(0.3, 0.4, 0.3), (0.0, 1.0, 0.0),
+                             (0.3, 0.4, 0.3)], 5_000, seed=62)
+    starts = np.full((3, 3), 1.0 / 3.0)
+    with pytest.raises(ConvergenceError, match="1 of 3 histograms"):
+        _em(hists, cm.probability_matrix(), starts, max_iter=50)
+    _em(hists, cm.probability_matrix(), starts)
+
+
+def test_ml_fit_matches_sequential_bootstrap_oracle():
+    cm = composite_dists(MODEL)
+    for truth, seed in (((0.08, 0.80, 0.12), 63), ((0.0, 0.9, 0.1), 64)):
+        shots = synthesize_shots(truth, cm, 5_000, seed=seed)
+        fit = ml_fit(shots, cm, n_bootstrap=40, seed=seed)
+        c_ref, ll_ref, boots_ref = ml_fit_sequential(shots, cm, 40, seed)
+        assert np.max(np.abs(fit.populations - c_ref)) < 1e-8
+        assert fit.log_likelihood == pytest.approx(ll_ref, rel=1e-12)
+        assert np.max(np.abs(fit.bootstrap_populations - boots_ref)) < 1e-8
+        assert np.max(np.abs(fit.std_errors
+                             - np.std(boots_ref, axis=0, ddof=1))) < 1e-8
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.tuples(*[st.floats(0.1, 1.0)] * 3), st.integers(2_000, 20_000),
+       st.integers(0, 2**32 - 1))
+def test_synthesize_then_fit_recovers_populations(weights_, shots, seed):
+    truth = np.array(weights_) / np.sum(weights_)
+    cm = composite_dists(MODEL)
+    fit = ml_fit(synthesize_shots(truth, cm, shots, seed=seed), cm,
+                 n_bootstrap=50, seed=seed + 1)
+    assert np.all(np.abs(fit.populations - truth)
+                  <= 5 * fit.std_errors + 2e-3)
+
+
 def test_ml_fit_rejects_bad_samples():
     cm = composite_dists(MODEL, n_max=100)
     with pytest.raises(ValueError):
@@ -435,6 +499,30 @@ def test_parity_scan_double_rotation_full_contrast():
     assert res.amplitude == pytest.approx(1.0, abs=0.03)
     period = estimate_period(res.phases, res.parities)
     assert period == pytest.approx(np.pi, rel=0.02)
+
+
+@pytest.mark.parametrize("double", [False, True])
+def test_parity_scan_matches_per_phase_ml_fit(double):
+    rho = dicke_state(2, 1).density()
+    phases = np.arange(6) * np.pi / 6
+    scans = _scan_shots(rho, phases, 3_000, seed=45, double=double)
+    cm = composite_dists(MODEL)
+    res = parity_scan_analysis(scans, cm, n_bootstrap=30, seed=46)
+    seeds = np.random.SeedSequence(46).spawn(len(scans))
+    for j, (_, samples) in enumerate(scans):
+        fit = ml_fit(samples, cm, n_bootstrap=30, seed=seeds[j])
+        assert abs(res.parities[j] - parity_from_fit(fit)) < 1e-8
+        assert abs(res.parity_errors[j] - parity_std_from_fit(fit)) < 1e-8
+
+
+def test_parity_scan_without_bootstrap_weights_residuals():
+    rho = dicke_state(2, 1).density()
+    phases = np.arange(6) * np.pi / 6
+    scans = _scan_shots(rho, phases, 3_000, seed=47, double=True)
+    res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
+    assert np.all(np.isnan(res.parity_errors))
+    assert res.amplitude == pytest.approx(1.0, abs=0.05)
+    assert res.offset_error > 0
 
 
 def test_parity_scan_needs_four_phases():
