@@ -22,8 +22,7 @@ from .dicke import (QubitDensity, QubitState, coherence_two_qubit,
                     rotated_density, rotated_parity, single_qubit_rotation,
                     w_fidelity_analytic)
 from .errors import (ConvergenceError, DataError, DickesimError,
-                     IdentifiabilityError, SearchError, SweepError,
-                     UnstableCrystalError)
+                     IdentifiabilityError, SearchError, UnstableCrystalError)
 from .sideband import (ExcitationSector, PulseResult, SweepRow,
                        fidelity_vs_mass_ratio, first_max_fidelity,
                        first_max_from_couplings, reduce_to_qubits,

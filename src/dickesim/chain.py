@@ -32,6 +32,10 @@ EPSILON_0 = 8.8541878128e-12  # F/m
 # Above this value the linear sideband-coupling model starts to break down.
 LAMB_DICKE_THRESHOLD = 0.3
 
+# Stopping rule of the equilibrium solver: gradient norm, iteration cap.
+GRAD_TOL = 1e-12
+MAX_ITER = 500
+
 
 class LambDickeWarning(UserWarning):
     """Emitted when a coupling strength is requested outside the Lamb-Dicke
@@ -174,7 +178,7 @@ def scaled_hessian(positions):
     return h
 
 
-def solve_equilibrium(config, grad_tol=1e-12, max_iter=500):
+def solve_equilibrium(config):
     """Find the equilibrium positions of the chain.
 
     Damped Newton iteration on the scaled potential, seeded with uniform
@@ -189,14 +193,14 @@ def solve_equilibrium(config, grad_tol=1e-12, max_iter=500):
     Raises
     ------
     ConvergenceError
-        If the gradient norm is still above ``grad_tol`` after
-        ``max_iter`` iterations.
+        If the gradient norm is still above ``GRAD_TOL`` after
+        ``MAX_ITER`` iterations.
     """
     n = config.n_ions
     u = (np.arange(n) - (n - 1) / 2.0) * 1.3
     gnorm = np.linalg.norm(scaled_gradient(u))
-    for _ in range(max_iter):
-        if gnorm < grad_tol:
+    for _ in range(MAX_ITER):
+        if gnorm < GRAD_TOL:
             break
         g = scaled_gradient(u)
         step = np.linalg.solve(scaled_hessian(u), g)
@@ -211,10 +215,10 @@ def solve_equilibrium(config, grad_tol=1e-12, max_iter=500):
             lam *= 0.5
         else:
             break  # no productive step left; report whatever we reached
-    if gnorm >= grad_tol:
+    if gnorm >= GRAD_TOL:
         raise ConvergenceError(
             f"equilibrium solver stalled at gradient norm {gnorm:.3e} "
-            f"(tolerance {grad_tol:.1e})",
+            f"(tolerance {GRAD_TOL:.1e})",
             residual_norm=float(gnorm),
         )
     return EquilibriumSolution(positions=u, residual_gradient_norm=float(gnorm))
@@ -295,11 +299,11 @@ def solve_axial_modes(config, eq):
     )
 
 
-def coupling_strengths(modes, addressed, carrier_rate=1.0):
-    """Red-sideband coupling strengths ``Omega_i = Omega_0 * eta_i`` for the
+def coupling_strengths(modes, addressed):
+    """Red-sideband coupling strengths ``Omega_i / Omega_0 = eta_i`` for the
     addressed ions, taken on the in-phase mode, in chain order.
 
-    ``carrier_rate`` is the carrier Rabi rate Omega_0.  Emits a
+    The couplings are in units of the carrier Rabi rate Omega_0.  Emits a
     :class:`LambDickeWarning` when an addressed eta exceeds 0.3 in SI mode
     (in scaled units eta is not a physical Lamb-Dicke parameter).
     """
@@ -317,7 +321,7 @@ def coupling_strengths(modes, addressed, carrier_rate=1.0):
             LambDickeWarning,
             stacklevel=2,
         )
-    return carrier_rate * eta
+    return eta
 
 
 def length_scale(config):

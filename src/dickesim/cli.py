@@ -27,11 +27,12 @@ from .detection import (ReadoutModel, calibrate, composite_dists,
                         synthesize_shots)
 from .dicke import rotated_density, weights
 from .errors import (ConvergenceError, DataError, IdentifiabilityError,
-                     SearchError, SweepError, UnstableCrystalError)
+                     SearchError, UnstableCrystalError)
 from .sideband import fidelity_vs_mass_ratio, first_max_fidelity
 
 SWEEP_CSV_SCHEMA = "sweep.v1"
 SEED_ENV_VAR = "DICKESIM_SEED"
+N_PHASES = 12  # analysis phases k pi / N_PHASES per experiment parity scan
 
 DEFAULT_MODEL = dict(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
                      gamma=500.0, t_detect=200e-6)
@@ -162,10 +163,8 @@ def _template_from_file(chain_file, path):
 def _mu_grid(args):
     if args.mu_points < 1:
         raise _UsageError("--mu-points must be >= 1")
-    if args.mu_start <= 0 or args.mu_stop <= 0:
-        raise _UsageError("mass ratios must be positive")
-    if args.mu_points == 1:
-        return np.array([args.mu_start])
+    if not (0 < args.mu_start < np.inf and 0 < args.mu_stop < np.inf):
+        raise _UsageError("mass ratios must be finite and positive")
     if args.mu_log:
         return np.geomspace(args.mu_start, args.mu_stop, args.mu_points)
     return np.linspace(args.mu_start, args.mu_stop, args.mu_points)
@@ -191,8 +190,13 @@ def _write_sweep_csv(rows, m, out, carrier_rate=None):
 def cmd_sweep(args):
     chain_file = read_chain_file(args.config)
     template = _template_from_file(chain_file, args.config)
+    if not 1 <= args.m <= template.n_qubits:
+        raise _UsageError(f"--m must lie in 1..{template.n_qubits}, the "
+                          "qubit ion count")
+    if args.carrier_rate is not None and not 0 < args.carrier_rate < np.inf:
+        raise _UsageError("--carrier-rate must be finite and positive")
     grid = _mu_grid(args)
-    rows = fidelity_vs_mass_ratio(template, grid, args.m, fail_fast=False)
+    rows = fidelity_vs_mass_ratio(template, grid, args.m)
     with _open_out(args.out) as out:
         if args.format == "csv":
             _write_sweep_csv(rows, args.m, out, carrier_rate=args.carrier_rate)
@@ -231,15 +235,17 @@ def _bright_populations(rho):
     return c / np.sum(c)
 
 
-def run_experiment(chain_file, shots, seed, model=None, n_phases=12,
-                   n_bootstrap=200):
+def run_experiment(chain_file, shots, seed, model=None, n_bootstrap=200):
     """End-to-end synthetic run on one chain config; returns the report dict.
 
     Simulates the preparation pulse, generates reference/experiment/parity
     shot records from the true readout model, calibrates against the
     references, fits populations and parity scans, and assembles the
-    final fidelity with its statistical error.
+    final fidelity with its statistical error.  Each parity scan takes
+    ``n_bootstrap // 2`` resamples, so ``n_bootstrap`` must be >= 4.
     """
+    if n_bootstrap < 4:
+        raise ValueError(f"n_bootstrap must be >= 4, got {n_bootstrap}")
     if model is None:
         model = ReadoutModel(**DEFAULT_MODEL)
     if chain_file.ancilla_index is None:
@@ -253,8 +259,8 @@ def run_experiment(chain_file, shots, seed, model=None, n_phases=12,
     pulse = first_max_fidelity(config, addressed, m=1)
     rho = pulse.reduced_density
 
-    phases = [k * np.pi / n_phases for k in range(n_phases)]
-    seeds = np.random.SeedSequence(seed).spawn(6 + 2 * n_phases)
+    phases = [k * np.pi / N_PHASES for k in range(N_PHASES)]
+    seeds = np.random.SeedSequence(seed).spawn(6 + 2 * N_PHASES)
     seed_iter = iter(seeds)
 
     cm_true = composite_dists(model)
@@ -286,10 +292,10 @@ def run_experiment(chain_file, shots, seed, model=None, n_phases=12,
         for phi in phases
     ]
     res_single = parity_scan_analysis(scan_single, cm_fit,
-                                      n_bootstrap=max(n_bootstrap // 2, 1),
+                                      n_bootstrap=n_bootstrap // 2,
                                       seed=next(seed_iter))
     res_double = parity_scan_analysis(scan_double, cm_fit,
-                                      n_bootstrap=max(n_bootstrap // 2, 1),
+                                      n_bootstrap=n_bootstrap // 2,
                                       seed=next(seed_iter))
     period = estimate_period(res_double.phases, res_double.parities)
 
@@ -420,11 +426,12 @@ def _read_histogram(path, n_max):
 
 
 def cmd_fit(args):
+    if args.bootstrap != 0 and args.bootstrap < 2:
+        raise _UsageError("--bootstrap must be 0 or >= 2")
     shots = _read_shot_file(args.shots, args.n_max)
     hist_bright = _read_histogram(args.ref_bright, args.n_max)
     hist_dark = _read_histogram(args.ref_dark, args.n_max)
-    cal = calibrate(hist_bright, hist_dark, t_detect=args.t_detect,
-                    n_max=args.n_max)
+    cal = calibrate(hist_bright, hist_dark, t_detect=args.t_detect)
     cm = composite_dists(cal.model, args.n_max)
     fit = ml_fit(shots, cm, n_bootstrap=args.bootstrap,
                  seed=_resolve_seed(args.seed))
@@ -551,7 +558,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"dickesim: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, UnstableCrystalError, SearchError, SweepError,
+    except (ConvergenceError, UnstableCrystalError, SearchError,
             np.linalg.LinAlgError, ValueError) as exc:
         print(f"dickesim: numeric failure: {exc}", file=sys.stderr)
         return 3

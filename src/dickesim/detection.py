@@ -16,9 +16,10 @@ parity scans all take that CountModel.  An observed sample of counts is
 fit with the three-component mixture by maximizing the log-likelihood over
 the population simplex (EM-style multiplicative updates; the problem is
 concave, so the interior optimum is global).  Uncertainties come from a
-nonparametric bootstrap.  The fits of a call run in two batches through
-one EM loop: the point fits (one sample, or every phase of a parity scan),
-then all of their bootstrap resamples.
+nonparametric bootstrap of 0 (none) or at least 2 resamples.  The fits of
+a call run in two batches through one EM loop: the point fits (one
+sample, or every phase of a parity scan), then all of their bootstrap
+resamples.
 """
 
 from __future__ import annotations
@@ -255,7 +256,9 @@ def _histogram(samples, cm):
 def _fit(hists, cm, n_bootstrap, seeds):
     """One FitResult per row of ``hists``: all rows are fit in one batch,
     then all bootstrap resamples (drawn for row j from ``seeds[j]``) in
-    another."""
+    another.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
+    if n_bootstrap != 0 and n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
     pmat = cm.probability_matrix()
     c_hat, ll = _em(hists, pmat, np.full((len(hists), 3), 1.0 / 3.0))
     boots = [None] * len(hists)
@@ -280,7 +283,7 @@ def ml_fit(samples, cm, n_bootstrap=200, seed=0):
 
     ``cm`` is the CountModel from :func:`composite_dists`.  Standard errors
     are the bootstrap standard deviations over ``n_bootstrap`` multinomial
-    resamples.
+    resamples (0 for none, else at least 2).
     """
     return _fit(_histogram(samples, cm)[None], cm, n_bootstrap, [seed])[0]
 
@@ -385,10 +388,11 @@ def _pearson_chi2(hist, probs):
     return chi2, max(len(obs_m) - 1, 1)
 
 
-def calibrate(ref_bright, ref_dark, t_detect=200e-6, n_max=None, fix=None):
+def calibrate(ref_bright, ref_dark, t_detect=200e-6, fix=None):
     """Joint maximum-likelihood fit of the readout model to two reference
     histograms: an all-bright preparation (both ions down, P(n|2)) and an
-    all-dark preparation (both ions up, P(n|0)).
+    all-dark preparation (both ions up, P(n|0)).  The longer histogram
+    sets n_max; the shorter one is padded with empty bins.
 
     ``fix`` optionally pins parameters (by name: lambda_bright,
     lambda_dark, lambda_bg, gamma) instead of fitting them.  Note that the
@@ -402,12 +406,9 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, n_max=None, fix=None):
     """
     hb = _check_reference(ref_bright, "bright")
     hd = _check_reference(ref_dark, "dark")
-    if n_max is None:
-        n_max = max(len(hb), len(hd)) - 1
-    if len(hb) < n_max + 1:
-        hb = np.pad(hb, (0, n_max + 1 - len(hb)))
-    if len(hd) < n_max + 1:
-        hd = np.pad(hd, (0, n_max + 1 - len(hd)))
+    n_max = max(len(hb), len(hd)) - 1
+    hb = np.pad(hb, (0, n_max + 1 - len(hb)))
+    hd = np.pad(hd, (0, n_max + 1 - len(hd)))
 
     fix = dict(fix or {})
     unknown = set(fix) - set(_CAL_PARAMS)
@@ -486,10 +487,11 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     """Per-phase ML parity estimates and a least-squares sinusoid fit.
 
     ``scans`` is an iterable of (phi, samples), each fit against the
-    CountModel ``cm``.  The fit enforces the pi
-    period of a two-qubit parity oscillation; the coherence term reported
-    is the two-phase average (parity(0) + parity(pi/2)) / 2 evaluated from
-    the fit, which equals the fitted offset.
+    CountModel ``cm`` with ``n_bootstrap`` resamples (0, or at least 2).
+    The fit enforces the pi period of a two-qubit parity oscillation; the
+    coherence term reported is the two-phase average
+    (parity(0) + parity(pi/2)) / 2 evaluated from the fit, which equals the
+    fitted offset.
     """
     scans = list(scans)
     phases = np.array([float(phi) for phi, _ in scans])

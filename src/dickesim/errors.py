@@ -22,14 +22,6 @@ class SearchError(DickesimError):
     """No local maximum of the pulse fidelity was found before the time cap."""
 
 
-class SweepError(DickesimError):
-    """A mass-ratio sweep row failed; carries the offending mass ratio."""
-
-    def __init__(self, message, mu=None):
-        super().__init__(message)
-        self.mu = mu
-
-
 class DataError(DickesimError):
     """Input data (shot records, histograms, config files) is malformed or
     out of the supported range."""

@@ -16,8 +16,8 @@ the reduced qubit density is block-diagonal by weight; it is built only
 when a caller reads it, from a pulse result or from a sweep row (which
 holds its pulse result).
 
-Times are dimensionless throughout, in units of 1/Omega_0 (the carrier
-Rabi rate used to build the couplings).
+Times are dimensionless throughout, in units of 1/Omega_0, the carrier
+Rabi rate in which the couplings are given.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ import numpy as np
 
 from . import chain as chain_mod
 from .dicke import QubitDensity, weights
-from .errors import SearchError, SweepError
+from .errors import SearchError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
+MAX_PERIODS = 20.0  # the scan stops at MAX_PERIODS * pi / Omega'
+REFINE_TOL = 1e-6  # golden-section bracket width, in Omega_0 t
 
 
 @dataclass(frozen=True)
@@ -157,14 +160,14 @@ def _golden_max(f, a, b, tol):
     return xm, f(xm)
 
 
-def first_max_from_couplings(couplings, m, grid_per_period=50,
-                             max_periods=20.0, refine_tol=1e-6):
+def first_max_from_couplings(couplings, m):
     """Locate the first local maximum of F(t) = <D(N,m)| rho(t) |D(N,m)>
     under the red-sideband pulse, starting from all-down with m phonons.
 
-    The fidelity is scanned on a grid of step pi/(grid_per_period * Omega')
-    out to ``max_periods * pi / Omega'``; the first detected local maximum
-    is refined by golden-section search to ``refine_tol`` in Omega_0 t.
+    ``couplings`` are in units of Omega_0.  The fidelity is scanned on a
+    grid of step pi/(GRID_PER_PERIOD * Omega') out to
+    ``MAX_PERIODS * pi / Omega'``; the first detected local maximum is
+    refined by golden-section search to ``REFINE_TOL`` in Omega_0 t.
 
     Raises
     ------
@@ -189,8 +192,8 @@ def first_max_from_couplings(couplings, m, grid_per_period=50,
     def fid(t):
         return float(abs(np.exp(-1j * evals * t) @ weight) ** 2)
 
-    dt = np.pi / (grid_per_period * omega_prime)
-    steps_cap = int(np.ceil(grid_per_period * max_periods))
+    dt = np.pi / (GRID_PER_PERIOD * omega_prime)
+    steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
     grid = np.arange(steps_cap + 1) * dt
     f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
     # grid point j + 1 is a maximum, bracketed by its neighbours, when F
@@ -200,7 +203,7 @@ def first_max_from_couplings(couplings, m, grid_per_period=50,
         raise SearchError(
             f"no fidelity maximum found before t = {steps_cap * dt:.3f}/Omega_0")
     j = peaks[0]
-    t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], refine_tol)
+    t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], REFINE_TOL)
 
     state = vecs @ (np.exp(-1j * evals * t_star) * start)
     return PulseResult(
@@ -214,8 +217,7 @@ def first_max_from_couplings(couplings, m, grid_per_period=50,
     )
 
 
-def first_max_fidelity(config, addressed, m, carrier_rate=1.0,
-                       equilibrium=None, **search_kwargs):
+def first_max_fidelity(config, addressed, m, equilibrium=None):
     """Full pipeline from a chain configuration: equilibrium -> modes ->
     in-phase couplings for the addressed ions -> first-maximum search.
 
@@ -226,15 +228,15 @@ def first_max_fidelity(config, addressed, m, carrier_rate=1.0,
     if equilibrium is None:
         equilibrium = chain_mod.solve_equilibrium(config)
     modes = chain_mod.solve_axial_modes(config, equilibrium)
-    om = chain_mod.coupling_strengths(modes, addressed, carrier_rate)
-    return first_max_from_couplings(om, m, **search_kwargs)
+    om = chain_mod.coupling_strengths(modes, addressed)
+    return first_max_from_couplings(om, m)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """One point of a mass-ratio sweep: the row's ``pulse``, or ``error``
-    in its place when the row failed and errors are being recorded (the
-    numeric fields then read None)."""
+    in its place when the row failed (the numeric fields then read
+    None)."""
 
     mu: float
     pulse: PulseResult | None = None
@@ -258,38 +260,30 @@ class SweepRow:
         return None if self.pulse is None else self.pulse.reduced_density
 
 
-def fidelity_vs_mass_ratio(template, mu_grid, m, fail_fast=True,
-                           **search_kwargs):
+def fidelity_vs_mass_ratio(template, mu_grid, m):
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
     Rebuilds the chain for every mu via ``template.config_for`` and runs
     :func:`first_max_fidelity` on the qubit ions, with the equilibrium
-    solved once for the whole grid.  Rows come back in grid order.  With
-    ``fail_fast`` (default) the first failing row raises a
-    :class:`SweepError` annotated with its mu; otherwise failures are
-    recorded in the row and the sweep continues.
+    solved once for the whole grid.  Rows come back in grid order.  A row
+    that fails records its error in :attr:`SweepRow.error` and the sweep
+    goes on; if the equilibrium fails, every row records that failure.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mu_grid):
         raise ValueError("all mass ratios must be positive")
     addressed = template.addressed()
 
-    def failed_row(mu, exc):
-        if fail_fast:
-            raise SweepError(f"sweep failed at mu={mu}: {exc}", mu=mu) from exc
-        return SweepRow(mu=mu, error=str(exc))
-
     try:
         equilibrium = chain_mod.solve_equilibrium(template.config_for(1.0))
     except Exception as exc:
-        return [failed_row(mu, exc) for mu in mu_grid]
+        return [SweepRow(mu=mu, error=str(exc)) for mu in mu_grid]
 
     def run_row(mu):
         try:
             return SweepRow(mu=mu, pulse=first_max_fidelity(
-                template.config_for(mu), addressed, m,
-                equilibrium=equilibrium, **search_kwargs))
+                template.config_for(mu), addressed, m, equilibrium=equilibrium))
         except Exception as exc:
-            return failed_row(mu, exc)
+            return SweepRow(mu=mu, error=str(exc))
 
     return [run_row(mu) for mu in mu_grid]

@@ -11,6 +11,7 @@ from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
                       modes_to_csv, read_chain_file, scaled_gradient,
                       scaled_hessian, scaled_potential, solve_axial_modes,
                       solve_equilibrium)
+from dickesim import chain as chain_mod
 from dickesim.errors import DataError
 
 # closed forms: two ions at +-a with 2a^3 = ... dV/da = 2a - 1/(2a^2) = 0
@@ -98,10 +99,11 @@ def test_equilibrium_deterministic():
     assert np.array_equal(a.positions, b.positions)
 
 
-def test_convergence_error_carries_residual():
+def test_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(chain_mod, "MAX_ITER", 1)
+    monkeypatch.setattr(chain_mod, "GRAD_TOL", 1e-14)
     with pytest.raises(ConvergenceError) as err:
-        solve_equilibrium(ChainConfig(masses=(1.0,) * 4), max_iter=1,
-                          grad_tol=1e-14)
+        solve_equilibrium(ChainConfig(masses=(1.0,) * 4))
     assert err.value.residual_norm is not None
     assert err.value.residual_norm > 0
 
@@ -197,9 +199,9 @@ def test_coupling_strengths_basic():
     cfg = ChainConfig(masses=(1.0, 1.0, 2.0))
     modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
     k = modes.inphase_index
-    om = coupling_strengths(modes, (0, 1), carrier_rate=2.0)
-    assert om == pytest.approx(2.0 * modes.lamb_dicke[(0, 1), k])
-    single = coupling_strengths(modes, (1,), carrier_rate=1.0)
+    om = coupling_strengths(modes, (0, 1))
+    assert om == pytest.approx(modes.lamb_dicke[(0, 1), k])
+    single = coupling_strengths(modes, (1,))
     assert single == pytest.approx([modes.lamb_dicke[1, k]])
 
 

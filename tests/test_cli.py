@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dickesim.cli import main
+from dickesim.chain import read_chain_file
+from dickesim.cli import main, run_experiment
 
 
 def write_chain(tmp_path, name="chain.cfg", masses="25, 25, 27",
@@ -195,6 +196,27 @@ def test_sweep_without_ancilla_index_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--m", "0"], "--m"),
+    (["--m", "3"], "--m"),  # the chain has 2 qubit ions
+    (["--m", "-1"], "--m"),
+    (["--mu-stop", "inf"], "mass ratios"),
+    (["--mu-start", "nan"], "mass ratios"),
+    (["--mu-start=-inf", "--mu-points", "1"], "mass ratios"),
+    (["--carrier-rate", "nan"], "--carrier-rate"),
+    (["--carrier-rate", "inf"], "--carrier-rate"),
+    (["--carrier-rate", "0"], "--carrier-rate"),
+    (["--carrier-rate=-1e6"], "--carrier-rate"),
+])
+def test_sweep_bad_flag_exits_1(tmp_path, capsys, flags, message):
+    cfg = write_chain(tmp_path)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--mu-points", "3",
+                 "--out", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- experiment -----------------------------------------------------------------
 
 
@@ -231,6 +253,23 @@ def test_experiment_byte_identical_under_seed(tmp_path):
 def test_experiment_refuses_few_shots(tmp_path):
     cfg = write_chain(tmp_path)
     assert main(["experiment", "--config", cfg, "--shots", "10"]) == 1
+
+
+@pytest.mark.parametrize("n_bootstrap", [0, 1, 3])
+def test_run_experiment_needs_four_resamples(tmp_path, n_bootstrap):
+    # the parity scans take n_bootstrap // 2 resamples, which need >= 2
+    chain_file = read_chain_file(write_chain(tmp_path))
+    with pytest.raises(ValueError, match="n_bootstrap"):
+        run_experiment(chain_file, shots=1000, seed=0, n_bootstrap=n_bootstrap)
+
+
+def test_run_experiment_four_resamples_give_finite_errors(tmp_path):
+    rep = run_experiment(read_chain_file(write_chain(tmp_path)), shots=1000,
+                         seed=0, n_bootstrap=4)
+    assert np.all(np.isfinite(rep["population_fit"]["std_errors"]))
+    for scan in ("parity_scan", "parity_scan_double"):
+        assert np.all(np.isfinite(rep[scan]["parity_errors"]))
+    assert np.isfinite(rep["fidelity"]["error"])
 
 
 # --- synth and fit --------------------------------------------------------------
@@ -273,18 +312,20 @@ def _write_reference_histogram(path, counts):
             fh.write(f"{n},{c}\n")
 
 
-def test_fit_round_trip(tmp_path):
+def _fit_inputs(tmp_path, shots, ref_shots):
+    """Synthetic shot and reference files; returns the `fit` arguments
+    that name them."""
     shots_file = tmp_path / "shots.txt"
     assert main(["synth", "--c0", "0.08", "--c1", "0.80", "--c2", "0.12",
-                 "--shots", "20000", "--seed", "11",
+                 "--shots", str(shots), "--seed", "11",
                  "--out", str(shots_file)]) == 0
     bright_file = tmp_path / "bright.txt"
     dark_file = tmp_path / "dark.txt"
     assert main(["synth", "--c0", "0", "--c1", "0", "--c2", "1",
-                 "--shots", "50000", "--seed", "12",
+                 "--shots", str(ref_shots), "--seed", "12",
                  "--out", str(bright_file)]) == 0
     assert main(["synth", "--c0", "1", "--c1", "0", "--c2", "0",
-                 "--shots", "50000", "--seed", "13",
+                 "--shots", str(ref_shots), "--seed", "13",
                  "--out", str(dark_file)]) == 0
     _write_reference_histogram(
         tmp_path / "bright.csv",
@@ -292,18 +333,30 @@ def test_fit_round_trip(tmp_path):
     _write_reference_histogram(
         tmp_path / "dark.csv",
         np.array([int(x) for x in dark_file.read_text().split()]))
+    return ["fit", "--shots", str(shots_file),
+            "--ref-bright", str(tmp_path / "bright.csv"),
+            "--ref-dark", str(tmp_path / "dark.csv")]
 
+
+def test_fit_round_trip(tmp_path):
     out = tmp_path / "fit.json"
-    assert main(["fit", "--shots", str(shots_file),
-                 "--ref-bright", str(tmp_path / "bright.csv"),
-                 "--ref-dark", str(tmp_path / "dark.csv"),
-                 "--seed", "14", "--out", str(out)]) == 0
+    assert main(_fit_inputs(tmp_path, 20000, 50000)
+                + ["--seed", "14", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     c = report["populations"]
     assert abs(c[0] - 0.08) < 0.02
     assert abs(c[1] - 0.80) < 0.02
     assert abs(c[2] - 0.12) < 0.02
     assert report["parity"] == pytest.approx(-0.60, abs=0.04)
+
+
+@pytest.mark.parametrize("n_bootstrap", ["1", "-3"])
+def test_fit_bad_bootstrap_exits_1(tmp_path, capsys, n_bootstrap):
+    out = tmp_path / "fit.json"
+    assert main(_fit_inputs(tmp_path, 500, 2000)
+                + ["--bootstrap", n_bootstrap, "--out", str(out)]) == 1
+    assert "--bootstrap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_empty_shot_file_exits_2(tmp_path, capsys):

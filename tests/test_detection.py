@@ -381,6 +381,28 @@ def test_ml_fit_rejects_bad_samples():
         ml_fit(np.array([1.5, 2.0]), cm)
 
 
+@pytest.mark.parametrize("n_bootstrap", [1, -3])
+def test_bootstrap_count_must_be_zero_or_two_or_more(n_bootstrap):
+    # one resample has no standard deviation; a negative count has no
+    # meaning
+    cm = composite_dists(MODEL)
+    shots = synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=70)
+    with pytest.raises(ValueError, match="n_bootstrap"):
+        ml_fit(shots, cm, n_bootstrap=n_bootstrap)
+    scans = _scan_shots(dicke_state(2, 1).density(), np.arange(4) * np.pi / 4,
+                        300, seed=71)
+    with pytest.raises(ValueError, match="n_bootstrap"):
+        parity_scan_analysis(scans, cm, n_bootstrap=n_bootstrap)
+
+
+def test_two_bootstrap_resamples_give_finite_errors():
+    cm = composite_dists(MODEL)
+    fit = ml_fit(synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=72), cm,
+                 n_bootstrap=2, seed=73)
+    assert np.all(np.isfinite(fit.std_errors))
+    assert np.isfinite(parity_std_from_fit(fit))
+
+
 # --- calibration ----------------------------------------------------------------
 
 

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
-                      SearchError, SweepError, dicke_fidelity, dicke_vector,
+                      SearchError, dicke_fidelity, dicke_vector,
                       fidelity_vs_mass_ratio, first_max_fidelity,
                       first_max_from_couplings, reduce_to_qubits,
                       rsb_hamiltonian, solve_equilibrium,
                       w_fidelity_analytic)
 from dickesim import chain as chain_mod
+from dickesim import sideband
 
 
 def ladder_first_max(n, m):
@@ -364,9 +365,10 @@ def test_first_max_matches_full_space_oracle_at_larger_cutoff():
     assert res.duration == pytest.approx(t_oracle, abs=1e-6)
 
 
-def test_first_max_search_error_when_capped():
+def test_first_max_search_error_when_capped(monkeypatch):
+    monkeypatch.setattr(sideband, "MAX_PERIODS", 0.02)
     with pytest.raises(SearchError):
-        first_max_from_couplings(np.ones(2), 1, max_periods=0.02)
+        first_max_from_couplings(np.ones(2), 1)
 
 
 def test_first_max_rejects_bad_args():
@@ -395,7 +397,7 @@ def test_symmetric_dynamics_stay_in_ladder(n, m):
 
 # --- properties ------------------------------------------------------------------
 
-REFINE_TOL = 1e-6  # the search's default refine_tol
+REFINE_TOL = sideband.REFINE_TOL
 
 
 @st.composite
@@ -499,17 +501,10 @@ def test_sweep_rejects_nonpositive_mu():
         fidelity_vs_mass_ratio(template, [1.0, -2.0], 1)
 
 
-def test_sweep_fail_fast_annotates_mu():
+def test_sweep_records_errors_per_row(monkeypatch):
+    monkeypatch.setattr(sideband, "MAX_PERIODS", 0.02)
     template = ChainTemplate.symmetric(2, placement="center")
-    with pytest.raises(SweepError) as err:
-        fidelity_vs_mass_ratio(template, [1.0], 1, max_periods=0.02)
-    assert err.value.mu == 1.0
-
-
-def test_sweep_records_errors_per_row():
-    template = ChainTemplate.symmetric(2, placement="center")
-    rows = fidelity_vs_mass_ratio(template, [1.0, 2.0], 1, fail_fast=False,
-                                  max_periods=0.02)
+    rows = fidelity_vs_mass_ratio(template, [1.0, 2.0], 1)
     assert all(row.error is not None for row in rows)
     assert all(row.fidelity is None for row in rows)
 
@@ -534,12 +529,9 @@ def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
 
     monkeypatch.setattr(chain_mod, "solve_equilibrium", stalled)
     template = ChainTemplate.symmetric(2, placement="center")
-    rows = fidelity_vs_mass_ratio(template, [0.5, 2.0], 1, fail_fast=False)
+    rows = fidelity_vs_mass_ratio(template, [0.5, 2.0], 1)
     assert [row.mu for row in rows] == [0.5, 2.0]
     assert all("stalled" in row.error and row.fidelity is None for row in rows)
-    with pytest.raises(SweepError) as err:
-        fidelity_vs_mass_ratio(template, [0.5, 2.0], 1)
-    assert err.value.mu == 0.5
 
 
 def test_sweep_keep_density():
