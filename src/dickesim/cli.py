@@ -428,6 +428,8 @@ def _read_histogram(path, n_max):
 def cmd_fit(args):
     if args.bootstrap != 0 and args.bootstrap < 2:
         raise _UsageError("--bootstrap must be 0 or >= 2")
+    if not 0 < args.t_detect < np.inf:
+        raise _UsageError("--t-detect must be finite and positive")
     shots = _read_shot_file(args.shots, args.n_max)
     hist_bright = _read_histogram(args.ref_bright, args.n_max)
     hist_dark = _read_histogram(args.ref_dark, args.n_max)

@@ -12,14 +12,19 @@ validated against Monte Carlo sampling in the test suite).
 Composite distributions for 0/1/2 bright ions are discrete convolutions of
 background and single-ion distributions, built once per readout model by
 :func:`composite_dists` as a :class:`CountModel`; shot synthesis, fits and
-parity scans all take that CountModel.  An observed sample of counts is
-fit with the three-component mixture by maximizing the log-likelihood over
-the population simplex (EM-style multiplicative updates; the problem is
-concave, so the interior optimum is global).  Uncertainties come from a
-nonparametric bootstrap of 0 (none) or at least 2 resamples.  The fits of
-a call run in two batches through one EM loop: the point fits (one
-sample, or every phase of a parity scan), then all of their bootstrap
-resamples.
+parity scans all take that CountModel; calibration builds only the two
+reference distributions for each trial model.  An observed sample of
+counts is fit with the three-component mixture by maximizing the
+log-likelihood over the population simplex (EM-style multiplicative
+updates; the problem is concave, so the interior optimum is global).
+Uncertainties come from a nonparametric bootstrap of 0 (none) or at least
+2 resamples.  The fits of a call run in two batches through one EM loop:
+the point fits (one sample, or every phase of a parity scan), then all of
+their bootstrap resamples.  Plain EM crawls where a fit is pinned near the
+simplex boundary, so each cycle of the loop is a SQUAREM extrapolation of
+two EM updates, with a fall-back to the plain updates wherever the
+extrapolation scores lower; a fit stops once one EM update gains at most
+1e-10, and its result does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 from scipy.integrate import simpson
 
 from .errors import ConvergenceError, DataError, IdentifiabilityError
@@ -92,9 +97,12 @@ class ReadoutModel:
 
 
 def _folded_poisson(mean, n_max):
-    n = np.arange(n_max + 1)
-    p = stats.poisson.pmf(n, mean)
-    p[-1] += stats.poisson.sf(n_max, mean)
+    """Poisson pmf on 0..n_max, one column per entry of ``mean``, with the
+    tail mass folded into the last bin: the closed forms that
+    scipy.stats.poisson evaluates, without its argument handling."""
+    n = np.arange(n_max + 1).reshape((-1,) + (1,) * np.ndim(mean))
+    p = np.exp(special.xlogy(n, mean) - special.gammaln(n + 1) - mean)
+    p[-1] += special.pdtrc(n_max, mean)
     return p
 
 
@@ -131,8 +139,7 @@ def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
     x = np.linspace(0.0, 1.0, QUAD_NODES)  # tau / T
     means = model.lambda_dark * x + model.lambda_bright * (1.0 - x)
     density = gt * np.exp(-gt * x)
-    pmf = stats.poisson.pmf(np.arange(n_max + 1)[:, None], means[None, :])
-    pmf[-1, :] += stats.poisson.sf(n_max, means)
+    pmf = _folded_poisson(means, n_max)
     decayed = simpson(pmf * density[None, :], x=x, axis=1)
     raw_mass = simpson(density, x=x)
     exact_mass = 1.0 - np.exp(-gt)
@@ -156,6 +163,16 @@ class CountModel:
         return np.stack([d.probabilities for d in self.dists])
 
 
+def _composites(model, n_max, bright):
+    """The composite distributions P(n|i) for each i in ``bright``."""
+    bg = poisson_dist(model.lambda_bg, n_max)
+    up = dark_ion_dist(model, n_max)
+    down = poisson_dist(model.lambda_bright, n_max)
+    ions = ((up, up), (up, down), (down, down))  # index = bright ions
+    return tuple(convolve(convolve(bg, ions[i][0]), ions[i][1])
+                 for i in bright)
+
+
 @lru_cache(maxsize=32)
 def composite_dists(model, n_max=DEFAULT_N_MAX):
     """Composite count distributions for two equally illuminated ions:
@@ -164,18 +181,8 @@ def composite_dists(model, n_max=DEFAULT_N_MAX):
     P(n|1) = P_bg * P_up * P_down,
     P(n|2) = P_bg * P_down * P_down.
     """
-    bg = poisson_dist(model.lambda_bg, n_max)
-    up = dark_ion_dist(model, n_max)
-    down = poisson_dist(model.lambda_bright, n_max)
-    return CountModel(
-        dists=(
-            convolve(convolve(bg, up), up),
-            convolve(convolve(bg, up), down),
-            convolve(convolve(bg, down), down),
-        ),
-        model=model,
-        n_max=n_max,
-    )
+    return CountModel(dists=_composites(model, n_max, (0, 1, 2)),
+                      model=model, n_max=n_max)
 
 
 @dataclass(frozen=True)
@@ -203,36 +210,79 @@ class FitResult:
 
 def _em(h, pmat, starts, tol=1e-10, max_iter=200000):
     """Maximize sum_n h_bn log(sum_i c_bi P_in) over the simplex for each
-    histogram row b of ``h``, from ``starts``, with one batched EM update per
-    iteration; returns the (B, k) populations and (B,) log-likelihoods.  A
-    row stops, and leaves the batch, once an update gains at most ``tol``;
-    rows still running after ``max_iter`` updates raise ConvergenceError.
+    histogram row b of ``h``, from ``starts``; returns the (B, k)
+    populations and (B,) log-likelihoods.
+
+    Each cycle is one SQUAREM step (Varadhan & Roland, Scand. J. Stat. 35,
+    335 (2008), scheme SqS3) on the EM map F: c1 = F(c), c2 = F(c1),
+    r = c1 - c, v = c2 - c1 - r and alpha = min(-|r|/|v|, -1).  The point
+    c - 2 alpha r + alpha^2 v, with alpha halved towards -1 (the point c2)
+    until it lies on the simplex, takes one more EM map; a row falls back
+    to c2 wherever that lowers its log-likelihood, so every cycle climbs.
+    A row stops once the first EM map of a cycle gains at most ``tol``,
+    and leaves the batch with the end point of that cycle; rows still
+    running after ``max_iter`` cycles raise ConvergenceError.
     """
     h = np.asarray(h, dtype=float)
     total = h.sum(axis=1, keepdims=True)
+
+    # stacked matmuls take one BLAS vector product per row and every other
+    # reduction runs along a row, so a row's arithmetic is that of a
+    # one-histogram fit, whatever the batch
+    def mixture(c):
+        return np.maximum(np.matmul(c[:, None, :], pmat)[:, 0], 1e-300)
+
+    def loglik(h, mix):
+        return np.matmul(h[:, None, :], np.log(mix)[:, :, None])[:, 0, 0]
+
+    def em_map(h, total, c, mix):
+        c = c * np.matmul(pmat, (h / mix)[:, :, None])[:, :, 0] / total
+        return c / c.sum(axis=1, keepdims=True)
+
+    def norm(x):
+        return np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+
     c = starts / starts.sum(axis=1, keepdims=True)
+    mix = mixture(c)
+    ll = loglik(h, mix)
     out_c, out_ll = np.empty_like(c), np.empty(len(h))
     rows = np.arange(len(h))
-    ll_prev = np.full(len(h), -np.inf)
     for _ in range(max_iter):
-        # stacked matmuls take one BLAS vector product per row, so a row's
-        # arithmetic is that of a one-histogram fit, whatever the batch
-        mix = np.matmul(c[:, None, :], pmat)[:, 0]
-        np.maximum(mix, 1e-300, out=mix)
-        ll = np.matmul(h[:, None, :], np.log(mix)[:, :, None])[:, 0, 0]
-        resp = np.matmul(pmat, (h / mix)[:, :, None])[:, :, 0]
-        done = ll - ll_prev <= tol
+        c1 = em_map(h, total, c, mix)
+        mix = mixture(c1)
+        done = loglik(h, mix) - ll <= tol
+        c2 = em_map(h, total, c1, mix)
+        r = c1 - c
+        v = c2 - c1 - r
+        nr, nv = norm(r), norm(v)
+        alpha = -np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0)
+        np.minimum(alpha, -1.0, out=alpha)
+        cp = c - 2.0 * alpha * r + alpha * alpha * v
+        # halve a step that leaves the simplex towards alpha = -1, where
+        # the point is c2: a population clipped to 0 could never regrow
+        out = (cp < 0).any(axis=1) & (alpha[:, 0] < -1.0)
+        while out.any():
+            alpha[out] = 0.5 * (alpha[out] - 1.0)
+            cp = c - 2.0 * alpha * r + alpha * alpha * v
+            out = (cp < 0).any(axis=1) & (alpha[:, 0] < -1.0)
+        c = np.maximum(cp, 0.0)
+        c /= c.sum(axis=1, keepdims=True)
+        c = em_map(h, total, c, mixture(c))
+        mix = mixture(c)
+        ll = loglik(h, mix)
+        ll2 = loglik(h, mixture(c2))
+        worse = ll < ll2
+        if worse.any():
+            c[worse], ll[worse] = c2[worse], ll2[worse]
+            mix[worse] = mixture(c2[worse])
         if done.any():
             out_c[rows[done]], out_ll[rows[done]] = c[done], ll[done]
-            rows, h, total, c, resp, ll = (
-                a[~done] for a in (rows, h, total, c, resp, ll))
+            rows, h, total, c, mix, ll = (
+                a[~done] for a in (rows, h, total, c, mix, ll))
             if not len(rows):
                 return out_c, out_ll
-        ll_prev = ll
-        c = c * resp / total
-        c /= c.sum(axis=1, keepdims=True)
     raise ConvergenceError(f"EM fit: {len(rows)} of {len(out_ll)} histograms "
-                           f"did not converge in {max_iter} iterations")
+                           f"did not converge in {max_iter} SQUAREM cycles")
 
 
 def _histogram(samples, cm):
@@ -442,14 +492,19 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, fix=None):
         )
 
     def nll(theta):
-        cm = composite_dists(build(theta), n_max)
-        p2 = np.clip(cm.dists[2].probabilities, 1e-300, None)
-        p0 = np.clip(cm.dists[0].probabilities, 1e-300, None)
+        # every evaluation is a new model, so build only the two references
+        d0, d2 = _composites(build(theta), n_max, (0, 2))
+        p2 = np.clip(d2.probabilities, 1e-300, None)
+        p0 = np.clip(d0.probabilities, 1e-300, None)
         return -(hb @ np.log(p2) + hd @ np.log(p0))
 
     x0 = np.array([start[p] for p in free])
     bounds = [(1e-9, None) if p != "gamma" else (0.0, 20.0) for p in free]
     res = optimize.minimize(nll, x0, method="L-BFGS-B", bounds=bounds)
+    if not res.success:
+        raise ConvergenceError(f"calibration fit did not converge: "
+                               f"{res.message} (nit={res.nit}, "
+                               f"nfev={res.nfev})")
     model = build(res.x)
     cm = composite_dists(model, n_max)
     chi2_b, dof_b = _pearson_chi2(hb, cm.dists[2].probabilities)

@@ -5,9 +5,9 @@ oracle is a cyclic single-coordinate relaxation (no Newton step, no
 coupled Hessian), and the pulse oracle works on the whole qubit-times-Fock
 space, not the conserved excitation sector, and propagates by dense
 scaling-and-squaring (``scipy.linalg.expm``) instead of eigendecomposition.
-The readout-fit oracle runs the EM update on one histogram at a time, and
-draws and fits bootstrap resamples one after another, where the program
-fits a whole stack of histograms in one batch.
+The readout-fit oracle runs the plain EM update on one histogram at a
+time, and draws and fits bootstrap resamples one after another, where the
+program fits a whole stack of histograms in one batch with SQUAREM steps.
 """
 
 import numpy as np
@@ -168,14 +168,15 @@ def em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):
 
 def ml_fit_sequential(samples, cm, n_bootstrap, seed):
     """Populations and bootstrap populations of one sample of counts, with
-    every resample drawn and fit one after another."""
+    every resample drawn and fit one after another, each fit run until an
+    EM update gains nothing."""
     hist = np.bincount(samples, minlength=cm.n_max + 1).astype(float)
     pmat = cm.probability_matrix()
-    c_hat, ll = em_fit(hist, pmat)
+    c_hat, ll = em_fit(hist, pmat, tol=0.0)
     rng = np.random.default_rng(seed)
     n = int(np.sum(hist))
     boots = np.array([
         em_fit(rng.multinomial(n, hist / n).astype(float), pmat,
-               c0=np.clip(c_hat, 1e-6, None))[0]
+               c0=np.clip(c_hat, 1e-6, None), tol=0.0)[0]
         for _ in range(n_bootstrap)])
     return c_hat, ll, boots

@@ -412,6 +412,29 @@ def test_fit_nonfinite_histogram_count_exits_2(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def test_fit_bad_t_detect_exits_1(tmp_path, capsys, value):
+    out = tmp_path / "fit.json"
+    assert main(_fit_inputs(tmp_path, 500, 2000)
+                + [f"--t-detect={value}", "--out", str(out)]) == 1
+    assert "--t-detect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_calibration_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from dickesim import detection
+
+    def minimize(fun, x0, **kwargs):
+        return detection.optimize.OptimizeResult(
+            x=x0, fun=fun(x0), success=False, message="ABNORMAL", nit=2,
+            nfev=9)
+
+    args = _fit_inputs(tmp_path, 500, 2000)
+    monkeypatch.setattr(detection.optimize, "minimize", minimize)
+    assert main(args + ["--out", str(tmp_path / "fit.json")]) == 3
+    assert "ABNORMAL (nit=2, nfev=9)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["synth", "experiment"])
 @pytest.mark.parametrize("flag,value", [
     ("--lambda-bright", "nan"),
