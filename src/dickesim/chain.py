@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import freeze
 from .errors import ConvergenceError, DataError, UnstableCrystalError
 
 HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS = 1.66053906660e-27  # kg
-E_CHARGE = 1.602176634e-19  # C
-EPSILON_0 = 8.8541878128e-12  # F/m
 
 # Above this value the linear sideband-coupling model starts to break down.
 LAMB_DICKE_THRESHOLD = 0.3
@@ -101,10 +100,8 @@ class EquilibriumSolution:
     residual_gradient_norm: float
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        if np.any(np.diff(pos) <= 0):
+        freeze(self, float, "positions")
+        if np.any(np.diff(self.positions) <= 0):
             raise ValueError("equilibrium positions must be strictly increasing")
 
     @property
@@ -130,11 +127,8 @@ class ModeSet:
     dimensionless: bool = True
 
     def __post_init__(self):
-        for name in ("frequencies", "eigenvectors", "ground_state_amplitudes",
-                     "lamb_dicke"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, float, "frequencies", "eigenvectors",
+               "ground_state_amplitudes", "lamb_dicke")
 
     @property
     def n_ions(self):
@@ -193,15 +187,16 @@ def solve_equilibrium(config):
     Raises
     ------
     ConvergenceError
-        If the gradient norm is still above ``GRAD_TOL`` after
-        ``MAX_ITER`` iterations.
+        If the gradient norm is still above ``GRAD_TOL`` when the line
+        search finds no step that lowers it, or after ``MAX_ITER``
+        iterations; the message says which, and after how many iterations.
     """
     n = config.n_ions
     u = (np.arange(n) - (n - 1) / 2.0) * 1.3
     gnorm = np.linalg.norm(scaled_gradient(u))
-    for _ in range(MAX_ITER):
-        if gnorm < GRAD_TOL:
-            break
+    iterations = 0
+    stalled = False
+    while gnorm >= GRAD_TOL and iterations < MAX_ITER:
         g = scaled_gradient(u)
         step = np.linalg.solve(scaled_hessian(u), g)
         lam = 1.0
@@ -214,11 +209,16 @@ def solve_equilibrium(config):
                     break
             lam *= 0.5
         else:
-            break  # no productive step left; report whatever we reached
+            stalled = True
+            break
+        iterations += 1
     if gnorm >= GRAD_TOL:
+        cause = ("the line search found no step that lowers it" if stalled
+                 else f"the iteration cap MAX_ITER = {MAX_ITER} was reached")
         raise ConvergenceError(
             f"equilibrium solver stalled at gradient norm {gnorm:.3e} "
-            f"(tolerance {GRAD_TOL:.1e})",
+            f"(tolerance {GRAD_TOL:.1e}) after {iterations} Newton "
+            f"iterations: {cause}",
             residual_norm=float(gnorm),
         )
     return EquilibriumSolution(positions=u, residual_gradient_norm=float(gnorm))
@@ -322,15 +322,6 @@ def coupling_strengths(modes, addressed):
             stacklevel=2,
         )
     return eta
-
-
-def length_scale(config):
-    """Characteristic length l = (e^2/(4 pi eps0 m_ref omega_z^2))^(1/3) in
-    metres (1.0 in dimensionless mode)."""
-    if config.dimensionless_mode:
-        return 1.0
-    m_ref = config.masses[config.reference_index] * ATOMIC_MASS
-    return (E_CHARGE**2 / (4 * np.pi * EPSILON_0 * m_ref * config.omega_z**2)) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)

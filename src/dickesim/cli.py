@@ -21,21 +21,16 @@ import numpy as np
 from . import __version__
 from .chain import (ChainTemplate, modes_to_csv, read_chain_file,
                     solve_axial_modes, solve_equilibrium, text_lines)
-from .detection import (ReadoutModel, calibrate, composite_dists,
-                        estimate_period, ml_fit, parity_from_fit,
-                        parity_scan_analysis, parity_std_from_fit,
+from .detection import (ReadoutModel, calibrate, composite_dists, ml_fit,
+                        parity_from_fit, parity_std_from_fit,
                         synthesize_shots)
-from .dicke import rotated_density, weights
 from .errors import (ConvergenceError, DataError, IdentifiabilityError,
                      SearchError, UnstableCrystalError)
-from .sideband import fidelity_vs_mass_ratio, first_max_fidelity
+from .experiment import DEFAULT_MODEL, run_experiment
+from .sideband import fidelity_vs_mass_ratio
 
 SWEEP_CSV_SCHEMA = "sweep.v1"
 SEED_ENV_VAR = "DICKESIM_SEED"
-N_PHASES = 12  # analysis phases k pi / N_PHASES per experiment parity scan
-
-DEFAULT_MODEL = dict(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
-                     gamma=500.0, t_detect=200e-6)
 
 
 class _UsageError(Exception):
@@ -59,14 +54,19 @@ def _open_out(path):
 
 def _resolve_seed(args_seed):
     if args_seed is not None:
+        if args_seed < 0:
+            raise _UsageError(f"--seed must be >= 0, got {args_seed}")
         return args_seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise _UsageError(f"{SEED_ENV_VAR} must be >= 0, got {seed}")
+    return seed
 
 
 def _jsonify(value):
@@ -224,155 +224,6 @@ def cmd_sweep(args):
 # --- experiment ---------------------------------------------------------------
 
 
-def _bright_populations(rho):
-    """Populations (c0, c1, c2) of 0/1/2 bright (down) ions from a two-qubit
-    density matrix diagonal."""
-    diag = np.real(np.diag(rho.matrix))
-    ups = weights(rho.n_qubits)
-    c = np.zeros(rho.n_qubits + 1)
-    for idx, w in enumerate(ups):
-        c[rho.n_qubits - w] += max(diag[idx], 0.0)
-    return c / np.sum(c)
-
-
-def run_experiment(chain_file, shots, seed, model=None, n_bootstrap=200):
-    """End-to-end synthetic run on one chain config; returns the report dict.
-
-    Simulates the preparation pulse, generates reference/experiment/parity
-    shot records from the true readout model, calibrates against the
-    references, fits populations and parity scans, and assembles the
-    final fidelity with its statistical error.  Each parity scan takes
-    ``n_bootstrap // 2`` resamples, so ``n_bootstrap`` must be >= 4.
-    """
-    if n_bootstrap < 4:
-        raise ValueError(f"n_bootstrap must be >= 4, got {n_bootstrap}")
-    if model is None:
-        model = ReadoutModel(**DEFAULT_MODEL)
-    if chain_file.ancilla_index is None:
-        raise DataError("experiment needs an ancilla_index entry in the config")
-    config = chain_file.config
-    addressed = tuple(i for i in range(config.n_ions)
-                      if i != chain_file.ancilla_index)
-    if len(addressed) != 2:
-        raise DataError("the readout pipeline models exactly 2 qubit ions")
-
-    pulse = first_max_fidelity(config, addressed, m=1)
-    rho = pulse.reduced_density
-
-    phases = [k * np.pi / N_PHASES for k in range(N_PHASES)]
-    seeds = np.random.SeedSequence(seed).spawn(6 + 2 * N_PHASES)
-    seed_iter = iter(seeds)
-
-    cm_true = composite_dists(model)
-    ref_bright = synthesize_shots((0.0, 0.0, 1.0), cm_true, shots, next(seed_iter))
-    ref_dark = synthesize_shots((1.0, 0.0, 0.0), cm_true, shots, next(seed_iter))
-    hist_bright = np.bincount(ref_bright, minlength=cm_true.n_max + 1)
-    hist_dark = np.bincount(ref_dark, minlength=cm_true.n_max + 1)
-    cal = calibrate(hist_bright, hist_dark, t_detect=model.t_detect)
-    # calibrate's own (model, n_max) cache key, as the references have
-    # cm_true.n_max + 1 bins, so its last build is reused
-    cm_fit = composite_dists(cal.model, cm_true.n_max)
-
-    exp_shots = synthesize_shots(_bright_populations(rho), cm_true, shots,
-                                 next(seed_iter))
-    fit = ml_fit(exp_shots, cm_fit, n_bootstrap=n_bootstrap, seed=next(seed_iter))
-
-    shots_per_phase = max(shots // 5, 200)
-    scan_single = [
-        (phi, synthesize_shots(
-            _bright_populations(rotated_density(rho, np.pi / 2, phi)),
-            cm_true, shots_per_phase, next(seed_iter)))
-        for phi in phases
-    ]
-    rho_rotated = rotated_density(rho, np.pi / 2, 0.0)
-    scan_double = [
-        (phi, synthesize_shots(
-            _bright_populations(rotated_density(rho_rotated, np.pi / 2, phi)),
-            cm_true, shots_per_phase, next(seed_iter)))
-        for phi in phases
-    ]
-    res_single = parity_scan_analysis(scan_single, cm_fit,
-                                      n_bootstrap=n_bootstrap // 2,
-                                      seed=next(seed_iter))
-    res_double = parity_scan_analysis(scan_double, cm_fit,
-                                      n_bootstrap=n_bootstrap // 2,
-                                      seed=next(seed_iter))
-    period = estimate_period(res_double.phases, res_double.parities)
-
-    c1_hat = float(fit.populations[1])
-    c1_err = float(fit.std_errors[1])
-    coherence = res_single.coherence_term
-    coherence_err = res_single.offset_error
-    fidelity = 0.5 * (c1_hat + coherence)
-    fidelity_err = 0.5 * float(np.hypot(c1_err, coherence_err))
-
-    return {
-        "schema": "experiment.v1",
-        "chain": {
-            "masses": list(config.masses),
-            "ancilla_index": chain_file.ancilla_index,
-            "omega_z_hz": chain_file.omega_z_hz,
-            "k_projection": config.k_projection,
-        },
-        "simulation": {
-            "couplings": pulse.couplings,
-            "pulse_duration": pulse.duration,
-            "fidelity": pulse.fidelity,
-            "populations": _bright_populations(rho),
-        },
-        "readout_model_true": {k: getattr(model, k) for k in DEFAULT_MODEL},
-        "calibration": {
-            "lambda_bright": cal.model.lambda_bright,
-            "lambda_dark": cal.model.lambda_dark,
-            "lambda_bg": cal.model.lambda_bg,
-            "gamma": cal.model.gamma,
-            "log_likelihood": cal.log_likelihood,
-            "chi2_bright": cal.chi2_bright,
-            "dof_bright": cal.dof_bright,
-            "chi2_dark": cal.chi2_dark,
-            "dof_dark": cal.dof_dark,
-        },
-        "population_fit": {
-            "c": fit.populations,
-            "std_errors": fit.std_errors,
-            "log_likelihood": fit.log_likelihood,
-            "n_samples": fit.n_samples,
-            "parity": parity_from_fit(fit),
-        },
-        "parity_scan": {
-            "phases": res_single.phases,
-            "parity": res_single.parities,
-            "parity_errors": res_single.parity_errors,
-            "amplitude": res_single.amplitude,
-            "amplitude_error": res_single.amplitude_error,
-            "offset": res_single.offset,
-            "offset_error": res_single.offset_error,
-        },
-        "parity_scan_double": {
-            "phases": res_double.phases,
-            "parity": res_double.parities,
-            "parity_errors": res_double.parity_errors,
-            "amplitude": res_double.amplitude,
-            "amplitude_error": res_double.amplitude_error,
-            "offset": res_double.offset,
-            "phase_offset": res_double.phase_offset,
-            "period_estimate": period,
-        },
-        "fidelity": {
-            "coherence_term": coherence,
-            "coherence_error": coherence_err,
-            "odd_population": c1_hat,
-            "odd_population_error": c1_err,
-            "value": fidelity,
-            "error": fidelity_err,
-            "simulated": pulse.fidelity,
-        },
-        "shots": {"per_reference": shots, "experiment": shots,
-                  "per_phase": shots_per_phase},
-        "seed": seed,
-    }
-
-
 def cmd_experiment(args):
     if args.shots < 100:
         raise _UsageError("need at least 100 shots per record")
@@ -430,6 +281,8 @@ def cmd_fit(args):
         raise _UsageError("--bootstrap must be 0 or >= 2")
     if not 0 < args.t_detect < np.inf:
         raise _UsageError("--t-detect must be finite and positive")
+    if args.n_max < 1:
+        raise _UsageError("--n-max must be >= 1")
     shots = _read_shot_file(args.shots, args.n_max)
     hist_bright = _read_histogram(args.ref_bright, args.n_max)
     hist_dark = _read_histogram(args.ref_dark, args.n_max)
@@ -465,7 +318,7 @@ def cmd_fit(args):
 
 def cmd_synth(args):
     c = np.array([args.c0, args.c1, args.c2])
-    if np.any(c < 0) or abs(float(np.sum(c)) - 1.0) > 1e-9:
+    if not (np.all(c >= 0) and abs(float(np.sum(c)) - 1.0) <= 1e-9):
         raise _UsageError("--c0/--c1/--c2 must be non-negative and sum to 1")
     if args.shots < 0:
         raise _UsageError("--shots must be >= 0")

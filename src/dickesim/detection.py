@@ -36,6 +36,7 @@ import numpy as np
 from scipy import optimize, special
 from scipy.integrate import simpson
 
+from ._frozen import freeze
 from .errors import ConvergenceError, DataError, IdentifiabilityError
 
 DEFAULT_N_MAX = 100
@@ -50,9 +51,8 @@ class CountDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
+        freeze(self, float, "probabilities")
+        p = self.probabilities
         if p.ndim != 1 or len(p) < 1:
             raise ValueError("probabilities must be a 1-d array")
         if np.any(p < -1e-12):
@@ -196,12 +196,8 @@ class FitResult:
     bootstrap_populations: np.ndarray | None = None
 
     def __post_init__(self):
-        c = np.array(self.populations, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "populations", c)
-        err = np.array(self.std_errors, dtype=float)
-        err.setflags(write=False)
-        object.__setattr__(self, "std_errors", err)
+        freeze(self, float, "populations", "std_errors")
+        c = self.populations
         if np.any(c < -1e-12) or np.any(c > 1.0 + 1e-12):
             raise ValueError("populations must lie in [0, 1]")
         if abs(float(np.sum(c)) - 1.0) > 1e-9:
@@ -359,7 +355,7 @@ def synthesize_shots(populations, cm, n_shots, seed):
     Reproducible for a fixed seed (an int, SeedSequence or Generator).
     """
     c = np.asarray(populations, dtype=float)
-    if np.any(c < -1e-12):
+    if not np.all(c >= -1e-12):  # NaN fails this too
         raise ValueError("populations must be non-negative")
     if abs(float(np.sum(c)) - 1.0) > 1e-9:
         raise ValueError("populations must sum to 1")

@@ -13,15 +13,13 @@ from math import comb
 
 import numpy as np
 
-
-def basis_weight(index):
-    """Number of up qubits (set bits) in a computational basis index."""
-    return int(index).bit_count()
+from ._frozen import freeze
 
 
 def weights(n_qubits):
-    """Excitation count of every basis state, as an integer array."""
-    return np.array([basis_weight(b) for b in range(2**n_qubits)])
+    """Excitation count (number of up qubits, the set bits of the index)
+    of every basis state, as an integer array."""
+    return np.array([b.bit_count() for b in range(2**n_qubits)])
 
 
 @dataclass(frozen=True)
@@ -32,12 +30,10 @@ class QubitState:
     n_qubits: int
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (2**self.n_qubits,):
+        freeze(self, complex, "amplitudes")
+        if self.amplitudes.shape != (2**self.n_qubits,):
             raise ValueError("amplitude vector length must be 2**n_qubits")
-        norm = np.linalg.norm(amps)
+        norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm!r} is not 1")
 
@@ -45,17 +41,6 @@ class QubitState:
         """Projector |psi><psi| as a QubitDensity."""
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return QubitDensity(matrix=rho, n_qubits=self.n_qubits)
-
-    def to_json_dict(self):
-        return {
-            "n_qubits": self.n_qubits,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(amplitudes=amps, n_qubits=int(data["n_qubits"]))
 
 
 @dataclass(frozen=True)
@@ -66,9 +51,8 @@ class QubitDensity:
     n_qubits: int
 
     def __post_init__(self):
-        rho = np.array(self.matrix, dtype=complex)
-        rho.setflags(write=False)
-        object.__setattr__(self, "matrix", rho)
+        freeze(self, complex, "matrix")
+        rho = self.matrix
         dim = 2**self.n_qubits
         if rho.shape != (dim, dim):
             raise ValueError("density matrix must be 2^N x 2^N")
@@ -81,21 +65,12 @@ class QubitDensity:
         if min_eig < -1e-10:
             raise ValueError(f"density matrix not PSD (min eigenvalue {min_eig:.3e})")
 
-    def purity(self):
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def to_json_dict(self):
         return {
             "n_qubits": self.n_qubits,
             "matrix": [[[float(v.real), float(v.imag)] for v in row]
                        for row in self.matrix],
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        rho = np.array([[complex(re, im) for re, im in row]
-                        for row in data["matrix"]])
-        return cls(matrix=rho, n_qubits=int(data["n_qubits"]))
 
 
 def dicke_state(n, m):
@@ -105,9 +80,7 @@ def dicke_state(n, m):
         raise ValueError("need at least one qubit")
     if not 0 <= m <= n:
         raise ValueError(f"excitation number m={m} outside 0..{n}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[weights(n) == m] = 1.0 / np.sqrt(comb(n, m))
-    return QubitState(amplitudes=amps, n_qubits=n)
+    return QubitState(amplitudes=dicke_vector(n, m), n_qubits=n)
 
 
 def dicke_vector(n, m):
@@ -130,22 +103,18 @@ def w_fidelity_analytic(couplings):
     return float(np.sum(om)) ** 2 / (len(om) * ssq)
 
 
-def single_qubit_rotation(theta, phi):
-    """2x2 rotation matrix: down -> cos(t/2) down - i e^{-i phi} sin(t/2) up,
-    up -> -i e^{+i phi} sin(t/2) down + cos(t/2) up."""
+def collective_rotation(theta, phi, n):
+    """The same rotation applied to every one of n qubits: R(theta,phi)^{(x)n},
+    with the single-qubit R taking down -> cos(t/2) down - i e^{-i phi}
+    sin(t/2) up and up -> -i e^{+i phi} sin(t/2) down + cos(t/2) up."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
-    return np.array([
+    r = np.array([
         [c, -1j * np.exp(+1j * phi) * s],
         [-1j * np.exp(-1j * phi) * s, c],
     ])
-
-
-def collective_rotation(theta, phi, n):
-    """The same rotation applied to every one of n qubits: R(theta,phi)^{(x)n}."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    r = single_qubit_rotation(theta, phi)
     full = np.array([[1.0 + 0j]])
     for _ in range(n):
         full = np.kron(full, r)
@@ -174,26 +143,6 @@ def rotated_parity(rho, theta, phi):
     """Parity after the collective analysis rotation:
     tr(R^dagger rho R Pi)."""
     return parity_expectation(rotated_density(rho, theta, phi))
-
-
-def coherence_two_qubit(rho):
-    """Sum of the two odd off-diagonal elements, rho_du,ud + rho_ud,du.
-
-    Equals the two-phase parity average
-    (Pi(pi/2, 0) + Pi(pi/2, pi/2)) / 2.
-    """
-    if rho.n_qubits != 2:
-        raise ValueError("defined for exactly two qubits")
-    return float(np.real(rho.matrix[1, 2] + rho.matrix[2, 1]))
-
-
-def fidelity_two_qubit(rho):
-    """Two-qubit single-excitation fidelity from density matrix elements:
-    (rho_du,du + rho_ud,ud + rho_du,ud + rho_ud,du) / 2."""
-    if rho.n_qubits != 2:
-        raise ValueError("defined for exactly two qubits")
-    m = rho.matrix
-    return float(np.real(m[1, 1] + m[2, 2] + m[1, 2] + m[2, 1]) / 2.0)
 
 
 def dicke_fidelity(rho, m):

@@ -1,0 +1,160 @@
+"""The synthetic end-to-end D(2,1) experiment: pulse simulation,
+calibration, population fit and parity scans, as the ``experiment.v1``
+report."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .detection import (ReadoutModel, calibrate, composite_dists,
+                        estimate_period, ml_fit, parity_from_fit,
+                        parity_scan_analysis, synthesize_shots)
+from .dicke import rotated_density, weights
+from .errors import DataError
+from .sideband import first_max_fidelity
+
+N_PHASES = 12  # analysis phases k pi / N_PHASES per experiment parity scan
+
+DEFAULT_MODEL = dict(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
+                     gamma=500.0, t_detect=200e-6)
+
+
+def _bright_populations(rho):
+    """Populations c_k of k = 0..N bright (down) ions from the diagonal of
+    an N-qubit density matrix."""
+    n = rho.n_qubits
+    diag = np.maximum(np.real(np.diag(rho.matrix)), 0.0)
+    c = np.bincount(n - weights(n), weights=diag)
+    return c / np.sum(c)
+
+
+def run_experiment(chain_file, shots, seed, model=None, n_bootstrap=200):
+    """End-to-end synthetic run on one chain config; returns the report dict.
+
+    Simulates the preparation pulse, generates reference/experiment/parity
+    shot records from the true readout model, calibrates against the
+    references, fits populations and parity scans, and assembles the
+    final fidelity with its statistical error.  Each parity scan takes
+    ``n_bootstrap // 2`` resamples, so ``n_bootstrap`` must be >= 4.
+    """
+    if n_bootstrap < 4:
+        raise ValueError(f"n_bootstrap must be >= 4, got {n_bootstrap}")
+    if model is None:
+        model = ReadoutModel(**DEFAULT_MODEL)
+    if chain_file.ancilla_index is None:
+        raise DataError("experiment needs an ancilla_index entry in the config")
+    config = chain_file.config
+    addressed = tuple(i for i in range(config.n_ions)
+                      if i != chain_file.ancilla_index)
+    if len(addressed) != 2:
+        raise DataError("the readout pipeline models exactly 2 qubit ions")
+
+    pulse = first_max_fidelity(config, addressed, m=1)
+    rho = pulse.reduced_density
+    populations = _bright_populations(rho)
+
+    phases = [k * np.pi / N_PHASES for k in range(N_PHASES)]
+    # seeds in order of use: both references, the experiment shots, the
+    # population fit, every phase of the single then the double scan, and
+    # the two scan analyses
+    seed_iter = iter(np.random.SeedSequence(seed).spawn(6 + 2 * N_PHASES))
+
+    cm_true = composite_dists(model)
+    ref_bright = synthesize_shots((0.0, 0.0, 1.0), cm_true, shots, next(seed_iter))
+    ref_dark = synthesize_shots((1.0, 0.0, 0.0), cm_true, shots, next(seed_iter))
+    hist_bright = np.bincount(ref_bright, minlength=cm_true.n_max + 1)
+    hist_dark = np.bincount(ref_dark, minlength=cm_true.n_max + 1)
+    cal = calibrate(hist_bright, hist_dark, t_detect=model.t_detect)
+    # calibrate's own (model, n_max) cache key, as the references have
+    # cm_true.n_max + 1 bins, so its last build is reused
+    cm_fit = composite_dists(cal.model, cm_true.n_max)
+
+    exp_shots = synthesize_shots(populations, cm_true, shots, next(seed_iter))
+    fit = ml_fit(exp_shots, cm_fit, n_bootstrap=n_bootstrap, seed=next(seed_iter))
+
+    # the single scan rotates the prepared state once, the double scan
+    # rotates it after a first pi/2 pulse at phase 0
+    shots_per_phase = max(shots // 5, 200)
+    scans = [[(phi, synthesize_shots(
+                 _bright_populations(rotated_density(start, np.pi / 2, phi)),
+                 cm_true, shots_per_phase, next(seed_iter)))
+              for phi in phases]
+             for start in (rho, rotated_density(rho, np.pi / 2, 0.0))]
+    res_single, res_double = [
+        parity_scan_analysis(scan, cm_fit, n_bootstrap=n_bootstrap // 2,
+                             seed=next(seed_iter))
+        for scan in scans]
+    period = estimate_period(res_double.phases, res_double.parities)
+
+    c1_hat = float(fit.populations[1])
+    c1_err = float(fit.std_errors[1])
+    coherence = res_single.coherence_term
+    coherence_err = res_single.offset_error
+    fidelity = 0.5 * (c1_hat + coherence)
+    fidelity_err = 0.5 * float(np.hypot(c1_err, coherence_err))
+
+    return {
+        "schema": "experiment.v1",
+        "chain": {
+            "masses": list(config.masses),
+            "ancilla_index": chain_file.ancilla_index,
+            "omega_z_hz": chain_file.omega_z_hz,
+            "k_projection": config.k_projection,
+        },
+        "simulation": {
+            "couplings": pulse.couplings,
+            "pulse_duration": pulse.duration,
+            "fidelity": pulse.fidelity,
+            "populations": populations,
+        },
+        "readout_model_true": {k: getattr(model, k) for k in DEFAULT_MODEL},
+        "calibration": {
+            "lambda_bright": cal.model.lambda_bright,
+            "lambda_dark": cal.model.lambda_dark,
+            "lambda_bg": cal.model.lambda_bg,
+            "gamma": cal.model.gamma,
+            "log_likelihood": cal.log_likelihood,
+            "chi2_bright": cal.chi2_bright,
+            "dof_bright": cal.dof_bright,
+            "chi2_dark": cal.chi2_dark,
+            "dof_dark": cal.dof_dark,
+        },
+        "population_fit": {
+            "c": fit.populations,
+            "std_errors": fit.std_errors,
+            "log_likelihood": fit.log_likelihood,
+            "n_samples": fit.n_samples,
+            "parity": parity_from_fit(fit),
+        },
+        "parity_scan": {
+            "phases": res_single.phases,
+            "parity": res_single.parities,
+            "parity_errors": res_single.parity_errors,
+            "amplitude": res_single.amplitude,
+            "amplitude_error": res_single.amplitude_error,
+            "offset": res_single.offset,
+            "offset_error": res_single.offset_error,
+        },
+        "parity_scan_double": {
+            "phases": res_double.phases,
+            "parity": res_double.parities,
+            "parity_errors": res_double.parity_errors,
+            "amplitude": res_double.amplitude,
+            "amplitude_error": res_double.amplitude_error,
+            "offset": res_double.offset,
+            "phase_offset": res_double.phase_offset,
+            "period_estimate": period,
+        },
+        "fidelity": {
+            "coherence_term": coherence,
+            "coherence_error": coherence_err,
+            "odd_population": c1_hat,
+            "odd_population_error": c1_err,
+            "value": fidelity,
+            "error": fidelity_err,
+            "simulated": pulse.fidelity,
+        },
+        "shots": {"per_reference": shots, "experiment": shots,
+                  "per_phase": shots_per_phase},
+        "seed": seed,
+    }

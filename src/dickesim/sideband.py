@@ -29,6 +29,7 @@ from math import comb
 import numpy as np
 
 from . import chain as chain_mod
+from ._frozen import freeze
 from .dicke import QubitDensity, weights
 from .errors import SearchError
 
@@ -86,11 +87,8 @@ class PulseResult:
     state: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("phonon_distribution", float), ("couplings", float),
-                            ("state", complex)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, float, "phonon_distribution", "couplings")
+        freeze(self, complex, "state")
         if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
         if abs(float(np.sum(self.phonon_distribution)) - 1.0) > 1e-10:

@@ -8,11 +8,24 @@ scaling-and-squaring (``scipy.linalg.expm``) instead of eigendecomposition.
 The readout-fit oracle runs the plain EM update on one histogram at a
 time, and draws and fits bootstrap resamples one after another, where the
 program fits a whole stack of histograms in one batch with SQUAREM steps.
+
+The last section holds quantities the package itself never needs, kept
+here as references for the tests that check them: two-qubit fidelity
+and coherence from matrix elements, purity, the chain's SI length scale,
+JSON readers for qubit states, and the per-index loop that bins a
+density diagonal by bright-ion count.
 """
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
+
+from dickesim import QubitDensity, QubitState
+from dickesim.chain import ATOMIC_MASS
+from dickesim.dicke import weights
+
+E_CHARGE = 1.602176634e-19  # C
+EPSILON_0 = 8.8541878128e-12  # F/m
 
 
 def relax_equilibrium(n_ions, max_sweeps=2000, move_tol=1e-13):
@@ -180,3 +193,67 @@ def ml_fit_sequential(samples, cm, n_bootstrap, seed):
                c0=np.clip(c_hat, 1e-6, None), tol=0.0)[0]
         for _ in range(n_bootstrap)])
     return c_hat, ll, boots
+
+
+def length_scale(config):
+    """Characteristic length l = (e^2/(4 pi eps0 m_ref omega_z^2))^(1/3) in
+    metres (1.0 in dimensionless mode)."""
+    if config.dimensionless_mode:
+        return 1.0
+    m_ref = config.masses[config.reference_index] * ATOMIC_MASS
+    return (E_CHARGE**2 / (4 * np.pi * EPSILON_0 * m_ref * config.omega_z**2)) ** (1.0 / 3.0)
+
+
+def coherence_two_qubit(rho):
+    """Sum of the two odd off-diagonal elements, rho_du,ud + rho_ud,du.
+
+    Equals the two-phase parity average
+    (Pi(pi/2, 0) + Pi(pi/2, pi/2)) / 2.
+    """
+    if rho.n_qubits != 2:
+        raise ValueError("defined for exactly two qubits")
+    return float(np.real(rho.matrix[1, 2] + rho.matrix[2, 1]))
+
+
+def fidelity_two_qubit(rho):
+    """Two-qubit single-excitation fidelity from density matrix elements:
+    (rho_du,du + rho_ud,ud + rho_du,ud + rho_ud,du) / 2."""
+    if rho.n_qubits != 2:
+        raise ValueError("defined for exactly two qubits")
+    m = rho.matrix
+    return float(np.real(m[1, 1] + m[2, 2] + m[1, 2] + m[2, 1]) / 2.0)
+
+
+def purity(rho):
+    """tr(rho^2) of a QubitDensity."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def state_to_json_dict(state):
+    return {
+        "n_qubits": state.n_qubits,
+        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+    }
+
+
+def state_from_json_dict(data):
+    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    return QubitState(amplitudes=amps, n_qubits=int(data["n_qubits"]))
+
+
+def density_from_json_dict(data):
+    """Reader for QubitDensity.to_json_dict."""
+    rho = np.array([[complex(re, im) for re, im in row]
+                    for row in data["matrix"]])
+    return QubitDensity(matrix=rho, n_qubits=int(data["n_qubits"]))
+
+
+def bright_populations_loop(rho):
+    """Populations of 0..N bright (down) ions, added up one basis index at a
+    time from the density matrix diagonal."""
+    diag = np.real(np.diag(rho.matrix))
+    ups = weights(rho.n_qubits)
+    c = np.zeros(rho.n_qubits + 1)
+    for idx, w in enumerate(ups):
+        c[rho.n_qubits - w] += max(diag[idx], 0.0)
+    return c / np.sum(c)

@@ -2,15 +2,14 @@ import io
 
 import numpy as np
 import pytest
-from conftest import relax_equilibrium
+from conftest import length_scale, relax_equilibrium
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
-                      LambDickeWarning, coupling_strengths, length_scale,
-                      modes_to_csv, read_chain_file, scaled_gradient,
-                      scaled_hessian, scaled_potential, solve_axial_modes,
-                      solve_equilibrium)
+                      LambDickeWarning, coupling_strengths, modes_to_csv,
+                      read_chain_file, scaled_gradient, scaled_hessian,
+                      scaled_potential, solve_axial_modes, solve_equilibrium)
 from dickesim import chain as chain_mod
 from dickesim.errors import DataError
 
@@ -106,6 +105,33 @@ def test_convergence_error_carries_residual(monkeypatch):
         solve_equilibrium(ChainConfig(masses=(1.0,) * 4))
     assert err.value.residual_norm is not None
     assert err.value.residual_norm > 0
+
+
+def test_convergence_error_names_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(chain_mod, "MAX_ITER", 1)
+    monkeypatch.setattr(chain_mod, "GRAD_TOL", 1e-14)
+    with pytest.raises(ConvergenceError) as err:
+        solve_equilibrium(ChainConfig(masses=(1.0,) * 4))
+    message = str(err.value)
+    assert "stalled" in message
+    assert "after 1 Newton iterations" in message
+    assert "MAX_ITER = 1 was reached" in message
+    assert "line search" not in message
+
+
+def test_convergence_error_names_the_stalled_line_search(monkeypatch):
+    # no gradient norm lies below 0, so Newton runs to machine precision
+    # and stops only when the line search can lower the norm no further
+    monkeypatch.setattr(chain_mod, "GRAD_TOL", 0.0)
+    with pytest.raises(ConvergenceError) as err:
+        solve_equilibrium(ChainConfig(masses=(1.0,) * 4))
+    message = str(err.value)
+    assert "stalled" in message
+    assert "line search found no step" in message
+    assert "MAX_ITER" not in message
+    iterations = int(message.split(" after ")[1].split()[0])
+    assert 0 < iterations < chain_mod.MAX_ITER
+    assert err.value.residual_norm < 1e-12
 
 
 def test_two_ion_mode_frequencies_analytic():

@@ -304,6 +304,40 @@ def test_synth_rejects_bad_simplex():
                  "--shots", "10"]) == 1
 
 
+def test_synth_rejects_nan_population(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    assert main(["synth", "--c0", "nan", "--c1", "0.5", "--c2", "0.5",
+                 "--shots", "10", "--out", str(out)]) == 1
+    assert "--c0/--c1/--c2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _seeded_command(command, tmp_path):
+    """Arguments of a short run of ``command`` that reads a seed."""
+    if command == "synth":
+        return ["synth", "--c0", "1", "--c1", "0", "--c2", "0",
+                "--shots", "10"]
+    if command == "experiment":
+        return ["experiment", "--config", write_chain(tmp_path),
+                "--shots", "100"]
+    return _fit_inputs(tmp_path, 500, 2000) + ["--bootstrap", "2"]
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "experiment"])
+@pytest.mark.parametrize("source", ["--seed", "DICKESIM_SEED"])
+def test_negative_seed_exits_1(tmp_path, capsys, monkeypatch, command, source):
+    out = tmp_path / "out.txt"
+    args = _seeded_command(command, tmp_path) + ["--out", str(out)]
+    capsys.readouterr()
+    if source == "--seed":
+        args += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("DICKESIM_SEED", "-3")
+    assert main(args) == 1
+    assert f"{source} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_reference_histogram(path, counts):
     hist = np.bincount(counts, minlength=101)
     with open(path, "w") as fh:
@@ -356,6 +390,15 @@ def test_fit_bad_bootstrap_exits_1(tmp_path, capsys, n_bootstrap):
     assert main(_fit_inputs(tmp_path, 500, 2000)
                 + ["--bootstrap", n_bootstrap, "--out", str(out)]) == 1
     assert "--bootstrap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_max", ["0", "-5"])
+def test_fit_n_max_below_one_exits_1(tmp_path, capsys, n_max):
+    out = tmp_path / "fit.json"
+    assert main(_fit_inputs(tmp_path, 500, 2000)
+                + ["--n-max", n_max, "--out", str(out)]) == 1
+    assert "--n-max" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -455,7 +498,7 @@ def test_bad_readout_model_flag_exits_1(tmp_path, capsys, command, flag,
 def test_experiment_builds_no_count_model_after_calibration(tmp_path,
                                                             monkeypatch):
     # the fits reuse the distributions calibrate built for its own model
-    from dickesim import cli, detection
+    from dickesim import detection, experiment
 
     misses = []
 
@@ -464,7 +507,7 @@ def test_experiment_builds_no_count_model_after_calibration(tmp_path,
         misses.append(detection.composite_dists.cache_info().misses)
         return result
 
-    monkeypatch.setattr(cli, "calibrate", calibrate)
+    monkeypatch.setattr(experiment, "calibrate", calibrate)
     detection.composite_dists.cache_clear()
     assert main(["experiment", "--config", write_chain(tmp_path),
                  "--shots", "2000", "--seed", "3",

@@ -245,6 +245,13 @@ def test_synthesize_rejects_bad_simplex():
         synthesize_shots((-0.2, 0.6, 0.6), cm, 10, seed=1)
 
 
+def test_synthesize_rejects_nan_population():
+    # refused by the population check, before the draw sees the NaN
+    cm = composite_dists(MODEL)
+    with pytest.raises(ValueError, match="populations must be non-negative"):
+        synthesize_shots((np.nan, 0.5, 0.5), cm, 10, seed=1)
+
+
 def test_synthesize_law_of_large_numbers():
     cm = composite_dists(MODEL, n_max=100)
     shots = synthesize_shots((1.0, 0.0, 0.0), cm, 100_000, seed=5)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from conftest import (coherence_two_qubit, density_from_json_dict,
+                      fidelity_two_qubit, state_from_json_dict,
+                      state_to_json_dict)
 
-from dickesim import (QubitDensity, QubitState, coherence_two_qubit,
-                      collective_rotation, dicke_fidelity, dicke_state,
-                      fidelity_two_qubit, parity_expectation, rotated_density,
-                      rotated_parity, w_fidelity_analytic)
+from dickesim import (QubitDensity, QubitState, collective_rotation,
+                      dicke_fidelity, dicke_state, parity_expectation,
+                      rotated_density, rotated_parity, w_fidelity_analytic)
 
 
 def random_density(n_qubits, rng):
@@ -269,15 +271,15 @@ def test_qubit_density_validation():
 
 def test_state_json_round_trip():
     state = dicke_state(3, 1)
-    data = state.to_json_dict()
+    data = state_to_json_dict(state)
     assert data["n_qubits"] == 3
     assert len(data["amplitudes"]) == 8
-    back = QubitState.from_json_dict(data)
+    back = state_from_json_dict(data)
     assert back.amplitudes == pytest.approx(state.amplitudes)
 
 
 def test_density_json_round_trip():
     rng = np.random.default_rng(21)
     rho = random_density(2, rng)
-    back = QubitDensity.from_json_dict(rho.to_json_dict())
+    back = density_from_json_dict(rho.to_json_dict())
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import FullSpace, evolve, first_max_full_space
+from conftest import FullSpace, evolve, first_max_full_space, purity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -267,7 +267,7 @@ def test_reduce_product_state_is_pure():
     amps[0] = 1.0  # all down, one phonon
     rho = reduce_to_qubits(sector, amps)
     assert rho.matrix[0, 0] == pytest.approx(1.0)
-    assert rho.purity() == pytest.approx(1.0)
+    assert purity(rho) == pytest.approx(1.0)
 
 
 def test_reduce_schmidt_pair_is_maximally_mixed():
@@ -276,7 +276,7 @@ def test_reduce_schmidt_pair_is_maximally_mixed():
     amps[list(sector.qubits).index(0b01)] = 1 / np.sqrt(2)  # |du>, vacuum
     amps[list(sector.qubits).index(0b00)] = 1 / np.sqrt(2)  # |dd>, one phonon
     rho = reduce_to_qubits(sector, amps)
-    assert rho.purity() == pytest.approx(0.5)
+    assert purity(rho) == pytest.approx(0.5)
     assert rho.matrix[0, 0] == pytest.approx(0.5)
     assert rho.matrix[1, 1] == pytest.approx(0.5)
     assert abs(rho.matrix[0, 1]) == pytest.approx(0.0, abs=1e-12)
