@@ -260,14 +260,26 @@ def solve_axial_modes(config, eq):
     Raises
     ------
     UnstableCrystalError
-        On a non-positive Hessian eigenvalue, or if no single-signed
-        (in-phase) eigenvector exists.
+        On a mass ratio whose square under- or overflows (the mass-weighted
+        Hessian is then not finite), a non-positive Hessian eigenvalue, or
+        if no single-signed (in-phase) eigenvector exists.
     """
     if eq.n_ions != config.n_ions:
         raise ValueError("equilibrium size does not match config")
     mt = config.mass_ratios()
     h = scaled_hessian(eq.positions)
-    d = h / np.sqrt(np.outer(mt, mt))
+    with np.errstate(over="ignore"):  # reported just below
+        mass_products = np.outer(mt, mt)
+    # m_i m_j is in range for every pair once every m_i^2 is
+    squares = mass_products.diagonal()
+    out_of_range = ~((squares > 0) & np.isfinite(squares))
+    if out_of_range.any():
+        i = int(np.argmax(out_of_range))
+        raise UnstableCrystalError(
+            f"mass ratio {mt[i]:g} of ion {i} is out of range: its square "
+            f"{squares[i]:g} leaves the mass-weighted Hessian "
+            "undefined")
+    d = h / np.sqrt(mass_products)
     evals, vecs = np.linalg.eigh(d)
     if evals[0] <= 0:
         raise UnstableCrystalError(

@@ -90,7 +90,7 @@ def _write_json(data, stream):
 
 def _model_from_args(args):
     try:
-        return ReadoutModel(
+        model = ReadoutModel(
             lambda_bright=args.lambda_bright,
             lambda_dark=args.lambda_dark,
             lambda_bg=args.lambda_bg,
@@ -99,6 +99,12 @@ def _model_from_args(args):
         )
     except ValueError as exc:
         raise _UsageError(f"readout model flags: {exc}") from exc
+    # ReadoutModel itself allows this: calibrate's trial models may cross
+    if model.lambda_bright <= model.lambda_dark:
+        raise _UsageError("readout model flags: --lambda-bright must exceed "
+                          "--lambda-dark (a bright ion must give more counts "
+                          "than a dark one)")
+    return model
 
 
 def _add_model_flags(parser):

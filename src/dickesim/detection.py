@@ -25,6 +25,12 @@ simplex boundary, so each cycle of the loop is a SQUAREM extrapolation of
 two EM updates, with a fall-back to the plain updates wherever the
 extrapolation scores lower; a fit stops once one EM update gains at most
 1e-10, and its result does not depend on the rest of its batch.
+
+scipy is imported inside the four functions that call it (the Poisson
+kernel, the Simpson quadrature, calibration's L-BFGS-B and the period
+fit), not at module level, so importing the package (which imports this
+module) and running the chain and pulse commands, which never read
+counts, load numpy only.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
-from scipy.integrate import simpson
 
 from ._frozen import freeze
 from .errors import ConvergenceError, DataError, IdentifiabilityError
@@ -100,6 +104,8 @@ def _folded_poisson(mean, n_max):
     """Poisson pmf on 0..n_max, one column per entry of ``mean``, with the
     tail mass folded into the last bin: the closed forms that
     scipy.stats.poisson evaluates, without its argument handling."""
+    from scipy import special
+
     n = np.arange(n_max + 1).reshape((-1,) + (1,) * np.ndim(mean))
     p = np.exp(special.xlogy(n, mean) - special.gammaln(n + 1) - mean)
     p[-1] += special.pdtrc(n_max, mean)
@@ -133,6 +139,8 @@ def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
     time-weighted mean; the tau integral is a Simpson quadrature whose
     decayed-branch mass is rescaled to the exact 1 - exp(-gamma T).
     """
+    from scipy.integrate import simpson
+
     gt = model.gamma_t
     if gt == 0.0:
         return poisson_dist(model.lambda_dark, n_max)
@@ -450,6 +458,8 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, fix=None):
     population fit built on them) are unaffected; fix lambda_bg from an
     independent background measurement when the individual rates matter.
     """
+    from scipy import optimize
+
     hb = _check_reference(ref_bright, "bright")
     hd = _check_reference(ref_dark, "dark")
     n_max = max(len(hb), len(hd)) - 1
@@ -598,6 +608,8 @@ def estimate_period(phases, parities):
     """Free-frequency cosine fit A cos(k phi - phi0) + B; returns the
     period 2 pi / k.  Used to verify the pi periodicity of a parity
     oscillation without assuming it."""
+    from scipy import optimize
+
     phases = np.asarray(phases, dtype=float)
     parities = np.asarray(parities, dtype=float)
 

@@ -140,8 +140,16 @@ def reduce_to_qubits(sector, amplitudes):
     return QubitDensity(matrix=rho, n_qubits=sector.n_qubits)
 
 
-def _golden_max(f, a, b, tol):
-    """Golden-section maximization of a unimodal f on [a, b]."""
+def _golden_max(f, a, b, tol, floor):
+    """Golden-section maximization of a unimodal f on [a, b].
+
+    Raises
+    ------
+    SearchError
+        If the refined value falls below ``floor``, the least that a
+        unimodal f can give at the end: f was not unimodal on the bracket,
+        and the search lost its peak.
+    """
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -155,7 +163,13 @@ def _golden_max(f, a, b, tol):
             x2 = a + GOLDEN * (b - a)
             f2 = f(x2)
     xm = 0.5 * (a + b)
-    return xm, f(xm)
+    fm = f(xm)
+    if fm < floor:
+        raise SearchError(
+            f"golden-section refine ended at F = {fm!r} at t = {xm:.6f}/Omega_0, "
+            f"below the {floor!r} that a unimodal F(t) guarantees; F(t) is "
+            "not unimodal on the bracket")
+    return xm, fm
 
 
 def first_max_from_couplings(couplings, m):
@@ -164,13 +178,16 @@ def first_max_from_couplings(couplings, m):
 
     ``couplings`` are in units of Omega_0.  The fidelity is scanned on a
     grid of step pi/(GRID_PER_PERIOD * Omega') out to
-    ``MAX_PERIODS * pi / Omega'``; the first detected local maximum is
-    refined by golden-section search to ``REFINE_TOL`` in Omega_0 t.
+    ``MAX_PERIODS * pi / Omega'``, stopping at the first detected local
+    maximum, which is refined by golden-section search to ``REFINE_TOL``
+    in Omega_0 t.
 
     Raises
     ------
     SearchError
-        If no local maximum appears before the time cap.
+        If no local maximum appears before the time cap, or if the refine
+        ends lower below the grid peak it started from than a unimodal
+        F(t) allows.
     """
     om = np.asarray(couplings, dtype=float)
     if m < 1:
@@ -192,16 +209,30 @@ def first_max_from_couplings(couplings, m):
 
     dt = np.pi / (GRID_PER_PERIOD * omega_prime)
     steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
-    grid = np.arange(steps_cap + 1) * dt
-    f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
-    # grid point j + 1 is a maximum, bracketed by its neighbours, when F
-    # rose into it and does not rise out of it
-    peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
-    if not peaks.size:
+    # the first maximum comes after about one period, so the grid is
+    # scanned two periods at a time and the scan stops at the first chunk
+    # that holds one; consecutive chunks share the two grid points that
+    # the peak test on their seam reads
+    span = 2 * GRID_PER_PERIOD
+    for first in range(0, steps_cap - 1, span - 1):
+        grid = np.arange(first, min(first + span, steps_cap) + 1) * dt
+        f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
+        # grid point j + 1 is a maximum, bracketed by its neighbours, when
+        # F rose into it and does not rise out of it
+        peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
+        if peaks.size:
+            break
+    else:
         raise SearchError(
             f"no fidelity maximum found before t = {steps_cap * dt:.3f}/Omega_0")
     j = peaks[0]
-    t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], REFINE_TOL)
+    # on a unimodal bracket the refine ends within REFINE_TOL / 2 of the
+    # maximum, which is at least the grid peak f[j + 1], and
+    # |F''| <= (E_max - E_min)^2 bounds how far F can fall off it there;
+    # 1e-12 covers rounding
+    floor = (f[j + 1] - 1e-12
+             - ((evals[-1] - evals[0]) * REFINE_TOL) ** 2 / 8.0)
+    t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], REFINE_TOL, floor)
 
     state = vecs @ (np.exp(-1j * evals * t_star) * start)
     return PulseResult(

@@ -5,6 +5,8 @@ oracle is a cyclic single-coordinate relaxation (no Newton step, no
 coupled Hessian), and the pulse oracle works on the whole qubit-times-Fock
 space, not the conserved excitation sector, and propagates by dense
 scaling-and-squaring (``scipy.linalg.expm``) instead of eigendecomposition.
+A second pulse reference runs the program's own F(t) scan over the whole
+grid, where the program stops at the first chunk that holds a peak.
 The readout-fit oracle runs the plain EM update on one histogram at a
 time, and draws and fits bootstrap resamples one after another, where the
 program fits a whole stack of histograms in one batch with SQUAREM steps.
@@ -16,11 +18,13 @@ JSON readers for qubit states, and the per-index loop that bins a
 density diagonal by bright-ion count.
 """
 
+from math import comb
+
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from dickesim import QubitDensity, QubitState
+from dickesim import QubitDensity, QubitState, sideband
 from dickesim.chain import ATOMIC_MASS
 from dickesim.dicke import weights
 
@@ -157,6 +161,28 @@ def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
     res = minimize_scalar(lambda t: -fid(t), bounds=((j - 1) * dt, (j + 1) * dt),
                           method="bounded", options={"xatol": 1e-10})
     return float(res.x), -float(res.fun)
+
+
+def first_max_full_grid(couplings, m):
+    """Duration and fidelity of the pulse search when it evaluates F(t) on
+    every grid point out to the time cap before it picks the first peak:
+    the program's own sector, grid, peak test and golden refine (read
+    from :mod:`dickesim.sideband` at call time, so a patched Hamiltonian
+    or refine reaches both), without the scan's early stop."""
+    om = np.asarray(couplings, dtype=float)
+    sector = sideband.ExcitationSector(n_qubits=len(om), m=m)
+    evals, vecs = np.linalg.eigh(sideband.rsb_hamiltonian(sector, om))
+    dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(len(om), m))
+    weight = dicke * vecs[0]
+    dt = np.pi / (sideband.GRID_PER_PERIOD * float(np.linalg.norm(om)))
+    steps_cap = int(np.ceil(sideband.GRID_PER_PERIOD * sideband.MAX_PERIODS))
+    grid = np.arange(steps_cap + 1) * dt
+    f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
+    j = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[0]
+    t_star, f_star = sideband._golden_max(
+        lambda t: float(abs(np.exp(-1j * evals * t) @ weight) ** 2),
+        grid[j], grid[j + 2], sideband.REFINE_TOL, -np.inf)
+    return float(t_star), min(f_star, 1.0), int(j + 1)
 
 
 def em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):

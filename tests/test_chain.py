@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
                       read_chain_file, scaled_gradient, scaled_hessian,
                       scaled_potential, solve_axial_modes, solve_equilibrium)
 from dickesim import chain as chain_mod
-from dickesim.errors import DataError
+from dickesim.errors import DataError, UnstableCrystalError
 
 # closed forms: two ions at +-a with 2a^3 = ... dV/da = 2a - 1/(2a^2) = 0
 TWO_ION_POS = 0.25 ** (1.0 / 3.0)  # 0.62996...
@@ -370,6 +371,18 @@ def test_read_chain_file_fuzz_gives_data_error_or_finite_config(tmp_path, conten
     assert np.all(np.isfinite(cfg.masses))
     assert np.isfinite(cfg.omega_z) and np.isfinite(cfg.k_projection)
     assert np.isfinite(chain_file.omega_z_hz)
+
+
+@pytest.mark.parametrize("ratio,text", [(1e-300, "1e-300"),
+                                        (1e300, "1e+300")])
+def test_modes_name_a_mass_ratio_whose_square_leaves_double_range(ratio,
+                                                                   text):
+    # the square underflows to 0 or overflows to inf; RuntimeWarnings are
+    # errors in this suite, so the check must come before the division
+    cfg = ChainConfig(masses=(1.0, 1.0, ratio))
+    with pytest.raises(UnstableCrystalError,
+                       match=f"mass ratio {re.escape(text)} of ion 2"):
+        solve_axial_modes(cfg, solve_equilibrium(cfg))
 
 
 def test_modes_csv_export():

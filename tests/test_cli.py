@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,26 @@ def test_sweep_four_qubit_two_excitations_at_equal_mass(tmp_path):
         48.0 / 49.0, abs=1e-9)
     phonons = [float(rows[0][header.index(f"p{k}")]) for k in range(3)]
     assert sum(phonons) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sweep_row_with_out_of_range_mass_ratio_names_it(tmp_path):
+    # 1e-300 squared underflows, so the mass-weighted Hessian is undefined
+    cfg = write_chain(tmp_path, masses="25, 25, 25",
+                      ancilla="ancilla_index = 2\n")
+    out, alone = tmp_path / "sweep.csv", tmp_path / "alone.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg, "--m", "1", "--mu-start",
+                     "1e-300", "--mu-stop", "1", "--mu-points", "2",
+                     "--out", str(out)]) == 0
+    assert not caught
+    _, header, rows = read_csv(out)
+    assert "mass ratio 1e-300" in rows[0][header.index("error")]
+    assert main(["sweep", "--config", cfg, "--m", "1", "--mu-start", "1",
+                 "--mu-stop", "1", "--mu-points", "1",
+                 "--out", str(alone)]) == 0
+    assert rows[1] == read_csv(alone)[2][0]
+    assert rows[1][header.index("error")] == ""
 
 
 def test_sweep_without_ancilla_index_exits_2(tmp_path):
@@ -465,15 +486,15 @@ def test_fit_bad_t_detect_exits_1(tmp_path, capsys, value):
 
 
 def test_fit_calibration_failure_exits_3(tmp_path, capsys, monkeypatch):
-    from dickesim import detection
+    from scipy import optimize
 
     def minimize(fun, x0, **kwargs):
-        return detection.optimize.OptimizeResult(
+        return optimize.OptimizeResult(
             x=x0, fun=fun(x0), success=False, message="ABNORMAL", nit=2,
             nfev=9)
 
     args = _fit_inputs(tmp_path, 500, 2000)
-    monkeypatch.setattr(detection.optimize, "minimize", minimize)
+    monkeypatch.setattr(optimize, "minimize", minimize)
     assert main(args + ["--out", str(tmp_path / "fit.json")]) == 3
     assert "ABNORMAL (nit=2, nfev=9)" in capsys.readouterr().err
 
@@ -493,6 +514,22 @@ def test_bad_readout_model_flag_exits_1(tmp_path, capsys, command, flag,
             "experiment": ["experiment", "--config", cfg]}[command]
     assert main(args + [f"{flag}={value}"]) == 1
     assert "readout model flags" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+@pytest.mark.parametrize("flags", [
+    ["--lambda-bright", "0"],
+    ["--lambda-bright", "0.3", "--lambda-dark", "0.3"],
+])
+def test_unresolvable_readout_exits_1(tmp_path, capsys, command, flags):
+    cfg = write_chain(tmp_path)
+    out = tmp_path / "out"
+    args = {"synth": ["synth", "--c0", "1", "--c1", "0", "--c2", "0"],
+            "experiment": ["experiment", "--config", cfg]}[command]
+    assert main(args + flags + ["--out", str(out)]) == 1
+    assert "--lambda-bright must exceed --lambda-dark" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_experiment_builds_no_count_model_after_calibration(tmp_path,

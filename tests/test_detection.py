@@ -3,7 +3,7 @@ import pytest
 from conftest import em_fit, ml_fit_sequential
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from dickesim import (ConvergenceError, CountDistribution, DataError,
                       FitResult, IdentifiabilityError, ReadoutModel, calibrate,
@@ -539,7 +539,7 @@ def test_calibrate_equals_a_fit_through_composite_dists(fix, monkeypatch):
 
 def test_calibrate_raises_when_lbfgsb_fails(monkeypatch):
     hb, hd = _reference_histograms(MODEL, 5_000, seed=84)
-    minimize = detection.optimize.minimize
+    minimize = optimize.minimize
 
     def failing(*args, **kwargs):
         res = minimize(*args, **kwargs)
@@ -547,7 +547,7 @@ def test_calibrate_raises_when_lbfgsb_fails(monkeypatch):
         res.message = "ABNORMAL_TERMINATION_IN_LNSRCH"
         return res
 
-    monkeypatch.setattr(detection.optimize, "minimize", failing)
+    monkeypatch.setattr(optimize, "minimize", failing)
     with pytest.raises(ConvergenceError,
                        match=r"ABNORMAL_TERMINATION_IN_LNSRCH \(nit=\d+, "
                              r"nfev=\d+\)"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import FullSpace, evolve, first_max_full_space, purity
+from conftest import (FullSpace, evolve, first_max_full_grid,
+                      first_max_full_space, purity)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -371,6 +372,46 @@ def test_first_max_search_error_when_capped(monkeypatch):
         first_max_from_couplings(np.ones(2), 1)
 
 
+def test_golden_refine_raises_when_its_bracket_is_not_unimodal(monkeypatch):
+    golden = sideband._golden_max
+
+    def notched(fid, a, b, tol, floor):
+        # a notch over the middle of the bracket leaves F two maxima, one
+        # at each of the notch's edges
+        def f(t):
+            return fid(t) - (0.5 if abs(t - 0.5 * (a + b)) < 0.3 * (b - a)
+                             else 0.0)
+        return golden(f, a, b, tol, floor)
+
+    monkeypatch.setattr(sideband, "_golden_max", notched)
+    with pytest.raises(SearchError, match="not unimodal on the bracket"):
+        first_max_from_couplings(np.ones(2), 1)
+
+
+def test_refine_check_allows_the_shortfall_of_strong_couplings():
+    # REFINE_TOL is absolute in t while F'' grows as Omega'^2, so at
+    # Omega' ~ 1e3 a unimodal refine ends 2.3e-8 below the grid peak
+    om = 1e3 * np.array([0.5, 0.9])
+    res = first_max_from_couplings(om, 1)
+    assert res.fidelity == pytest.approx(w_fidelity_analytic(om), abs=1e-7)
+
+
+@pytest.mark.parametrize("peak_step", [99, 100, 101, 198, 199, 200])
+def test_first_peak_scan_across_chunk_seams_matches_full_grid(monkeypatch,
+                                                              peak_step):
+    # scaling H by s leaves the grid alone and moves the single-phonon
+    # peak from step 50 to step 50 / s, onto and beside the seams that
+    # the two-period chunks share (steps 99-100 and 198-199)
+    build = sideband.rsb_hamiltonian
+    scale = 50.0 / peak_step
+    monkeypatch.setattr(sideband, "rsb_hamiltonian",
+                        lambda sector, om: scale * build(sector, om))
+    t_star, f_star, step = first_max_full_grid(np.ones(3), 1)
+    assert step == peak_step
+    res = first_max_from_couplings(np.ones(3), 1)
+    assert (res.duration, res.fidelity) == (t_star, f_star)
+
+
 def test_first_max_rejects_bad_args():
     with pytest.raises(ValueError):
         first_max_from_couplings(np.ones(2), 0)
@@ -424,6 +465,17 @@ def test_sector_search_matches_full_space_oracle(case):
                          - res.reduced_density.matrix)) < 1e-10
     t_oracle, _ = first_max_full_space(om, m, cutoff=m)
     assert res.duration == pytest.approx(t_oracle, abs=REFINE_TOL)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(couplings_and_m(max_m=6))
+def test_first_peak_scan_matches_full_grid_oracle(case):
+    # stopping at the first chunk with a peak picks the same grid peak,
+    # so duration and fidelity agree bit for bit
+    om, m = case
+    res = first_max_from_couplings(om, m)
+    t_star, f_star, _ = first_max_full_grid(om, m)
+    assert (res.duration, res.fidelity) == (t_star, f_star)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
