@@ -10,12 +10,11 @@ from .chain import (ChainConfig, ChainFile, ChainTemplate,
                     coupling_strengths, modes_to_csv, read_chain_file,
                     scaled_gradient, scaled_hessian, scaled_potential,
                     solve_axial_modes, solve_equilibrium)
-from .detection import (CalibrationResult, CountDistribution, CountModel,
-                        FitResult, ParityScanResult, ReadoutModel, calibrate,
-                        composite_dists, convolve, dark_ion_dist,
-                        estimate_period, ml_fit, parity_from_fit,
-                        parity_scan_analysis, parity_std_from_fit,
-                        poisson_dist, synthesize_shots)
+from .detection import (CalibrationResult, CountModel, FitResult,
+                        ParityScanResult, ReadoutModel, calibrate,
+                        composite_dists, dark_ion_dist, estimate_period,
+                        ml_fit, parity_from_fit, parity_scan_analysis,
+                        parity_std_from_fit, synthesize_shots)
 from .dicke import (QubitDensity, QubitState, collective_rotation,
                     dicke_fidelity, dicke_state, dicke_vector,
                     parity_expectation, rotated_density, rotated_parity,

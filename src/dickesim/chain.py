@@ -116,7 +116,8 @@ class ModeSet:
     ``eigenvectors[:, k]`` is the mass-weighted eigenvector of mode ``k``
     (orthonormal, sign-fixed so the component sum is positive), frequencies
     ascend, ``ground_state_amplitudes[i, k]`` is the zero-point amplitude
-    z_i of ion i in mode k and ``lamb_dicke = k_projection * z``.
+    z_i of ion i in mode k and ``lamb_dicke = k_projection * z``.  The
+    in-phase mode, ``inphase_index``, is the lowest one, mode 0.
     """
 
     frequencies: np.ndarray
@@ -238,16 +239,6 @@ def _fix_eigenvector_signs(vectors):
     return out
 
 
-def _find_inphase(vectors):
-    """Index of the mode whose mass-weighted eigenvector has all components
-    of one sign; lowest frequency wins if several qualify."""
-    for k in range(vectors.shape[1]):
-        b = vectors[:, k]
-        if np.all(b > 1e-10) or np.all(b < -1e-10):
-            return k
-    return None
-
-
 def solve_axial_modes(config, eq):
     """Axial normal modes about an equilibrium configuration.
 
@@ -261,8 +252,10 @@ def solve_axial_modes(config, eq):
     ------
     UnstableCrystalError
         On a mass ratio whose square under- or overflows (the mass-weighted
-        Hessian is then not finite), a non-positive Hessian eigenvalue, or
-        if no single-signed (in-phase) eigenvector exists.
+        Hessian is then not finite), or on mass ratios so far apart that
+        rounding loses the small mode curvatures: the lowest computed
+        eigenvalue is then not positive, or its eigenvector has a component
+        at or below 1e-10.
     """
     if eq.n_ions != config.n_ions:
         raise ValueError("equilibrium size does not match config")
@@ -281,15 +274,16 @@ def solve_axial_modes(config, eq):
             "undefined")
     d = h / np.sqrt(mass_products)
     evals, vecs = np.linalg.eigh(d)
-    if evals[0] <= 0:
-        raise UnstableCrystalError(
-            f"non-positive mode curvature {evals[0]:.3e}; chain is not a "
-            "stable linear crystal"
-        )
     vecs = _fix_eigenvector_signs(vecs)
-    inphase = _find_inphase(vecs)
-    if inphase is None:
-        raise UnstableCrystalError("no in-phase axial mode found")
+    # D is positive definite with negative off-diagonals, so its lowest
+    # eigenvector is single-signed (Perron-Frobenius): the in-phase mode
+    if not (evals[0] > 0 and np.all(vecs[:, 0] > 1e-10)):
+        raise UnstableCrystalError(
+            f"mass ratios spanning {mt.min():g} to {mt.max():g} are too far "
+            "apart for double precision: the small mode curvatures are lost "
+            f"to rounding (lowest eigenvalue {evals[0]:.3e}, smallest "
+            f"in-phase component {vecs[:, 0].min():.3e}; need > 0 and "
+            "> 1e-10)")
 
     scaled_freqs = np.sqrt(evals)
     if config.dimensionless_mode:
@@ -306,7 +300,7 @@ def solve_axial_modes(config, eq):
         eigenvectors=vecs,
         ground_state_amplitudes=z,
         lamb_dicke=config.k_projection * z,
-        inphase_index=int(inphase),
+        inphase_index=0,
         dimensionless=config.dimensionless_mode,
     )
 

@@ -183,14 +183,33 @@ def _write_sweep_csv(rows, m, out, carrier_rate=None):
     cols += ["error"]
     out.write(",".join(cols) + "\n")
     for row in rows:
-        if row.error is not None:
+        pulse = row.pulse
+        if pulse is None:
             cells = [repr(row.mu)] + [""] * (3 + m + 1) + [row.error.replace(",", ";")]
         else:
-            dur_s = repr(row.duration / carrier_rate) if carrier_rate else ""
-            cells = [repr(row.mu), repr(row.duration), dur_s, repr(row.fidelity)]
-            cells += [repr(float(p)) for p in row.phonon_distribution]
+            dur_s = repr(pulse.duration / carrier_rate) if carrier_rate else ""
+            cells = [repr(row.mu), repr(pulse.duration), dur_s, repr(pulse.fidelity)]
+            cells += [repr(float(p)) for p in pulse.phonon_distribution]
             cells += [""]
         out.write(",".join(cells) + "\n")
+
+
+def _sweep_json_row(row, carrier_rate):
+    pulse = row.pulse
+    if pulse is None:
+        return {"mu": row.mu, "duration": None, "duration_s": None,
+                "fidelity": None, "phonon_distribution": None,
+                "reduced_density": None, "error": row.error}
+    return {
+        "mu": row.mu,
+        "duration": pulse.duration,
+        "duration_s": (pulse.duration / carrier_rate if carrier_rate
+                       else None),
+        "fidelity": pulse.fidelity,
+        "phonon_distribution": pulse.phonon_distribution,
+        "reduced_density": pulse.reduced_density.to_json_dict(),
+        "error": None,
+    }
 
 
 def cmd_sweep(args):
@@ -210,18 +229,8 @@ def cmd_sweep(args):
             payload = {
                 "schema": SWEEP_CSV_SCHEMA,
                 "m": args.m,
-                "rows": [{
-                    "mu": row.mu,
-                    "duration": row.duration,
-                    "duration_s": (row.duration / args.carrier_rate
-                                   if args.carrier_rate and row.duration is not None
-                                   else None),
-                    "fidelity": row.fidelity,
-                    "phonon_distribution": row.phonon_distribution,
-                    "reduced_density": (row.reduced_density.to_json_dict()
-                                        if row.reduced_density is not None else None),
-                    "error": row.error,
-                } for row in rows],
+                "rows": [_sweep_json_row(row, args.carrier_rate)
+                         for row in rows],
             }
             _write_json(payload, out)
     return 0

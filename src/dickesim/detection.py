@@ -9,14 +9,17 @@ its mean count is the time-weighted mix
 is integrated out numerically (Simpson rule over a uniform tau grid,
 validated against Monte Carlo sampling in the test suite).
 
-Composite distributions for 0/1/2 bright ions are discrete convolutions of
-background and single-ion distributions, built once per readout model by
-:func:`composite_dists` as a :class:`CountModel`; shot synthesis, fits and
-parity scans all take that CountModel; calibration builds only the two
-reference distributions for each trial model.  An observed sample of
-counts is fit with the three-component mixture by maximizing the
-log-likelihood over the population simplex (EM-style multiplicative
-updates; the problem is concave, so the interior optimum is global).
+Every count distribution is a plain array over n = 0..n_max with the tail
+mass folded into the last bin.  The composite distributions for 0/1/2
+bright ions are discrete convolutions of the background and single-ion
+arrays, built once per readout model by :func:`composite_dists` as a
+:class:`CountModel`, whose one read-only array holds them as rows; shot
+synthesis, fits and parity scans all read the rows of that array;
+calibration builds only the two reference rows for each trial model.
+An observed sample of counts is fit with the three-component mixture by
+maximizing the log-likelihood over the population simplex (EM-style
+multiplicative updates; the problem is concave, so the interior optimum
+is global).
 Uncertainties come from a nonparametric bootstrap of 0 (none) or at least
 2 resamples.  The fits of a call run in two batches through one EM loop:
 the point fits (one sample, or every phase of a parity scan), then all of
@@ -45,32 +48,6 @@ from .errors import ConvergenceError, DataError, IdentifiabilityError
 
 DEFAULT_N_MAX = 100
 QUAD_NODES = 513  # 512 Simpson intervals over the detection window
-
-
-@dataclass(frozen=True)
-class CountDistribution:
-    """Probabilities of observing n = 0..n_max photons (tail mass beyond
-    n_max folded into the last bin)."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        freeze(self, float, "probabilities")
-        p = self.probabilities
-        if p.ndim != 1 or len(p) < 1:
-            raise ValueError("probabilities must be a 1-d array")
-        if np.any(p < -1e-12):
-            raise ValueError("probabilities must be non-negative")
-        total = float(np.sum(p))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-    @property
-    def n_max(self):
-        return len(self.probabilities) - 1
-
-    def mean(self):
-        return float(np.arange(len(self.probabilities)) @ self.probabilities)
 
 
 @dataclass(frozen=True)
@@ -112,26 +89,18 @@ def _folded_poisson(mean, n_max):
     return p
 
 
-def poisson_dist(mean, n_max=DEFAULT_N_MAX):
-    """Poisson count distribution with the tail folded into the last bin."""
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
-    return CountDistribution(_folded_poisson(mean, n_max))
-
-
-def convolve(g, h):
-    """Discrete convolution (G*H)(n) = sum_{m<=n} G(n-m) H(m), tail-folded
-    back to the common n_max."""
-    if g.n_max != h.n_max:
-        raise ValueError("distributions must share the same n_max")
-    full = np.convolve(g.probabilities, h.probabilities)
-    out = full[: g.n_max + 1].copy()
-    out[-1] += float(np.sum(full[g.n_max + 1:]))
-    return CountDistribution(out)
+def _fold_convolve(g, h):
+    """Discrete convolution (g*h)(n) = sum_{m<=n} g(n-m) h(m) of two pmfs
+    on 0..n_max, with the tail beyond n_max folded into the last bin."""
+    full = np.convolve(g, h)
+    out = full[: len(g)].copy()
+    out[-1] += float(np.sum(full[len(g):]))
+    return out
 
 
 def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
-    """Counts from a single ion that starts dark (up).
+    """Count pmf on 0..n_max, as an array, of a single ion that starts
+    dark (up).
 
     With probability exp(-gamma T) the ion survives the window dark and
     contributes Poisson(lambda_dark).  Otherwise it decays at time tau
@@ -143,7 +112,7 @@ def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
 
     gt = model.gamma_t
     if gt == 0.0:
-        return poisson_dist(model.lambda_dark, n_max)
+        return _folded_poisson(model.lambda_dark, n_max)
     x = np.linspace(0.0, 1.0, QUAD_NODES)  # tau / T
     means = model.lambda_dark * x + model.lambda_bright * (1.0 - x)
     density = gt * np.exp(-gt * x)
@@ -153,32 +122,33 @@ def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
     exact_mass = 1.0 - np.exp(-gt)
     if raw_mass > 0:
         decayed *= exact_mass / raw_mass
-    p = np.exp(-gt) * _folded_poisson(model.lambda_dark, n_max) + decayed
-    return CountDistribution(p)
+    return np.exp(-gt) * _folded_poisson(model.lambda_dark, n_max) + decayed
 
 
 @dataclass(frozen=True)
 class CountModel:
-    """The three composite distributions P(n|i) for i = 0, 1, 2 bright ions
-    (index = number of ions in the down state)."""
+    """The composite distributions P(n|i), n = 0..n_max, as the read-only
+    (3, n_max+1) array ``probabilities``: row i holds i = 0, 1, 2 bright
+    ions (the number of ions in the down state)."""
 
-    dists: tuple
-    model: ReadoutModel
-    n_max: int
+    probabilities: np.ndarray
 
-    def probability_matrix(self):
-        """(3, n_max+1) array of P(n|i)."""
-        return np.stack([d.probabilities for d in self.dists])
+    def __post_init__(self):
+        freeze(self, float, "probabilities")
+
+    @property
+    def n_max(self):
+        return self.probabilities.shape[1] - 1
 
 
 def _composites(model, n_max, bright):
-    """The composite distributions P(n|i) for each i in ``bright``."""
-    bg = poisson_dist(model.lambda_bg, n_max)
+    """The rows P(n|i) for each i in ``bright``, as one array."""
+    bg = _folded_poisson(model.lambda_bg, n_max)
     up = dark_ion_dist(model, n_max)
-    down = poisson_dist(model.lambda_bright, n_max)
+    down = _folded_poisson(model.lambda_bright, n_max)
     ions = ((up, up), (up, down), (down, down))  # index = bright ions
-    return tuple(convolve(convolve(bg, ions[i][0]), ions[i][1])
-                 for i in bright)
+    return np.stack([_fold_convolve(_fold_convolve(bg, ions[i][0]),
+                                    ions[i][1]) for i in bright])
 
 
 @lru_cache(maxsize=32)
@@ -189,8 +159,7 @@ def composite_dists(model, n_max=DEFAULT_N_MAX):
     P(n|1) = P_bg * P_up * P_down,
     P(n|2) = P_bg * P_down * P_down.
     """
-    return CountModel(dists=_composites(model, n_max, (0, 1, 2)),
-                      model=model, n_max=n_max)
+    return CountModel(_composites(model, n_max, (0, 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -313,8 +282,9 @@ def _fit(hists, cm, n_bootstrap, seeds):
     another.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
-    pmat = cm.probability_matrix()
-    c_hat, ll = _em(hists, pmat, np.full((len(hists), 3), 1.0 / 3.0))
+    pmat = cm.probabilities
+    k = pmat.shape[0]
+    c_hat, ll = _em(hists, pmat, np.full((len(hists), k), 1.0 / k))
     boots = [None] * len(hists)
     if n_bootstrap > 0:
         starts = np.repeat(np.clip(c_hat, 1e-6, None), n_bootstrap, axis=0)
@@ -324,9 +294,9 @@ def _fit(hists, cm, n_bootstrap, seeds):
             np.random.default_rng(seed).multinomial(int(n), h / n,
                                                     size=n_bootstrap)
             for seed, h, n in zip(seeds, hists, np.sum(hists, axis=1))],
-            dtype=float), pmat, starts)[0].reshape(len(hists), -1, 3)
+            dtype=float), pmat, starts)[0].reshape(len(hists), -1, k)
     return [FitResult(populations=c, log_likelihood=float(l),
-                      std_errors=(np.zeros(3) if b is None
+                      std_errors=(np.zeros(k) if b is None
                                   else np.std(b, axis=0, ddof=1)),
                       n_samples=int(np.sum(h)), bootstrap_populations=b)
             for c, l, b, h in zip(c_hat, ll, boots, hists)]
@@ -369,7 +339,7 @@ def synthesize_shots(populations, cm, n_shots, seed):
         raise ValueError("populations must sum to 1")
     if n_shots < 0:
         raise ValueError("n_shots must be >= 0")
-    if len(c) != len(cm.dists):
+    if len(c) != len(cm.probabilities):
         raise ValueError("populations length must match the model components")
     rng = np.random.default_rng(seed)
     c = np.clip(c, 0.0, None)
@@ -377,11 +347,10 @@ def synthesize_shots(populations, cm, n_shots, seed):
     component = rng.choice(len(c), size=int(n_shots), p=c)
     counts = np.zeros(int(n_shots), dtype=int)
     support = np.arange(cm.n_max + 1)
-    for i, dist in enumerate(cm.dists):
+    for i, p in enumerate(cm.probabilities):
         mask = component == i
         if np.any(mask):
-            counts[mask] = rng.choice(support, size=int(np.sum(mask)),
-                                      p=dist.probabilities)
+            counts[mask] = rng.choice(support, size=int(np.sum(mask)), p=p)
     return counts
 
 
@@ -500,8 +469,8 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, fix=None):
     def nll(theta):
         # every evaluation is a new model, so build only the two references
         d0, d2 = _composites(build(theta), n_max, (0, 2))
-        p2 = np.clip(d2.probabilities, 1e-300, None)
-        p0 = np.clip(d0.probabilities, 1e-300, None)
+        p2 = np.clip(d2, 1e-300, None)
+        p0 = np.clip(d0, 1e-300, None)
         return -(hb @ np.log(p2) + hd @ np.log(p0))
 
     x0 = np.array([start[p] for p in free])
@@ -513,8 +482,8 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, fix=None):
                                f"nfev={res.nfev})")
     model = build(res.x)
     cm = composite_dists(model, n_max)
-    chi2_b, dof_b = _pearson_chi2(hb, cm.dists[2].probabilities)
-    chi2_d, dof_d = _pearson_chi2(hd, cm.dists[0].probabilities)
+    chi2_b, dof_b = _pearson_chi2(hb, cm.probabilities[2])
+    chi2_d, dof_d = _pearson_chi2(hd, cm.probabilities[0])
     return CalibrationResult(
         model=model,
         log_likelihood=float(-res.fun),
@@ -541,7 +510,6 @@ class ParityScanResult:
     phase_offset: float
     offset: float
     offset_error: float
-    coherence_term: float
 
 
 def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
@@ -549,10 +517,9 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
 
     ``scans`` is an iterable of (phi, samples), each fit against the
     CountModel ``cm`` with ``n_bootstrap`` resamples (0, or at least 2).
-    The fit enforces the pi period of a two-qubit parity oscillation; the
-    coherence term reported is the two-phase average
-    (parity(0) + parity(pi/2)) / 2 evaluated from the fit, which equals the
-    fitted offset.
+    The fit enforces the pi period of a two-qubit parity oscillation, so
+    its offset is the coherence term: the two-phase average
+    (parity(0) + parity(pi/2)) / 2 of the fitted curve.
     """
     scans = list(scans)
     phases = np.array([float(phi) for phi, _ in scans])
@@ -600,7 +567,6 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
         phase_offset=float(np.arctan2(b, a)),
         offset=float(offset),
         offset_error=float(np.sqrt(max(cov[2, 2], 0.0))),
-        coherence_term=float(offset),
     )
 
 

@@ -14,8 +14,9 @@ class ConvergenceError(DickesimError):
 
 
 class UnstableCrystalError(DickesimError):
-    """The ion configuration is not a stable linear crystal (non-positive
-    curvature along the chain axis, or no in-phase mode could be identified)."""
+    """The chain's axial modes cannot be resolved in double precision: a
+    mass ratio whose square leaves double range, or mass ratios so far
+    apart that rounding loses the small mode curvatures."""
 
 
 class SearchError(DickesimError):

@@ -88,7 +88,7 @@ def run_experiment(chain_file, shots, seed, model=None, n_bootstrap=200):
 
     c1_hat = float(fit.populations[1])
     c1_err = float(fit.std_errors[1])
-    coherence = res_single.coherence_term
+    coherence = res_single.offset
     coherence_err = res_single.offset_error
     fidelity = 0.5 * (c1_hat + coherence)
     fidelity_err = 0.5 * float(np.hypot(c1_err, coherence_err))

@@ -264,29 +264,11 @@ def first_max_fidelity(config, addressed, m, equilibrium=None):
 @dataclass(frozen=True)
 class SweepRow:
     """One point of a mass-ratio sweep: the row's ``pulse``, or ``error``
-    in its place when the row failed (the numeric fields then read
-    None)."""
+    in its place (and ``pulse`` None) when the row failed."""
 
     mu: float
     pulse: PulseResult | None = None
     error: str | None = None
-
-    @property
-    def duration(self):
-        return None if self.pulse is None else self.pulse.duration
-
-    @property
-    def fidelity(self):
-        return None if self.pulse is None else self.pulse.fidelity
-
-    @property
-    def phonon_distribution(self):
-        return None if self.pulse is None else self.pulse.phonon_distribution
-
-    @property
-    def reduced_density(self):
-        """Qubit state at the pulse's end (built on first read)."""
-        return None if self.pulse is None else self.pulse.reduced_density
 
 
 def fidelity_vs_mass_ratio(template, mu_grid, m):

@@ -210,7 +210,7 @@ def ml_fit_sequential(samples, cm, n_bootstrap, seed):
     every resample drawn and fit one after another, each fit run until an
     EM update gains nothing."""
     hist = np.bincount(samples, minlength=cm.n_max + 1).astype(float)
-    pmat = cm.probability_matrix()
+    pmat = cm.probabilities
     c_hat, ll = em_fit(hist, pmat, tol=0.0)
     rng = np.random.default_rng(seed)
     n = int(np.sum(hist))

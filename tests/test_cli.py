@@ -197,11 +197,16 @@ def test_sweep_row_with_out_of_range_mass_ratio_names_it(tmp_path):
     cfg = write_chain(tmp_path, masses="25, 25, 25",
                       ancilla="ancilla_index = 2\n")
     out, alone = tmp_path / "sweep.csv", tmp_path / "alone.csv"
+    out_json, alone_json = tmp_path / "sweep.json", tmp_path / "alone.json"
+    json_flags = ["--format", "json", "--carrier-rate", "1e5"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["sweep", "--config", cfg, "--m", "1", "--mu-start",
                      "1e-300", "--mu-stop", "1", "--mu-points", "2",
                      "--out", str(out)]) == 0
+        assert main(["sweep", "--config", cfg, "--m", "1", "--mu-start",
+                     "1e-300", "--mu-stop", "1", "--mu-points", "2",
+                     "--out", str(out_json)] + json_flags) == 0
     assert not caught
     _, header, rows = read_csv(out)
     assert "mass ratio 1e-300" in rows[0][header.index("error")]
@@ -210,6 +215,17 @@ def test_sweep_row_with_out_of_range_mass_ratio_names_it(tmp_path):
                  "--out", str(alone)]) == 0
     assert rows[1] == read_csv(alone)[2][0]
     assert rows[1][header.index("error")] == ""
+
+    failed, intact = json.loads(out_json.read_text())["rows"]
+    assert "mass ratio 1e-300" in failed["error"]
+    assert all(failed[key] is None
+               for key in ("duration", "duration_s", "fidelity",
+                           "phonon_distribution", "reduced_density"))
+    assert main(["sweep", "--config", cfg, "--m", "1", "--mu-start", "1",
+                 "--mu-stop", "1", "--mu-points", "1",
+                 "--out", str(alone_json)] + json_flags) == 0
+    assert [intact] == json.loads(alone_json.read_text())["rows"]
+    assert intact["error"] is None and intact["reduced_density"] is not None
 
 
 def test_sweep_without_ancilla_index_exits_2(tmp_path):

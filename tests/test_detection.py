@@ -5,19 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from dickesim import (ConvergenceError, CountDistribution, DataError,
-                      FitResult, IdentifiabilityError, ReadoutModel, calibrate,
-                      composite_dists, convolve, dark_ion_dist, dicke_state,
+from dickesim import (ConvergenceError, DataError, FitResult,
+                      IdentifiabilityError, ReadoutModel, calibrate,
+                      composite_dists, dark_ion_dist, dicke_state,
                       estimate_period, ml_fit, parity_from_fit,
                       parity_scan_analysis, parity_std_from_fit,
-                      poisson_dist, rotated_density, synthesize_shots)
+                      rotated_density, synthesize_shots)
 from dickesim import detection
-from dickesim.detection import _em, _folded_poisson
+from dickesim.detection import _em, _fold_convolve, _folded_poisson
 from dickesim.dicke import weights
 
 
 def tv_distance(p, q):
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
+
+
+def mean_count(p):
+    return float(np.arange(len(p)) @ p)
 
 
 def folded_pmf(mean, n_max):
@@ -60,28 +64,21 @@ MODEL = ReadoutModel(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
                      gamma=500.0, t_detect=200e-6)  # gamma T = 0.1
 
 
-# --- poisson_dist --------------------------------------------------------------
+# --- folded Poisson kernel -----------------------------------------------------
 
 
 def test_poisson_zero_mean_is_delta():
-    d = poisson_dist(0.0, n_max=20)
-    assert d.probabilities[0] == pytest.approx(1.0)
-    assert np.sum(d.probabilities[1:]) == 0.0
+    p = _folded_poisson(0.0, 20)
+    assert p[0] == pytest.approx(1.0)
+    assert np.sum(p[1:]) == 0.0
 
 
 def test_poisson_mode_location():
-    d = poisson_dist(10.0, n_max=60)
-    assert np.argmax(d.probabilities) in (9, 10)
+    assert np.argmax(_folded_poisson(10.0, 60)) in (9, 10)
 
 
 def test_poisson_normalized():
-    d = poisson_dist(30.0, n_max=100)
-    assert np.sum(d.probabilities) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_poisson_rejects_negative_mean():
-    with pytest.raises(ValueError):
-        poisson_dist(-1.0)
+    assert np.sum(_folded_poisson(30.0, 100)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_folded_poisson_equals_scipy_stats():
@@ -106,57 +103,40 @@ def test_folded_poisson_equals_scipy_stats():
                  gamma=500.0 / 200e-6),  # gamma T = 500
 ])
 def test_dark_ion_dist_equals_scipy_stats_kernel(model, monkeypatch):
-    p = dark_ion_dist(model).probabilities
+    p = dark_ion_dist(model)
     monkeypatch.setattr(detection, "_folded_poisson", folded_pmf)
-    assert np.array_equal(p, dark_ion_dist(model).probabilities)
+    assert np.array_equal(p, dark_ion_dist(model))
 
 
-def test_count_distribution_validation():
-    with pytest.raises(ValueError):
-        CountDistribution(np.array([0.5, 0.4]))  # sums to 0.9
-    with pytest.raises(ValueError):
-        CountDistribution(np.array([1.2, -0.2]))
-
-
-# --- convolution ----------------------------------------------------------------
+# --- fold-convolution ----------------------------------------------------------
 
 
 def test_convolve_delta_is_identity():
-    d = poisson_dist(7.0, n_max=50)
-    delta = poisson_dist(0.0, n_max=50)
-    assert convolve(d, delta).probabilities == pytest.approx(
-        d.probabilities, abs=1e-15)
+    d = _folded_poisson(7.0, 50)
+    delta = _folded_poisson(0.0, 50)
+    assert _fold_convolve(d, delta) == pytest.approx(d, abs=1e-15)
 
 
 def test_convolve_poisson_additivity():
-    a = poisson_dist(3.0, n_max=80)
-    b = poisson_dist(5.0, n_max=80)
-    direct = poisson_dist(8.0, n_max=80)
-    assert tv_distance(convolve(a, b).probabilities,
-                       direct.probabilities) < 1e-10
+    a = _folded_poisson(3.0, 80)
+    b = _folded_poisson(5.0, 80)
+    assert tv_distance(_fold_convolve(a, b), _folded_poisson(8.0, 80)) < 1e-10
 
 
 def test_convolve_commutative_and_associative():
-    a = poisson_dist(2.0, n_max=60)
-    b = poisson_dist(4.5, n_max=60)
-    c = poisson_dist(1.2, n_max=60)
-    ab = convolve(a, b)
-    ba = convolve(b, a)
-    assert np.max(np.abs(ab.probabilities - ba.probabilities)) < 1e-12
-    left = convolve(convolve(a, b), c)
-    right = convolve(a, convolve(b, c))
-    assert np.max(np.abs(left.probabilities - right.probabilities)) < 1e-12
+    a = _folded_poisson(2.0, 60)
+    b = _folded_poisson(4.5, 60)
+    c = _folded_poisson(1.2, 60)
+    assert np.max(np.abs(_fold_convolve(a, b) - _fold_convolve(b, a))) < 1e-12
+    left = _fold_convolve(_fold_convolve(a, b), c)
+    right = _fold_convolve(a, _fold_convolve(b, c))
+    assert np.max(np.abs(left - right)) < 1e-12
 
 
 def test_convolve_mean_additivity():
-    a = poisson_dist(2.0, n_max=80)
-    b = poisson_dist(4.5, n_max=80)
-    assert convolve(a, b).mean() == pytest.approx(6.5, abs=1e-9)
-
-
-def test_convolve_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        convolve(poisson_dist(1.0, n_max=10), poisson_dist(1.0, n_max=20))
+    a = _folded_poisson(2.0, 80)
+    b = _folded_poisson(4.5, 80)
+    assert mean_count(_fold_convolve(a, b)) == pytest.approx(6.5, abs=1e-9)
 
 
 # --- dark-ion distribution ------------------------------------------------------
@@ -166,15 +146,14 @@ def test_dark_ion_no_repump_is_poisson():
     model = ReadoutModel(lambda_bright=30.0, lambda_dark=0.2, lambda_bg=0.0,
                          gamma=0.0)
     d = dark_ion_dist(model, n_max=60)
-    assert d.probabilities == pytest.approx(
-        folded_pmf(0.2, 60), abs=1e-12)
+    assert d == pytest.approx(folded_pmf(0.2, 60), abs=1e-12)
 
 
 def test_dark_ion_fast_repump_approaches_bright():
     model = ReadoutModel(lambda_bright=30.0, lambda_dark=0.2, lambda_bg=0.0,
                          gamma=500.0 / 200e-6)  # gamma T = 500
     d = dark_ion_dist(model, n_max=100)
-    assert tv_distance(d.probabilities, folded_pmf(30.0, 100)) < 0.02
+    assert tv_distance(d, folded_pmf(30.0, 100)) < 0.02
 
 
 def test_dark_ion_matches_monte_carlo():
@@ -182,7 +161,7 @@ def test_dark_ion_matches_monte_carlo():
                          gamma=1.0 / 200e-6)  # gamma T = 1
     d = dark_ion_dist(model, n_max=100)
     oracle = repump_oracle(model, n_max=100, seed=12)
-    assert tv_distance(d.probabilities, oracle) < 2e-3
+    assert tv_distance(d, oracle) < 2e-3
 
 
 def test_dark_ion_normalized_even_for_fast_decay():
@@ -190,7 +169,7 @@ def test_dark_ion_normalized_even_for_fast_decay():
         model = ReadoutModel(lambda_bright=25.0, lambda_dark=0.1,
                              lambda_bg=0.0, gamma=gt / 200e-6)
         d = dark_ion_dist(model, n_max=90)
-        assert np.sum(d.probabilities) == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(d) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- composite distributions ----------------------------------------------------
@@ -200,16 +179,31 @@ def test_composites_all_rates_zero():
     model = ReadoutModel(lambda_bright=0.0, lambda_dark=0.0, lambda_bg=0.0,
                          gamma=0.0)
     cm = composite_dists(model, n_max=10)
-    for d in cm.dists:
-        assert d.probabilities[0] == pytest.approx(1.0)
+    assert cm.probabilities[:, 0] == pytest.approx(1.0)
 
 
 def test_composite_bright_mean_adds():
     model = ReadoutModel(lambda_bright=8.0, lambda_dark=0.1, lambda_bg=1.5,
                          gamma=0.0)
     cm = composite_dists(model, n_max=100)
-    assert cm.dists[2].mean() == pytest.approx(1.5 + 16.0, abs=1e-8)
-    assert cm.dists[0].mean() == pytest.approx(1.5 + 0.2, abs=1e-8)
+    assert mean_count(cm.probabilities[2]) == pytest.approx(1.5 + 16.0, abs=1e-8)
+    assert mean_count(cm.probabilities[0]) == pytest.approx(1.5 + 0.2, abs=1e-8)
+
+
+_RATE = st.floats(0.0, 100.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_RATE, _RATE, _RATE, st.floats(0.0, 50.0), st.integers(1, 150))
+def test_composite_rows_are_read_only_distributions(bright, dark, bg, gt,
+                                                    n_max):
+    model = ReadoutModel(lambda_bright=bright, lambda_dark=dark,
+                         lambda_bg=bg, gamma=gt / 200e-6)
+    p = composite_dists(model, n_max).probabilities
+    assert p.shape == (3, n_max + 1)
+    assert np.all(p >= -1e-12)
+    assert np.all(np.abs(np.sum(p, axis=1) - 1.0) <= 1e-9)
+    assert not p.flags.writeable
 
 
 def test_composite_one_bright_matches_monte_carlo():
@@ -217,7 +211,7 @@ def test_composite_one_bright_matches_monte_carlo():
     oracle = repump_oracle(MODEL, n_max=100,
                            extra_mean=MODEL.lambda_bg + MODEL.lambda_bright,
                            seed=34)
-    assert tv_distance(cm.dists[1].probabilities, oracle) < 2e-3
+    assert tv_distance(cm.probabilities[1], oracle) < 2e-3
 
 
 # --- synthesize -----------------------------------------------------------------
@@ -256,13 +250,13 @@ def test_synthesize_law_of_large_numbers():
     cm = composite_dists(MODEL, n_max=100)
     shots = synthesize_shots((1.0, 0.0, 0.0), cm, 100_000, seed=5)
     hist = np.bincount(shots, minlength=101) / len(shots)
-    assert tv_distance(hist, cm.dists[0].probabilities) < 0.01
+    assert tv_distance(hist, cm.probabilities[0]) < 0.01
 
 
 def test_synthesize_mixture_converges_to_p_rho():
     cm = composite_dists(MODEL, n_max=100)
     c = np.array([0.08, 0.80, 0.12])
-    p_rho = c @ cm.probability_matrix()
+    p_rho = c @ cm.probabilities
     tvs = []
     for n in (1_000, 100_000):
         shots = synthesize_shots(c, cm, n, seed=6)
@@ -298,7 +292,7 @@ def test_ml_fit_likelihood_at_optimum_beats_truth():
     shots = synthesize_shots(truth, cm, 5_000, seed=10)
     fit = ml_fit(shots, cm, n_bootstrap=0)
     hist = np.bincount(shots, minlength=101)
-    ll_truth = float(hist @ np.log(truth @ cm.probability_matrix()))
+    ll_truth = float(hist @ np.log(truth @ cm.probabilities))
     assert fit.log_likelihood >= ll_truth - 1e-9
 
 
@@ -366,7 +360,7 @@ def test_em_engine_matches_scalar_oracle():
     # pure and two-component truths pin fits at the simplex boundary,
     # where plain EM crawls for thousands of iterations
     cm = composite_dists(MODEL)
-    pmat = cm.probability_matrix()
+    pmat = cm.probabilities
     truths = [(0.3, 0.4, 0.3), (0.08, 0.80, 0.12), (0.0, 0.9, 0.1),
               (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
     hists = np.concatenate([_histograms(cm, truths, shots, seed=60 + shots)
@@ -391,7 +385,7 @@ def test_em_engine_keeps_small_populations_alive():
     # extrapolation overshoots a small interior population below 0; a
     # clip to 0 there would pin it, since EM updates are multiplicative
     cm = composite_dists(MODEL)
-    pmat = cm.probability_matrix()
+    pmat = cm.probabilities
     hists = np.concatenate([
         _histograms(cm, [(1e-3, 0.998, 1e-3), (1e-4, 0.9998, 1e-4),
                          (0.01, 0.0, 0.99)], shots, seed=68)
@@ -406,7 +400,7 @@ def test_em_engine_keeps_small_populations_alive():
 
 def test_em_engine_raises_at_iteration_cap():
     cm = composite_dists(MODEL)
-    pmat = cm.probability_matrix()
+    pmat = cm.probabilities
     hists = _histograms(cm, [(0.3, 0.4, 0.3), (0.0, 1.0, 0.0),
                              (0.3, 0.4, 0.3)], 5_000, seed=62)
     starts = np.full((3, 3), 1.0 / 3.0)
@@ -422,7 +416,7 @@ def test_em_engine_raises_at_iteration_cap():
 
 def test_em_engine_row_does_not_depend_on_its_batch():
     cm = composite_dists(MODEL)
-    pmat = cm.probability_matrix()
+    pmat = cm.probabilities
     # crawling, interior and boundary-pinned fits in one stack
     hists = _histograms(cm, [(0.0, 1.0, 0.0), (0.3, 0.4, 0.3),
                              (0.0, 0.9, 0.1), (1.0, 0.0, 0.0),
@@ -440,7 +434,7 @@ def test_em_engine_row_does_not_depend_on_its_batch():
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=300),
        st.tuples(*[st.floats(0.01, 1.0)] * 3))
 def test_em_engine_climbs_at_least_as_high_as_plain_em(samples, weights_):
-    pmat = composite_dists(MODEL).probability_matrix()
+    pmat = composite_dists(MODEL).probabilities
     h = np.bincount(samples, minlength=pmat.shape[1]).astype(float)
     start = np.array(weights_) / np.sum(weights_)
     c, ll = _em(h[None], pmat, start[None])
@@ -531,7 +525,7 @@ def test_calibrate_equals_a_fit_through_composite_dists(fix, monkeypatch):
     def through_composite_dists(model, n_max, bright):
         if bright == (0, 1, 2):  # composite_dists' own call
             return build(model, n_max, bright)
-        return tuple(composite_dists(model, n_max).dists[i] for i in bright)
+        return composite_dists(model, n_max).probabilities[list(bright)]
 
     monkeypatch.setattr(detection, "_composites", through_composite_dists)
     assert calibrate(hb, hd, t_detect=MODEL.t_detect, fix=fix) == cal
@@ -588,8 +582,8 @@ def test_calibrate_free_fit_recovers_identifiable_combinations():
     cm_true = composite_dists(MODEL, n_max=100)
     cm_fit = composite_dists(fitted, n_max=100)
     for i in range(3):
-        assert tv_distance(cm_fit.dists[i].probabilities,
-                           cm_true.dists[i].probabilities) < 5e-3
+        assert tv_distance(cm_fit.probabilities[i],
+                           cm_true.probabilities[i]) < 5e-3
 
 
 def test_calibrate_goodness_of_fit_reasonable():
@@ -647,9 +641,8 @@ def test_parity_scan_ideal_w_state_is_flat():
     res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=40,
                                seed=41)
     assert res.amplitude < 0.02
-    # even-parity plateau at +1: the coherence term equals the offset
+    # even-parity plateau at +1: the offset is the coherence term
     assert res.offset == pytest.approx(1.0, abs=0.02)
-    assert res.coherence_term == res.offset
 
 
 def test_parity_scan_double_rotation_full_contrast():
@@ -715,7 +708,7 @@ def test_parity_scan_on_imperfect_state_recovers_coherence():
     cm = composite_dists(MODEL)
     scans = _scan_shots(rho, phases, 30_000, seed=50)
     res = parity_scan_analysis(scans, cm, n_bootstrap=40, seed=51)
-    assert res.coherence_term == pytest.approx(0.74, abs=0.02)
+    assert res.offset == pytest.approx(0.74, abs=0.02)
     assert res.amplitude < 0.02
 
     double = _scan_shots(rho, phases, 30_000, seed=52, double=True)
@@ -727,5 +720,5 @@ def test_parity_scan_on_imperfect_state_recovers_coherence():
     # full fidelity assembly: fitted odd population plus coherence, halved
     direct = synthesize_shots(bright_populations(rho), cm, 30_000, seed=54)
     fit = ml_fit(direct, cm, n_bootstrap=0)
-    fidelity = 0.5 * (fit.populations[1] + res.coherence_term)
+    fidelity = 0.5 * (fit.populations[1] + res.offset)
     assert fidelity == pytest.approx(0.77, abs=0.015)

@@ -533,9 +533,9 @@ def test_sweep_rows_in_grid_order_and_mu1_matches_no_ancilla():
     rows = fidelity_vs_mass_ratio(template, grid, 1)
     assert [row.mu for row in rows] == grid
     # mu = 1 reproduces the equal-coupling (no ancilla needed) case
-    assert rows[1].fidelity == pytest.approx(1.0, abs=1e-9)
+    assert rows[1].pulse.fidelity == pytest.approx(1.0, abs=1e-9)
     no_ancilla = first_max_from_couplings(np.ones(3), 1)
-    assert rows[1].fidelity == pytest.approx(no_ancilla.fidelity, abs=1e-9)
+    assert rows[1].pulse.fidelity == pytest.approx(no_ancilla.fidelity, abs=1e-9)
 
 
 def test_sweep_mass_ratio_degradation_m2():
@@ -543,7 +543,7 @@ def test_sweep_mass_ratio_degradation_m2():
     # by one to a few percent relative to mu=1
     template = ChainTemplate.symmetric(4, placement="center")
     rows = fidelity_vs_mass_ratio(template, [1.0, 10.0], 2)
-    drop = rows[0].fidelity - rows[1].fidelity
+    drop = rows[0].pulse.fidelity - rows[1].pulse.fidelity
     assert 0.005 < drop < 0.03
 
 
@@ -558,7 +558,7 @@ def test_sweep_records_errors_per_row(monkeypatch):
     template = ChainTemplate.symmetric(2, placement="center")
     rows = fidelity_vs_mass_ratio(template, [1.0, 2.0], 1)
     assert all(row.error is not None for row in rows)
-    assert all(row.fidelity is None for row in rows)
+    assert all(row.pulse is None for row in rows)
 
 
 def test_sweep_solves_equilibrium_once(monkeypatch):
@@ -572,7 +572,7 @@ def test_sweep_solves_equilibrium_once(monkeypatch):
     template = ChainTemplate.symmetric(3, placement="edge")
     rows = fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], 1)
     assert calls == [4]
-    assert rows[1].fidelity == pytest.approx(1.0, abs=1e-9)
+    assert rows[1].pulse.fidelity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
@@ -583,12 +583,12 @@ def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
     template = ChainTemplate.symmetric(2, placement="center")
     rows = fidelity_vs_mass_ratio(template, [0.5, 2.0], 1)
     assert [row.mu for row in rows] == [0.5, 2.0]
-    assert all("stalled" in row.error and row.fidelity is None for row in rows)
+    assert all("stalled" in row.error and row.pulse is None for row in rows)
 
 
 def test_sweep_keep_density():
     template = ChainTemplate.symmetric(2, placement="center")
     rows = fidelity_vs_mass_ratio(template, [1.0], 1)
-    assert rows[0].reduced_density is not None
-    assert dicke_fidelity(rows[0].reduced_density, 1) == pytest.approx(
-        rows[0].fidelity, abs=1e-12)
+    pulse = rows[0].pulse
+    assert dicke_fidelity(pulse.reduced_density, 1) == pytest.approx(
+        pulse.fidelity, abs=1e-12)
