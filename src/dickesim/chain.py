@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frozen import freeze
-from .errors import ConvergenceError, DataError, UnstableCrystalError
+from .errors import (ConvergenceError, DataError, UnstableCrystalError,
+                     unwrap)
 
 HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS = 1.66053906660e-27  # kg
@@ -226,17 +227,14 @@ def solve_equilibrium(config):
 
 
 def _fix_eigenvector_signs(vectors):
-    """Normalize eigenvector signs: component sum positive, falling back to
-    the first significant component for sum-free (antisymmetric) modes."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        s = np.sum(out[:, k])
-        if abs(s) < 1e-9:
-            lead = out[np.argmax(np.abs(out[:, k]) > 1e-12), k]
-            s = lead
-        if s < 0:
-            out[:, k] = -out[:, k]
-    return out
+    """Normalize the signs of a stack of eigenvector columns: component sum
+    positive, falling back to the first significant component for
+    sum-free (antisymmetric) modes."""
+    s = vectors.sum(axis=-2)
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=-2)
+    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)[..., 0, :]
+    s = np.where(np.abs(s) < 1e-9, lead, s)
+    return np.where(s[..., None, :] < 0, -vectors, vectors)
 
 
 def solve_axial_modes(config, eq):
@@ -248,6 +246,11 @@ def solve_axial_modes(config, eq):
     mass-weighted eigenvector; Lamb-Dicke parameters are
     ``eta_i = k_projection * z_i``.
 
+    ``config`` may also be a sequence of configs with ``eq``'s ion count,
+    as a mass-ratio sweep passes them: their Hessians are diagonalized as
+    one stack, and the call returns a list that holds, per config, its
+    ModeSet or the UnstableCrystalError it raises on its own.
+
     Raises
     ------
     UnstableCrystalError
@@ -257,34 +260,50 @@ def solve_axial_modes(config, eq):
         eigenvalue is then not positive, or its eigenvector has a component
         at or below 1e-10.
     """
-    if eq.n_ions != config.n_ions:
+    stacked = not isinstance(config, ChainConfig)
+    configs = list(config) if stacked else [config]
+    if any(c.n_ions != eq.n_ions for c in configs):
         raise ValueError("equilibrium size does not match config")
-    mt = config.mass_ratios()
-    h = scaled_hessian(eq.positions)
+    outcomes = [None] * len(configs)
+    masses = np.array([c.masses for c in configs])
+    refs = np.array([c.reference_index for c in configs])
+    mt = masses / masses[np.arange(len(configs)), refs][:, None]
     with np.errstate(over="ignore"):  # reported just below
-        mass_products = np.outer(mt, mt)
-    # m_i m_j is in range for every pair once every m_i^2 is
-    squares = mass_products.diagonal()
+        mass_products = mt[:, :, None] * mt[:, None, :]
+    # m_i m_j is in range for every pair once every m_i^2 is, and rows
+    # that are not leave the stack before the division
+    squares = np.diagonal(mass_products, axis1=1, axis2=2)
     out_of_range = ~((squares > 0) & np.isfinite(squares))
-    if out_of_range.any():
-        i = int(np.argmax(out_of_range))
-        raise UnstableCrystalError(
-            f"mass ratio {mt[i]:g} of ion {i} is out of range: its square "
-            f"{squares[i]:g} leaves the mass-weighted Hessian "
+    for r in np.flatnonzero(out_of_range.any(axis=1)):
+        i = int(np.argmax(out_of_range[r]))
+        outcomes[r] = UnstableCrystalError(
+            f"mass ratio {mt[r, i]:g} of ion {i} is out of range: its square "
+            f"{squares[r, i]:g} leaves the mass-weighted Hessian "
             "undefined")
-    d = h / np.sqrt(mass_products)
+    rows = np.flatnonzero(~out_of_range.any(axis=1))
+    d = scaled_hessian(eq.positions) / np.sqrt(mass_products[rows])
+    del mass_products
     evals, vecs = np.linalg.eigh(d)
     vecs = _fix_eigenvector_signs(vecs)
     # D is positive definite with negative off-diagonals, so its lowest
     # eigenvector is single-signed (Perron-Frobenius): the in-phase mode
-    if not (evals[0] > 0 and np.all(vecs[:, 0] > 1e-10)):
-        raise UnstableCrystalError(
-            f"mass ratios spanning {mt.min():g} to {mt.max():g} are too far "
-            "apart for double precision: the small mode curvatures are lost "
-            f"to rounding (lowest eigenvalue {evals[0]:.3e}, smallest "
-            f"in-phase component {vecs[:, 0].min():.3e}; need > 0 and "
+    resolved = (evals[:, 0] > 0) & np.all(vecs[:, :, 0] > 1e-10, axis=1)
+    for k in np.flatnonzero(~resolved):
+        r = rows[k]
+        outcomes[r] = UnstableCrystalError(
+            f"mass ratios spanning {mt[r].min():g} to {mt[r].max():g} are too "
+            "far apart for double precision: the small mode curvatures are "
+            f"lost to rounding (lowest eigenvalue {evals[k, 0]:.3e}, smallest "
+            f"in-phase component {vecs[k, :, 0].min():.3e}; need > 0 and "
             "> 1e-10)")
+    for k in np.flatnonzero(resolved):
+        r = rows[k]
+        outcomes[r] = _mode_set(configs[r], mt[r], evals[k], vecs[k])
+    return outcomes if stacked else unwrap(outcomes[0])
 
+
+def _mode_set(config, mt, evals, vecs):
+    """The ModeSet of one chain from its mass-weighted eigenpairs."""
     scaled_freqs = np.sqrt(evals)
     if config.dimensionless_mode:
         freqs = scaled_freqs

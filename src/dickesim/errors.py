@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+def unwrap(outcome):
+    """One row's outcome of a stacked solve: its result, or the exception
+    the row would have raised on its own, raised here."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class DickesimError(Exception):
     """Base class for all custom errors raised by this package."""
 

@@ -31,12 +31,15 @@ import numpy as np
 from . import chain as chain_mod
 from ._frozen import freeze
 from .dicke import QubitDensity, weights
-from .errors import SearchError
+from .errors import SearchError, unwrap
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
 MAX_PERIODS = 20.0  # the scan stops at MAX_PERIODS * pi / Omega'
 REFINE_TOL = 1e-6  # golden-section bracket width, in Omega_0 t
+# a sweep solves its rows in chunks that hold this many bytes of each
+# row's largest block: its D x D Hamiltonian or its F(t) scan chunk
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,14 +107,15 @@ def rsb_hamiltonian(sector, couplings):
     """Resonant red-sideband Hamiltonian on an excitation sector.
 
     Returns a real symmetric matrix over ``sector``'s basis (couplings must
-    be real; time units 1/Omega_0).
+    be real; time units 1/Omega_0).  A ``(B, N)`` stack of coupling vectors
+    gives the ``(B, D, D)`` stack of their Hamiltonians.
     """
     om = np.asarray(couplings)
     if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0:
         raise ValueError("couplings must be real")
     om = om.astype(float)
     n = sector.n_qubits
-    if om.shape != (n,):
+    if om.ndim not in (1, 2) or om.shape[-1] != n:
         raise ValueError(f"need exactly {n} couplings, got {om.shape}")
     # sigma_i^+ a takes |q, k> to |q with qubit i up, k - 1> with amplitude
     # sqrt(k); the target has one more up qubit, so it is in the sector too
@@ -121,9 +125,9 @@ def rsb_hamiltonian(sector, couplings):
     src, qubit = np.nonzero(((sector.qubits[:, None] & bits) == 0)
                             & (sector.phonons[:, None] > 0))
     dst = position[sector.qubits[src] | bits[qubit]]
-    lower = np.zeros((sector.dimension, sector.dimension))
-    lower[dst, src] = 0.5 * om[qubit] * np.sqrt(sector.phonons[src])
-    return lower + lower.T
+    lower = np.zeros(om.shape[:-1] + (sector.dimension, sector.dimension))
+    lower[..., dst, src] = 0.5 * om[..., qubit] * np.sqrt(sector.phonons[src])
+    return lower + np.swapaxes(lower, -1, -2)
 
 
 def reduce_to_qubits(sector, amplitudes):
@@ -140,36 +144,46 @@ def reduce_to_qubits(sector, amplitudes):
     return QubitDensity(matrix=rho, n_qubits=sector.n_qubits)
 
 
-def _golden_max(f, a, b, tol, floor):
-    """Golden-section maximization of a unimodal f on [a, b].
+def _fidelity(evals, weight, t):
+    """F(t_r) = |sum_k weight_rk exp(-i E_rk t_r)|^2 for each row r of a
+    stack of spectra.
 
-    Raises
-    ------
-    SearchError
-        If the refined value falls below ``floor``, the least that a
-        unimodal f can give at the end: f was not unimodal on the bracket,
-        and the search lost its peak.
+    The sum is one BLAS dot per row, and |z|^2 is hypot(Re z, Im z)
+    squared by pow, which rounds as ``abs(z) ** 2`` does on a scalar
+    (``np.abs(z) ** 2`` differs in the last bit on some inputs), so the
+    batched refine takes the steps of a row-at-a-time scalar refine and
+    lands on the same durations bit for bit.
     """
+    amp = (np.exp(-1j * evals * t[:, None])[:, None, :]
+           @ weight[:, :, None])[:, 0, 0]
+    return np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+
+
+def _golden_max(f, a, b, tol):
+    """Golden-section maximization of unimodal functions, one per row, on
+    the brackets ``[a_r, b_r]``, run in lockstep.
+
+    ``f(t, rows)`` evaluates the functions of ``rows`` at the times ``t``.
+    Each row takes the steps a scalar search would and stops once its
+    bracket is at most ``tol`` wide.  Returns the bracket midpoints and f
+    there.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
+    every = np.arange(len(a))
+    f1, f2 = f(x1, every), f(x2, every)
+    while (rows := np.flatnonzero(b - a > tol)).size:
+        left = f1[rows] >= f2[rows]  # the maximum lies in [a, x2]
+        lo, hi = rows[left], rows[~left]
+        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        x1[lo] = b[lo] - GOLDEN * (b[lo] - a[lo])
+        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        x2[hi] = a[hi] + GOLDEN * (b[hi] - a[hi])
+        new = f(np.where(left, x1[rows], x2[rows]), rows)
+        f1[lo], f2[hi] = new[left], new[~left]
     xm = 0.5 * (a + b)
-    fm = f(xm)
-    if fm < floor:
-        raise SearchError(
-            f"golden-section refine ended at F = {fm!r} at t = {xm:.6f}/Omega_0, "
-            f"below the {floor!r} that a unimodal F(t) guarantees; F(t) is "
-            "not unimodal on the bracket")
-    return xm, fm
+    return xm, f(xm, every)
 
 
 def first_max_from_couplings(couplings, m):
@@ -182,6 +196,11 @@ def first_max_from_couplings(couplings, m):
     maximum, which is refined by golden-section search to ``REFINE_TOL``
     in Omega_0 t.
 
+    A ``(B, N)`` stack of coupling vectors is searched as one batch: one
+    stacked eigh, scan and refine, each row on its own grid.  The call
+    then returns a list that holds, per row, its PulseResult or the
+    ValueError or SearchError the row raises on its own.
+
     Raises
     ------
     SearchError
@@ -190,60 +209,94 @@ def first_max_from_couplings(couplings, m):
         F(t) allows.
     """
     om = np.asarray(couplings, dtype=float)
+    stacked = om.ndim == 2
+    om = om if stacked else om[None, :]
+    n = om.shape[1]
     if m < 1:
         raise ValueError("need at least one phonon to convert")
-    if m > len(om):
-        raise ValueError(f"{m} phonons cannot all be absorbed by {len(om)} qubits")
-    omega_prime = float(np.linalg.norm(om))
-    if omega_prime == 0.0:
-        raise ValueError("at least one coupling must be nonzero")
-    sector = ExcitationSector(n_qubits=len(om), m=m)
-    evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om))
-    start = vecs[0]
+    if m > n:
+        raise ValueError(f"{m} phonons cannot all be absorbed by {n} qubits")
+    outcomes = [None] * len(om)
+    # Omega' as np.linalg.norm takes it for one vector: sqrt of a BLAS dot
+    with np.errstate(invalid="ignore"):  # non-finite rows leave just below
+        omega_prime = np.sqrt((om[:, None, :] @ om[:, :, None])[:, 0, 0])
+    # a row that LAPACK cannot diagonalize would fail the whole stack
+    finite = np.all(np.isfinite(om), axis=1)
+    for r in np.flatnonzero(~finite):
+        outcomes[r] = ValueError("couplings must be finite")
+    for r in np.flatnonzero(finite & (omega_prime == 0.0)):
+        outcomes[r] = ValueError("at least one coupling must be nonzero")
+    rows = np.flatnonzero(finite & (omega_prime != 0.0))
+    sector = ExcitationSector(n_qubits=n, m=m)
+    evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om[rows]))
+    start = vecs[:, 0, :]
     # |D(N,m)> with the mode in vacuum spans exactly the phonon-free states
-    dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(len(om), m))
+    dicke = vecs[:, sector.phonons == 0, :].sum(axis=1) / np.sqrt(comb(n, m))
     weight = dicke * start  # F(t) = |sum_k weight_k exp(-i E_k t)|^2
 
-    def fid(t):
-        return float(abs(np.exp(-1j * evals * t) @ weight) ** 2)
-
-    dt = np.pi / (GRID_PER_PERIOD * omega_prime)
+    dt = np.pi / (GRID_PER_PERIOD * omega_prime[rows])
     steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
+    bracket = np.zeros((len(rows), 3))  # grid[j], grid[j + 2], f[j + 1]
     # the first maximum comes after about one period, so the grid is
-    # scanned two periods at a time and the scan stops at the first chunk
-    # that holds one; consecutive chunks share the two grid points that
-    # the peak test on their seam reads
+    # scanned two periods at a time and a row leaves the scan at the first
+    # chunk that holds one; consecutive chunks share the two grid points
+    # that the peak test on their seam reads
     span = 2 * GRID_PER_PERIOD
+    scanning = np.arange(len(rows))
     for first in range(0, steps_cap - 1, span - 1):
-        grid = np.arange(first, min(first + span, steps_cap) + 1) * dt
-        f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
+        if not scanning.size:
+            break
+        steps = np.arange(first, min(first + span, steps_cap) + 1)
+        grid = steps * dt[scanning, None]
+        phases = np.exp(-1j * (grid[:, :, None] * evals[scanning, None, :]))
+        f = np.abs((phases @ weight[scanning, :, None])[:, :, 0]) ** 2
+        del phases
         # grid point j + 1 is a maximum, bracketed by its neighbours, when
         # F rose into it and does not rise out of it
-        peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
-        if peaks.size:
-            break
-    else:
-        raise SearchError(
-            f"no fidelity maximum found before t = {steps_cap * dt:.3f}/Omega_0")
-    j = peaks[0]
+        is_peak = (f[:, 1:-1] > f[:, :-2]) & (f[:, 1:-1] >= f[:, 2:])
+        found = np.flatnonzero(is_peak.any(axis=1))
+        j = np.argmax(is_peak[found], axis=1)
+        bracket[scanning[found]] = np.stack(
+            [grid[found, j], grid[found, j + 2], f[found, j + 1]], axis=1)
+        scanning = np.delete(scanning, found)
+    for k in scanning:
+        outcomes[rows[k]] = SearchError(
+            "no fidelity maximum found before "
+            f"t = {steps_cap * dt[k]:.3f}/Omega_0")
+    peaked = np.setdiff1d(np.arange(len(rows)), scanning)
+    t_star, f_star = np.zeros(len(rows)), np.zeros(len(rows))
+    t_star[peaked], f_star[peaked] = _golden_max(
+        lambda t, sub: _fidelity(evals[peaked[sub]], weight[peaked[sub]], t),
+        bracket[peaked, 0], bracket[peaked, 1], REFINE_TOL)
     # on a unimodal bracket the refine ends within REFINE_TOL / 2 of the
     # maximum, which is at least the grid peak f[j + 1], and
     # |F''| <= (E_max - E_min)^2 bounds how far F can fall off it there;
     # 1e-12 covers rounding
-    floor = (f[j + 1] - 1e-12
-             - ((evals[-1] - evals[0]) * REFINE_TOL) ** 2 / 8.0)
-    t_star, f_star = _golden_max(fid, grid[j], grid[j + 2], REFINE_TOL, floor)
-
-    state = vecs @ (np.exp(-1j * evals * t_star) * start)
-    return PulseResult(
-        duration=float(t_star),
-        fidelity=min(f_star, 1.0),
-        phonon_distribution=np.bincount(sector.phonons, weights=np.abs(state) ** 2,
-                                        minlength=m + 1),
-        couplings=om,
-        sector=sector,
-        state=state,
-    )
+    floor = (bracket[:, 2] - 1e-12
+             - ((evals[:, -1] - evals[:, 0]) * REFINE_TOL) ** 2 / 8.0)
+    # every row of the stack, scan failures at t = 0 included, so that no
+    # row subset copies the eigenvectors
+    amps = np.exp(-1j * evals * t_star[:, None]) * start
+    states = (vecs @ amps[:, :, None])[:, :, 0]
+    for k in peaked:
+        if f_star[k] < floor[k]:
+            outcomes[rows[k]] = SearchError(
+                f"golden-section refine ended at F = {float(f_star[k])!r} at "
+                f"t = {t_star[k]:.6f}/Omega_0, below the {floor[k]!r} that a "
+                "unimodal F(t) guarantees; F(t) is not unimodal on the "
+                "bracket")
+            continue
+        outcomes[rows[k]] = PulseResult(
+            duration=float(t_star[k]),
+            fidelity=min(float(f_star[k]), 1.0),
+            phonon_distribution=np.bincount(
+                sector.phonons, weights=np.abs(states[k]) ** 2,
+                minlength=m + 1),
+            couplings=om[rows[k]],
+            sector=sector,
+            state=states[k],
+        )
+    return outcomes if stacked else unwrap(outcomes[0])
 
 
 def first_max_fidelity(config, addressed, m, equilibrium=None):
@@ -252,13 +305,24 @@ def first_max_fidelity(config, addressed, m, equilibrium=None):
 
     ``equilibrium`` reuses a solution of :func:`chain.solve_equilibrium`
     for a chain of the same ion count; the scaled positions depend on
-    nothing else.
+    nothing else.  ``config`` may also be a sequence of configs of one ion
+    count, solved as one stack: the call then returns a list that holds,
+    per config, its PulseResult or the exception it raises on its own.
     """
+    stacked = not isinstance(config, chain_mod.ChainConfig)
+    configs = list(config) if stacked else [config]
     if equilibrium is None:
-        equilibrium = chain_mod.solve_equilibrium(config)
-    modes = chain_mod.solve_axial_modes(config, equilibrium)
-    om = chain_mod.coupling_strengths(modes, addressed)
-    return first_max_from_couplings(om, m)
+        equilibrium = chain_mod.solve_equilibrium(configs[0])
+    outcomes = chain_mod.solve_axial_modes(configs, equilibrium)
+    solved = [i for i, modes in enumerate(outcomes)
+              if isinstance(modes, chain_mod.ModeSet)]
+    if solved:
+        couplings = np.array([
+            chain_mod.coupling_strengths(outcomes[i], addressed)
+            for i in solved])
+        for i, pulse in zip(solved, first_max_from_couplings(couplings, m)):
+            outcomes[i] = pulse
+    return outcomes if stacked else unwrap(outcomes[0])
 
 
 @dataclass(frozen=True)
@@ -271,14 +335,25 @@ class SweepRow:
     error: str | None = None
 
 
+def _rows_per_chunk(n_qubits, m):
+    """Sweep rows whose largest blocks fit in CHUNK_BYTES: a row's D x D
+    float Hamiltonian and its complex F(t) scan chunk of
+    2 GRID_PER_PERIOD + 1 times."""
+    dim = max(1, sum(comb(n_qubits, k) for k in range(m + 1)))
+    row_bytes = max(8 * dim * dim, 16 * (2 * GRID_PER_PERIOD + 1) * dim)
+    return max(1, CHUNK_BYTES // row_bytes)
+
+
 def fidelity_vs_mass_ratio(template, mu_grid, m):
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
     Rebuilds the chain for every mu via ``template.config_for`` and runs
     :func:`first_max_fidelity` on the qubit ions, with the equilibrium
-    solved once for the whole grid.  Rows come back in grid order.  A row
-    that fails records its error in :attr:`SweepRow.error` and the sweep
-    goes on; if the equilibrium fails, every row records that failure.
+    solved once for the whole grid.  The rows are solved as stacks, in
+    chunks of as many rows as ``CHUNK_BYTES`` holds, and come back in grid
+    order.  A row that fails records its error in :attr:`SweepRow.error`
+    and the sweep goes on; if the equilibrium fails, every row records
+    that failure.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mu_grid):
@@ -290,11 +365,23 @@ def fidelity_vs_mass_ratio(template, mu_grid, m):
     except Exception as exc:
         return [SweepRow(mu=mu, error=str(exc)) for mu in mu_grid]
 
-    def run_row(mu):
+    outcomes, configs = {}, {}
+    for i, mu in enumerate(mu_grid):
         try:
-            return SweepRow(mu=mu, pulse=first_max_fidelity(
-                template.config_for(mu), addressed, m, equilibrium=equilibrium))
+            configs[i] = template.config_for(mu)
         except Exception as exc:
-            return SweepRow(mu=mu, error=str(exc))
-
-    return [run_row(mu) for mu in mu_grid]
+            outcomes[i] = exc
+    built = list(configs)
+    chunk = _rows_per_chunk(template.n_qubits, m)
+    for first in range(0, len(built), chunk):
+        rows = built[first:first + chunk]
+        try:
+            solved = first_max_fidelity([configs[i] for i in rows], addressed,
+                                        m, equilibrium=equilibrium)
+        except Exception as exc:
+            solved = [exc] * len(rows)
+        outcomes.update(zip(rows, solved))
+    return [SweepRow(mu=mu, error=str(outcomes[i]))
+            if isinstance(outcomes[i], Exception)
+            else SweepRow(mu=mu, pulse=outcomes[i])
+            for i, mu in enumerate(mu_grid)]

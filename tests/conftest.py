@@ -166,9 +166,10 @@ def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
 def first_max_full_grid(couplings, m):
     """Duration and fidelity of the pulse search when it evaluates F(t) on
     every grid point out to the time cap before it picks the first peak:
-    the program's own sector, grid, peak test and golden refine (read
-    from :mod:`dickesim.sideband` at call time, so a patched Hamiltonian
-    or refine reaches both), without the scan's early stop."""
+    the program's own sector, grid, peak test, golden refine and F(t)
+    routine (read from :mod:`dickesim.sideband` at call time, so a patched
+    Hamiltonian, refine or F reaches both), one row at a time, without the
+    scan's early stop."""
     om = np.asarray(couplings, dtype=float)
     sector = sideband.ExcitationSector(n_qubits=len(om), m=m)
     evals, vecs = np.linalg.eigh(sideband.rsb_hamiltonian(sector, om))
@@ -180,9 +181,10 @@ def first_max_full_grid(couplings, m):
     f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
     j = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[0]
     t_star, f_star = sideband._golden_max(
-        lambda t: float(abs(np.exp(-1j * evals * t) @ weight) ** 2),
-        grid[j], grid[j + 2], sideband.REFINE_TOL, -np.inf)
-    return float(t_star), min(f_star, 1.0), int(j + 1)
+        lambda t, rows: sideband._fidelity(evals[None][rows],
+                                           weight[None][rows], t),
+        [grid[j]], [grid[j + 2]], sideband.REFINE_TOL)
+    return float(t_star[0]), min(float(f_star[0]), 1.0), int(j + 1)
 
 
 def em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):

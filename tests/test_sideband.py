@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (FullSpace, evolve, first_max_full_grid,
@@ -6,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
-                      SearchError, dicke_fidelity, dicke_vector,
-                      fidelity_vs_mass_ratio, first_max_fidelity,
+                      LambDickeWarning, SearchError, dicke_fidelity,
+                      dicke_vector, fidelity_vs_mass_ratio, first_max_fidelity,
                       first_max_from_couplings, reduce_to_qubits,
                       rsb_hamiltonian, solve_equilibrium,
                       w_fidelity_analytic)
@@ -375,13 +378,14 @@ def test_first_max_search_error_when_capped(monkeypatch):
 def test_golden_refine_raises_when_its_bracket_is_not_unimodal(monkeypatch):
     golden = sideband._golden_max
 
-    def notched(fid, a, b, tol, floor):
-        # a notch over the middle of the bracket leaves F two maxima, one
+    def notched(fid, a, b, tol):
+        # a notch over the middle of each bracket leaves F two maxima, one
         # at each of the notch's edges
-        def f(t):
-            return fid(t) - (0.5 if abs(t - 0.5 * (a + b)) < 0.3 * (b - a)
-                             else 0.0)
-        return golden(f, a, b, tol, floor)
+        def f(t, rows):
+            mid, width = 0.5 * (a[rows] + b[rows]), b[rows] - a[rows]
+            return fid(t, rows) - np.where(np.abs(t - mid) < 0.3 * width,
+                                           0.5, 0.0)
+        return golden(f, a, b, tol)
 
     monkeypatch.setattr(sideband, "_golden_max", notched)
     with pytest.raises(SearchError, match="not unimodal on the bracket"):
@@ -410,6 +414,21 @@ def test_first_peak_scan_across_chunk_seams_matches_full_grid(monkeypatch,
     assert step == peak_step
     res = first_max_from_couplings(np.ones(3), 1)
     assert (res.duration, res.fidelity) == (t_star, f_star)
+
+
+def test_stacked_search_keeps_bad_rows_to_themselves():
+    # a NaN or inf row would stop LAPACK for the whole stack, a zero row
+    # has no Omega'; the good row must come out as it does alone
+    stack = np.array([[1.0, np.nan], [np.inf, 0.0], [0.0, 0.0], [0.7, 1.1]])
+    nan, inf, zero, good = first_max_from_couplings(stack, 1)
+    for bad in (nan, inf):
+        assert isinstance(bad, ValueError) and "finite" in str(bad)
+    assert isinstance(zero, ValueError) and "nonzero" in str(zero)
+    alone = first_max_from_couplings(stack[3], 1)
+    assert (good.duration, good.fidelity) == (alone.duration, alone.fidelity)
+    assert good.state.tobytes() == alone.state.tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        first_max_from_couplings(stack[0], 1)
 
 
 def test_first_max_rejects_bad_args():
@@ -592,3 +611,102 @@ def test_sweep_keep_density():
     pulse = rows[0].pulse
     assert dicke_fidelity(pulse.reduced_density, 1) == pytest.approx(
         pulse.fidelity, abs=1e-12)
+
+
+# --- batched sweeps: a row does not depend on its chunk ------------------------
+
+
+def assert_same_row(row, alone):
+    """Bit-for-bit equality of a sweep row and the one-point sweep at its
+    mu."""
+    assert (row.mu, row.error) == (alone.mu, alone.error)
+    assert (row.pulse is None) == (alone.pulse is None)
+    if row.pulse is not None:
+        p, q = row.pulse, alone.pulse
+        assert (p.duration, p.fidelity) == (q.duration, q.fidelity)
+        for name in ("phonon_distribution", "state", "couplings"):
+            assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=5),
+       st.integers(min_value=1, max_value=3),
+       st.sampled_from(["center", "edge"]),
+       st.floats(min_value=-1.5, max_value=0.0),
+       st.floats(min_value=0.0, max_value=1.5),
+       st.integers(min_value=2, max_value=12),
+       st.integers(min_value=1, max_value=100_000))
+def test_sweep_row_does_not_depend_on_its_chunk(n, m, placement, lo, hi,
+                                                points, chunk_bytes):
+    # a budget of at most 100 kB splits these grids into chunks of 1 to 15
+    # rows; each row must still equal the one-point sweep at its mu
+    m = min(m, n)
+    template = ChainTemplate.symmetric(n, placement=placement)
+    grid = np.geomspace(10.0**lo, 10.0**hi, points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sideband, "CHUNK_BYTES", chunk_bytes)
+        rows = fidelity_vs_mass_ratio(template, grid, m)
+    for row in rows:
+        assert_same_row(row, fidelity_vs_mass_ratio(template, [row.mu], m)[0])
+
+
+def test_failed_rows_inside_a_chunk_keep_their_own_errors(monkeypatch):
+    # on a three-ion chain 1e-300 squares out of range, 1e-16 loses the
+    # mode curvature to rounding and inf builds no chain; all three sit in
+    # the middle of one chunk
+    template = ChainTemplate.symmetric(2, placement="edge")
+    grid = [0.3, 0.7, 1e-300, 1.5, 1e-16, np.inf, 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = fidelity_vs_mass_ratio(template, grid, 1)
+    assert "mass ratio 1e-300 of ion 2 is out of range" in rows[2].error
+    assert "lost to rounding" in rows[4].error
+    assert "must be finite" in rows[5].error
+    assert [row.pulse is None for row in rows] == [False, False, True, False,
+                                                   True, True, False]
+    for row in rows:
+        assert_same_row(row, fidelity_vs_mass_ratio(template, [row.mu], 1)[0])
+
+    # the (3, 3) first peak falls at grid steps 61 to 63 over this grid,
+    # so a cap of 63 steps fails some rows and not others
+    template = ChainTemplate.symmetric(3, placement="edge")
+    monkeypatch.setattr(sideband, "MAX_PERIODS", 1.255)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = fidelity_vs_mass_ratio(template, np.geomspace(0.1, 10.0, 7), 3)
+    failed = [row for row in rows if row.pulse is None]
+    assert 0 < len(failed) < len(rows)
+    assert all("no fidelity maximum found" in row.error for row in failed)
+    for row in rows:
+        assert_same_row(row, fidelity_vs_mass_ratio(template, [row.mu], 3)[0])
+
+
+def test_sweep_warns_on_si_rows_outside_lamb_dicke():
+    # at k = 1e8 / m the in-phase eta of a 25 u ion at 2.55 MHz passes 0.3
+    template = ChainTemplate.symmetric(2, placement="edge", qubit_mass=25.0,
+                                       omega_z=2 * np.pi * 2.55e6,
+                                       k_projection=1e8,
+                                       dimensionless_mode=False)
+    with pytest.warns(LambDickeWarning):
+        rows = fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], 1)
+    assert all(row.pulse is not None for row in rows)
+    assert np.max(rows[1].pulse.couplings) > 0.3
+
+
+@pytest.mark.parametrize("n,m,points,bound_mb", [(5, 2, 301, 4.0),
+                                                 (8, 4, 11, 4.0)])
+def test_sweep_chunks_bound_the_traced_peak(n, m, points, bound_mb):
+    # measured with numpy 2.4: 2.5 MB at (5, 2) and 2.2 MB at (8, 4) in
+    # 1 MiB chunks, against 16.3 MB and 7.9 MB with the whole grid in one
+    # chunk; results kept for the returned rows are included
+    template = ChainTemplate.symmetric(n, placement="edge")
+    grid = np.geomspace(0.1, 10.0, points)
+    fidelity_vs_mass_ratio(template, grid[:1], m)
+    tracemalloc.start()
+    try:
+        rows = fidelity_vs_mass_ratio(template, grid, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.pulse is not None for row in rows)
+    assert peak < bound_mb * 2**20
