@@ -9,10 +9,10 @@ the normal modes.
 
 Internally everything is solved in scaled units: lengths in
 ``l = (e^2 / (4 pi eps0 m_ref omega_z^2))^(1/3)``, frequencies in units of
-the reference ion's axial frequency ``omega_z``.  With
-``dimensionless_mode=True`` results are reported in those units (and
-``hbar = 1`` for ground-state amplitudes); otherwise frequencies come back
-in rad/s and amplitudes in metres.
+the reference ion's axial frequency ``omega_z``.  A chain whose
+``omega_z`` is None reports results in those units (and ``hbar = 1`` for
+ground-state amplitudes); otherwise frequencies come back in rad/s and
+amplitudes in metres.
 """
 
 from __future__ import annotations
@@ -52,34 +52,32 @@ class ChainConfig:
         Atomic masses in u, ordered by position along the chain axis.
     reference_index : int
         Index of the ion whose single-ion axial frequency is ``omega_z``.
-    omega_z : float
+    omega_z : float or None
         Angular axial trap frequency of the reference ion alone (rad/s).
-        Ignored (treated as 1) when ``dimensionless_mode`` is set.
+        None, the default, reports modes in scaled units: charge,
+        reference mass, omega_z and hbar all equal to 1.
     k_projection : float
         Laser wavevector projection on the chain axis (1/m, or inverse
-        scaled length units in dimensionless mode).
-    dimensionless_mode : bool
-        Report modes in scaled units (charge, reference mass and omega_z
-        all equal to 1) instead of SI.
+        scaled length units when ``omega_z`` is None).
     """
 
     masses: tuple
     reference_index: int = 0
-    omega_z: float = 1.0
+    omega_z: float | None = None
     k_projection: float = 1.0
-    dimensionless_mode: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if len(self.masses) < 2:
             raise ValueError("a chain needs at least 2 ions")
-        if not np.all(np.isfinite((*self.masses, self.omega_z, self.k_projection))):
+        omega = () if self.omega_z is None else (self.omega_z,)
+        if not np.all(np.isfinite((*self.masses, *omega, self.k_projection))):
             raise ValueError("masses, omega_z and k_projection must be finite")
         if any(m <= 0 for m in self.masses):
             raise ValueError("all masses must be positive")
         if not 0 <= self.reference_index < len(self.masses):
             raise ValueError("reference_index out of range")
-        if self.omega_z <= 0:
+        if self.omega_z is not None and self.omega_z <= 0:
             raise ValueError("omega_z must be positive")
         if self.k_projection < 0:
             raise ValueError("k_projection must be non-negative")
@@ -119,6 +117,9 @@ class ModeSet:
     ascend, ``ground_state_amplitudes[i, k]`` is the zero-point amplitude
     z_i of ion i in mode k and ``lamb_dicke = k_projection * z``.  The
     in-phase mode, ``inphase_index``, is the lowest one, mode 0.
+    ``dimensionless`` is True when the chain's ``omega_z`` is None:
+    frequencies are then in units of omega_z and amplitudes in scaled
+    lengths (hbar = 1), otherwise in rad/s and metres.
     """
 
     frequencies: np.ndarray
@@ -305,7 +306,7 @@ def solve_axial_modes(config, eq):
 def _mode_set(config, mt, evals, vecs):
     """The ModeSet of one chain from its mass-weighted eigenpairs."""
     scaled_freqs = np.sqrt(evals)
-    if config.dimensionless_mode:
+    if config.omega_z is None:
         freqs = scaled_freqs
         # hbar = m_ref = omega_z = 1
         z = vecs / np.sqrt(2.0 * mt[:, None] * scaled_freqs[None, :])
@@ -320,7 +321,7 @@ def _mode_set(config, mt, evals, vecs):
         ground_state_amplitudes=z,
         lamb_dicke=config.k_projection * z,
         inphase_index=0,
-        dimensionless=config.dimensionless_mode,
+        dimensionless=config.omega_z is None,
     )
 
 
@@ -329,7 +330,7 @@ def coupling_strengths(modes, addressed):
     addressed ions, taken on the in-phase mode, in chain order.
 
     The couplings are in units of the carrier Rabi rate Omega_0.  Emits a
-    :class:`LambDickeWarning` when an addressed eta exceeds 0.3 in SI mode
+    :class:`LambDickeWarning` when an addressed eta exceeds 0.3 on an SI chain
     (in scaled units eta is not a physical Lamb-Dicke parameter).
     """
     addressed = sorted(set(int(i) for i in addressed))
@@ -354,27 +355,18 @@ class ChainTemplate:
     """A chain with one designated ancilla slot, parameterized by the
     ancilla-to-qubit mass ratio mu.
 
-    ``base_masses`` lists the qubit masses with a placeholder at
-    ``ancilla_index``; :meth:`config_for` replaces that slot with
-    ``mu * m_reference``.
+    The mass at ``ancilla_index`` in ``config`` is a placeholder that
+    :meth:`config_for` replaces with ``mu * m_reference``; the reference
+    ion must be a qubit ion.
     """
 
-    base_masses: tuple
+    config: ChainConfig
     ancilla_index: int
-    reference_index: int = 0
-    omega_z: float = 1.0
-    k_projection: float = 1.0
-    dimensionless_mode: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "base_masses",
-                           tuple(float(m) for m in self.base_masses))
-        n = len(self.base_masses)
-        if not 0 <= self.ancilla_index < n:
+        if not 0 <= self.ancilla_index < self.config.n_ions:
             raise ValueError("ancilla_index out of range")
-        if not 0 <= self.reference_index < n:
-            raise ValueError("reference_index out of range")
-        if self.reference_index == self.ancilla_index:
+        if self.config.reference_index == self.ancilla_index:
             raise ValueError("the reference ion must be a qubit ion")
 
     @classmethod
@@ -383,7 +375,7 @@ class ChainTemplate:
 
         ``placement`` is ``"center"`` (for an odd qubit count the slot just
         below the midpoint), ``"edge"`` (last position), or an explicit
-        integer slot.
+        integer slot.  Other keyword arguments go to :class:`ChainConfig`.
         """
         if n_qubits < 1:
             raise ValueError("need at least one qubit ion")
@@ -396,18 +388,17 @@ class ChainTemplate:
             slot = placement
         else:
             raise ValueError(f"unknown placement {placement!r}")
-        masses = [qubit_mass] * n
         reference = 0 if slot != 0 else 1
-        return cls(base_masses=tuple(masses), ancilla_index=slot,
-                   reference_index=reference, **kwargs)
+        return cls(ChainConfig(masses=(qubit_mass,) * n,
+                               reference_index=reference, **kwargs), slot)
 
     @property
     def n_qubits(self):
-        return len(self.base_masses) - 1
+        return self.config.n_ions - 1
 
     def addressed(self):
         """Indices of the qubit ions, in chain order."""
-        return tuple(i for i in range(len(self.base_masses))
+        return tuple(i for i in range(self.config.n_ions)
                      if i != self.ancilla_index)
 
     def config_for(self, mu):
@@ -415,15 +406,11 @@ class ChainTemplate:
         reference (qubit) mass."""
         if mu <= 0:
             raise ValueError("mass ratio must be positive")
-        masses = list(self.base_masses)
-        masses[self.ancilla_index] = mu * masses[self.reference_index]
-        return ChainConfig(
-            masses=tuple(masses),
-            reference_index=self.reference_index,
-            omega_z=self.omega_z,
-            k_projection=self.k_projection,
-            dimensionless_mode=self.dimensionless_mode,
-        )
+        cfg = self.config
+        masses = list(cfg.masses)
+        masses[self.ancilla_index] = mu * masses[cfg.reference_index]
+        return ChainConfig(masses=masses, reference_index=cfg.reference_index,
+                           omega_z=cfg.omega_z, k_projection=cfg.k_projection)
 
 
 # --- plain-text config files and CSV export ---------------------------------
@@ -461,7 +448,8 @@ def read_chain_file(path):
 
     Recognized keys: ``masses`` (comma-separated, u), ``omega_z`` (Hz),
     ``reference_index``, ``k_projection`` (1/m), ``ancilla_index``.
-    ``#`` starts a comment.  The resulting config is in SI mode.
+    ``#`` starts a comment.  The resulting config is in SI units, with
+    ``omega_z`` in rad/s.
     """
     entries = {}
     for lineno, line in text_lines(path):
@@ -504,7 +492,6 @@ def read_chain_file(path):
             reference_index=reference_index,
             omega_z=2.0 * np.pi * omega_z_hz,
             k_projection=k_projection,
-            dimensionless_mode=False,
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -519,8 +506,8 @@ def modes_to_csv(modes, stream):
     """Write a mode table: one row per mode with its frequency, the in-phase
     marker, then per-ion ground-state amplitudes and Lamb-Dicke parameters.
 
-    Frequencies are rad/s in SI mode and units of omega_z in dimensionless
-    mode; amplitudes are metres resp. scaled lengths.
+    Frequencies are rad/s for an SI chain and units of omega_z when the
+    chain's ``omega_z`` is None; amplitudes are metres resp. scaled lengths.
     """
     n = modes.n_ions
     stream.write(f"# {MODES_CSV_SCHEMA}\n")

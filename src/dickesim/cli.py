@@ -19,8 +19,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .chain import (ChainTemplate, modes_to_csv, read_chain_file,
-                    solve_axial_modes, solve_equilibrium, text_lines)
+from .chain import (MODES_CSV_SCHEMA, ChainTemplate, modes_to_csv,
+                    read_chain_file, solve_axial_modes, solve_equilibrium,
+                    text_lines)
 from .detection import (ReadoutModel, calibrate, composite_dists, ml_fit,
                         parity_from_fit, parity_std_from_fit,
                         synthesize_shots)
@@ -69,22 +70,19 @@ def _resolve_seed(args_seed):
     return seed
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+def _json_default(value):
+    """``json.dumps`` hook for the numpy values in reports; ``np.float64``
+    is a ``float`` and needs none."""
     if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
+        return value.tolist()
+    if isinstance(value, np.integer):
         return int(value)
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(data, stream):
-    stream.write(json.dumps(_jsonify(data), indent=2, sort_keys=True))
+    stream.write(json.dumps(data, indent=2, sort_keys=True,
+                            default=_json_default))
     stream.write("\n")
 
 
@@ -136,7 +134,7 @@ def cmd_modes(args):
             modes_to_csv(modes, out)
         else:
             _write_json({
-                "schema": "modes.v1",
+                "schema": MODES_CSV_SCHEMA,
                 "frequencies": modes.frequencies,
                 "inphase_index": modes.inphase_index,
                 "eigenvectors": modes.eigenvectors,
@@ -153,17 +151,10 @@ def cmd_modes(args):
 def _template_from_file(chain_file, path):
     if chain_file.ancilla_index is None:
         raise DataError(f"{path}: sweep needs an ancilla_index entry")
-    cfg = chain_file.config
-    if cfg.reference_index == chain_file.ancilla_index:
-        raise DataError(f"{path}: reference_index must name a qubit ion")
-    return ChainTemplate(
-        base_masses=cfg.masses,
-        ancilla_index=chain_file.ancilla_index,
-        reference_index=cfg.reference_index,
-        omega_z=cfg.omega_z,
-        k_projection=cfg.k_projection,
-        dimensionless_mode=False,
-    )
+    try:
+        return ChainTemplate(chain_file.config, chain_file.ancilla_index)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _mu_grid(args):

@@ -225,8 +225,8 @@ def ml_fit_sequential(samples, cm, n_bootstrap, seed):
 
 def length_scale(config):
     """Characteristic length l = (e^2/(4 pi eps0 m_ref omega_z^2))^(1/3) in
-    metres (1.0 in dimensionless mode)."""
-    if config.dimensionless_mode:
+    metres (1.0 in scaled units, when ``omega_z`` is None)."""
+    if config.omega_z is None:
         return 1.0
     m_ref = config.masses[config.reference_index] * ATOMIC_MASS
     return (E_CHARGE**2 / (4 * np.pi * EPSILON_0 * m_ref * config.omega_z**2)) ** (1.0 / 3.0)

@@ -259,8 +259,7 @@ def test_end_to_end_closure():
     t0 = time.perf_counter()
     chain_file = ChainFile(
         config=ChainConfig(masses=(25.0, 25.0, 27.0), reference_index=0,
-                           omega_z=2 * np.pi * 2.55e6, k_projection=1.1e7,
-                           dimensionless_mode=False),
+                           omega_z=2 * np.pi * 2.55e6, k_projection=1.1e7),
         ancilla_index=2,
         omega_z_hz=2.55e6,
     )

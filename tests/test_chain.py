@@ -201,7 +201,7 @@ def test_mg_mg_al_inphase_amplitudes():
 def test_mg_mg_al_si_units_ion_spacing():
     # with omega_z = 2 pi 2.55 MHz for one Mg ion the Mg-Mg spacing is 3 um
     cfg = ChainConfig(masses=(25.0, 25.0, 27.0), reference_index=0,
-                      omega_z=2 * np.pi * 2.55e6, dimensionless_mode=False)
+                      omega_z=2 * np.pi * 2.55e6)
     eq = solve_equilibrium(cfg)
     spacing = (eq.positions[1] - eq.positions[0]) * length_scale(cfg)
     assert spacing == pytest.approx(3.0e-6, rel=0.01)
@@ -210,7 +210,7 @@ def test_mg_mg_al_si_units_ion_spacing():
 def test_si_mode_frequencies_scale_with_omega_z():
     omega_z = 2 * np.pi * 2.55e6
     cfg = ChainConfig(masses=(25.0, 25.0, 27.0), omega_z=omega_z,
-                      k_projection=1.0e7, dimensionless_mode=False)
+                      k_projection=1.0e7)
     modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
     scaled = solve_axial_modes(
         ChainConfig(masses=(25.0, 25.0, 27.0)),
@@ -250,7 +250,7 @@ def test_coupling_strengths_validates_addressed():
 def test_lamb_dicke_warning_in_si_mode():
     # absurdly large k-projection pushes eta past the warning threshold
     cfg = ChainConfig(masses=(25.0, 25.0), omega_z=2 * np.pi * 2.55e6,
-                      k_projection=1.0e12, dimensionless_mode=False)
+                      k_projection=1.0e12)
     modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
     with pytest.warns(LambDickeWarning):
         coupling_strengths(modes, (0, 1))
@@ -291,7 +291,34 @@ def test_template_placements():
     assert odd.ancilla_index == 2
     explicit = ChainTemplate.symmetric(3, placement=0)
     assert explicit.ancilla_index == 0
-    assert explicit.reference_index == 1
+    assert explicit.config.reference_index == 1
+
+
+@pytest.mark.parametrize("units", [
+    {},  # omega_z None: scaled units
+    {"omega_z": 2 * np.pi * 2.55e6, "k_projection": 1.1e7},
+], ids=["scaled", "si"])
+@pytest.mark.parametrize("mu", [0.1, 27.0 / 25.0, 10.0])
+def test_config_for_sets_only_the_ancilla_mass(units, mu):
+    template = ChainTemplate(ChainConfig(masses=(25.0, 24.0, 26.0, 9.0),
+                                         reference_index=1, **units),
+                             ancilla_index=3)
+    base = template.config
+    masses = list(base.masses)
+    masses[3] = mu * base.masses[base.reference_index]
+    assert template.config_for(mu) == ChainConfig(
+        masses=tuple(masses), reference_index=base.reference_index,
+        omega_z=base.omega_z, k_projection=base.k_projection)
+
+
+@pytest.mark.parametrize("ancilla_index,message", [
+    (3, "ancilla_index out of range"),
+    (-1, "ancilla_index out of range"),
+    (0, "reference ion must be a qubit ion"),
+])
+def test_template_rejects_bad_ancilla_slot(ancilla_index, message):
+    with pytest.raises(ValueError, match=message):
+        ChainTemplate(ChainConfig(masses=(25.0, 25.0, 27.0)), ancilla_index)
 
 
 def test_chain_file_round_trip(tmp_path):
@@ -308,7 +335,6 @@ def test_chain_file_round_trip(tmp_path):
     assert cfg.masses == (25.0, 25.0, 27.0)
     assert cfg.omega_z == pytest.approx(2 * np.pi * 2.55e6)
     assert cfg.k_projection == 1.1e7
-    assert not cfg.dimensionless_mode
     assert chain_file.ancilla_index == 2
 
 

@@ -9,12 +9,12 @@ from dickesim.cli import main, run_experiment
 
 
 def write_chain(tmp_path, name="chain.cfg", masses="25, 25, 27",
-                ancilla="ancilla_index = 2\n", omega="2.55e6"):
+                ancilla="ancilla_index = 2\n", omega="2.55e6", reference=0):
     path = tmp_path / name
     path.write_text(
         f"masses = {masses}\n"
         f"omega_z = {omega}\n"
-        "reference_index = 0\n"
+        f"reference_index = {reference}\n"
         "k_projection = 1.1e7\n"
         + ancilla)
     return str(path)
@@ -228,11 +228,6 @@ def test_sweep_row_with_out_of_range_mass_ratio_names_it(tmp_path):
     assert intact["error"] is None and intact["reduced_density"] is not None
 
 
-def test_sweep_without_ancilla_index_exits_2(tmp_path):
-    cfg = write_chain(tmp_path, masses="25, 25, 27", ancilla="")
-    assert main(["sweep", "--config", cfg]) == 2
-
-
 @pytest.mark.parametrize("flags,message", [
     (["--m", "0"], "--m"),
     (["--m", "3"], "--m"),  # the chain has 2 qubit ions
@@ -252,6 +247,30 @@ def test_sweep_bad_flag_exits_1(tmp_path, capsys, flags, message):
                  "--out", str(out)] + flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- ancilla slot ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,chain,code", [
+    # experiment addresses the non-ancilla ions itself, so its reference
+    # may be the ancilla; a sweep scales the ancilla by the reference mass
+    ("experiment", {"reference": 2}, 0),
+    ("sweep", {"reference": 2}, 2),
+    ("experiment", {"ancilla": ""}, 2),
+    ("sweep", {"ancilla": ""}, 2),
+    ("experiment", {"masses": "25, 25, 25, 27",
+                    "ancilla": "ancilla_index = 3\n"}, 2),
+], ids=["experiment-reference-is-ancilla", "sweep-reference-is-ancilla",
+        "experiment-no-ancilla", "sweep-no-ancilla", "experiment-3-qubits"])
+def test_ancilla_slot_exit_codes(tmp_path, capsys, command, chain, code):
+    cfg = write_chain(tmp_path, **chain)
+    flags = (["--shots", "500", "--seed", "0"] if command == "experiment"
+             else ["--mu-points", "3"])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]
+                + flags) == code
+    if code:
+        assert capsys.readouterr().err.startswith("dickesim: data error:")
 
 
 # --- experiment -----------------------------------------------------------------

@@ -685,8 +685,7 @@ def test_sweep_warns_on_si_rows_outside_lamb_dicke():
     # at k = 1e8 / m the in-phase eta of a 25 u ion at 2.55 MHz passes 0.3
     template = ChainTemplate.symmetric(2, placement="edge", qubit_mass=25.0,
                                        omega_z=2 * np.pi * 2.55e6,
-                                       k_projection=1e8,
-                                       dimensionless_mode=False)
+                                       k_projection=1e8)
     with pytest.warns(LambDickeWarning):
         rows = fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], 1)
     assert all(row.pulse is not None for row in rows)
