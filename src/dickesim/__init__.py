@@ -8,17 +8,14 @@ __version__ = "0.1.0"
 from .chain import (ChainConfig, ChainFile, ChainTemplate,
                     EquilibriumSolution, LambDickeWarning, ModeSet,
                     coupling_strengths, modes_to_csv, read_chain_file,
-                    scaled_gradient, scaled_hessian, scaled_potential,
-                    solve_axial_modes, solve_equilibrium)
-from .detection import (CalibrationResult, CountModel, FitResult,
+                    scaled_gradient, scaled_hessian, solve_axial_modes,
+                    solve_equilibrium)
+from .detection import (CalibrationResult, FitResult,
                         ParityScanResult, ReadoutModel, calibrate,
                         composite_dists, dark_ion_dist, estimate_period,
                         ml_fit, parity_from_fit, parity_scan_analysis,
                         parity_std_from_fit, synthesize_shots)
-from .dicke import (QubitDensity, QubitState, collective_rotation,
-                    dicke_fidelity, dicke_state, dicke_vector,
-                    parity_expectation, rotated_density, rotated_parity,
-                    w_fidelity_analytic)
+from .dicke import QubitDensity, collective_rotation, rotated_density
 from .errors import (ConvergenceError, DataError, DickesimError,
                      IdentifiabilityError, SearchError, UnstableCrystalError)
 from .experiment import run_experiment

@@ -142,21 +142,10 @@ class ModeSet:
         return self.eigenvectors.shape[1]
 
 
-def scaled_potential(positions):
-    """Scaled axial potential energy of the chain at the given coordinates.
-
-    Trap term plus mutual Coulomb repulsion, in units of
-    ``m_ref * omega_z^2 * l^2``.  Equal charges share the static well, so
-    every ion sees the same unit spring constant here.
-    """
-    u = np.asarray(positions, dtype=float)
-    d = u[:, None] - u[None, :]
-    iu = np.triu_indices(len(u), k=1)
-    return 0.5 * float(np.sum(u * u)) + float(np.sum(1.0 / np.abs(d[iu])))
-
-
 def scaled_gradient(positions):
-    """Gradient of :func:`scaled_potential` (analytic)."""
+    """Gradient (analytic) of the scaled axial potential energy
+    ``sum_i u_i^2 / 2 + sum_{i<j} 1 / |u_i - u_j|``: trap term plus mutual
+    Coulomb repulsion, in units of ``m_ref * omega_z^2 * l^2``."""
     u = np.asarray(positions, dtype=float)
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
@@ -164,7 +153,7 @@ def scaled_gradient(positions):
 
 
 def scaled_hessian(positions):
-    """Hessian of :func:`scaled_potential` (analytic)."""
+    """Hessian (analytic) of the potential of :func:`scaled_gradient`."""
     u = np.asarray(positions, dtype=float)
     n = len(u)
     d = np.abs(u[:, None] - u[None, :])
@@ -381,7 +370,7 @@ class ChainTemplate:
             raise ValueError("need at least one qubit ion")
         n = n_qubits + 1
         if placement == "center":
-            slot = n_qubits // 2 if n_qubits % 2 == 0 else (n_qubits - 1) // 2
+            slot = n_qubits // 2
         elif placement == "edge":
             slot = n_qubits
         elif isinstance(placement, int):

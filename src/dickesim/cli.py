@@ -22,7 +22,8 @@ from . import __version__
 from .chain import (MODES_CSV_SCHEMA, ChainTemplate, modes_to_csv,
                     read_chain_file, solve_axial_modes, solve_equilibrium,
                     text_lines)
-from .detection import (ReadoutModel, calibrate, composite_dists, ml_fit,
+from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_N_MAX, DEFAULT_T_DETECT,
+                        ReadoutModel, calibrate, composite_dists, ml_fit,
                         parity_from_fit, parity_std_from_fit,
                         synthesize_shots)
 from .errors import (ConvergenceError, DataError, IdentifiabilityError,
@@ -385,9 +386,9 @@ def build_parser():
                        help="bright reference histogram CSV (n,count)")
     p_fit.add_argument("--ref-dark", required=True,
                        help="dark reference histogram CSV (n,count)")
-    p_fit.add_argument("--n-max", type=int, default=100)
-    p_fit.add_argument("--t-detect", type=float, default=200e-6)
-    p_fit.add_argument("--bootstrap", type=int, default=200)
+    p_fit.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    p_fit.add_argument("--t-detect", type=float, default=DEFAULT_T_DETECT)
+    p_fit.add_argument("--bootstrap", type=int, default=DEFAULT_N_BOOTSTRAP)
     p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--out", default="-")
     p_fit.set_defaults(func=cmd_fit)

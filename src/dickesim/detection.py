@@ -12,9 +12,9 @@ validated against Monte Carlo sampling in the test suite).
 Every count distribution is a plain array over n = 0..n_max with the tail
 mass folded into the last bin.  The composite distributions for 0/1/2
 bright ions are discrete convolutions of the background and single-ion
-arrays, built once per readout model by :func:`composite_dists` as a
-:class:`CountModel`, whose one read-only array holds them as rows; shot
-synthesis, fits and parity scans all read the rows of that array;
+arrays, built once per readout model by :func:`composite_dists` as the
+rows of one read-only (3, n_max+1) array; shot synthesis, fits and parity
+scans all read the rows of that array, and n_max from its shape;
 calibration builds only the two reference rows for each trial model.
 An observed sample of counts is fit with the three-component mixture by
 maximizing the log-likelihood over the population simplex (EM-style
@@ -47,6 +47,8 @@ from ._frozen import freeze
 from .errors import ConvergenceError, DataError, IdentifiabilityError
 
 DEFAULT_N_MAX = 100
+DEFAULT_T_DETECT = 200e-6  # s
+DEFAULT_N_BOOTSTRAP = 200
 QUAD_NODES = 513  # 512 Simpson intervals over the detection window
 
 
@@ -63,7 +65,7 @@ class ReadoutModel:
     lambda_dark: float
     lambda_bg: float
     gamma: float
-    t_detect: float = 200e-6
+    t_detect: float = DEFAULT_T_DETECT
 
     def __post_init__(self):
         for name in ("lambda_bright", "lambda_dark", "lambda_bg", "gamma"):
@@ -125,22 +127,6 @@ def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
     return np.exp(-gt) * _folded_poisson(model.lambda_dark, n_max) + decayed
 
 
-@dataclass(frozen=True)
-class CountModel:
-    """The composite distributions P(n|i), n = 0..n_max, as the read-only
-    (3, n_max+1) array ``probabilities``: row i holds i = 0, 1, 2 bright
-    ions (the number of ions in the down state)."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        freeze(self, float, "probabilities")
-
-    @property
-    def n_max(self):
-        return self.probabilities.shape[1] - 1
-
-
 def _composites(model, n_max, bright):
     """The rows P(n|i) for each i in ``bright``, as one array."""
     bg = _folded_poisson(model.lambda_bg, n_max)
@@ -153,13 +139,20 @@ def _composites(model, n_max, bright):
 
 @lru_cache(maxsize=32)
 def composite_dists(model, n_max=DEFAULT_N_MAX):
-    """Composite count distributions for two equally illuminated ions:
+    """Composite count distributions for two equally illuminated ions, as
+    one read-only (3, n_max+1) array whose row i holds P(n|i) for i bright
+    (down) ions:
 
     P(n|0) = P_bg * P_up * P_up,
     P(n|1) = P_bg * P_up * P_down,
     P(n|2) = P_bg * P_down * P_down.
+
+    The array is cached per (model, n_max): every caller gets the same
+    object back, which is why it is read-only.
     """
-    return CountModel(_composites(model, n_max, (0, 1, 2)))
+    pmat = _composites(model, n_max, (0, 1, 2))
+    pmat.setflags(write=False)
+    return pmat
 
 
 @dataclass(frozen=True)
@@ -259,8 +252,9 @@ def _em(h, pmat, starts, tol=1e-10, max_iter=200000):
 
 
 def _histogram(samples, cm):
-    """Bin a sample of photon counts on 0..cm.n_max, rejecting counts that
-    are not integers in that range."""
+    """Bin a sample of photon counts on 0..n_max, the columns of the
+    composite array ``cm``, rejecting counts that are not integers in that
+    range."""
     counts = np.asarray(samples)
     if counts.size == 0:
         raise ValueError("need at least one sample")
@@ -269,11 +263,12 @@ def _histogram(samples, cm):
         if np.max(np.abs(counts - rounded)) > 0:
             raise DataError("photon counts must be integers")
         counts = rounded.astype(int)
-    if counts.min() < 0 or counts.max() > cm.n_max:
+    n_max = cm.shape[1] - 1
+    if counts.min() < 0 or counts.max() > n_max:
         raise DataError(
-            f"photon counts must lie in [0, {cm.n_max}]; "
+            f"photon counts must lie in [0, {n_max}]; "
             f"got range [{counts.min()}, {counts.max()}]")
-    return np.bincount(counts, minlength=cm.n_max + 1).astype(float)
+    return np.bincount(counts, minlength=n_max + 1).astype(float)
 
 
 def _fit(hists, cm, n_bootstrap, seeds):
@@ -282,9 +277,8 @@ def _fit(hists, cm, n_bootstrap, seeds):
     another.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
-    pmat = cm.probabilities
-    k = pmat.shape[0]
-    c_hat, ll = _em(hists, pmat, np.full((len(hists), k), 1.0 / k))
+    k = cm.shape[0]
+    c_hat, ll = _em(hists, cm, np.full((len(hists), k), 1.0 / k))
     boots = [None] * len(hists)
     if n_bootstrap > 0:
         starts = np.repeat(np.clip(c_hat, 1e-6, None), n_bootstrap, axis=0)
@@ -294,7 +288,7 @@ def _fit(hists, cm, n_bootstrap, seeds):
             np.random.default_rng(seed).multinomial(int(n), h / n,
                                                     size=n_bootstrap)
             for seed, h, n in zip(seeds, hists, np.sum(hists, axis=1))],
-            dtype=float), pmat, starts)[0].reshape(len(hists), -1, k)
+            dtype=float), cm, starts)[0].reshape(len(hists), -1, k)
     return [FitResult(populations=c, log_likelihood=float(l),
                       std_errors=(np.zeros(k) if b is None
                                   else np.std(b, axis=0, ddof=1)),
@@ -302,20 +296,25 @@ def _fit(hists, cm, n_bootstrap, seeds):
             for c, l, b, h in zip(c_hat, ll, boots, hists)]
 
 
-def ml_fit(samples, cm, n_bootstrap=200, seed=0):
+def ml_fit(samples, cm, n_bootstrap=DEFAULT_N_BOOTSTRAP, seed=0):
     """Fit mixture populations (c0, c1, c2) to a sample of photon counts.
 
-    ``cm`` is the CountModel from :func:`composite_dists`.  Standard errors
+    ``cm`` is the array from :func:`composite_dists`.  Standard errors
     are the bootstrap standard deviations over ``n_bootstrap`` multinomial
     resamples (0 for none, else at least 2).
     """
     return _fit(_histogram(samples, cm)[None], cm, n_bootstrap, [seed])[0]
 
 
+def _parity(c):
+    """Two-qubit parity c0 + c2 - c1 of bright-ion populations along the
+    last axis of ``c``."""
+    return c[..., 0] + c[..., 2] - c[..., 1]
+
+
 def parity_from_fit(fit):
     """Two-qubit parity from fitted bright-ion populations: c0 + c2 - c1."""
-    c = fit.populations
-    return float(c[0] + c[2] - c[1])
+    return float(_parity(fit.populations))
 
 
 def parity_std_from_fit(fit):
@@ -323,12 +322,12 @@ def parity_std_from_fit(fit):
     b = fit.bootstrap_populations
     if b is None:
         return None
-    return float(np.std(b[:, 0] + b[:, 2] - b[:, 1], ddof=1))
+    return float(np.std(_parity(b), ddof=1))
 
 
 def synthesize_shots(populations, cm, n_shots, seed):
     """Draw i.i.d. photon counts from the mixture sum_i c_i P(n|i) of the
-    CountModel ``cm``.
+    rows of the :func:`composite_dists` array ``cm``.
 
     Reproducible for a fixed seed (an int, SeedSequence or Generator).
     """
@@ -339,15 +338,15 @@ def synthesize_shots(populations, cm, n_shots, seed):
         raise ValueError("populations must sum to 1")
     if n_shots < 0:
         raise ValueError("n_shots must be >= 0")
-    if len(c) != len(cm.probabilities):
+    if len(c) != len(cm):
         raise ValueError("populations length must match the model components")
     rng = np.random.default_rng(seed)
     c = np.clip(c, 0.0, None)
     c /= np.sum(c)
     component = rng.choice(len(c), size=int(n_shots), p=c)
     counts = np.zeros(int(n_shots), dtype=int)
-    support = np.arange(cm.n_max + 1)
-    for i, p in enumerate(cm.probabilities):
+    support = np.arange(cm.shape[1])
+    for i, p in enumerate(cm):
         mask = component == i
         if np.any(mask):
             counts[mask] = rng.choice(support, size=int(np.sum(mask)), p=p)
@@ -411,7 +410,7 @@ def _pearson_chi2(hist, probs):
     return chi2, max(len(obs_m) - 1, 1)
 
 
-def calibrate(ref_bright, ref_dark, t_detect=200e-6, fix=None):
+def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     """Joint maximum-likelihood fit of the readout model to two reference
     histograms: an all-bright preparation (both ions down, P(n|2)) and an
     all-dark preparation (both ions up, P(n|0)).  The longer histogram
@@ -482,8 +481,8 @@ def calibrate(ref_bright, ref_dark, t_detect=200e-6, fix=None):
                                f"nfev={res.nfev})")
     model = build(res.x)
     cm = composite_dists(model, n_max)
-    chi2_b, dof_b = _pearson_chi2(hb, cm.probabilities[2])
-    chi2_d, dof_d = _pearson_chi2(hd, cm.probabilities[0])
+    chi2_b, dof_b = _pearson_chi2(hb, cm[2])
+    chi2_d, dof_d = _pearson_chi2(hd, cm[0])
     return CalibrationResult(
         model=model,
         log_likelihood=float(-res.fun),
@@ -516,7 +515,8 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     """Per-phase ML parity estimates and a least-squares sinusoid fit.
 
     ``scans`` is an iterable of (phi, samples), each fit against the
-    CountModel ``cm`` with ``n_bootstrap`` resamples (0, or at least 2).
+    :func:`composite_dists` array ``cm`` with ``n_bootstrap`` resamples
+    (0, or at least 2).
     The fit enforces the pi period of a two-qubit parity oscillation, so
     its offset is the coherence term: the two-phase average
     (parity(0) + parity(pi/2)) / 2 of the fitted curve.

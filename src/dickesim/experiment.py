@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detection import (ReadoutModel, calibrate, composite_dists,
-                        estimate_period, ml_fit, parity_from_fit,
-                        parity_scan_analysis, synthesize_shots)
+from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_T_DETECT, ReadoutModel,
+                        calibrate, composite_dists, estimate_period, ml_fit,
+                        parity_from_fit, parity_scan_analysis,
+                        synthesize_shots)
 from .dicke import rotated_density, weights
 from .errors import DataError
 from .sideband import first_max_fidelity
@@ -16,7 +17,7 @@ from .sideband import first_max_fidelity
 N_PHASES = 12  # analysis phases k pi / N_PHASES per experiment parity scan
 
 DEFAULT_MODEL = dict(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
-                     gamma=500.0, t_detect=200e-6)
+                     gamma=500.0, t_detect=DEFAULT_T_DETECT)
 
 
 def _bright_populations(rho):
@@ -28,7 +29,8 @@ def _bright_populations(rho):
     return c / np.sum(c)
 
 
-def run_experiment(chain_file, shots, seed, model=None, n_bootstrap=200):
+def run_experiment(chain_file, shots, seed, model=None,
+                   n_bootstrap=DEFAULT_N_BOOTSTRAP):
     """End-to-end synthetic run on one chain config; returns the report dict.
 
     Simulates the preparation pulse, generates reference/experiment/parity
@@ -60,14 +62,15 @@ def run_experiment(chain_file, shots, seed, model=None, n_bootstrap=200):
     seed_iter = iter(np.random.SeedSequence(seed).spawn(6 + 2 * N_PHASES))
 
     cm_true = composite_dists(model)
+    n_max = cm_true.shape[1] - 1
     ref_bright = synthesize_shots((0.0, 0.0, 1.0), cm_true, shots, next(seed_iter))
     ref_dark = synthesize_shots((1.0, 0.0, 0.0), cm_true, shots, next(seed_iter))
-    hist_bright = np.bincount(ref_bright, minlength=cm_true.n_max + 1)
-    hist_dark = np.bincount(ref_dark, minlength=cm_true.n_max + 1)
+    hist_bright = np.bincount(ref_bright, minlength=n_max + 1)
+    hist_dark = np.bincount(ref_dark, minlength=n_max + 1)
     cal = calibrate(hist_bright, hist_dark, t_detect=model.t_detect)
     # calibrate's own (model, n_max) cache key, as the references have
-    # cm_true.n_max + 1 bins, so its last build is reused
-    cm_fit = composite_dists(cal.model, cm_true.n_max)
+    # n_max + 1 bins, so its last build is reused
+    cm_fit = composite_dists(cal.model, n_max)
 
     exp_shots = synthesize_shots(populations, cm_true, shots, next(seed_iter))
     fit = ml_fit(exp_shots, cm_fit, n_bootstrap=n_bootstrap, seed=next(seed_iter))

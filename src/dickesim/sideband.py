@@ -64,10 +64,9 @@ class ExcitationSector:
             raise ValueError("excitation number must be >= 0")
         ups = weights(self.n_qubits)
         qubits = np.flatnonzero(ups <= self.m)
-        phonons = self.m - ups[qubits]
-        for name, arr in (("qubits", qubits), ("phonons", phonons)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "phonons", self.m - ups[qubits])
+        freeze(self, int, "qubits", "phonons")
 
     @property
     def dimension(self):

@@ -12,21 +12,25 @@ time, and draws and fits bootstrap resamples one after another, where the
 program fits a whole stack of histograms in one batch with SQUAREM steps.
 
 The last section holds quantities the package itself never needs, kept
-here as references for the tests that check them: two-qubit fidelity
-and coherence from matrix elements, purity, the chain's SI length scale,
-JSON readers for qubit states, and the per-index loop that bins a
+here as references for the tests that check them: the chain's scaled
+potential energy and SI length scale, pure qubit states and Dicke states,
+the closed-form W fidelity, the parity and Dicke-fidelity expectations of
+a density matrix, two-qubit fidelity and coherence from matrix elements,
+purity, JSON readers for qubit states, and the per-index loop that bins a
 density diagonal by bright-ion count.
 """
 
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from dickesim import QubitDensity, QubitState, sideband
+from dickesim import QubitDensity, sideband
+from dickesim._frozen import freeze
 from dickesim.chain import ATOMIC_MASS
-from dickesim.dicke import weights
+from dickesim.dicke import rotated_density, weights
 
 E_CHARGE = 1.602176634e-19  # C
 EPSILON_0 = 8.8541878128e-12  # F/m
@@ -211,16 +215,28 @@ def ml_fit_sequential(samples, cm, n_bootstrap, seed):
     """Populations and bootstrap populations of one sample of counts, with
     every resample drawn and fit one after another, each fit run until an
     EM update gains nothing."""
-    hist = np.bincount(samples, minlength=cm.n_max + 1).astype(float)
-    pmat = cm.probabilities
-    c_hat, ll = em_fit(hist, pmat, tol=0.0)
+    hist = np.bincount(samples, minlength=cm.shape[1]).astype(float)
+    c_hat, ll = em_fit(hist, cm, tol=0.0)
     rng = np.random.default_rng(seed)
     n = int(np.sum(hist))
     boots = np.array([
-        em_fit(rng.multinomial(n, hist / n).astype(float), pmat,
+        em_fit(rng.multinomial(n, hist / n).astype(float), cm,
                c0=np.clip(c_hat, 1e-6, None), tol=0.0)[0]
         for _ in range(n_bootstrap)])
     return c_hat, ll, boots
+
+
+def scaled_potential(positions):
+    """Scaled axial potential energy of the chain at the given coordinates.
+
+    Trap term plus mutual Coulomb repulsion, in units of
+    ``m_ref * omega_z^2 * l^2``.  Equal charges share the static well, so
+    every ion sees the same unit spring constant here.
+    """
+    u = np.asarray(positions, dtype=float)
+    d = u[:, None] - u[None, :]
+    iu = np.triu_indices(len(u), k=1)
+    return 0.5 * float(np.sum(u * u)) + float(np.sum(1.0 / np.abs(d[iu])))
 
 
 def length_scale(config):
@@ -230,6 +246,80 @@ def length_scale(config):
         return 1.0
     m_ref = config.masses[config.reference_index] * ATOMIC_MASS
     return (E_CHARGE**2 / (4 * np.pi * EPSILON_0 * m_ref * config.omega_z**2)) ** (1.0 / 3.0)
+
+
+@dataclass(frozen=True)
+class QubitState:
+    """Pure N-qubit state: complex amplitudes over the 2^N basis."""
+
+    amplitudes: np.ndarray
+    n_qubits: int
+
+    def __post_init__(self):
+        freeze(self, complex, "amplitudes")
+        if self.amplitudes.shape != (2**self.n_qubits,):
+            raise ValueError("amplitude vector length must be 2**n_qubits")
+        norm = np.linalg.norm(self.amplitudes)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"state norm {norm!r} is not 1")
+
+    def density(self):
+        """Projector |psi><psi| as a QubitDensity."""
+        rho = np.outer(self.amplitudes, self.amplitudes.conj())
+        return QubitDensity(matrix=rho, n_qubits=self.n_qubits)
+
+
+def dicke_state(n, m):
+    """The N-qubit Dicke state with m excitations: the equal superposition
+    of all basis states of Hamming weight m."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if not 0 <= m <= n:
+        raise ValueError(f"excitation number m={m} outside 0..{n}")
+    return QubitState(amplitudes=dicke_vector(n, m), n_qubits=n)
+
+
+def dicke_vector(n, m):
+    """Plain amplitude vector of :func:`dicke_state` (real dtype)."""
+    v = np.zeros(2**n)
+    v[weights(n) == m] = 1.0 / np.sqrt(comb(n, m))
+    return v
+
+
+def w_fidelity_analytic(couplings):
+    """Closed-form fidelity of the single-excitation (W) state produced by a
+    shared red-sideband pulse with per-ion couplings Omega_i:
+    ``(sum Omega_i)^2 / (N * sum Omega_i^2)``."""
+    om = np.asarray(couplings, dtype=float)
+    if om.ndim != 1 or len(om) == 0:
+        raise ValueError("couplings must be a non-empty 1-d sequence")
+    ssq = float(np.sum(om * om))
+    if ssq == 0.0:
+        raise ValueError("at least one coupling must be nonzero")
+    return float(np.sum(om)) ** 2 / (len(om) * ssq)
+
+
+def parity_expectation(rho):
+    """Expectation of the parity operator: +1/-1 for an even/odd number of
+    up qubits in each basis state (the two-qubit special case is
+    dd + uu - du - ud)."""
+    signs = (-1.0) ** weights(rho.n_qubits)
+    return float(np.real(np.sum(signs * np.diag(rho.matrix))))
+
+
+def rotated_parity(rho, theta, phi):
+    """Parity after the collective analysis rotation:
+    tr(R^dagger rho R Pi)."""
+    return parity_expectation(rotated_density(rho, theta, phi))
+
+
+def dicke_fidelity(rho, m):
+    """Overlap <D(N,m)| rho |D(N,m)>."""
+    if not 0 <= m <= rho.n_qubits:
+        raise ValueError(f"excitation number m={m} outside 0..{rho.n_qubits}")
+    d = dicke_vector(rho.n_qubits, m)
+    val = np.real(d @ rho.matrix @ d)
+    return float(val)
 
 
 def coherence_two_qubit(rho):

@@ -12,13 +12,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import FullSpace, evolve, relax_equilibrium
+from conftest import (FullSpace, evolve, relax_equilibrium,
+                      w_fidelity_analytic)
 
 from dickesim import (ChainConfig, ChainTemplate, ReadoutModel,
                       composite_dists, coupling_strengths,
                       fidelity_vs_mass_ratio, first_max_from_couplings,
                       ml_fit, solve_axial_modes, solve_equilibrium,
-                      synthesize_shots, w_fidelity_analytic)
+                      synthesize_shots)
 from dickesim.chain import ChainFile
 from dickesim.cli import run_experiment
 

@@ -2,14 +2,14 @@ import io
 
 import numpy as np
 import pytest
-from conftest import length_scale, relax_equilibrium
+from conftest import length_scale, relax_equilibrium, scaled_potential
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
                       LambDickeWarning, coupling_strengths, modes_to_csv,
                       read_chain_file, scaled_gradient, scaled_hessian,
-                      scaled_potential, solve_axial_modes, solve_equilibrium)
+                      solve_axial_modes, solve_equilibrium)
 from dickesim import chain as chain_mod
 from dickesim.errors import DataError, UnstableCrystalError
 

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
-from conftest import em_fit, ml_fit_sequential
+from conftest import dicke_state, em_fit, ml_fit_sequential
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from dickesim import (ConvergenceError, DataError, FitResult,
                       IdentifiabilityError, ReadoutModel, calibrate,
-                      composite_dists, dark_ion_dist, dicke_state,
-                      estimate_period, ml_fit, parity_from_fit,
-                      parity_scan_analysis, parity_std_from_fit,
-                      rotated_density, synthesize_shots)
+                      composite_dists, dark_ion_dist, estimate_period,
+                      ml_fit, parity_from_fit, parity_scan_analysis,
+                      parity_std_from_fit, rotated_density,
+                      synthesize_shots)
 from dickesim import detection
 from dickesim.detection import _em, _fold_convolve, _folded_poisson
 from dickesim.dicke import weights
@@ -179,15 +179,15 @@ def test_composites_all_rates_zero():
     model = ReadoutModel(lambda_bright=0.0, lambda_dark=0.0, lambda_bg=0.0,
                          gamma=0.0)
     cm = composite_dists(model, n_max=10)
-    assert cm.probabilities[:, 0] == pytest.approx(1.0)
+    assert cm[:, 0] == pytest.approx(1.0)
 
 
 def test_composite_bright_mean_adds():
     model = ReadoutModel(lambda_bright=8.0, lambda_dark=0.1, lambda_bg=1.5,
                          gamma=0.0)
     cm = composite_dists(model, n_max=100)
-    assert mean_count(cm.probabilities[2]) == pytest.approx(1.5 + 16.0, abs=1e-8)
-    assert mean_count(cm.probabilities[0]) == pytest.approx(1.5 + 0.2, abs=1e-8)
+    assert mean_count(cm[2]) == pytest.approx(1.5 + 16.0, abs=1e-8)
+    assert mean_count(cm[0]) == pytest.approx(1.5 + 0.2, abs=1e-8)
 
 
 _RATE = st.floats(0.0, 100.0)
@@ -199,11 +199,23 @@ def test_composite_rows_are_read_only_distributions(bright, dark, bg, gt,
                                                     n_max):
     model = ReadoutModel(lambda_bright=bright, lambda_dark=dark,
                          lambda_bg=bg, gamma=gt / 200e-6)
-    p = composite_dists(model, n_max).probabilities
+    p = composite_dists(model, n_max)
     assert p.shape == (3, n_max + 1)
     assert np.all(p >= -1e-12)
     assert np.all(np.abs(np.sum(p, axis=1) - 1.0) <= 1e-9)
     assert not p.flags.writeable
+
+
+def test_composite_dists_hands_every_caller_one_read_only_array():
+    # composite_dists is an lru_cache, so all callers share its result
+    p = composite_dists(MODEL, 60)
+    assert composite_dists(MODEL, 60) is p
+    with pytest.raises(ValueError, match="read-only"):
+        p[1, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        p[2] *= 2.0
+    assert composite_dists(MODEL, 60) is p
+    assert np.array_equal(p, detection._composites(MODEL, 60, (0, 1, 2)))
 
 
 def test_composite_one_bright_matches_monte_carlo():
@@ -211,7 +223,7 @@ def test_composite_one_bright_matches_monte_carlo():
     oracle = repump_oracle(MODEL, n_max=100,
                            extra_mean=MODEL.lambda_bg + MODEL.lambda_bright,
                            seed=34)
-    assert tv_distance(cm.probabilities[1], oracle) < 2e-3
+    assert tv_distance(cm[1], oracle) < 2e-3
 
 
 # --- synthesize -----------------------------------------------------------------
@@ -250,13 +262,13 @@ def test_synthesize_law_of_large_numbers():
     cm = composite_dists(MODEL, n_max=100)
     shots = synthesize_shots((1.0, 0.0, 0.0), cm, 100_000, seed=5)
     hist = np.bincount(shots, minlength=101) / len(shots)
-    assert tv_distance(hist, cm.probabilities[0]) < 0.01
+    assert tv_distance(hist, cm[0]) < 0.01
 
 
 def test_synthesize_mixture_converges_to_p_rho():
     cm = composite_dists(MODEL, n_max=100)
     c = np.array([0.08, 0.80, 0.12])
-    p_rho = c @ cm.probabilities
+    p_rho = c @ cm
     tvs = []
     for n in (1_000, 100_000):
         shots = synthesize_shots(c, cm, n, seed=6)
@@ -292,7 +304,7 @@ def test_ml_fit_likelihood_at_optimum_beats_truth():
     shots = synthesize_shots(truth, cm, 5_000, seed=10)
     fit = ml_fit(shots, cm, n_bootstrap=0)
     hist = np.bincount(shots, minlength=101)
-    ll_truth = float(hist @ np.log(truth @ cm.probabilities))
+    ll_truth = float(hist @ np.log(truth @ cm))
     assert fit.log_likelihood >= ll_truth - 1e-9
 
 
@@ -340,7 +352,7 @@ def test_ml_fit_populations_stay_on_simplex(samples, seed):
 def _histograms(cm, populations, shots, seed):
     return np.array([
         np.bincount(synthesize_shots(c, cm, shots, seed=seed + j),
-                    minlength=cm.n_max + 1)
+                    minlength=cm.shape[1])
         for j, c in enumerate(populations)], dtype=float)
 
 
@@ -360,7 +372,6 @@ def test_em_engine_matches_scalar_oracle():
     # pure and two-component truths pin fits at the simplex boundary,
     # where plain EM crawls for thousands of iterations
     cm = composite_dists(MODEL)
-    pmat = cm.probabilities
     truths = [(0.3, 0.4, 0.3), (0.08, 0.80, 0.12), (0.0, 0.9, 0.1),
               (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
     hists = np.concatenate([_histograms(cm, truths, shots, seed=60 + shots)
@@ -368,64 +379,61 @@ def test_em_engine_matches_scalar_oracle():
     rng = np.random.default_rng(61)
     starts = np.vstack([np.full((len(truths), 3), 1.0 / 3.0),
                         rng.dirichlet(np.ones(3), size=2 * len(truths))])
-    pops, lls = _em(hists, pmat, starts)
+    pops, lls = _em(hists, cm, starts)
     assert np.min(pops) < 1e-12  # some fits did reach the boundary
     for h, start, c, ll in zip(hists, starts, pops, lls):
-        _, ll_em = em_fit(h, pmat, c0=start)
+        _, ll_em = em_fit(h, cm, c0=start)
         assert ll >= ll_em - 1e-12 * abs(ll_em)
         # the optimum, as plain EM run until an update gains nothing:
         # plain EM under the engine's stop rule sits up to 3.5e-7 from it
         # on these histograms, the engine at most 2.5e-8
-        c_opt, _ = em_fit(h, pmat, c0=start, tol=0.0)
+        c_opt, _ = em_fit(h, cm, c0=start, tol=0.0)
         assert np.max(np.abs(c - c_opt)) < 1e-7
-        assert_em_optimal(h, pmat, c)
+        assert_em_optimal(h, cm, c)
 
 
 def test_em_engine_keeps_small_populations_alive():
     # extrapolation overshoots a small interior population below 0; a
     # clip to 0 there would pin it, since EM updates are multiplicative
     cm = composite_dists(MODEL)
-    pmat = cm.probabilities
     hists = np.concatenate([
         _histograms(cm, [(1e-3, 0.998, 1e-3), (1e-4, 0.9998, 1e-4),
                          (0.01, 0.0, 0.99)], shots, seed=68)
         for shots in (5_000, 50_000)])
     starts = np.full((len(hists), 3), 1.0 / 3.0)
-    pops, lls = _em(hists, pmat, starts)
+    pops, lls = _em(hists, cm, starts)
     for h, start, c, ll in zip(hists, starts, pops, lls):
-        _, ll_em = em_fit(h, pmat, c0=start)
+        _, ll_em = em_fit(h, cm, c0=start)
         assert ll >= ll_em - 1e-12 * abs(ll_em)
-        assert_em_optimal(h, pmat, c)
+        assert_em_optimal(h, cm, c)
 
 
 def test_em_engine_raises_at_iteration_cap():
     cm = composite_dists(MODEL)
-    pmat = cm.probabilities
     hists = _histograms(cm, [(0.3, 0.4, 0.3), (0.0, 1.0, 0.0),
                              (0.3, 0.4, 0.3)], 5_000, seed=62)
     starts = np.full((3, 3), 1.0 / 3.0)
     # the boundary-pinned histogram crawls for 30 cycles, the interior
     # ones stop after 3
     with pytest.raises(ConvergenceError, match="1 of 3 histograms"):
-        _em(hists, pmat, starts, max_iter=10)
+        _em(hists, cm, starts, max_iter=10)
     with pytest.raises(ConvergenceError, match="1 of 1 histograms"):
-        _em(hists[1:2], pmat, starts[1:2], max_iter=10)
-    _em(hists[::2], pmat, starts[::2], max_iter=10)
-    _em(hists, pmat, starts)
+        _em(hists[1:2], cm, starts[1:2], max_iter=10)
+    _em(hists[::2], cm, starts[::2], max_iter=10)
+    _em(hists, cm, starts)
 
 
 def test_em_engine_row_does_not_depend_on_its_batch():
     cm = composite_dists(MODEL)
-    pmat = cm.probabilities
     # crawling, interior and boundary-pinned fits in one stack
     hists = _histograms(cm, [(0.0, 1.0, 0.0), (0.3, 0.4, 0.3),
                              (0.0, 0.9, 0.1), (1.0, 0.0, 0.0),
                              (0.08, 0.80, 0.12)], 5_000, seed=66)
     starts = np.random.default_rng(67).dirichlet(np.ones(3), size=len(hists))
     for order in (np.arange(len(hists)), np.arange(len(hists))[::-1]):
-        pops, lls = _em(hists[order], pmat, starts[order])
+        pops, lls = _em(hists[order], cm, starts[order])
         for j, k in enumerate(order):
-            c, ll = _em(hists[k:k + 1], pmat, starts[k:k + 1])
+            c, ll = _em(hists[k:k + 1], cm, starts[k:k + 1])
             assert np.array_equal(c[0], pops[j])
             assert ll[0] == lls[j]
 
@@ -434,7 +442,7 @@ def test_em_engine_row_does_not_depend_on_its_batch():
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=300),
        st.tuples(*[st.floats(0.01, 1.0)] * 3))
 def test_em_engine_climbs_at_least_as_high_as_plain_em(samples, weights_):
-    pmat = composite_dists(MODEL).probabilities
+    pmat = composite_dists(MODEL)
     h = np.bincount(samples, minlength=pmat.shape[1]).astype(float)
     start = np.array(weights_) / np.sum(weights_)
     c, ll = _em(h[None], pmat, start[None])
@@ -525,7 +533,7 @@ def test_calibrate_equals_a_fit_through_composite_dists(fix, monkeypatch):
     def through_composite_dists(model, n_max, bright):
         if bright == (0, 1, 2):  # composite_dists' own call
             return build(model, n_max, bright)
-        return composite_dists(model, n_max).probabilities[list(bright)]
+        return composite_dists(model, n_max)[list(bright)]
 
     monkeypatch.setattr(detection, "_composites", through_composite_dists)
     assert calibrate(hb, hd, t_detect=MODEL.t_detect, fix=fix) == cal
@@ -582,8 +590,7 @@ def test_calibrate_free_fit_recovers_identifiable_combinations():
     cm_true = composite_dists(MODEL, n_max=100)
     cm_fit = composite_dists(fitted, n_max=100)
     for i in range(3):
-        assert tv_distance(cm_fit.probabilities[i],
-                           cm_true.probabilities[i]) < 5e-3
+        assert tv_distance(cm_fit[i], cm_true[i]) < 5e-3
 
 
 def test_calibrate_goodness_of_fit_reasonable():

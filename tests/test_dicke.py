@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import (coherence_two_qubit, density_from_json_dict,
-                      fidelity_two_qubit, state_from_json_dict,
-                      state_to_json_dict)
+from conftest import (QubitState, coherence_two_qubit, density_from_json_dict,
+                      dicke_fidelity, dicke_state, fidelity_two_qubit,
+                      parity_expectation, rotated_parity, state_from_json_dict,
+                      state_to_json_dict, w_fidelity_analytic)
 
-from dickesim import (QubitDensity, QubitState, collective_rotation,
-                      dicke_fidelity, dicke_state, parity_expectation,
-                      rotated_density, rotated_parity, w_fidelity_analytic)
+from dickesim import QubitDensity, collective_rotation, rotated_density
 
 
 def random_density(n_qubits, rng):

@@ -3,17 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import (FullSpace, evolve, first_max_full_grid,
-                      first_max_full_space, purity)
+from conftest import (FullSpace, dicke_fidelity, dicke_vector, evolve,
+                      first_max_full_grid, first_max_full_space, purity,
+                      w_fidelity_analytic)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
-                      LambDickeWarning, SearchError, dicke_fidelity,
-                      dicke_vector, fidelity_vs_mass_ratio, first_max_fidelity,
-                      first_max_from_couplings, reduce_to_qubits,
-                      rsb_hamiltonian, solve_equilibrium,
-                      w_fidelity_analytic)
+                      LambDickeWarning, SearchError, fidelity_vs_mass_ratio,
+                      first_max_fidelity, first_max_from_couplings,
+                      reduce_to_qubits, rsb_hamiltonian, solve_equilibrium)
 from dickesim import chain as chain_mod
 from dickesim import sideband
 
