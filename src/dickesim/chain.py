@@ -103,10 +103,6 @@ class EquilibriumSolution:
         if np.any(np.diff(self.positions) <= 0):
             raise ValueError("equilibrium positions must be strictly increasing")
 
-    @property
-    def n_ions(self):
-        return len(self.positions)
-
 
 @dataclass(frozen=True)
 class ModeSet:
@@ -116,17 +112,18 @@ class ModeSet:
     (orthonormal, sign-fixed so the component sum is positive), frequencies
     ascend, ``ground_state_amplitudes[i, k]`` is the zero-point amplitude
     z_i of ion i in mode k and ``lamb_dicke = k_projection * z``.  The
-    in-phase mode, ``inphase_index``, is the lowest one, mode 0.
-    ``dimensionless`` is True when the chain's ``omega_z`` is None:
-    frequencies are then in units of omega_z and amplitudes in scaled
-    lengths (hbar = 1), otherwise in rad/s and metres.
+    in-phase mode is the lowest one, mode 0.  ``equilibrium`` is the
+    solution the modes were solved at.  ``dimensionless`` is True when the
+    chain's ``omega_z`` is None: frequencies are then in units of omega_z
+    and amplitudes in scaled lengths (hbar = 1), otherwise in rad/s and
+    metres.
     """
 
     frequencies: np.ndarray
     eigenvectors: np.ndarray
     ground_state_amplitudes: np.ndarray
     lamb_dicke: np.ndarray
-    inphase_index: int
+    equilibrium: EquilibriumSolution
     dimensionless: bool = True
 
     def __post_init__(self):
@@ -136,10 +133,6 @@ class ModeSet:
     @property
     def n_ions(self):
         return self.eigenvectors.shape[0]
-
-    @property
-    def n_modes(self):
-        return self.eigenvectors.shape[1]
 
 
 def scaled_gradient(positions):
@@ -167,7 +160,9 @@ def scaled_hessian(positions):
 def solve_equilibrium(config):
     """Find the equilibrium positions of the chain.
 
-    Damped Newton iteration on the scaled potential, seeded with uniform
+    Reads only the chain's ion count: every ion sits in the same axial
+    well, so the scaled positions do not depend on the masses.  Damped
+    Newton iteration on the scaled potential, seeded with uniform
     spacing.  The step is halved until it both preserves the ion ordering
     and decreases the gradient norm.
 
@@ -227,22 +222,29 @@ def _fix_eigenvector_signs(vectors):
     return np.where(s[..., None, :] < 0, -vectors, vectors)
 
 
-def solve_axial_modes(config, eq):
-    """Axial normal modes about an equilibrium configuration.
+def solve_axial_modes(config):
+    """Axial normal modes of a chain about its equilibrium.
 
-    Diagonalizes the mass-weighted Hessian ``D = H_ij / sqrt(m_i m_j)``
-    (masses in units of the reference mass).  Ground-state amplitudes are
+    Solves the equilibrium (:func:`solve_equilibrium`), then diagonalizes
+    the mass-weighted Hessian ``D = H_ij / sqrt(m_i m_j)`` (masses in units
+    of the reference mass).  Ground-state amplitudes are
     ``z_i = b_ik * sqrt(hbar / (2 m_i omega_k))`` with ``b`` the
     mass-weighted eigenvector; Lamb-Dicke parameters are
     ``eta_i = k_projection * z_i``.
 
-    ``config`` may also be a sequence of configs with ``eq``'s ion count,
-    as a mass-ratio sweep passes them: their Hessians are diagonalized as
-    one stack, and the call returns a list that holds, per config, its
-    ModeSet or the UnstableCrystalError it raises on its own.
+    ``config`` may also be a sequence of configs of one ion count, as a
+    mass-ratio sweep passes them: the equilibrium is solved once, their
+    Hessians are diagonalized as one stack, and the call returns a list
+    that holds, per config, its ModeSet or the UnstableCrystalError it
+    raises on its own.  Every ModeSet of the stack holds the same
+    ``equilibrium``.
 
     Raises
     ------
+    ValueError
+        On an empty stack, or one that mixes ion counts.
+    ConvergenceError
+        If the equilibrium solve fails.
     UnstableCrystalError
         On a mass ratio whose square under- or overflows (the mass-weighted
         Hessian is then not finite), or on mass ratios so far apart that
@@ -252,8 +254,10 @@ def solve_axial_modes(config, eq):
     """
     stacked = not isinstance(config, ChainConfig)
     configs = list(config) if stacked else [config]
-    if any(c.n_ions != eq.n_ions for c in configs):
-        raise ValueError("equilibrium size does not match config")
+    if len({c.n_ions for c in configs}) != 1:
+        raise ValueError("a mode stack needs at least one chain, all of one "
+                         "ion count")
+    eq = solve_equilibrium(configs[0])
     outcomes = [None] * len(configs)
     masses = np.array([c.masses for c in configs])
     refs = np.array([c.reference_index for c in configs])
@@ -288,12 +292,13 @@ def solve_axial_modes(config, eq):
             "> 1e-10)")
     for k in np.flatnonzero(resolved):
         r = rows[k]
-        outcomes[r] = _mode_set(configs[r], mt[r], evals[k], vecs[k])
+        outcomes[r] = _mode_set(configs[r], mt[r], evals[k], vecs[k], eq)
     return outcomes if stacked else unwrap(outcomes[0])
 
 
-def _mode_set(config, mt, evals, vecs):
-    """The ModeSet of one chain from its mass-weighted eigenpairs."""
+def _mode_set(config, mt, evals, vecs, eq):
+    """The ModeSet of one chain from its mass-weighted eigenpairs at the
+    equilibrium ``eq``."""
     scaled_freqs = np.sqrt(evals)
     if config.omega_z is None:
         freqs = scaled_freqs
@@ -309,7 +314,7 @@ def _mode_set(config, mt, evals, vecs):
         eigenvectors=vecs,
         ground_state_amplitudes=z,
         lamb_dicke=config.k_projection * z,
-        inphase_index=0,
+        equilibrium=eq,
         dimensionless=config.omega_z is None,
     )
 
@@ -327,7 +332,7 @@ def coupling_strengths(modes, addressed):
         raise ValueError("addressed ion set must not be empty")
     if addressed[0] < 0 or addressed[-1] >= modes.n_ions:
         raise ValueError("addressed ion index out of range")
-    eta = modes.lamb_dicke[addressed, modes.inphase_index]
+    eta = modes.lamb_dicke[addressed, 0]
     if not modes.dimensionless and np.max(np.abs(eta)) > LAMB_DICKE_THRESHOLD:
         warnings.warn(
             f"max |eta| = {np.max(np.abs(eta)):.3f} exceeds "
@@ -504,9 +509,9 @@ def modes_to_csv(modes, stream):
     cols += [f"amp_{i}" for i in range(n)]
     cols += [f"eta_{i}" for i in range(n)]
     stream.write(",".join(cols) + "\n")
-    for k in range(modes.n_modes):
+    for k in range(n):
         row = [str(k), repr(float(modes.frequencies[k])),
-               "1" if k == modes.inphase_index else "0"]
+               "1" if k == 0 else "0"]
         row += [repr(float(modes.ground_state_amplitudes[i, k])) for i in range(n)]
         row += [repr(float(modes.lamb_dicke[i, k])) for i in range(n)]
         stream.write(",".join(row) + "\n")

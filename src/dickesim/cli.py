@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .chain import (MODES_CSV_SCHEMA, ChainTemplate, modes_to_csv,
-                    read_chain_file, solve_axial_modes, solve_equilibrium,
-                    text_lines)
+                    read_chain_file, solve_axial_modes, text_lines)
 from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_N_MAX, DEFAULT_T_DETECT,
                         ReadoutModel, calibrate, composite_dists, ml_fit,
                         parity_from_fit, parity_std_from_fit,
@@ -128,8 +127,7 @@ def _add_model_flags(parser):
 
 def cmd_modes(args):
     chain_file = read_chain_file(args.config)
-    eq = solve_equilibrium(chain_file.config)
-    modes = solve_axial_modes(chain_file.config, eq)
+    modes = solve_axial_modes(chain_file.config)
     with _open_out(args.out) as out:
         if args.format == "csv":
             modes_to_csv(modes, out)
@@ -137,11 +135,11 @@ def cmd_modes(args):
             _write_json({
                 "schema": MODES_CSV_SCHEMA,
                 "frequencies": modes.frequencies,
-                "inphase_index": modes.inphase_index,
+                "inphase_index": 0,
                 "eigenvectors": modes.eigenvectors,
                 "ground_state_amplitudes": modes.ground_state_amplitudes,
                 "lamb_dicke": modes.lamb_dicke,
-                "equilibrium_positions_scaled": eq.positions,
+                "equilibrium_positions_scaled": modes.equilibrium.positions,
             }, out)
     return 0
 

@@ -298,30 +298,13 @@ def first_max_from_couplings(couplings, m):
     return outcomes if stacked else unwrap(outcomes[0])
 
 
-def first_max_fidelity(config, addressed, m, equilibrium=None):
-    """Full pipeline from a chain configuration: equilibrium -> modes ->
-    in-phase couplings for the addressed ions -> first-maximum search.
-
-    ``equilibrium`` reuses a solution of :func:`chain.solve_equilibrium`
-    for a chain of the same ion count; the scaled positions depend on
-    nothing else.  ``config`` may also be a sequence of configs of one ion
-    count, solved as one stack: the call then returns a list that holds,
-    per config, its PulseResult or the exception it raises on its own.
-    """
-    stacked = not isinstance(config, chain_mod.ChainConfig)
-    configs = list(config) if stacked else [config]
-    if equilibrium is None:
-        equilibrium = chain_mod.solve_equilibrium(configs[0])
-    outcomes = chain_mod.solve_axial_modes(configs, equilibrium)
-    solved = [i for i, modes in enumerate(outcomes)
-              if isinstance(modes, chain_mod.ModeSet)]
-    if solved:
-        couplings = np.array([
-            chain_mod.coupling_strengths(outcomes[i], addressed)
-            for i in solved])
-        for i, pulse in zip(solved, first_max_from_couplings(couplings, m)):
-            outcomes[i] = pulse
-    return outcomes if stacked else unwrap(outcomes[0])
+def first_max_fidelity(config, addressed, m):
+    """Full pipeline from one chain configuration: modes (about the chain's
+    equilibrium) -> in-phase couplings for the addressed ions ->
+    first-maximum search."""
+    modes = chain_mod.solve_axial_modes(config)
+    return first_max_from_couplings(
+        chain_mod.coupling_strengths(modes, addressed), m)
 
 
 @dataclass(frozen=True)
@@ -346,40 +329,49 @@ def _rows_per_chunk(n_qubits, m):
 def fidelity_vs_mass_ratio(template, mu_grid, m):
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
-    Rebuilds the chain for every mu via ``template.config_for`` and runs
-    :func:`first_max_fidelity` on the qubit ions, with the equilibrium
-    solved once for the whole grid.  The rows are solved as stacks, in
-    chunks of as many rows as ``CHUNK_BYTES`` holds, and come back in grid
-    order.  A row that fails records its error in :attr:`SweepRow.error`
-    and the sweep goes on; if the equilibrium fails, every row records
-    that failure.
+    Rebuilds the chain for every mu via ``template.config_for``, solves the
+    modes of every chain that builds as one :func:`chain.solve_axial_modes`
+    stack (one equilibrium for the whole grid), takes the in-phase
+    couplings of the qubit ions, and runs :func:`first_max_from_couplings`
+    on them in chunks of as many rows as ``CHUNK_BYTES`` holds.  Rows come
+    back in grid order.  A row that fails records its error in
+    :attr:`SweepRow.error` and the sweep goes on; if the mode stack fails
+    as a whole (the equilibrium, say), every row in it records that
+    failure.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mu_grid):
         raise ValueError("all mass ratios must be positive")
     addressed = template.addressed()
 
-    try:
-        equilibrium = chain_mod.solve_equilibrium(template.config_for(1.0))
-    except Exception as exc:
-        return [SweepRow(mu=mu, error=str(exc)) for mu in mu_grid]
-
-    outcomes, configs = {}, {}
+    outcomes, configs, couplings = {}, {}, {}
     for i, mu in enumerate(mu_grid):
         try:
             configs[i] = template.config_for(mu)
         except Exception as exc:
             outcomes[i] = exc
-    built = list(configs)
-    chunk = _rows_per_chunk(template.n_qubits, m)
-    for first in range(0, len(built), chunk):
-        rows = built[first:first + chunk]
+    if configs:
         try:
-            solved = first_max_fidelity([configs[i] for i in rows], addressed,
-                                        m, equilibrium=equilibrium)
+            modes = chain_mod.solve_axial_modes(list(configs.values()))
         except Exception as exc:
-            solved = [exc] * len(rows)
-        outcomes.update(zip(rows, solved))
+            modes = [exc] * len(configs)
+        for i, row_modes in zip(configs, modes):
+            try:
+                couplings[i] = chain_mod.coupling_strengths(
+                    unwrap(row_modes), addressed)
+            except Exception as exc:
+                outcomes[i] = exc
+        del modes  # the pulse chunks need only the couplings
+    solved = list(couplings)
+    chunk = _rows_per_chunk(template.n_qubits, m)
+    for first in range(0, len(solved), chunk):
+        rows = solved[first:first + chunk]
+        try:
+            pulses = first_max_from_couplings(
+                np.array([couplings[i] for i in rows]), m)
+        except Exception as exc:
+            pulses = [exc] * len(rows)
+        outcomes.update(zip(rows, pulses))
     return [SweepRow(mu=mu, error=str(outcomes[i]))
             if isinstance(outcomes[i], Exception)
             else SweepRow(mu=mu, pulse=outcomes[i])

@@ -137,10 +137,10 @@ def test_convergence_error_names_the_stalled_line_search(monkeypatch):
 def test_two_ion_mode_frequencies_analytic():
     # in-phase at omega_z, out-of-phase at sqrt(3) omega_z
     cfg = ChainConfig(masses=(1.0, 1.0))
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
     assert modes.frequencies == pytest.approx([1.0, np.sqrt(3.0)], abs=1e-10)
-    assert modes.inphase_index == 0
     b = modes.eigenvectors[:, 0]
+    assert np.all(b > 0)  # the in-phase mode is mode 0
     assert b[0] == pytest.approx(b[1], abs=1e-12)
 
 
@@ -152,7 +152,7 @@ def test_two_ion_mode_frequencies_analytic():
 ])
 def test_mode_orthonormality(masses):
     cfg = ChainConfig(masses=masses)
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
     b = modes.eigenvectors
     assert np.max(np.abs(b.T @ b - np.eye(len(masses)))) < 1e-10
 
@@ -160,8 +160,8 @@ def test_mode_orthonormality(masses):
 @pytest.mark.parametrize("n_ions", [2, 4, 5])
 def test_equal_mass_inphase_mode(n_ions):
     cfg = ChainConfig(masses=(1.0,) * n_ions)
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
-    k = modes.inphase_index
+    modes = solve_axial_modes(cfg)
+    k = 0  # the in-phase mode
     assert modes.frequencies[k] == pytest.approx(1.0, abs=1e-10)
     amps = modes.ground_state_amplitudes[:, k]
     assert np.max(np.abs(amps - amps[0])) < 1e-10
@@ -173,13 +173,13 @@ def test_two_ion_mixed_crystal_closed_forms(mu):
     # two-ion crystal solve mu lam^2 - 2(1+mu) lam + 3 = 0 (units of
     # omega_z^2), and the in-phase displacement ratio is 2 - lam_minus
     cfg = ChainConfig(masses=(1.0, mu), reference_index=0)
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
     root = np.sqrt(1.0 - mu + mu * mu)
     lam_minus = ((1 + mu) - root) / mu
     lam_plus = ((1 + mu) + root) / mu
     assert modes.frequencies**2 == pytest.approx([lam_minus, lam_plus],
                                                  abs=1e-12)
-    k = modes.inphase_index
+    k = 0  # the in-phase mode
     displacement = modes.eigenvectors[:, k] / np.sqrt(np.array([1.0, mu]))
     assert displacement[1] / displacement[0] == pytest.approx(
         2.0 - lam_minus, abs=1e-12)
@@ -189,8 +189,8 @@ def test_mg_mg_al_inphase_amplitudes():
     # exact value of the outer/center Mg amplitude ratio for masses
     # (25, 25, 27): 0.98854..., i.e. equal at the 1.15% level
     cfg = ChainConfig(masses=(25.0, 25.0, 27.0), reference_index=0)
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
-    k = modes.inphase_index
+    modes = solve_axial_modes(cfg)
+    k = 0  # the in-phase mode
     assert modes.frequencies[k] == pytest.approx(0.986640639474628, abs=1e-10)
     ratio = (modes.ground_state_amplitudes[0, k]
              / modes.ground_state_amplitudes[1, k])
@@ -211,10 +211,8 @@ def test_si_mode_frequencies_scale_with_omega_z():
     omega_z = 2 * np.pi * 2.55e6
     cfg = ChainConfig(masses=(25.0, 25.0, 27.0), omega_z=omega_z,
                       k_projection=1.0e7)
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
-    scaled = solve_axial_modes(
-        ChainConfig(masses=(25.0, 25.0, 27.0)),
-        solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
+    scaled = solve_axial_modes(ChainConfig(masses=(25.0, 25.0, 27.0)))
     assert modes.frequencies == pytest.approx(scaled.frequencies * omega_z,
                                               rel=1e-12)
     # SI zero-point amplitudes for a few-MHz trap sit at the nm scale
@@ -223,8 +221,8 @@ def test_si_mode_frequencies_scale_with_omega_z():
 
 def test_coupling_strengths_basic():
     cfg = ChainConfig(masses=(1.0, 1.0, 2.0))
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
-    k = modes.inphase_index
+    modes = solve_axial_modes(cfg)
+    k = 0  # the in-phase mode
     om = coupling_strengths(modes, (0, 1))
     assert om == pytest.approx(modes.lamb_dicke[(0, 1), k])
     single = coupling_strengths(modes, (1,))
@@ -233,14 +231,14 @@ def test_coupling_strengths_basic():
 
 def test_coupling_strengths_mg_ratio_within_percent_scale():
     cfg = ChainConfig(masses=(25.0, 25.0, 27.0))
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
     om = coupling_strengths(modes, (0, 1))
     assert 0.98 < om[0] / om[1] < 1.02
 
 
 def test_coupling_strengths_validates_addressed():
     cfg = ChainConfig(masses=(1.0, 1.0))
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
     with pytest.raises(ValueError):
         coupling_strengths(modes, ())
     with pytest.raises(ValueError):
@@ -251,7 +249,7 @@ def test_lamb_dicke_warning_in_si_mode():
     # absurdly large k-projection pushes eta past the warning threshold
     cfg = ChainConfig(masses=(25.0, 25.0), omega_z=2 * np.pi * 2.55e6,
                       k_projection=1.0e12)
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
     with pytest.warns(LambDickeWarning):
         coupling_strengths(modes, (0, 1))
 
@@ -263,7 +261,7 @@ def test_eta_continuous_in_mass_ratio():
     etas = []
     for mu in mus:
         cfg = template.config_for(mu)
-        modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+        modes = solve_axial_modes(cfg)
         etas.append(coupling_strengths(modes, template.addressed()))
     etas = np.array(etas)
     jumps = np.max(np.abs(np.diff(etas, axis=0)), axis=1)
@@ -274,7 +272,7 @@ def test_symmetric_two_qubit_template_outer_amplitudes_equal():
     template = ChainTemplate.symmetric(2, placement="center")
     for mu in (0.1, 0.5, 1.0, 27.0 / 25.0, 4.0, 10.0):
         cfg = template.config_for(mu)
-        modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+        modes = solve_axial_modes(cfg)
         om = coupling_strengths(modes, template.addressed())
         assert om[0] == pytest.approx(om[1], abs=1e-12)
 
@@ -412,12 +410,33 @@ def test_modes_name_a_mass_ratio_whose_square_leaves_double_range(ratio,
     # but the light or heavy ion's mode curvature drowns in rounding
     cfg = ChainConfig(masses=(1.0, 1.0, ratio))
     with pytest.raises(UnstableCrystalError, match=match):
-        solve_axial_modes(cfg, solve_equilibrium(cfg))
+        solve_axial_modes(cfg)
+
+
+@pytest.mark.parametrize("configs", [
+    [],
+    [ChainConfig(masses=(1.0,) * 3), ChainConfig(masses=(1.0,) * 4)],
+], ids=["empty", "3-and-4-ions"])
+def test_mode_stack_needs_one_ion_count(configs):
+    with pytest.raises(ValueError, match="one ion count"):
+        solve_axial_modes(configs)
+
+
+def test_mode_stack_shares_one_equilibrium():
+    configs = [ChainConfig(masses=(1.0, mu, 1.0, 1.0)) for mu in (0.5, 2.0)]
+    configs.append(ChainConfig(masses=(25.0, 25.0, 27.0, 25.0),
+                               omega_z=2 * np.pi * 2.55e6))
+    stack = solve_axial_modes(configs)
+    eq = stack[0].equilibrium
+    assert all(modes.equilibrium is eq for modes in stack)
+    # the scaled equilibrium reads only the ion count
+    for cfg in configs:
+        assert np.array_equal(eq.positions, solve_equilibrium(cfg).positions)
 
 
 def test_modes_csv_export():
     cfg = ChainConfig(masses=(1.0, 1.0, 1.0))
-    modes = solve_axial_modes(cfg, solve_equilibrium(cfg))
+    modes = solve_axial_modes(cfg)
     buf = io.StringIO()
     modes_to_csv(modes, buf)
     lines = buf.getvalue().strip().splitlines()

@@ -604,6 +604,30 @@ def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
     assert all("stalled" in row.error and row.pulse is None for row in rows)
 
 
+def test_sweep_without_a_chain_solves_no_equilibrium(monkeypatch):
+    calls = []
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", calls.append)
+    template = ChainTemplate.symmetric(2, placement="center")
+    rows = fidelity_vs_mass_ratio(template, [np.inf, np.inf], 1)
+    assert calls == []
+    assert all("must be finite" in row.error and row.pulse is None
+               for row in rows)
+
+
+def test_sweep_equilibrium_failure_spares_rows_that_build_no_chain(
+        monkeypatch):
+    def stalled(config, **kwargs):
+        raise ConvergenceError("equilibrium solver stalled", residual_norm=1.0)
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", stalled)
+    template = ChainTemplate.symmetric(2, placement="center")
+    rows = fidelity_vs_mass_ratio(template, [0.5, np.inf, 2.0], 1)
+    assert "must be finite" in rows[1].error
+    assert "stalled" not in rows[1].error
+    assert all("stalled" in rows[i].error for i in (0, 2))
+    assert all(row.pulse is None for row in rows)
+
+
 def test_sweep_keep_density():
     template = ChainTemplate.symmetric(2, placement="center")
     rows = fidelity_vs_mass_ratio(template, [1.0], 1)

@@ -1,0 +1,135 @@
+"""Digests of the frozen outputs: one line per command output.
+
+Usage::
+
+    python tools/frozen_digests.py SRC_DIR
+
+Imports ``dickesim`` from ``SRC_DIR`` (the directory that holds the
+``dickesim`` package), runs a fixed list of ``dickesim`` commands in a
+temporary directory, and prints for each output its name, the command's
+exit code and the first 16 hex digits of the sha256 of the output file.
+A command that writes no file (a rejected input) is digested by its
+stderr message instead.  Diffing the printout of two source trees checks
+that their ``modes.v1``, ``sweep.v1``, ``experiment.v1``, ``fit.v1`` and
+``synth`` outputs and exit codes are byte-identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+OMEGA_Z_HZ = "2.55e6"
+K_PROJECTION = "1.1e7"
+CARRIER_RATE = "1e6"  # rad/s
+
+
+def _chain(name, masses, ancilla=None):
+    text = (f"masses = {', '.join(str(m) for m in masses)}\n"
+            f"omega_z = {OMEGA_Z_HZ}\nreference_index = 0\n"
+            f"k_projection = {K_PROJECTION}\n")
+    if ancilla is not None:
+        text += f"ancilla_index = {ancilla}\n"
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
+
+def _sweep(config, m, lo, hi, points, fmt, *extra):
+    return ["sweep", "--config", config, "--m", str(m), "--mu-start", lo,
+            "--mu-stop", hi, "--mu-points", str(points), "--mu-log",
+            "--format", fmt, *extra]
+
+
+def _histogram(shots_file, name):
+    counts = [int(x) for x in Path(shots_file).read_text().split()]
+    bins = [0] * (max(counts) + 1)
+    for n in counts:
+        bins[n] += 1
+    Path(name).write_text(
+        "n,count\n" + "".join(f"{n},{c}\n" for n, c in enumerate(bins)),
+        encoding="utf-8")
+    return name
+
+
+def commands():
+    """Yield ``(name, argv)`` for every frozen output, writing the chain
+    and reference files they read into the working directory first."""
+    mg_mg_al = _chain("mg_mg_al.cfg", (25, 25, 27), ancilla=2)
+    five = _chain("five.cfg", (25,) * 5, ancilla=4)
+    nine = _chain("nine.cfg", (25,) * 9, ancilla=8)
+    unstable = _chain("unstable.cfg", (25, 25, 1e-290))
+    for tag, cfg in (("mg_mg_al", mg_mg_al), ("five", five), ("nine", nine)):
+        for fmt in ("csv", "json"):
+            yield f"modes-{tag}.{fmt}", ["modes", "--config", cfg,
+                                         "--format", fmt]
+    yield "modes-unstable.csv", ["modes", "--config", unstable]
+
+    yield "sweep-4-2.csv", _sweep(five, 2, "0.1", "10", 15, "csv",
+                                  "--carrier-rate", CARRIER_RATE)
+    yield "sweep-4-2.json", _sweep(five, 2, "0.1", "10", 15, "json")
+    yield "sweep-8-4.csv", _sweep(nine, 4, "0.1", "10", 9, "csv")
+    yield "sweep-8-4.json", _sweep(nine, 4, "0.1", "10", 5, "json")
+    # rows from mu = 1e-20 to 1e20 include every per-row error kind
+    yield "sweep-4-2-errors.csv", _sweep(five, 2, "1e-20", "1e20", 41, "csv")
+    yield "sweep-4-2-errors.json", _sweep(five, 2, "1e-20", "1e20", 41,
+                                          "json")
+    yield "sweep-8-4-errors.csv", _sweep(nine, 4, "1e-20", "1e20", 41, "csv")
+    yield "sweep-8-4-errors.json", _sweep(nine, 4, "1e-20", "1e20", 21,
+                                          "json")
+
+    for seed in range(4):
+        yield f"experiment-seed{seed}.json", [
+            "experiment", "--config", mg_mg_al, "--shots", "50000",
+            "--seed", str(seed)]
+    yield "experiment-seed5-short.json", [
+        "experiment", "--config", mg_mg_al, "--shots", "500", "--seed", "5",
+        "--gamma", "0", "--t-detect", "1e-4"]
+
+    yield "synth.txt", ["synth", "--c0", "0.2", "--c1", "0.5", "--c2", "0.3",
+                        "--shots", "5000", "--seed", "7"]
+    yield "bright.txt", ["synth", "--c0", "0", "--c1", "0", "--c2", "1",
+                         "--shots", "20000", "--seed", "8"]
+    yield "dark.txt", ["synth", "--c0", "1", "--c1", "0", "--c2", "0",
+                       "--shots", "20000", "--seed", "9"]
+    fit = ["fit", "--shots", "synth.txt",
+           "--ref-bright", _histogram("bright.txt", "bright.csv"),
+           "--ref-dark", _histogram("dark.txt", "dark.csv")]
+    yield "fit-defaults.json", fit + ["--seed", "3"]
+    yield "fit-options.json", fit + ["--bootstrap", "0", "--n-max", "120",
+                                     "--t-detect", "1e-4"]
+    yield "fit-bootstrap-1.json", fit + ["--bootstrap", "1"]
+    yield "fit-n-max-10.json", fit + ["--n-max", "10"]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tools/frozen_digests.py SRC_DIR", file=sys.stderr)
+        return 1
+    src = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src))
+    os.environ.pop("DICKESIM_SEED", None)
+    import dickesim.cli
+
+    if not Path(dickesim.__file__).resolve().is_relative_to(src):
+        print(f"dickesim imported from {dickesim.__file__}, not {src}",
+              file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, args in commands():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = dickesim.cli.main([*args, "--out", name])
+            out = Path(name)
+            data = out.read_bytes() if out.exists() else err.getvalue().encode()
+            print(name, code, hashlib.sha256(data).hexdigest()[:16])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
