@@ -1,4 +1,9 @@
-"""Read-only array fields for frozen dataclasses."""
+"""Read-only array fields for frozen dataclasses.
+
+A dataclass that compares such a field is declared ``eq=False``: numpy
+arrays have no single truth value under ``==`` and no hash, so the
+generated ``__eq__`` would raise and the generated ``__hash__`` fail.
+Those objects compare and hash by identity instead."""
 
 import numpy as np
 

@@ -91,7 +91,7 @@ class ChainConfig:
         return np.asarray(self.masses) / self.masses[self.reference_index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumSolution:
     """Equilibrium axial coordinates in scaled length units, ascending."""
 
@@ -104,7 +104,7 @@ class EquilibriumSolution:
             raise ValueError("equilibrium positions must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
     """Axial normal modes of one chain.
 

@@ -6,8 +6,9 @@ contributes ``lambda_bg``.  A dark (up) ion may be repumped to the bright
 state during the window at rate gamma; conditioned on a decay at time tau
 its mean count is the time-weighted mix
 ``lambda_dark * tau/T + lambda_bright * (1 - tau/T)``, and the decay time
-is integrated out numerically (Simpson rule over a uniform tau grid,
-validated against Monte Carlo sampling in the test suite).
+is integrated out numerically (a fixed composite-Simpson weight vector
+over a uniform tau grid, validated against Monte Carlo sampling in the
+test suite).
 
 Every count distribution is a plain array over n = 0..n_max with the tail
 mass folded into the last bin.  The composite distributions for 0/1/2
@@ -15,7 +16,8 @@ bright ions are discrete convolutions of the background and single-ion
 arrays, built once per readout model by :func:`composite_dists` as the
 rows of one read-only (3, n_max+1) array; shot synthesis, fits and parity
 scans all read the rows of that array, and n_max from its shape;
-calibration builds only the two reference rows for each trial model.
+calibration builds the same rows, and with them the exact derivatives of
+the two reference rows that its gradient needs, for each trial model.
 An observed sample of counts is fit with the three-component mixture by
 maximizing the log-likelihood over the population simplex (EM-style
 multiplicative updates; the problem is concave, so the interior optimum
@@ -29,11 +31,10 @@ two EM updates, with a fall-back to the plain updates wherever the
 extrapolation scores lower; a fit stops once one EM update gains at most
 1e-10, and its result does not depend on the rest of its batch.
 
-scipy is imported inside the four functions that call it (the Poisson
-kernel, the Simpson quadrature, calibration's L-BFGS-B and the period
-fit), not at module level, so importing the package (which imports this
-module) and running the chain and pulse commands, which never read
-counts, load numpy only.
+scipy is imported inside the three functions that call it (the Poisson
+kernel, calibration's L-BFGS-B and the period fit), not at module level,
+so importing the package (which imports this module) and running the
+chain and pulse commands, which never read counts, load numpy only.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ DEFAULT_N_MAX = 100
 DEFAULT_T_DETECT = 200e-6  # s
 DEFAULT_N_BOOTSTRAP = 200
 QUAD_NODES = 513  # 512 Simpson intervals over the detection window
+_TAU = np.linspace(0.0, 1.0, QUAD_NODES)  # decay time over the window
+# composite Simpson weights on _TAU: (1, 4, 2, 4, ..., 2, 4, 1) h / 3
+_SIMPSON = np.where(np.arange(QUAD_NODES) % 2, 4.0, 2.0)
+_SIMPSON[[0, -1]] = 1.0
+_SIMPSON /= 3.0 * (QUAD_NODES - 1)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,49 @@ def _fold_convolve(g, h):
     return out
 
 
+def _shift_diff(p):
+    """d/d lambda of a folded pmf ``p`` (along axis 0) that depends on
+    lambda through one Poisson(lambda) factor: p(n-1) - p(n), and
+    p(n_max-1) in the folded last bin.  It commutes with
+    :func:`_fold_convolve`, so it differentiates composites too."""
+    d = np.zeros_like(p)
+    d[1:] = p[:-1]
+    d[:-1] -= p[:-1]
+    return d
+
+
+def _dark_ion(model, n_max):
+    """The :func:`dark_ion_dist` row and its derivatives along
+    lambda_bright, lambda_dark and gamma T, as a (4, n_max+1) array.
+
+    The decay time x = tau/T has density gamma T exp(-gamma T x); on the
+    grid it becomes the Simpson weights times exp(-gamma T x), normalised
+    to sum 1, so that the decayed branch carries the exact mass
+    1 - exp(-gamma T).  The normaliser is at least the first weight, so no
+    gamma T >= 0 divides by zero.  One (n_max+1, QUAD_NODES) product with
+    the columns x nu and (1 - x) nu gives the decayed row (their sum) and,
+    through the shift difference, its derivatives in lambda_dark and
+    lambda_bright; nu's own derivative in gamma T is -(x - <x>) nu.
+    """
+    s = model.gamma_t
+    survive, decay = np.exp(-s), -np.expm1(-s)
+    dark = _folded_poisson(model.lambda_dark, n_max)
+    nu = _SIMPSON * np.exp(-s * _TAU)
+    nu /= np.sum(nu)
+    pmf = _folded_poisson(model.lambda_dark * _TAU
+                          + model.lambda_bright * (1.0 - _TAU), n_max)
+    at_dark, at_bright = (pmf @ np.column_stack([nu * _TAU,
+                                                 nu * (1.0 - _TAU)])).T
+    decayed = at_dark + at_bright
+    return np.stack([
+        survive * dark + decay * decayed,
+        decay * _shift_diff(at_bright),
+        survive * _shift_diff(dark) + decay * _shift_diff(at_dark),
+        survive * (decayed - dark)
+        - decay * (at_dark - float(nu @ _TAU) * decayed),
+    ])
+
+
 def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
     """Count pmf on 0..n_max, as an array, of a single ion that starts
     dark (up).
@@ -107,34 +156,31 @@ def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
     With probability exp(-gamma T) the ion survives the window dark and
     contributes Poisson(lambda_dark).  Otherwise it decays at time tau
     (exponential density) and contributes Poisson counts with the
-    time-weighted mean; the tau integral is a Simpson quadrature whose
-    decayed-branch mass is rescaled to the exact 1 - exp(-gamma T).
+    time-weighted mean; the tau integral is a fixed composite-Simpson
+    weight vector over 512 intervals, with the decayed branch normalised
+    to the exact mass 1 - exp(-gamma T).
     """
-    from scipy.integrate import simpson
-
-    gt = model.gamma_t
-    if gt == 0.0:
-        return _folded_poisson(model.lambda_dark, n_max)
-    x = np.linspace(0.0, 1.0, QUAD_NODES)  # tau / T
-    means = model.lambda_dark * x + model.lambda_bright * (1.0 - x)
-    density = gt * np.exp(-gt * x)
-    pmf = _folded_poisson(means, n_max)
-    decayed = simpson(pmf * density[None, :], x=x, axis=1)
-    raw_mass = simpson(density, x=x)
-    exact_mass = 1.0 - np.exp(-gt)
-    if raw_mass > 0:
-        decayed *= exact_mass / raw_mass
-    return np.exp(-gt) * _folded_poisson(model.lambda_dark, n_max) + decayed
+    return _dark_ion(model, n_max)[0]
 
 
-def _composites(model, n_max, bright):
-    """The rows P(n|i) for each i in ``bright``, as one array."""
+def _composites(model, n_max):
+    """The composite rows P(n|i), i = 0, 1, 2, as a (3, n_max+1) array, and
+    the derivatives of P(n|0) and P(n|2) along lambda_bright, lambda_dark,
+    lambda_bg and gamma T, as a (2, 4, n_max+1) array."""
     bg = _folded_poisson(model.lambda_bg, n_max)
-    up = dark_ion_dist(model, n_max)
+    up, *d_up = _dark_ion(model, n_max)
     down = _folded_poisson(model.lambda_bright, n_max)
-    ions = ((up, up), (up, down), (down, down))  # index = bright ions
-    return np.stack([_fold_convolve(_fold_convolve(bg, ions[i][0]),
-                                    ions[i][1]) for i in bright])
+    bg_up = _fold_convolve(bg, up)
+    bg_down = _fold_convolve(bg, down)
+    rows = np.stack([_fold_convolve(bg_up, up), _fold_convolve(bg_up, down),
+                     _fold_convolve(bg_down, down)])
+    # P0 = bg * up * up and P2 = bg * down * down; the shift difference
+    # differentiates a Poisson factor inside a convolution
+    d_bright, d_dark, d_gamma = (2.0 * _fold_convolve(bg_up, d) for d in d_up)
+    d_down = _shift_diff(rows[2])
+    zero = np.zeros_like(d_down)
+    return rows, np.array([[d_bright, d_dark, _shift_diff(rows[0]), d_gamma],
+                           [2.0 * d_down, zero, d_down, zero]])
 
 
 @lru_cache(maxsize=32)
@@ -150,12 +196,12 @@ def composite_dists(model, n_max=DEFAULT_N_MAX):
     The array is cached per (model, n_max): every caller gets the same
     object back, which is why it is read-only.
     """
-    pmat = _composites(model, n_max, (0, 1, 2))
+    pmat = _composites(model, n_max)[0]
     pmat.setflags(write=False)
     return pmat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Maximum-likelihood mixture populations with bootstrap uncertainties."""
 
@@ -465,16 +511,20 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
             t_detect=t_detect,
         )
 
+    at_free = [_CAL_PARAMS.index(p) for p in free]
+
     def nll(theta):
-        # every evaluation is a new model, so build only the two references
-        d0, d2 = _composites(build(theta), n_max, (0, 2))
-        p2 = np.clip(d2, 1e-300, None)
-        p0 = np.clip(d0, 1e-300, None)
-        return -(hb @ np.log(p2) + hd @ np.log(p0))
+        """Negative log-likelihood and its exact gradient in ``theta``."""
+        rows, grads = _composites(build(theta), n_max)
+        p0 = np.maximum(rows[0], 1e-300)
+        p2 = np.maximum(rows[2], 1e-300)
+        grad = grads[1] @ (hb / p2) + grads[0] @ (hd / p0)
+        return -(hb @ np.log(p2) + hd @ np.log(p0)), -grad[at_free]
 
     x0 = np.array([start[p] for p in free])
     bounds = [(1e-9, None) if p != "gamma" else (0.0, 20.0) for p in free]
-    res = optimize.minimize(nll, x0, method="L-BFGS-B", bounds=bounds)
+    res = optimize.minimize(nll, x0, jac=True, method="L-BFGS-B",
+                            bounds=bounds)
     if not res.success:
         raise ConvergenceError(f"calibration fit did not converge: "
                                f"{res.message} (nit={res.nit}, "
@@ -496,7 +546,7 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
 # --- parity scans -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityScanResult:
     """Sinusoid fit of parity versus analysis phase, period pi enforced:
     parity(phi) = amplitude * cos(2 phi - phase_offset) + offset."""

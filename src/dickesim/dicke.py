@@ -22,7 +22,7 @@ def weights(n_qubits):
     return np.array([b.bit_count() for b in range(2**n_qubits)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitDensity:
     """N-qubit density matrix (Hermitian, unit trace, PSD within tolerance)."""
 

@@ -73,7 +73,7 @@ class ExcitationSector:
         return len(self.qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseResult:
     """Outcome of the first-maximum pulse search.
 

@@ -375,3 +375,13 @@ def bright_populations_loop(rho):
     for idx, w in enumerate(ups):
         c[rho.n_qubits - w] += max(diag[idx], 0.0)
     return c / np.sum(c)
+
+
+def assert_identity_semantics(make):
+    """Two equal-valued objects from ``make()`` that hold arrays compare
+    and hash by identity: ``==`` and ``hash`` neither raise nor look
+    inside the arrays."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

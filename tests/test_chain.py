@@ -2,7 +2,8 @@ import io
 
 import numpy as np
 import pytest
-from conftest import length_scale, relax_equilibrium, scaled_potential
+from conftest import (assert_identity_semantics, length_scale,
+                      relax_equilibrium, scaled_potential)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -449,3 +450,9 @@ def test_modes_csv_export():
     assert int(first[0]) == 0
     assert float(first[1]) == pytest.approx(1.0, abs=1e-10)
     assert first[2] == "1"
+
+
+def test_mode_and_equilibrium_results_compare_by_identity():
+    config = ChainConfig(masses=(1.0, 1.0, 1.0))
+    assert_identity_semantics(lambda: solve_equilibrium(config))
+    assert_identity_semantics(lambda: solve_axial_modes(config))

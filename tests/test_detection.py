@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from conftest import dicke_state, em_fit, ml_fit_sequential
+from conftest import (assert_identity_semantics, dicke_state, em_fit,
+                      ml_fit_sequential)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
+from scipy.integrate import simpson
 
 from dickesim import (ConvergenceError, DataError, FitResult,
-                      IdentifiabilityError, ReadoutModel, calibrate,
+                      IdentifiabilityError, ParityScanResult,
+                      ReadoutModel, calibrate,
                       composite_dists, dark_ion_dist, estimate_period,
                       ml_fit, parity_from_fit, parity_scan_analysis,
                       parity_std_from_fit, rotated_density,
@@ -29,6 +32,20 @@ def folded_pmf(mean, n_max):
     p = stats.poisson.pmf(n, mean)
     p[-1] += stats.poisson.sf(n_max, mean)
     return p
+
+
+def simpson_dark_ion_dist(model, n_max=100):
+    """Quadrature oracle for dark_ion_dist: scipy's Simpson rule on the
+    tau grid, with the decayed branch rescaled to its exact mass."""
+    gt = model.gamma_t
+    if gt == 0.0:
+        return folded_pmf(model.lambda_dark, n_max)
+    x = np.linspace(0.0, 1.0, detection.QUAD_NODES)
+    means = model.lambda_dark * x + model.lambda_bright * (1.0 - x)
+    density = gt * np.exp(-gt * x)
+    decayed = simpson(folded_pmf(means, n_max) * density, x=x, axis=1)
+    decayed *= (1.0 - np.exp(-gt)) / simpson(density, x=x)
+    return np.exp(-gt) * folded_pmf(model.lambda_dark, n_max) + decayed
 
 
 def repump_oracle(model, n_max, extra_mean=0.0, n_samples=1_000_000, seed=0):
@@ -93,7 +110,7 @@ def test_folded_poisson_equals_scipy_stats():
                               folded_pmf(means, 100))
 
 
-@pytest.mark.parametrize("model", [
+KERNEL_MODELS = [
     MODEL,
     ReadoutModel(lambda_bright=30.0, lambda_dark=0.0, lambda_bg=0.0,
                  gamma=500.0),  # lambda = 0
@@ -101,11 +118,20 @@ def test_folded_poisson_equals_scipy_stats():
                  gamma=0.0),  # no repump
     ReadoutModel(lambda_bright=30.0, lambda_dark=0.2, lambda_bg=2.0,
                  gamma=500.0 / 200e-6),  # gamma T = 500
-])
+]
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS)
 def test_dark_ion_dist_equals_scipy_stats_kernel(model, monkeypatch):
     p = dark_ion_dist(model)
     monkeypatch.setattr(detection, "_folded_poisson", folded_pmf)
     assert np.array_equal(p, dark_ion_dist(model))
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS)
+def test_dark_ion_quadrature_equals_scipy_simpson(model):
+    assert np.max(np.abs(dark_ion_dist(model)
+                         - simpson_dark_ion_dist(model))) <= 1e-15
 
 
 # --- fold-convolution ----------------------------------------------------------
@@ -164,6 +190,29 @@ def test_dark_ion_matches_monte_carlo():
     assert tv_distance(d, oracle) < 2e-3
 
 
+@pytest.mark.parametrize("gamma_t", [0.0, 1e-3, 0.1, 2.0, 15.0])
+def test_dark_ion_derivative_rows_match_differences(gamma_t):
+    # rows 1-3 of _dark_ion are d/d(lambda_bright, lambda_dark, gamma T) of
+    # dark_ion_dist; at gamma T = 0 only a one-sided difference exists
+    point = np.array([30.0, 0.3, gamma_t])
+
+    # n_max = 35 leaves mass in the folded last bin
+    def dist(k, step):
+        b, d, gt = point + step * np.eye(3)[k]
+        return dark_ion_dist(ReadoutModel(b, d, 2.0, gamma=gt / 200e-6), 35)
+
+    rows = detection._dark_ion(ReadoutModel(30.0, 0.3, 2.0,
+                                            gamma_t / 200e-6), 35)
+    h = 1e-6
+    for k, row in enumerate(rows[1:]):
+        if point[k] == 0.0:
+            diff = (4 * dist(k, h) - dist(k, 2 * h)
+                    - 3 * dist(k, 0.0)) / (2 * h)
+        else:
+            diff = (dist(k, h) - dist(k, -h)) / (2 * h)
+        assert np.max(np.abs(row - diff)) < 1e-9
+
+
 def test_dark_ion_normalized_even_for_fast_decay():
     for gt in (0.01, 1.0, 5.0, 50.0):
         model = ReadoutModel(lambda_bright=25.0, lambda_dark=0.1,
@@ -215,7 +264,7 @@ def test_composite_dists_hands_every_caller_one_read_only_array():
     with pytest.raises(ValueError, match="read-only"):
         p[2] *= 2.0
     assert composite_dists(MODEL, 60) is p
-    assert np.array_equal(p, detection._composites(MODEL, 60, (0, 1, 2)))
+    assert np.array_equal(p, detection._composites(MODEL, 60)[0])
 
 
 def test_composite_one_bright_matches_monte_carlo():
@@ -523,20 +572,63 @@ def _reference_histograms(model, shots, seed, n_max=100):
 
 
 @pytest.mark.parametrize("fix", [None, {"lambda_bg": MODEL.lambda_bg}])
-def test_calibrate_equals_a_fit_through_composite_dists(fix, monkeypatch):
-    # the likelihood builds only P(n|0) and P(n|2); building all three
-    # through composite_dists must give the same fit, bit for bit
-    hb, hd = _reference_histograms(MODEL, 20_000, seed=82)
+def test_calibrated_likelihood_is_that_of_composite_dists(fix):
+    # the objective and composite_dists build their rows on one path, so
+    # the reported likelihood is that of the cached composite array
+    hb, hd = (np.asarray(h, dtype=float)
+              for h in _reference_histograms(MODEL, 20_000, seed=82))
     cal = calibrate(hb, hd, t_detect=MODEL.t_detect, fix=fix)
-    build = detection._composites
+    cm = composite_dists(cal.model, len(hb) - 1)
+    assert cal.log_likelihood == hb @ np.log(cm[2]) + hd @ np.log(cm[0])
 
-    def through_composite_dists(model, n_max, bright):
-        if bright == (0, 1, 2):  # composite_dists' own call
-            return build(model, n_max, bright)
-        return composite_dists(model, n_max)[list(bright)]
 
-    monkeypatch.setattr(detection, "_composites", through_composite_dists)
-    assert calibrate(hb, hd, t_detect=MODEL.t_detect, fix=fix) == cal
+def _calibration_objective(hb, hd, fix, monkeypatch):
+    """The (value, gradient) objective that calibrate hands to L-BFGS-B."""
+    seen = []
+    minimize = optimize.minimize
+
+    def capture(fun, x0, **kwargs):
+        seen.append(fun)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", capture)
+    calibrate(hb, hd, t_detect=MODEL.t_detect, fix=fix)
+    return seen[0]
+
+
+@pytest.mark.parametrize("fix", [None, {"lambda_bg": MODEL.lambda_bg},
+                                 {"gamma": MODEL.gamma}])
+def test_calibration_gradient_matches_central_differences(fix, monkeypatch):
+    # n_max = 60 folds a third of the bright counts into the last bin
+    hb, hd = _reference_histograms(MODEL, 20_000, seed=86, n_max=60)
+    nll = _calibration_objective(hb, hd, fix, monkeypatch)
+    free = [p for p in detection._CAL_PARAMS if p not in (fix or {})]
+    # (lambda_bright, lambda_dark, lambda_bg, gamma T), none at an optimum
+    for point in ((28.0, 0.5, 2.5, 0.2), (31.0, 0.2, 1.5, 0.05),
+                  (30.5, 1.0, 3.0, 1.5)):
+        theta = np.array([v for p, v in zip(detection._CAL_PARAMS, point)
+                          if p in free])
+        grad = nll(theta)[1]
+        diff = np.empty_like(theta)
+        for k, step in enumerate(1e-6 * theta):
+            e = np.zeros_like(theta)
+            e[k] = step
+            diff[k] = (nll(theta + e)[0] - nll(theta - e)[0]) / (2 * step)
+        np.testing.assert_allclose(grad, diff, rtol=1e-6)
+
+
+def test_readout_results_compare_by_value_or_by_identity():
+    # calibration results hold floats only and compare by value; fit and
+    # scan results hold arrays and compare by identity
+    hb, hd = _reference_histograms(MODEL, 5_000, seed=88)
+    cal = calibrate(hb, hd, t_detect=MODEL.t_detect)
+    assert cal == calibrate(hb, hd, t_detect=MODEL.t_detect)
+    assert hash(cal.model) == hash(ReadoutModel(**vars(cal.model)))
+    assert_identity_semantics(lambda: _fake_fit([0.2, 0.5, 0.3]))
+    assert_identity_semantics(lambda: ParityScanResult(
+        phases=np.arange(4.0), parities=np.zeros(4),
+        parity_errors=np.ones(4), amplitude=0.0, amplitude_error=0.1,
+        phase_offset=0.0, offset=0.0, offset_error=0.1))
 
 
 def test_calibrate_raises_when_lbfgsb_fails(monkeypatch):

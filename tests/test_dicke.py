@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import (QubitState, coherence_two_qubit, density_from_json_dict,
+from conftest import (QubitState, assert_identity_semantics,
+                      coherence_two_qubit, density_from_json_dict,
                       dicke_fidelity, dicke_state, fidelity_two_qubit,
                       parity_expectation, rotated_parity, state_from_json_dict,
                       state_to_json_dict, w_fidelity_analytic)
@@ -282,3 +283,7 @@ def test_density_json_round_trip():
     rho = random_density(2, rng)
     back = density_from_json_dict(rho.to_json_dict())
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
+
+
+def test_qubit_density_compares_by_identity():
+    assert_identity_semantics(lambda: dicke_state(2, 1).density())

@@ -3,7 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import (FullSpace, dicke_fidelity, dicke_vector, evolve,
+from conftest import (FullSpace, assert_identity_semantics, dicke_fidelity,
+                      dicke_vector, evolve,
                       first_max_full_grid, first_max_full_space, purity,
                       w_fidelity_analytic)
 from hypothesis import given, settings
@@ -732,3 +733,9 @@ def test_sweep_chunks_bound_the_traced_peak(n, m, points, bound_mb):
         tracemalloc.stop()
     assert all(row.pulse is not None for row in rows)
     assert peak < bound_mb * 2**20
+
+
+def test_pulse_result_compares_by_identity():
+    template = ChainTemplate.symmetric(2, placement="center")
+    assert_identity_semantics(lambda: first_max_fidelity(
+        template.config_for(1.0), template.addressed(), 1))

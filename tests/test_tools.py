@@ -1,5 +1,8 @@
-"""tools/frozen_digests.py runs every frozen command on the working tree."""
+"""tools/frozen_digests.py runs every frozen command on the working tree,
+and its leaf diff names the field that moved most between two outputs."""
 
+import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +36,22 @@ def test_frozen_digests_pin_every_exit_code():
     assert all(len(fields) == 3 and len(fields[2]) == 16 for fields in lines)
     assert {name: int(code) for name, code, _ in lines} == EXIT_CODES
     assert len(lines) == len(EXIT_CODES)
+
+
+def test_largest_change_names_the_leaf_that_moved_most():
+    spec = importlib.util.spec_from_file_location(
+        "frozen_digests", ROOT / "tools" / "frozen_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    largest_change = tool.largest_change
+    old = {"schema": "fit.v1", "n": 3, "ok": True, "nan": math.nan,
+           "fit": {"c": [0.2, 0.5, 0.3], "ll": -100.0}}
+    new = {"schema": "fit.v1", "n": 3, "ok": True, "nan": math.nan,
+           "fit": {"c": [0.2, 0.5004, 0.2999], "ll": -100.0001}}
+    change, field = largest_change(old, new)
+    assert field == "fit.c[1]"
+    assert change == abs(0.5004 - 0.5)
+    assert largest_change(old, old) == (0.0, "schema")
+    for edit in ({"schema": "fit.v2"}, {"ok": False}, {"n": None},
+                 {"fit": {"c": [0.2, 0.5], "ll": -100.0}}):
+        assert largest_change(old, {**old, **edit})[0] == math.inf

@@ -3,6 +3,7 @@
 Usage::
 
     python tools/frozen_digests.py SRC_DIR
+    python tools/frozen_digests.py SRC_DIR --against OTHER_SRC
 
 Imports ``dickesim`` from ``SRC_DIR`` (the directory that holds the
 ``dickesim`` package), runs a fixed list of ``dickesim`` commands in a
@@ -12,6 +13,12 @@ A command that writes no file (a rejected input) is digested by its
 stderr message instead.  Diffing the printout of two source trees checks
 that their ``modes.v1``, ``sweep.v1``, ``experiment.v1``, ``fit.v1`` and
 ``synth`` outputs and exit codes are byte-identical.
+
+With ``--against`` both trees run, each in its own interpreter, and the
+printout names every output whose exit code or digest differs between
+them (``OTHER_SRC`` first, ``SRC_DIR`` second).  For a JSON output it
+adds the largest absolute change over the numeric leaves and the field
+that has it; a change of shape or of a non-numeric leaf reads ``inf``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -106,12 +116,10 @@ def commands():
     yield "fit-n-max-10.json", fit + ["--n-max", "10"]
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python tools/frozen_digests.py SRC_DIR", file=sys.stderr)
-        return 1
-    src = Path(argv[0]).resolve()
+def run(src, workdir):
+    """Import dickesim from ``src``, run every command in ``workdir``
+    (where the outputs stay) and print one digest line per output."""
+    src = Path(src).resolve()
     sys.path.insert(0, str(src))
     os.environ.pop("DICKESIM_SEED", None)
     import dickesim.cli
@@ -120,7 +128,7 @@ def main(argv=None):
         print(f"dickesim imported from {dickesim.__file__}, not {src}",
               file=sys.stderr)
         return 1
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+    with contextlib.chdir(workdir):
         for name, args in commands():
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
@@ -129,6 +137,80 @@ def main(argv=None):
             data = out.read_bytes() if out.exists() else err.getvalue().encode()
             print(name, code, hashlib.sha256(data).hexdigest()[:16])
     return 0
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def largest_change(a, b, field=""):
+    """``(change, field)``: the largest absolute change between the numeric
+    leaves of two parsed JSON values, and the dotted path of its leaf.
+    A leaf that differs but is not a number on both sides, or a change of
+    shape, counts as an infinite change; two NaNs are equal."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = [(a[k], b[k], f"{field}.{k}" if field else k) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(x, y, f"{field}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif _is_number(a) and _is_number(b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0, field
+        change = abs(a - b)
+        return (math.inf if math.isnan(change) else change), field
+    else:
+        return (0.0 if a == b else math.inf), field
+    return max((largest_change(x, y, f) for x, y, f in pairs),
+               key=lambda c: c[0], default=(0.0, field))
+
+
+def compare(src, other):
+    """Run both trees and print the outputs that differ between them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = []
+        for tree, sub in ((other, "other"), (src, "src")):
+            workdir = Path(tmp, sub)
+            workdir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys, frozen_digests; "
+                 "sys.exit(frozen_digests.run(*sys.argv[1:]))",
+                 str(Path(tree).resolve()), str(workdir)],
+                cwd=Path(__file__).resolve().parent, capture_output=True,
+                text=True)
+            if proc.returncode != 0:
+                print(proc.stderr, end="", file=sys.stderr)
+                return 1
+            lines = (line.split() for line in proc.stdout.splitlines())
+            digests.append({name: (code, digest)
+                            for name, code, digest in lines})
+        before, after = digests
+        same = 0
+        for name, old in before.items():
+            new = after[name]
+            if new == old:
+                same += 1
+                continue
+            print(f"{name}: exit {old[0]} -> {new[0]}, "
+                  f"digest {old[1]} -> {new[1]}")
+            paths = [Path(tmp, sub, name) for sub in ("other", "src")]
+            if name.endswith(".json") and all(p.exists() for p in paths):
+                change, field = largest_change(
+                    *(json.loads(p.read_text()) for p in paths))
+                print(f"  largest change {change:.3g} at {field}")
+        print(f"{same} of {len(before)} outputs identical")
+    return 0
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[1] == "--against":
+        return compare(argv[0], argv[2])
+    if len(argv) != 1:
+        print("usage: python tools/frozen_digests.py SRC_DIR "
+              "[--against OTHER_SRC]", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        return run(argv[0], tmp)
 
 
 if __name__ == "__main__":
