@@ -19,7 +19,7 @@ from .dicke import QubitDensity, collective_rotation, rotated_density
 from .errors import (ConvergenceError, DataError, DickesimError,
                      IdentifiabilityError, SearchError, UnstableCrystalError)
 from .experiment import run_experiment
-from .sideband import (ExcitationSector, PulseResult, SweepRow,
+from .sideband import (ExcitationSector, PulseResult,
                        fidelity_vs_mass_ratio, first_max_fidelity,
                        first_max_from_couplings, reduce_to_qubits,
                        rsb_hamiltonian)

@@ -86,10 +86,6 @@ class ChainConfig:
     def n_ions(self):
         return len(self.masses)
 
-    def mass_ratios(self):
-        """Masses in units of the reference ion's mass."""
-        return np.asarray(self.masses) / self.masses[self.reference_index]
-
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumSolution:

@@ -166,32 +166,31 @@ def _mu_grid(args):
     return np.linspace(args.mu_start, args.mu_stop, args.mu_points)
 
 
-def _write_sweep_csv(rows, m, out, carrier_rate=None):
+def _write_sweep_csv(grid, outcomes, m, out, carrier_rate=None):
     out.write(f"# {SWEEP_CSV_SCHEMA}\n")
     cols = ["mu", "duration", "duration_s", "fidelity"]
     cols += [f"p{k}" for k in range(m + 1)]
     cols += ["error"]
     out.write(",".join(cols) + "\n")
-    for row in rows:
-        pulse = row.pulse
-        if pulse is None:
-            cells = [repr(row.mu)] + [""] * (3 + m + 1) + [row.error.replace(",", ";")]
+    for mu, pulse in zip(grid, outcomes):
+        mu = repr(float(mu))  # the CLI grid holds np.float64
+        if isinstance(pulse, Exception):
+            cells = [mu] + [""] * (3 + m + 1) + [str(pulse).replace(",", ";")]
         else:
             dur_s = repr(pulse.duration / carrier_rate) if carrier_rate else ""
-            cells = [repr(row.mu), repr(pulse.duration), dur_s, repr(pulse.fidelity)]
+            cells = [mu, repr(pulse.duration), dur_s, repr(pulse.fidelity)]
             cells += [repr(float(p)) for p in pulse.phonon_distribution]
             cells += [""]
         out.write(",".join(cells) + "\n")
 
 
-def _sweep_json_row(row, carrier_rate):
-    pulse = row.pulse
-    if pulse is None:
-        return {"mu": row.mu, "duration": None, "duration_s": None,
+def _sweep_json_row(mu, pulse, carrier_rate):
+    if isinstance(pulse, Exception):
+        return {"mu": float(mu), "duration": None, "duration_s": None,
                 "fidelity": None, "phonon_distribution": None,
-                "reduced_density": None, "error": row.error}
+                "reduced_density": None, "error": str(pulse)}
     return {
-        "mu": row.mu,
+        "mu": float(mu),
         "duration": pulse.duration,
         "duration_s": (pulse.duration / carrier_rate if carrier_rate
                        else None),
@@ -211,16 +210,17 @@ def cmd_sweep(args):
     if args.carrier_rate is not None and not 0 < args.carrier_rate < np.inf:
         raise _UsageError("--carrier-rate must be finite and positive")
     grid = _mu_grid(args)
-    rows = fidelity_vs_mass_ratio(template, grid, args.m)
+    outcomes = fidelity_vs_mass_ratio(template, grid, args.m)
     with _open_out(args.out) as out:
         if args.format == "csv":
-            _write_sweep_csv(rows, args.m, out, carrier_rate=args.carrier_rate)
+            _write_sweep_csv(grid, outcomes, args.m, out,
+                             carrier_rate=args.carrier_rate)
         else:
             payload = {
                 "schema": SWEEP_CSV_SCHEMA,
                 "m": args.m,
-                "rows": [_sweep_json_row(row, args.carrier_rate)
-                         for row in rows],
+                "rows": [_sweep_json_row(mu, pulse, args.carrier_rate)
+                         for mu, pulse in zip(grid, outcomes)],
             }
             _write_json(payload, out)
     return 0

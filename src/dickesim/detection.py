@@ -282,11 +282,13 @@ def _em(h, pmat, starts, tol=1e-10, max_iter=200000):
         c = em_map(h, total, c, mixture(c))
         mix = mixture(c)
         ll = loglik(h, mix)
-        ll2 = loglik(h, mixture(c2))
+        mix2 = mixture(c2)
+        ll2 = loglik(h, mix2)
         worse = ll < ll2
         if worse.any():
             c[worse], ll[worse] = c2[worse], ll2[worse]
-            mix[worse] = mixture(c2[worse])
+            mix[worse] = mix2[worse]
+        del mix2  # not held through the next cycle's arrays
         if done.any():
             out_c[rows[done]], out_ll[rows[done]] = c[done], ll[done]
             rows, h, total, c, mix, ll = (

@@ -13,8 +13,8 @@ m phonons never leaves the m-excitation sector: the states
 ``2^N (m + 1)`` = 6144 of the qubit-times-Fock space), and the dynamics
 are solved exactly on them.  The phonon number fixes the qubit weight, so
 the reduced qubit density is block-diagonal by weight; it is built only
-when a caller reads it, from a pulse result or from a sweep row (which
-holds its pulse result).
+when a caller reads it from a pulse result (a sweep row is its pulse
+result or the exception the row raised).
 
 Times are dimensionless throughout, in units of 1/Omega_0, the carrier
 Rabi rate in which the couplings are given.
@@ -37,8 +37,8 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
 MAX_PERIODS = 20.0  # the scan stops at MAX_PERIODS * pi / Omega'
 REFINE_TOL = 1e-6  # golden-section bracket width, in Omega_0 t
-# a sweep solves its rows in chunks that hold this many bytes of each
-# row's largest block: its D x D Hamiltonian or its F(t) scan chunk
+# the search solves a coupling stack in chunks that hold this many bytes of
+# each row's largest block: its D x D Hamiltonian or its F(t) scan block
 CHUNK_BYTES = 1 << 20
 
 
@@ -144,17 +144,18 @@ def reduce_to_qubits(sector, amplitudes):
 
 
 def _fidelity(evals, weight, t):
-    """F(t_r) = |sum_k weight_rk exp(-i E_rk t_r)|^2 for each row r of a
-    stack of spectra.
+    """F(t_rj) = |sum_k weight_rk exp(-i E_rk t_rj)|^2 on a ``(rows,
+    times)`` block of times ``t``, each row on its own spectrum.
 
-    The sum is one BLAS dot per row, and |z|^2 is hypot(Re z, Im z)
-    squared by pow, which rounds as ``abs(z) ** 2`` does on a scalar
-    (``np.abs(z) ** 2`` differs in the last bit on some inputs), so the
-    batched refine takes the steps of a row-at-a-time scalar refine and
-    lands on the same durations bit for bit.
+    The sum is one BLAS product per row (a dot for a single time), and
+    |z|^2 is hypot(Re z, Im z) squared by pow, which keeps the bits of
+    ``abs(z) ** 2`` on a Python complex (``np.abs(z) ** 2`` differs in the
+    last bit on some inputs).  The scan, the refine and the full-grid test
+    oracle all read F through here, so their peak tests and golden steps
+    see the same bits, and the frozen durations keep theirs.
     """
-    amp = (np.exp(-1j * evals * t[:, None])[:, None, :]
-           @ weight[:, :, None])[:, 0, 0]
+    phases = np.exp(-1j * evals[:, None, :] * t[:, :, None])
+    amp = (phases @ weight[:, :, None])[:, :, 0]
     return np.float_power(np.hypot(amp.real, amp.imag), 2.0)
 
 
@@ -195,10 +196,13 @@ def first_max_from_couplings(couplings, m):
     maximum, which is refined by golden-section search to ``REFINE_TOL``
     in Omega_0 t.
 
-    A ``(B, N)`` stack of coupling vectors is searched as one batch: one
-    stacked eigh, scan and refine, each row on its own grid.  The call
-    then returns a list that holds, per row, its PulseResult or the
-    ValueError or SearchError the row raises on its own.
+    A ``(B, N)`` stack of coupling vectors is searched in chunks of as
+    many rows as ``CHUNK_BYTES`` holds, counted by each row's largest
+    block (its D x D Hamiltonian or its complex F(t) scan block): one
+    stacked eigh, scan and refine per chunk, each row on its own grid.  A
+    row's result does not depend on its chunk.  The call then returns a
+    list that holds, per row, its PulseResult or the ValueError or
+    SearchError the row raises on its own.
 
     Raises
     ------
@@ -227,29 +231,43 @@ def first_max_from_couplings(couplings, m):
         outcomes[r] = ValueError("at least one coupling must be nonzero")
     rows = np.flatnonzero(finite & (omega_prime != 0.0))
     sector = ExcitationSector(n_qubits=n, m=m)
-    evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om[rows]))
+    dim = sector.dimension
+    row_bytes = max(8 * dim * dim, 16 * (2 * GRID_PER_PERIOD + 1) * dim)
+    chunk = max(1, CHUNK_BYTES // row_bytes)
+    for first in range(0, len(rows), chunk):
+        part = rows[first:first + chunk]
+        found = _search_chunk(sector, om[part], omega_prime[part])
+        for r, outcome in zip(part, found):
+            outcomes[r] = outcome
+    return outcomes if stacked else unwrap(outcomes[0])
+
+
+def _search_chunk(sector, om, omega_prime):
+    """The first-maximum search on a stack of finite, nonzero coupling
+    rows with their Omega'; returns each row's PulseResult or SearchError.
+    Its arrays go when it returns, so chunks do not pile up."""
+    evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om))
     start = vecs[:, 0, :]
     # |D(N,m)> with the mode in vacuum spans exactly the phonon-free states
-    dicke = vecs[:, sector.phonons == 0, :].sum(axis=1) / np.sqrt(comb(n, m))
+    dicke = (vecs[:, sector.phonons == 0, :].sum(axis=1)
+             / np.sqrt(comb(sector.n_qubits, sector.m)))
     weight = dicke * start  # F(t) = |sum_k weight_k exp(-i E_k t)|^2
 
-    dt = np.pi / (GRID_PER_PERIOD * omega_prime[rows])
+    dt = np.pi / (GRID_PER_PERIOD * omega_prime)
     steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
-    bracket = np.zeros((len(rows), 3))  # grid[j], grid[j + 2], f[j + 1]
+    bracket = np.zeros((len(om), 3))  # grid[j], grid[j + 2], f[j + 1]
     # the first maximum comes after about one period, so the grid is
     # scanned two periods at a time and a row leaves the scan at the first
-    # chunk that holds one; consecutive chunks share the two grid points
+    # block that holds one; consecutive blocks share the two grid points
     # that the peak test on their seam reads
     span = 2 * GRID_PER_PERIOD
-    scanning = np.arange(len(rows))
+    scanning = np.arange(len(om))
     for first in range(0, steps_cap - 1, span - 1):
         if not scanning.size:
             break
         steps = np.arange(first, min(first + span, steps_cap) + 1)
         grid = steps * dt[scanning, None]
-        phases = np.exp(-1j * (grid[:, :, None] * evals[scanning, None, :]))
-        f = np.abs((phases @ weight[scanning, :, None])[:, :, 0]) ** 2
-        del phases
+        f = _fidelity(evals[scanning], weight[scanning], grid)
         # grid point j + 1 is a maximum, bracketed by its neighbours, when
         # F rose into it and does not rise out of it
         is_peak = (f[:, 1:-1] > f[:, :-2]) & (f[:, 1:-1] >= f[:, 2:])
@@ -258,14 +276,16 @@ def first_max_from_couplings(couplings, m):
         bracket[scanning[found]] = np.stack(
             [grid[found, j], grid[found, j + 2], f[found, j + 1]], axis=1)
         scanning = np.delete(scanning, found)
+    outcomes = [None] * len(om)
     for k in scanning:
-        outcomes[rows[k]] = SearchError(
+        outcomes[k] = SearchError(
             "no fidelity maximum found before "
             f"t = {steps_cap * dt[k]:.3f}/Omega_0")
-    peaked = np.setdiff1d(np.arange(len(rows)), scanning)
-    t_star, f_star = np.zeros(len(rows)), np.zeros(len(rows))
+    peaked = np.setdiff1d(np.arange(len(om)), scanning)
+    t_star, f_star = np.zeros(len(om)), np.zeros(len(om))
     t_star[peaked], f_star[peaked] = _golden_max(
-        lambda t, sub: _fidelity(evals[peaked[sub]], weight[peaked[sub]], t),
+        lambda t, sub: _fidelity(evals[peaked[sub]], weight[peaked[sub]],
+                                 t[:, None])[:, 0],
         bracket[peaked, 0], bracket[peaked, 1], REFINE_TOL)
     # on a unimodal bracket the refine ends within REFINE_TOL / 2 of the
     # maximum, which is at least the grid peak f[j + 1], and
@@ -279,23 +299,23 @@ def first_max_from_couplings(couplings, m):
     states = (vecs @ amps[:, :, None])[:, :, 0]
     for k in peaked:
         if f_star[k] < floor[k]:
-            outcomes[rows[k]] = SearchError(
+            outcomes[k] = SearchError(
                 f"golden-section refine ended at F = {float(f_star[k])!r} at "
                 f"t = {t_star[k]:.6f}/Omega_0, below the {floor[k]!r} that a "
                 "unimodal F(t) guarantees; F(t) is not unimodal on the "
                 "bracket")
             continue
-        outcomes[rows[k]] = PulseResult(
+        outcomes[k] = PulseResult(
             duration=float(t_star[k]),
             fidelity=min(float(f_star[k]), 1.0),
             phonon_distribution=np.bincount(
                 sector.phonons, weights=np.abs(states[k]) ** 2,
-                minlength=m + 1),
-            couplings=om[rows[k]],
+                minlength=sector.m + 1),
+            couplings=om[k],
             sector=sector,
             state=states[k],
         )
-    return outcomes if stacked else unwrap(outcomes[0])
+    return outcomes
 
 
 def first_max_fidelity(config, addressed, m):
@@ -307,37 +327,17 @@ def first_max_fidelity(config, addressed, m):
         chain_mod.coupling_strengths(modes, addressed), m)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One point of a mass-ratio sweep: the row's ``pulse``, or ``error``
-    in its place (and ``pulse`` None) when the row failed."""
-
-    mu: float
-    pulse: PulseResult | None = None
-    error: str | None = None
-
-
-def _rows_per_chunk(n_qubits, m):
-    """Sweep rows whose largest blocks fit in CHUNK_BYTES: a row's D x D
-    float Hamiltonian and its complex F(t) scan chunk of
-    2 GRID_PER_PERIOD + 1 times."""
-    dim = max(1, sum(comb(n_qubits, k) for k in range(m + 1)))
-    row_bytes = max(8 * dim * dim, 16 * (2 * GRID_PER_PERIOD + 1) * dim)
-    return max(1, CHUNK_BYTES // row_bytes)
-
-
 def fidelity_vs_mass_ratio(template, mu_grid, m):
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
     Rebuilds the chain for every mu via ``template.config_for``, solves the
     modes of every chain that builds as one :func:`chain.solve_axial_modes`
     stack (one equilibrium for the whole grid), takes the in-phase
-    couplings of the qubit ions, and runs :func:`first_max_from_couplings`
-    on them in chunks of as many rows as ``CHUNK_BYTES`` holds.  Rows come
-    back in grid order.  A row that fails records its error in
-    :attr:`SweepRow.error` and the sweep goes on; if the mode stack fails
-    as a whole (the equilibrium, say), every row in it records that
-    failure.
+    couplings of the qubit ions, and searches them as one
+    :func:`first_max_from_couplings` stack.  Returns, in grid order, each
+    row's PulseResult or the exception the row raised; the sweep goes on
+    past a failed row, and if the mode stack fails as a whole (the
+    equilibrium, say), every row in it holds that failure.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mu_grid):
@@ -361,18 +361,8 @@ def fidelity_vs_mass_ratio(template, mu_grid, m):
                     unwrap(row_modes), addressed)
             except Exception as exc:
                 outcomes[i] = exc
-        del modes  # the pulse chunks need only the couplings
-    solved = list(couplings)
-    chunk = _rows_per_chunk(template.n_qubits, m)
-    for first in range(0, len(solved), chunk):
-        rows = solved[first:first + chunk]
-        try:
-            pulses = first_max_from_couplings(
-                np.array([couplings[i] for i in rows]), m)
-        except Exception as exc:
-            pulses = [exc] * len(rows)
-        outcomes.update(zip(rows, pulses))
-    return [SweepRow(mu=mu, error=str(outcomes[i]))
-            if isinstance(outcomes[i], Exception)
-            else SweepRow(mu=mu, pulse=outcomes[i])
-            for i, mu in enumerate(mu_grid)]
+        del modes  # the pulse search needs only the couplings
+    pulses = first_max_from_couplings(
+        np.reshape(list(couplings.values()), (-1, template.n_qubits)), m)
+    outcomes.update(zip(couplings, pulses))
+    return [outcomes[i] for i in range(len(mu_grid))]

@@ -182,11 +182,11 @@ def first_max_full_grid(couplings, m):
     dt = np.pi / (sideband.GRID_PER_PERIOD * float(np.linalg.norm(om)))
     steps_cap = int(np.ceil(sideband.GRID_PER_PERIOD * sideband.MAX_PERIODS))
     grid = np.arange(steps_cap + 1) * dt
-    f = np.abs(np.exp(-1j * np.outer(grid, evals)) @ weight) ** 2
+    f = sideband._fidelity(evals[None], weight[None], grid[None])[0]
     j = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[0]
     t_star, f_star = sideband._golden_max(
-        lambda t, rows: sideband._fidelity(evals[None][rows],
-                                           weight[None][rows], t),
+        lambda t, rows: sideband._fidelity(
+            evals[None][rows], weight[None][rows], t[:, None])[:, 0],
         [grid[j]], [grid[j + 2]], sideband.REFINE_TOL)
     return float(t_star[0]), min(float(f_star[0]), 1.0), int(j + 1)
 

@@ -38,13 +38,13 @@ def test_fig1a_symmetric_sweep_perfect_fidelity():
     grid = np.geomspace(0.1, 10.0, 20)
     rows = fidelity_vs_mass_ratio(template, grid, 1)
     elapsed = time.perf_counter() - t0
-    worst = max(abs(row.pulse.fidelity - 1.0) for row in rows)
+    worst = max(abs(row.fidelity - 1.0) for row in rows)
     report("Fig 1(a) symmetric D(2,1)-S sweep", "PASS",
            f"20 points, worst |F-1| = {worst:.2e}, {elapsed:.2f}s")
     assert len(rows) == 20
-    for row in rows:
-        f = row.pulse.fidelity
-        assert abs(f - 1.0) < 1e-9, f"mu={row.mu}: F={f}"
+    for mu, row in zip(grid, rows):
+        f = row.fidelity
+        assert abs(f - 1.0) < 1e-9, f"mu={mu}: F={f}"
     assert elapsed < 5.0
 
 
@@ -115,7 +115,7 @@ def _degradation(m):
     for n in (4, 5, 6):
         template = ChainTemplate.symmetric(n, placement="center")
         rows = fidelity_vs_mass_ratio(template, [1.0, 10.0], m)
-        out[n] = rows[0].pulse.fidelity - rows[1].pulse.fidelity
+        out[n] = rows[0].fidelity - rows[1].fidelity
     return out
 
 

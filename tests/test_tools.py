@@ -1,11 +1,17 @@
 """tools/frozen_digests.py runs every frozen command on the working tree,
-and its leaf diff names the field that moved most between two outputs."""
+its leaf diff names the field that moved most between two outputs, and
+its tree comparison exits 1 when any output differs."""
 
+import hashlib
 import importlib.util
+import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,12 +44,16 @@ def test_frozen_digests_pin_every_exit_code():
     assert len(lines) == len(EXIT_CODES)
 
 
-def test_largest_change_names_the_leaf_that_moved_most():
+def load_tool():
     spec = importlib.util.spec_from_file_location(
         "frozen_digests", ROOT / "tools" / "frozen_digests.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    largest_change = tool.largest_change
+    return tool
+
+
+def test_largest_change_names_the_leaf_that_moved_most():
+    largest_change = load_tool().largest_change
     old = {"schema": "fit.v1", "n": 3, "ok": True, "nan": math.nan,
            "fit": {"c": [0.2, 0.5, 0.3], "ll": -100.0}}
     new = {"schema": "fit.v1", "n": 3, "ok": True, "nan": math.nan,
@@ -55,3 +65,47 @@ def test_largest_change_names_the_leaf_that_moved_most():
     for edit in ({"schema": "fit.v2"}, {"ok": False}, {"n": None},
                  {"fit": {"c": [0.2, 0.5], "ll": -100.0}}):
         assert largest_change(old, {**old, **edit})[0] == math.inf
+
+
+def fake_runs(trees):
+    """A stand-in for ``subprocess.run`` on ``frozen_digests.run``: for the
+    tree named in the command it writes that tree's outputs into the work
+    directory and prints their digest lines, as the real run does."""
+    def run(argv, **kwargs):
+        tree, workdir = Path(argv[-2]).name, Path(argv[-1])
+        if tree not in trees:
+            return SimpleNamespace(returncode=1, stdout="",
+                                   stderr=f"no tree {tree}\n")
+        lines = []
+        for name, (code, payload) in trees[tree].items():
+            text = json.dumps(payload)
+            (workdir / name).write_text(text)
+            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+            lines.append(f"{name} {code} {digest}")
+        return SimpleNamespace(returncode=0, stdout="\n".join(lines) + "\n",
+                               stderr="")
+    return run
+
+
+@pytest.mark.parametrize("edit,status,printed", [
+    ({}, 0, "2 of 2 outputs identical"),
+    ({"b.json": (0, {"x": [1.0, 2.5]})}, 1, "largest change 0.5 at x[1]"),
+    ({"a.json": (3, {"y": 1})}, 1, "a.json: exit 0 -> 3"),
+])
+def test_compare_exits_1_when_an_output_differs(monkeypatch, capsys, edit,
+                                                status, printed):
+    tool = load_tool()
+    old = {"a.json": (0, {"y": 1}), "b.json": (0, {"x": [1.0, 2.0]})}
+    monkeypatch.setattr(tool.subprocess, "run",
+                        fake_runs({"old": old, "new": {**old, **edit}}))
+    assert tool.compare("new", "old") == status
+    out = capsys.readouterr().out
+    assert printed in out
+    assert out.endswith(f"{2 - status} of 2 outputs identical\n")
+
+
+def test_compare_exits_1_when_a_tree_fails(monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool.subprocess, "run", fake_runs({}))
+    assert tool.compare("new", "old") == 1
+    assert "no tree old" in capsys.readouterr().err

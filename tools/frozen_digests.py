@@ -19,6 +19,9 @@ printout names every output whose exit code or digest differs between
 them (``OTHER_SRC`` first, ``SRC_DIR`` second).  For a JSON output it
 adds the largest absolute change over the numeric leaves and the field
 that has it; a change of shape or of a non-numeric leaf reads ``inf``.
+It exits 0 only when every output and exit code is the same in both
+trees, so ``frozen_digests.py src --against OTHER_SRC && ...`` gates on
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -164,7 +167,8 @@ def largest_change(a, b, field=""):
 
 
 def compare(src, other):
-    """Run both trees and print the outputs that differ between them."""
+    """Run both trees and print the outputs that differ between them;
+    returns 0 when none does, 1 otherwise."""
     with tempfile.TemporaryDirectory() as tmp:
         digests = []
         for tree, sub in ((other, "other"), (src, "src")):
@@ -198,7 +202,7 @@ def compare(src, other):
                     *(json.loads(p.read_text()) for p in paths))
                 print(f"  largest change {change:.3g} at {field}")
         print(f"{same} of {len(before)} outputs identical")
-    return 0
+    return 0 if same == len(before) else 1
 
 
 def main(argv=None):
