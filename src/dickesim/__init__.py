@@ -12,7 +12,7 @@ from .chain import (ChainConfig, ChainFile, ChainTemplate,
                     solve_equilibrium)
 from .detection import (CalibrationResult, FitResult,
                         ParityScanResult, ReadoutModel, calibrate,
-                        composite_dists, dark_ion_dist, estimate_period,
+                        composite_dists, estimate_period,
                         ml_fit, parity_from_fit, parity_scan_analysis,
                         parity_std_from_fit, synthesize_shots)
 from .dicke import QubitDensity, collective_rotation, rotated_density

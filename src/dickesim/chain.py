@@ -109,10 +109,11 @@ class ModeSet:
     ascend, ``ground_state_amplitudes[i, k]`` is the zero-point amplitude
     z_i of ion i in mode k and ``lamb_dicke = k_projection * z``.  The
     in-phase mode is the lowest one, mode 0.  ``equilibrium`` is the
-    solution the modes were solved at.  ``dimensionless`` is True when the
-    chain's ``omega_z`` is None: frequencies are then in units of omega_z
-    and amplitudes in scaled lengths (hbar = 1), otherwise in rad/s and
-    metres.
+    solution the modes were solved at.  When the chain's ``omega_z`` is
+    None, frequencies are in units of omega_z and amplitudes in scaled
+    lengths (hbar = 1), otherwise in rad/s and metres.  Only
+    :func:`solve_axial_modes` builds one; the pulse layer reads its
+    couplings from :func:`coupling_strengths`.
     """
 
     frequencies: np.ndarray
@@ -120,7 +121,6 @@ class ModeSet:
     ground_state_amplitudes: np.ndarray
     lamb_dicke: np.ndarray
     equilibrium: EquilibriumSolution
-    dimensionless: bool = True
 
     def __post_init__(self):
         freeze(self, float, "frequencies", "eigenvectors",
@@ -218,41 +218,18 @@ def _fix_eigenvector_signs(vectors):
     return np.where(s[..., None, :] < 0, -vectors, vectors)
 
 
-def solve_axial_modes(config):
-    """Axial normal modes of a chain about its equilibrium.
+def _mode_stack(configs):
+    """Modes of chains that share ion count, omega_z and k_projection: one
+    equilibrium solve, one stacked eigh, and the frequencies and
+    ground-state amplitudes of the whole stack at once.
 
-    Solves the equilibrium (:func:`solve_equilibrium`), then diagonalizes
-    the mass-weighted Hessian ``D = H_ij / sqrt(m_i m_j)`` (masses in units
-    of the reference mass).  Ground-state amplitudes are
-    ``z_i = b_ik * sqrt(hbar / (2 m_i omega_k))`` with ``b`` the
-    mass-weighted eigenvector; Lamb-Dicke parameters are
-    ``eta_i = k_projection * z_i``.
-
-    ``config`` may also be a sequence of configs of one ion count, as a
-    mass-ratio sweep passes them: the equilibrium is solved once, their
-    Hessians are diagonalized as one stack, and the call returns a list
-    that holds, per config, its ModeSet or the UnstableCrystalError it
-    raises on its own.  Every ModeSet of the stack holds the same
-    ``equilibrium``.
-
-    Raises
-    ------
-    ValueError
-        On an empty stack, or one that mixes ion counts.
-    ConvergenceError
-        If the equilibrium solve fails.
-    UnstableCrystalError
-        On a mass ratio whose square under- or overflows (the mass-weighted
-        Hessian is then not finite), or on mass ratios so far apart that
-        rounding loses the small mode curvatures: the lowest computed
-        eigenvalue is then not positive, or its eigenvector has a component
-        at or below 1e-10.
+    Returns ``(outcomes, rows, eq, freqs, vecs, z)``: ``outcomes`` holds,
+    per config, the UnstableCrystalError it raises on its own, or None, and
+    the arrays hold the modes of the other configs, ``rows``, in order.
     """
-    stacked = not isinstance(config, ChainConfig)
-    configs = list(config) if stacked else [config]
-    if len({c.n_ions for c in configs}) != 1:
+    if len({(c.n_ions, c.omega_z, c.k_projection) for c in configs}) != 1:
         raise ValueError("a mode stack needs at least one chain, all of one "
-                         "ion count")
+                         "ion count, omega_z and k_projection")
     eq = solve_equilibrium(configs[0])
     outcomes = [None] * len(configs)
     masses = np.array([c.masses for c in configs])
@@ -286,58 +263,86 @@ def solve_axial_modes(config):
             f"lost to rounding (lowest eigenvalue {evals[k, 0]:.3e}, smallest "
             f"in-phase component {vecs[k, :, 0].min():.3e}; need > 0 and "
             "> 1e-10)")
-    for k in np.flatnonzero(resolved):
-        r = rows[k]
-        outcomes[r] = _mode_set(configs[r], mt[r], evals[k], vecs[k], eq)
-    return outcomes if stacked else unwrap(outcomes[0])
-
-
-def _mode_set(config, mt, evals, vecs, eq):
-    """The ModeSet of one chain from its mass-weighted eigenpairs at the
-    equilibrium ``eq``."""
-    scaled_freqs = np.sqrt(evals)
-    if config.omega_z is None:
-        freqs = scaled_freqs
+    rows, evals, vecs = rows[resolved], evals[resolved], vecs[resolved]
+    freqs = np.sqrt(evals)
+    omega_z = configs[0].omega_z
+    if omega_z is None:
         # hbar = m_ref = omega_z = 1
-        z = vecs / np.sqrt(2.0 * mt[:, None] * scaled_freqs[None, :])
+        z = vecs / np.sqrt(2.0 * mt[rows][:, :, None] * freqs[:, None, :])
     else:
-        freqs = scaled_freqs * config.omega_z
-        m_kg = np.asarray(config.masses) * ATOMIC_MASS
-        z = vecs * np.sqrt(HBAR / (2.0 * m_kg[:, None] * freqs[None, :]))
-
-    return ModeSet(
-        frequencies=freqs,
-        eigenvectors=vecs,
-        ground_state_amplitudes=z,
-        lamb_dicke=config.k_projection * z,
-        equilibrium=eq,
-        dimensionless=config.omega_z is None,
-    )
+        freqs = freqs * omega_z
+        m_kg = masses[rows] * ATOMIC_MASS
+        z = vecs * np.sqrt(HBAR / (2.0 * m_kg[:, :, None] * freqs[:, None, :]))
+    return outcomes, rows, eq, freqs, vecs, z
 
 
-def coupling_strengths(modes, addressed):
-    """Red-sideband coupling strengths ``Omega_i / Omega_0 = eta_i`` for the
-    addressed ions, taken on the in-phase mode, in chain order.
+def solve_axial_modes(config):
+    """Axial normal modes of a chain about its equilibrium.
+
+    Solves the equilibrium (:func:`solve_equilibrium`), then diagonalizes
+    the mass-weighted Hessian ``D = H_ij / sqrt(m_i m_j)`` (masses in units
+    of the reference mass).  Ground-state amplitudes are
+    ``z_i = b_ik * sqrt(hbar / (2 m_i omega_k))`` with ``b`` the
+    mass-weighted eigenvector; Lamb-Dicke parameters are
+    ``eta_i = k_projection * z_i``.
+
+    Raises
+    ------
+    ConvergenceError
+        If the equilibrium solve fails.
+    UnstableCrystalError
+        On a mass ratio whose square under- or overflows (the mass-weighted
+        Hessian is then not finite), or on mass ratios so far apart that
+        rounding loses the small mode curvatures: the lowest computed
+        eigenvalue is then not positive, or its eigenvector has a component
+        at or below 1e-10.
+    """
+    outcomes, _, eq, freqs, vecs, z = _mode_stack([config])
+    if outcomes[0] is not None:
+        raise outcomes[0]
+    return ModeSet(frequencies=freqs[0], eigenvectors=vecs[0],
+                   ground_state_amplitudes=z[0],
+                   lamb_dicke=config.k_projection * z[0], equilibrium=eq)
+
+
+def coupling_strengths(config, addressed):
+    """Red-sideband coupling strengths ``Omega_i / Omega_0 = eta_i`` of a
+    chain's addressed ions, taken on the in-phase mode, in chain order, as
+    a read-only array.
 
     The couplings are in units of the carrier Rabi rate Omega_0.  Emits a
     :class:`LambDickeWarning` when an addressed eta exceeds 0.3 on an SI chain
     (in scaled units eta is not a physical Lamb-Dicke parameter).
+
+    ``config`` may also be a sequence of configs that share ion count,
+    ``omega_z`` and ``k_projection``, as a mass-ratio sweep passes them:
+    their modes are solved as one stack about one equilibrium, and the
+    call returns a list that holds, per config, its couplings or the
+    UnstableCrystalError it raises on its own, with one warning per SI
+    row past 0.3.  The errors are those of :func:`solve_axial_modes`, and
+    a ValueError on an empty or unknown addressed set or a stack that is
+    empty or mixes ion counts, ``omega_z`` or ``k_projection``.
     """
+    stacked = not isinstance(config, ChainConfig)
+    configs = list(config) if stacked else [config]
+    outcomes, rows, _, _, _, z = _mode_stack(configs)
     addressed = sorted(set(int(i) for i in addressed))
     if not addressed:
         raise ValueError("addressed ion set must not be empty")
-    if addressed[0] < 0 or addressed[-1] >= modes.n_ions:
+    if addressed[0] < 0 or addressed[-1] >= configs[0].n_ions:
         raise ValueError("addressed ion index out of range")
-    eta = modes.lamb_dicke[addressed, 0]
-    if not modes.dimensionless and np.max(np.abs(eta)) > LAMB_DICKE_THRESHOLD:
-        warnings.warn(
-            f"max |eta| = {np.max(np.abs(eta)):.3f} exceeds "
-            f"{LAMB_DICKE_THRESHOLD}; the linear sideband coupling model "
-            "is unreliable here",
-            LambDickeWarning,
-            stacklevel=2,
-        )
-    return eta
+    eta = configs[0].k_projection * z[:, addressed, 0]
+    eta.setflags(write=False)
+    if configs[0].omega_z is not None:
+        peaks = np.max(np.abs(eta), axis=1)
+        for peak in peaks[peaks > LAMB_DICKE_THRESHOLD]:
+            warnings.warn(
+                f"max |eta| = {peak:.3f} exceeds {LAMB_DICKE_THRESHOLD}; the "
+                "linear sideband coupling model is unreliable here",
+                LambDickeWarning, stacklevel=2)
+    for r, row in zip(rows, eta):
+        outcomes[r] = row
+    return outcomes if stacked else unwrap(outcomes[0])
 
 
 @dataclass(frozen=True)

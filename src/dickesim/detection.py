@@ -118,13 +118,16 @@ def _shift_diff(p):
 
 
 def _dark_ion(model, n_max):
-    """The :func:`dark_ion_dist` row and its derivatives along
-    lambda_bright, lambda_dark and gamma T, as a (4, n_max+1) array.
+    """Count pmf on 0..n_max of a single ion that starts dark (up), and
+    its derivatives along lambda_bright, lambda_dark and gamma T, as a
+    (4, n_max+1) array.
 
-    The decay time x = tau/T has density gamma T exp(-gamma T x); on the
-    grid it becomes the Simpson weights times exp(-gamma T x), normalised
-    to sum 1, so that the decayed branch carries the exact mass
-    1 - exp(-gamma T).  The normaliser is at least the first weight, so no
+    With probability exp(-gamma T) the ion survives the window dark and
+    contributes Poisson(lambda_dark).  Otherwise it decays at time tau and
+    contributes Poisson counts with the time-weighted mean.  The decay
+    time x = tau/T has density gamma T exp(-gamma T x); on the grid it
+    becomes the Simpson weights times exp(-gamma T x), normalised to sum
+    1, so that the decayed branch carries the exact mass 1 - exp(-gamma T).  The normaliser is at least the first weight, so no
     gamma T >= 0 divides by zero.  One (n_max+1, QUAD_NODES) product with
     the columns x nu and (1 - x) nu gives the decayed row (their sum) and,
     through the shift difference, its derivatives in lambda_dark and
@@ -147,20 +150,6 @@ def _dark_ion(model, n_max):
         survive * (decayed - dark)
         - decay * (at_dark - float(nu @ _TAU) * decayed),
     ])
-
-
-def dark_ion_dist(model, n_max=DEFAULT_N_MAX):
-    """Count pmf on 0..n_max, as an array, of a single ion that starts
-    dark (up).
-
-    With probability exp(-gamma T) the ion survives the window dark and
-    contributes Poisson(lambda_dark).  Otherwise it decays at time tau
-    (exponential density) and contributes Poisson counts with the
-    time-weighted mean; the tau integral is a fixed composite-Simpson
-    weight vector over 512 intervals, with the decayed branch normalised
-    to the exact mass 1 - exp(-gamma T).
-    """
-    return _dark_ion(model, n_max)[0]
 
 
 def _composites(model, n_max):
@@ -307,6 +296,8 @@ def _histogram(samples, cm):
     if counts.size == 0:
         raise ValueError("need at least one sample")
     if not np.issubdtype(counts.dtype, np.integer):
+        if not np.all(np.isfinite(counts)):
+            raise DataError("photon counts must be finite")
         rounded = np.rint(counts)
         if np.max(np.abs(counts - rounded)) > 0:
             raise DataError("photon counts must be integers")
@@ -421,8 +412,9 @@ class CalibrationResult:
 
 def _check_reference(hist, name):
     h = np.asarray(hist, dtype=float)
-    if h.ndim != 1 or np.any(h < 0):
-        raise DataError(f"{name} histogram must be 1-d and non-negative")
+    if h.ndim != 1 or not np.all(np.isfinite(h)) or np.any(h < 0):
+        raise DataError(f"{name} histogram must be 1-d, finite and "
+                        "non-negative")
     if np.sum(h) <= 0:
         raise IdentifiabilityError(f"{name} reference histogram is empty")
     if np.count_nonzero(h) < 2:

@@ -319,32 +319,30 @@ def _search_chunk(sector, om, omega_prime):
 
 
 def first_max_fidelity(config, addressed, m):
-    """Full pipeline from one chain configuration: modes (about the chain's
-    equilibrium) -> in-phase couplings for the addressed ions ->
-    first-maximum search."""
-    modes = chain_mod.solve_axial_modes(config)
+    """Full pipeline from one chain configuration: in-phase couplings of
+    the addressed ions (about the chain's equilibrium) -> first-maximum
+    search."""
     return first_max_from_couplings(
-        chain_mod.coupling_strengths(modes, addressed), m)
+        chain_mod.coupling_strengths(config, addressed), m)
 
 
 def fidelity_vs_mass_ratio(template, mu_grid, m):
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
-    Rebuilds the chain for every mu via ``template.config_for``, solves the
-    modes of every chain that builds as one :func:`chain.solve_axial_modes`
-    stack (one equilibrium for the whole grid), takes the in-phase
-    couplings of the qubit ions, and searches them as one
+    Rebuilds the chain for every mu via ``template.config_for``, takes the
+    in-phase couplings of the qubit ions of every chain that builds in one
+    :func:`chain.coupling_strengths` stack (one equilibrium and one mode
+    solve for the whole grid), and searches them as one
     :func:`first_max_from_couplings` stack.  Returns, in grid order, each
     row's PulseResult or the exception the row raised; the sweep goes on
-    past a failed row, and if the mode stack fails as a whole (the
+    past a failed row, and if the coupling stack fails as a whole (the
     equilibrium, say), every row in it holds that failure.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mu_grid):
         raise ValueError("all mass ratios must be positive")
-    addressed = template.addressed()
 
-    outcomes, configs, couplings = {}, {}, {}
+    outcomes, configs = {}, {}
     for i, mu in enumerate(mu_grid):
         try:
             configs[i] = template.config_for(mu)
@@ -352,16 +350,13 @@ def fidelity_vs_mass_ratio(template, mu_grid, m):
             outcomes[i] = exc
     if configs:
         try:
-            modes = chain_mod.solve_axial_modes(list(configs.values()))
+            etas = chain_mod.coupling_strengths(list(configs.values()),
+                                                template.addressed())
         except Exception as exc:
-            modes = [exc] * len(configs)
-        for i, row_modes in zip(configs, modes):
-            try:
-                couplings[i] = chain_mod.coupling_strengths(
-                    unwrap(row_modes), addressed)
-            except Exception as exc:
-                outcomes[i] = exc
-        del modes  # the pulse search needs only the couplings
+            etas = [exc] * len(configs)
+        outcomes.update(zip(configs, etas))
+    couplings = {i: eta for i, eta in outcomes.items()
+                 if not isinstance(eta, Exception)}
     pulses = first_max_from_couplings(
         np.reshape(list(couplings.values()), (-1, template.n_qubits)), m)
     outcomes.update(zip(couplings, pulses))

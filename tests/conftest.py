@@ -16,8 +16,9 @@ here as references for the tests that check them: the chain's scaled
 potential energy and SI length scale, pure qubit states and Dicke states,
 the closed-form W fidelity, the parity and Dicke-fidelity expectations of
 a density matrix, two-qubit fidelity and coherence from matrix elements,
-purity, JSON readers for qubit states, and the per-index loop that bins a
-density diagonal by bright-ion count.
+purity, JSON readers for qubit states, the per-index loop that bins a
+density diagonal by bright-ion count, and the count pmf of one ion that
+starts dark on its own.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from dickesim import QubitDensity, sideband
+from dickesim import QubitDensity, detection, sideband
 from dickesim._frozen import freeze
 from dickesim.chain import ATOMIC_MASS
 from dickesim.dicke import rotated_density, weights
@@ -375,6 +376,13 @@ def bright_populations_loop(rho):
     for idx, w in enumerate(ups):
         c[rho.n_qubits - w] += max(diag[idx], 0.0)
     return c / np.sum(c)
+
+
+def dark_ion_dist(model, n_max=detection.DEFAULT_N_MAX):
+    """Count pmf on 0..n_max of a single ion that starts dark (up): the
+    first row of the program's ``detection._dark_ion``, which the
+    composite distributions convolve."""
+    return detection._dark_ion(model, n_max)[0]
 
 
 def assert_identity_semantics(make):

@@ -222,7 +222,7 @@ def test_mixed_species_inphase_amplitude_actual_value():
     ratio = (modes.ground_state_amplitudes[0, k]
              / modes.ground_state_amplitudes[1, k])
     assert ratio == pytest.approx(0.988540707500518, abs=1e-9)
-    om = coupling_strengths(modes, (0, 1))
+    om = coupling_strengths(cfg, (0, 1))
     fidelity_cost = 1.0 - w_fidelity_analytic(om)
     assert fidelity_cost < 5e-5
     report("mixed-species Mg amplitude actual", "PASS",

@@ -224,35 +224,34 @@ def test_coupling_strengths_basic():
     cfg = ChainConfig(masses=(1.0, 1.0, 2.0))
     modes = solve_axial_modes(cfg)
     k = 0  # the in-phase mode
-    om = coupling_strengths(modes, (0, 1))
+    om = coupling_strengths(cfg, (0, 1))
     assert om == pytest.approx(modes.lamb_dicke[(0, 1), k])
-    single = coupling_strengths(modes, (1,))
+    assert not om.flags.writeable
+    single = coupling_strengths(cfg, (1,))
     assert single == pytest.approx([modes.lamb_dicke[1, k]])
 
 
 def test_coupling_strengths_mg_ratio_within_percent_scale():
     cfg = ChainConfig(masses=(25.0, 25.0, 27.0))
-    modes = solve_axial_modes(cfg)
-    om = coupling_strengths(modes, (0, 1))
+    om = coupling_strengths(cfg, (0, 1))
     assert 0.98 < om[0] / om[1] < 1.02
 
 
 def test_coupling_strengths_validates_addressed():
     cfg = ChainConfig(masses=(1.0, 1.0))
-    modes = solve_axial_modes(cfg)
-    with pytest.raises(ValueError):
-        coupling_strengths(modes, ())
-    with pytest.raises(ValueError):
-        coupling_strengths(modes, (0, 5))
+    for config in (cfg, [cfg, cfg]):
+        with pytest.raises(ValueError, match="must not be empty"):
+            coupling_strengths(config, ())
+        with pytest.raises(ValueError, match="out of range"):
+            coupling_strengths(config, (0, 5))
 
 
 def test_lamb_dicke_warning_in_si_mode():
     # absurdly large k-projection pushes eta past the warning threshold
     cfg = ChainConfig(masses=(25.0, 25.0), omega_z=2 * np.pi * 2.55e6,
                       k_projection=1.0e12)
-    modes = solve_axial_modes(cfg)
     with pytest.warns(LambDickeWarning):
-        coupling_strengths(modes, (0, 1))
+        coupling_strengths(cfg, (0, 1))
 
 
 def test_eta_continuous_in_mass_ratio():
@@ -262,8 +261,7 @@ def test_eta_continuous_in_mass_ratio():
     etas = []
     for mu in mus:
         cfg = template.config_for(mu)
-        modes = solve_axial_modes(cfg)
-        etas.append(coupling_strengths(modes, template.addressed()))
+        etas.append(coupling_strengths(cfg, template.addressed()))
     etas = np.array(etas)
     jumps = np.max(np.abs(np.diff(etas, axis=0)), axis=1)
     assert np.max(jumps) < 0.05  # no mode-crossing discontinuity on this grid
@@ -273,8 +271,7 @@ def test_symmetric_two_qubit_template_outer_amplitudes_equal():
     template = ChainTemplate.symmetric(2, placement="center")
     for mu in (0.1, 0.5, 1.0, 27.0 / 25.0, 4.0, 10.0):
         cfg = template.config_for(mu)
-        modes = solve_axial_modes(cfg)
-        om = coupling_strengths(modes, template.addressed())
+        om = coupling_strengths(cfg, template.addressed())
         assert om[0] == pytest.approx(om[1], abs=1e-12)
 
 
@@ -417,22 +414,68 @@ def test_modes_name_a_mass_ratio_whose_square_leaves_double_range(ratio,
 @pytest.mark.parametrize("configs", [
     [],
     [ChainConfig(masses=(1.0,) * 3), ChainConfig(masses=(1.0,) * 4)],
-], ids=["empty", "3-and-4-ions"])
+    [ChainConfig(masses=(1.0,) * 3),
+     ChainConfig(masses=(1.0,) * 3, omega_z=2 * np.pi * 2.55e6)],
+    [ChainConfig(masses=(1.0,) * 3, omega_z=2 * np.pi * 2.55e6),
+     ChainConfig(masses=(1.0,) * 3, omega_z=2 * np.pi * 2.0e6)],
+    [ChainConfig(masses=(1.0,) * 3),
+     ChainConfig(masses=(1.0,) * 3, k_projection=2.0)],
+], ids=["empty", "3-and-4-ions", "scaled-and-si", "two-omega-z",
+        "two-k-projections"])
 def test_mode_stack_needs_one_ion_count(configs):
     with pytest.raises(ValueError, match="one ion count"):
-        solve_axial_modes(configs)
+        coupling_strengths(configs, (0, 1))
 
 
-def test_mode_stack_shares_one_equilibrium():
-    configs = [ChainConfig(masses=(1.0, mu, 1.0, 1.0)) for mu in (0.5, 2.0)]
-    configs.append(ChainConfig(masses=(25.0, 25.0, 27.0, 25.0),
-                               omega_z=2 * np.pi * 2.55e6))
-    stack = solve_axial_modes(configs)
-    eq = stack[0].equilibrium
-    assert all(modes.equilibrium is eq for modes in stack)
-    # the scaled equilibrium reads only the ion count
-    for cfg in configs:
-        assert np.array_equal(eq.positions, solve_equilibrium(cfg).positions)
+def test_mode_stack_shares_one_equilibrium(monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return solve_equilibrium(config)
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", counted)
+    configs = [ChainConfig(masses=(1.0, mu, 1.0, 1.0))
+               for mu in (0.5, 2.0, 1e-300)]
+    stack = coupling_strengths(configs, (0, 2, 3))
+    assert calls == configs[:1]
+    assert isinstance(stack[2], UnstableCrystalError)
+    # the scaled equilibrium reads only the ion count, so every row equals
+    # the chain solved on its own
+    for cfg, row in zip(configs[:2], stack):
+        assert row.tobytes() == coupling_strengths(cfg, (0, 2, 3)).tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=3, max_value=6),
+       st.sampled_from([None, 2 * np.pi * 2.55e6]),
+       st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=1,
+                max_size=6),
+       st.data())
+def test_coupling_stack_rows_equal_the_chains_solved_alone(n, omega_z, mus,
+                                                           data):
+    # a stack reads z[:, addressed, 0] of one stacked solve; each row must
+    # keep the bits of its chain's own coupling and mode solve, and rows
+    # the modes cannot resolve keep their own error text
+    slot = data.draw(st.integers(min_value=0, max_value=n - 1))
+    template = ChainTemplate.symmetric(n - 1, placement=slot, qubit_mass=25.0,
+                                       omega_z=omega_z, k_projection=1.0e7)
+    addr = template.addressed()
+    mus = mus + [1e-300, 1e-16]
+    configs = [template.config_for(mu) for mu in mus]
+    stack = coupling_strengths(configs, addr)
+    assert len(stack) == len(configs)
+    for cfg, row in zip(configs, stack):
+        try:
+            modes = solve_axial_modes(cfg)
+        except UnstableCrystalError as alone:
+            assert (type(row), str(row)) == (type(alone), str(alone))
+            continue
+        assert row.tobytes() == coupling_strengths(cfg, addr).tobytes()
+        assert row.tobytes() == modes.lamb_dicke[list(addr), 0].tobytes()
+    # 1e-300 squares out of range; 1e-16 loses the mode curvatures to
+    # rounding on most slots, and the loop above compared whichever it was
+    assert "out of range" in str(stack[-2])
 
 
 def test_modes_csv_export():

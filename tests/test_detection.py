@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from conftest import (assert_identity_semantics, dicke_state, em_fit,
-                      ml_fit_sequential)
+from conftest import (assert_identity_semantics, dark_ion_dist, dicke_state,
+                      em_fit, ml_fit_sequential)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
@@ -10,7 +10,7 @@ from scipy.integrate import simpson
 from dickesim import (ConvergenceError, DataError, FitResult,
                       IdentifiabilityError, ParityScanResult,
                       ReadoutModel, calibrate,
-                      composite_dists, dark_ion_dist, estimate_period,
+                      composite_dists, estimate_period,
                       ml_fit, parity_from_fit, parity_scan_analysis,
                       parity_std_from_fit, rotated_density,
                       synthesize_shots)
@@ -538,6 +538,21 @@ def test_ml_fit_rejects_bad_samples():
         ml_fit(np.array([1.5, 2.0]), cm)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_reject_non_finite_counts(bad):
+    # a non-finite count must not reach the integer cast, which warns and
+    # reports a range of -2^63
+    cm = composite_dists(MODEL, n_max=100)
+    samples = np.array([1.0, bad, 3.0])
+    with pytest.raises(DataError, match="photon counts must be finite"):
+        ml_fit(samples, cm)
+    scans = [(phi, np.array([1.0, 2.0, 3.0]))
+             for phi in np.arange(4) * np.pi / 4]
+    scans[2] = (scans[2][0], samples)
+    with pytest.raises(DataError, match="photon counts must be finite"):
+        parity_scan_analysis(scans, cm, n_bootstrap=0)
+
+
 @pytest.mark.parametrize("n_bootstrap", [1, -3])
 def test_bootstrap_count_must_be_zero_or_two_or_more(n_bootstrap):
     # one resample has no standard deviation; a negative count has no
@@ -702,6 +717,21 @@ def test_calibrate_rejects_degenerate_references():
     single_bin[4] = 500
     with pytest.raises(IdentifiabilityError):
         calibrate(good, single_bin)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_calibrate_rejects_non_finite_reference_bins(bad):
+    good = np.bincount(
+        synthesize_shots((0.0, 0.0, 1.0), composite_dists(MODEL), 1000, seed=30),
+        minlength=101)
+    dark = np.bincount(
+        synthesize_shots((1.0, 0.0, 0.0), composite_dists(MODEL), 1000, seed=31),
+        minlength=101).astype(float)
+    dark[7] = bad
+    with pytest.raises(DataError, match="dark histogram must be 1-d, finite"):
+        calibrate(good, dark)
+    with pytest.raises(DataError, match="bright histogram must be 1-d, finite"):
+        calibrate(dark, good)
 
 
 # --- parity helpers -------------------------------------------------------------

@@ -658,6 +658,20 @@ def test_sweep_equilibrium_failure_spares_rows_that_build_no_chain(
                and "stalled" in str(rows[i]) for i in (0, 2))
 
 
+def test_pulse_search_from_a_chain_builds_no_mode_set(monkeypatch):
+    # the pulse layer reads only the in-phase couplings of the qubit ions
+    def refused(self):
+        raise AssertionError("a ModeSet was built")
+
+    monkeypatch.setattr(chain_mod.ModeSet, "__post_init__", refused)
+    template = ChainTemplate.symmetric(3, placement="edge")
+    rows = fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], 1)
+    assert all(not isinstance(row, Exception) for row in rows)
+    pulse = first_max_fidelity(template.config_for(2.0), template.addressed(),
+                               1)
+    assert_same_outcome(rows[2], pulse)
+
+
 def test_sweep_keep_density():
     template = ChainTemplate.symmetric(2, placement="center")
     pulse, = fidelity_vs_mass_ratio(template, [1.0], 1)
@@ -741,10 +755,15 @@ def test_sweep_warns_on_si_rows_outside_lamb_dicke():
     template = ChainTemplate.symmetric(2, placement="edge", qubit_mass=25.0,
                                        omega_z=2 * np.pi * 2.55e6,
                                        k_projection=1e8)
-    with pytest.warns(LambDickeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rows = fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], 1)
     assert all(not isinstance(row, Exception) for row in rows)
     assert np.max(rows[1].couplings) > 0.3
+    # one warning per row past the threshold
+    above = sum(np.max(row.couplings) > 0.3 for row in rows)
+    assert above >= 1
+    assert [w.category for w in caught] == [LambDickeWarning] * above
 
 
 @pytest.mark.parametrize("n,m,points,bound_mb", [(5, 2, 301, 4.0),
