@@ -19,17 +19,17 @@ scans all read the rows of that array, and n_max from its shape;
 calibration builds the same rows, and with them the exact derivatives of
 the two reference rows that its gradient needs, for each trial model.
 An observed sample of counts is fit with the three-component mixture by
-maximizing the log-likelihood over the population simplex (EM-style
-multiplicative updates; the problem is concave, so the interior optimum
-is global).
+maximizing the log-likelihood over the population simplex.  The problem
+is concave, so the optimum is global, and Newton steps with the exact
+Hessian on the face of the simplex that holds the free populations reach
+it in a few iterations, where EM-style multiplicative updates crawl near
+the boundary.
 Uncertainties come from a nonparametric bootstrap of 0 (none) or at least
-2 resamples.  The fits of a call run in two batches through one EM loop:
-the point fits (one sample, or every phase of a parity scan), then all of
-their bootstrap resamples.  Plain EM crawls where a fit is pinned near the
-simplex boundary, so each cycle of the loop is a SQUAREM extrapolation of
-two EM updates, with a fall-back to the plain updates wherever the
-extrapolation scores lower; a fit stops once one EM update gains at most
-1e-10, and its result does not depend on the rest of its batch.
+2 resamples.  The fits of a call run in two batches through one Newton
+loop: the point fits (one sample, or every phase of a parity scan), then
+all of their bootstrap resamples.  A fit stops after the step whose Newton
+decrement is at most 1e-10, and its result does not depend on the rest of
+its batch.
 
 scipy is imported inside the three functions that call it (the Poisson
 kernel, calibration's L-BFGS-B and the period fit), not at module level,
@@ -50,6 +50,7 @@ from .errors import ConvergenceError, DataError, IdentifiabilityError
 DEFAULT_N_MAX = 100
 DEFAULT_T_DETECT = 200e-6  # s
 DEFAULT_N_BOOTSTRAP = 200
+_BLOCK_ROWS = 256  # rows per block of the Newton fit's line search
 QUAD_NODES = 513  # 512 Simpson intervals over the detection window
 _TAU = np.linspace(0.0, 1.0, QUAD_NODES)  # decay time over the window
 # composite Simpson weights on _TAU: (1, 4, 2, 4, ..., 2, 4, 1) h / 3
@@ -209,93 +210,150 @@ class FitResult:
             raise ValueError("populations must sum to 1")
 
 
-def _em(h, pmat, starts, tol=1e-10, max_iter=200000):
+def _newton(h, pmat, starts, max_iter=100):
     """Maximize sum_n h_bn log(sum_i c_bi P_in) over the simplex for each
     histogram row b of ``h``, from ``starts``; returns the (B, k)
     populations and (B,) log-likelihoods.
 
-    Each cycle is one SQUAREM step (Varadhan & Roland, Scand. J. Stat. 35,
-    335 (2008), scheme SqS3) on the EM map F: c1 = F(c), c2 = F(c1),
-    r = c1 - c, v = c2 - c1 - r and alpha = min(-|r|/|v|, -1).  The point
-    c - 2 alpha r + alpha^2 v, with alpha halved towards -1 (the point c2)
-    until it lies on the simplex, takes one more EM map; a row falls back
-    to c2 wherever that lowers its log-likelihood, so every cycle climbs.
-    A row stops once the first EM map of a cycle gains at most ``tol``,
-    and leaves the batch with the end point of that cycle; rows still
-    running after ``max_iter`` cycles raise ConvergenceError.
+    The objective is concave, so each iteration takes one Newton step with
+    the exact Hessian on the free face of the simplex (Redner & Walker,
+    SIAM Rev. 26, 195 (1984)).  The gradient g_i = sum_n h_n P_in / mix_n
+    and the curvature Q_ij = sum_n h_n P_in P_jn / mix_n^2 (the negated
+    Hessian) give the step d and the multiplier nu of sum_i c_i = 1 from
+    one (k+1) x (k+1) KKT system, in which a pinned coordinate (c_i = 0)
+    keeps d_i = 0.  The step is cut where it reaches the simplex boundary,
+    and the coordinate that reaches 0 there is pinned.  A step is halved
+    while it gains less than 1e-4 of the Newton decrement g.d, or ends on
+    the boundary where the likelihood no longer climbs (a pin there could
+    only be undone by crawling back from 0).  Once g.d <= 1e-10 the
+    face is solved: the pinned coordinate whose multiplier has the most
+    wrong sign (g_j > nu) is freed, and a row with none stops after
+    taking that last step whole.  Rows still running after ``max_iter``
+    iterations raise ConvergenceError.
     """
     h = np.asarray(h, dtype=float)
-    total = h.sum(axis=1, keepdims=True)
+    k = pmat.shape[0]
+    pairs = (pmat[:, None] * pmat[None]).reshape(k * k, -1)  # P_in P_jn
+    diag = np.arange(k)
 
-    # stacked matmuls take one BLAS vector product per row and every other
-    # reduction runs along a row, so a row's arithmetic is that of a
-    # one-histogram fit, whatever the batch
+    # elementwise products, last-axis reductions, einsum without optimize
+    # and stacked solves: a row's arithmetic is that of a one-histogram
+    # fit, whatever the batch
     def mixture(c):
-        return np.maximum(np.matmul(c[:, None, :], pmat)[:, 0], 1e-300)
+        return np.maximum(np.einsum("bi,in->bn", c, pmat), 1e-300)
 
-    def loglik(h, mix):
-        return np.matmul(h[:, None, :], np.log(mix)[:, :, None])[:, 0, 0]
-
-    def em_map(h, total, c, mix):
-        c = c * np.matmul(pmat, (h / mix)[:, :, None])[:, :, 0] / total
-        return c / c.sum(axis=1, keepdims=True)
-
-    def norm(x):
-        return np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    def along(sel, t, d, mix, slope=False):
+        # for the rows ``sel``: the gain sum_n h_n log(1 + t s_n) of the
+        # step t d, where s = dmix / mix (exact for short steps), or with
+        # ``slope`` its derivative in t, sum_n h_n / (1 / s_n + t).  A bin
+        # without counts adds nothing, and a step onto a bin the mixture
+        # cannot reach scores nan or -inf.  The rows go in blocks of
+        # _BLOCK_ROWS, so that the copies they need stay small.
+        out = np.empty(len(sel))
+        for lo in range(0, len(sel), _BLOCK_ROWS):
+            part = sel[lo:lo + _BLOCK_ROWS]
+            tp = t[lo:lo + _BLOCK_ROWS, None]
+            r = np.einsum("bi,in->bn", d[part], pmat)
+            r /= mix[part]
+            hs = h[part]
+            held = hs > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if slope:
+                    np.reciprocal(r, out=r, where=held)
+                    r += tp
+                    np.reciprocal(r, out=r, where=held)
+                else:
+                    r *= tp
+                    np.log1p(r, out=r, where=held)
+                out[lo:lo + _BLOCK_ROWS] = np.einsum("bn,bn->b", hs, r)
+        return out
 
     c = starts / starts.sum(axis=1, keepdims=True)
-    mix = mixture(c)
-    ll = loglik(h, mix)
+    free = c > 0
     out_c, out_ll = np.empty_like(c), np.empty(len(h))
     rows = np.arange(len(h))
     for _ in range(max_iter):
-        c1 = em_map(h, total, c, mix)
-        mix = mixture(c1)
-        done = loglik(h, mix) - ll <= tol
-        c2 = em_map(h, total, c1, mix)
-        r = c1 - c
-        v = c2 - c1 - r
-        nr, nv = norm(r), norm(v)
-        alpha = -np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0)
-        np.minimum(alpha, -1.0, out=alpha)
-        cp = c - 2.0 * alpha * r + alpha * alpha * v
-        # halve a step that leaves the simplex towards alpha = -1, where
-        # the point is c2: a population clipped to 0 could never regrow
-        out = (cp < 0).any(axis=1) & (alpha[:, 0] < -1.0)
-        while out.any():
-            alpha[out] = 0.5 * (alpha[out] - 1.0)
-            cp = c - 2.0 * alpha * r + alpha * alpha * v
-            out = (cp < 0).any(axis=1) & (alpha[:, 0] < -1.0)
-        c = np.maximum(cp, 0.0)
-        c /= c.sum(axis=1, keepdims=True)
-        c = em_map(h, total, c, mixture(c))
         mix = mixture(c)
-        ll = loglik(h, mix)
-        mix2 = mixture(c2)
-        ll2 = loglik(h, mix2)
-        worse = ll < ll2
-        if worse.any():
-            c[worse], ll[worse] = c2[worse], ll2[worse]
-            mix[worse] = mix2[worse]
-        del mix2  # not held through the next cycle's arrays
+        w = h / mix
+        g = np.einsum("bn,in->bi", w, pmat)
+        w /= mix
+        q = np.einsum("bn,mn->bm", w, pairs).reshape(-1, k, k)
+        del w
+        # the face system; a ridge of 1e-12 of the largest free curvature
+        # keeps it solvable where Q is singular (a one-bin histogram), and
+        # a pinned row holds that curvature alone, so its d_i is 0
+        top = np.max(np.where(free, q[:, diag, diag], 0.0), axis=1,
+                     keepdims=True)
+        kkt = np.zeros((len(c), k + 1, k + 1))
+        kkt[:, :k, :k] = np.where(free[:, :, None] & free[:, None, :], q, 0.0)
+        kkt[:, diag, diag] += np.where(free, 1e-12 * top, top)
+        kkt[:, :k, k] = kkt[:, k, :k] = free
+        rhs = np.zeros((len(c), k + 1, 1))
+        rhs[:, :k, 0] = np.where(free, g, 0.0)
+        x = np.linalg.solve(kkt, rhs)[:, :, 0]
+        d = np.where(free, x[:, :k], 0.0)
+        dec = np.einsum("bi,bi->b", g, d)
+        solved = dec <= 1e-10
+        # the pinned coordinate whose multiplier is most wrong, if any
+        excess = np.where(free, 0.0, g - x[:, k:])
+        worst = np.argmax(excess, axis=1)
+        wrong = (excess[np.arange(len(c)), worst] > 0) & solved
+
+        ratio = np.divide(c, -d, out=np.full_like(c, np.inf), where=d < 0)
+        block = np.argmin(ratio, axis=1)
+        t_max = ratio[np.arange(len(c)), block]
+        t = np.minimum(t_max, 1.0)
+        # a running row halves its step until it gains 1e-4 of g.d, and
+        # stops on the boundary only where the likelihood climbs there
+        run = np.flatnonzero(~solved)
+        for _ in range(60):
+            ok = along(run, t[run], d, mix) >= 1e-4 * t[run] * dec[run]
+            edge = np.flatnonzero(ok & (t[run] == t_max[run]))
+            ok[edge] = along(run[edge], t[run[edge]], d, mix,
+                             slope=True) >= 0.0
+            run = run[~ok]
+            if not len(run):
+                break
+            t[run] *= 0.5
+        else:
+            t[run] = 0.0  # no climb left: the row runs on to the cap
+        del mix
+
+        c = c + t[:, None] * d
+        hit = np.flatnonzero(t == t_max)
+        c[hit, block[hit]] = 0.0
+        np.maximum(c, 0.0, out=c)
+        c /= c.sum(axis=1, keepdims=True)
+        free &= c > 0
+        free[np.flatnonzero(wrong), worst[wrong]] = True
+        done = solved & ~wrong
         if done.any():
-            out_c[rows[done]], out_ll[rows[done]] = c[done], ll[done]
-            rows, h, total, c, mix, ll = (
-                a[~done] for a in (rows, h, total, c, mix, ll))
+            out_c[rows[done]] = c[done]
+            out_ll[rows[done]] = np.einsum("bn,bn->b", h[done],
+                                           np.log(mixture(c[done])))
+            keep = ~done
+            rows, h, c, free = rows[keep], h[keep], c[keep], free[keep]
             if not len(rows):
                 return out_c, out_ll
-    raise ConvergenceError(f"EM fit: {len(rows)} of {len(out_ll)} histograms "
-                           f"did not converge in {max_iter} SQUAREM cycles")
+    raise ConvergenceError(f"Newton fit: {len(rows)} of {len(out_ll)} "
+                           f"histograms did not converge in {max_iter} "
+                           "iterations")
 
 
 def _histogram(samples, cm):
     """Bin a sample of photon counts on 0..n_max, the columns of the
-    composite array ``cm``, rejecting counts that are not integers in that
-    range."""
+    composite array ``cm``, rejecting a sample that is not one flat run of
+    real numbers, and counts that are not integers in that range."""
     counts = np.asarray(samples)
+    if counts.ndim != 1:
+        raise DataError("photon counts must be a flat sample; "
+                        f"got an array of shape {counts.shape}")
+    if counts.dtype.kind not in "iuf":
+        raise DataError("photon counts must be real numbers; "
+                        f"got dtype {counts.dtype}")
     if counts.size == 0:
         raise ValueError("need at least one sample")
-    if not np.issubdtype(counts.dtype, np.integer):
+    if counts.dtype.kind == "f":
         if not np.all(np.isfinite(counts)):
             raise DataError("photon counts must be finite")
         rounded = np.rint(counts)
@@ -311,19 +369,20 @@ def _histogram(samples, cm):
 
 
 def _fit(hists, cm, n_bootstrap, seeds):
-    """One FitResult per row of ``hists``: all rows are fit in one batch,
-    then all bootstrap resamples (drawn for row j from ``seeds[j]``) in
-    another.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
+    """One FitResult per row of ``hists``: all rows are fit in one Newton
+    batch from the uniform populations, then all bootstrap resamples
+    (drawn for row j from ``seeds[j]``) in another, each from its row's
+    fit.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
     k = cm.shape[0]
-    c_hat, ll = _em(hists, cm, np.full((len(hists), k), 1.0 / k))
+    c_hat, ll = _newton(hists, cm, np.full((len(hists), k), 1.0 / k))
     boots = [None] * len(hists)
     if n_bootstrap > 0:
         starts = np.repeat(np.clip(c_hat, 1e-6, None), n_bootstrap, axis=0)
-        # resamples built inside the call, so that _em holds their only
+        # resamples built inside the call, so that _newton holds their only
         # reference and frees them as its working set shrinks
-        boots = _em(np.concatenate([
+        boots = _newton(np.concatenate([
             np.random.default_rng(seed).multinomial(int(n), h / n,
                                                     size=n_bootstrap)
             for seed, h, n in zip(seeds, hists, np.sum(hists, axis=1))],
@@ -336,7 +395,9 @@ def _fit(hists, cm, n_bootstrap, seeds):
 
 
 def ml_fit(samples, cm, n_bootstrap=DEFAULT_N_BOOTSTRAP, seed=0):
-    """Fit mixture populations (c0, c1, c2) to a sample of photon counts.
+    """Fit mixture populations (c0, c1, c2) to a sample of photon counts:
+    the maximum-likelihood point on the simplex, found by Newton steps
+    with the exact Hessian.
 
     ``cm`` is the array from :func:`composite_dists`.  Standard errors
     are the bootstrap standard deviations over ``n_bootstrap`` multinomial

@@ -9,7 +9,10 @@ A second pulse reference runs the program's own F(t) scan over the whole
 grid, where the program stops at the first chunk that holds a peak.
 The readout-fit oracle runs the plain EM update on one histogram at a
 time, and draws and fits bootstrap resamples one after another, where the
-program fits a whole stack of histograms in one batch with SQUAREM steps.
+program fits a whole stack of histograms in one batch with Newton steps.
+A second readout reference climbs by SQUAREM-accelerated EM on a batch
+(no Hessian, no active set), and the observed Fisher information at a fit
+gives the Cramer-Rao bound that the bootstrap errors are checked against.
 
 The last section holds quantities the package itself never needs, kept
 here as references for the tests that check them: the chain's scaled
@@ -210,6 +213,96 @@ def em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):
         c = c * (pmat @ (hist / mix)) / total
         c /= np.sum(c)
     raise RuntimeError(f"EM fit did not converge in {max_iter} iterations")
+
+
+def squarem_em(h, pmat, starts):
+    """Maximize sum_n h_bn log(sum_i c_bi P_in) over the simplex for each
+    histogram row b of ``h``, from ``starts``, by SQUAREM-accelerated EM;
+    returns the (B, k) populations and (B,) log-likelihoods.
+
+    Each cycle is one SQUAREM step (Varadhan & Roland, Scand. J. Stat. 35,
+    335 (2008), scheme SqS3) on the EM map F: c1 = F(c), c2 = F(c1),
+    r = c1 - c, v = c2 - c1 - r and alpha = min(-|r|/|v|, -1).  The point
+    c - 2 alpha r + alpha^2 v, with alpha halved towards -1 (the point c2)
+    until it lies on the simplex, takes one more EM map; a row falls back
+    to c2 wherever that lowers its log-likelihood, so every cycle climbs.
+    A row stops once the first EM map of a cycle gains at most 1e-10,
+    and leaves the batch with the end point of that cycle; rows still
+    running after 200000 cycles raise RuntimeError.
+    """
+    h = np.asarray(h, dtype=float)
+    total = h.sum(axis=1, keepdims=True)
+
+    def mixture(c):
+        return np.maximum(np.matmul(c[:, None, :], pmat)[:, 0], 1e-300)
+
+    def loglik(h, mix):
+        return np.matmul(h[:, None, :], np.log(mix)[:, :, None])[:, 0, 0]
+
+    def em_map(h, total, c, mix):
+        c = c * np.matmul(pmat, (h / mix)[:, :, None])[:, :, 0] / total
+        return c / c.sum(axis=1, keepdims=True)
+
+    def norm(x):
+        return np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+
+    c = starts / starts.sum(axis=1, keepdims=True)
+    mix = mixture(c)
+    ll = loglik(h, mix)
+    out_c, out_ll = np.empty_like(c), np.empty(len(h))
+    rows = np.arange(len(h))
+    for _ in range(200000):
+        c1 = em_map(h, total, c, mix)
+        mix = mixture(c1)
+        done = loglik(h, mix) - ll <= 1e-10
+        c2 = em_map(h, total, c1, mix)
+        r = c1 - c
+        v = c2 - c1 - r
+        nr, nv = norm(r), norm(v)
+        alpha = -np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0)
+        np.minimum(alpha, -1.0, out=alpha)
+        cp = c - 2.0 * alpha * r + alpha * alpha * v
+        # halve a step that leaves the simplex towards alpha = -1, where
+        # the point is c2: a population clipped to 0 could never regrow
+        out = (cp < 0).any(axis=1) & (alpha[:, 0] < -1.0)
+        while out.any():
+            alpha[out] = 0.5 * (alpha[out] - 1.0)
+            cp = c - 2.0 * alpha * r + alpha * alpha * v
+            out = (cp < 0).any(axis=1) & (alpha[:, 0] < -1.0)
+        c = np.maximum(cp, 0.0)
+        c /= c.sum(axis=1, keepdims=True)
+        c = em_map(h, total, c, mixture(c))
+        mix = mixture(c)
+        ll = loglik(h, mix)
+        mix2 = mixture(c2)
+        ll2 = loglik(h, mix2)
+        worse = ll < ll2
+        c[worse], ll[worse], mix[worse] = c2[worse], ll2[worse], mix2[worse]
+        if done.any():
+            out_c[rows[done]], out_ll[rows[done]] = c[done], ll[done]
+            rows, h, total, c, mix, ll = (
+                a[~done] for a in (rows, h, total, c, mix, ll))
+            if not len(rows):
+                return out_c, out_ll
+    raise RuntimeError(f"SQUAREM fit: {len(rows)} of {len(out_ll)} "
+                       "histograms did not converge in 200000 cycles")
+
+
+def observed_information(hist, pmat, c):
+    """Observed Fisher information of the mixture populations at ``c``:
+    the negated Hessian sum_n h_n P_in P_jn / mix_n^2 of the
+    log-likelihood, as a (k, k) matrix."""
+    mix = c @ pmat
+    return (pmat * (hist / mix**2)) @ pmat.T
+
+
+def simplex_covariance(info):
+    """Cramer-Rao covariance of populations constrained to sum to 1: the
+    inverse of the information on the plane sum_i d_i = 0, spanned by
+    e_i - e_k for i < k, mapped back to all k coordinates."""
+    k = len(info)
+    basis = np.vstack([np.eye(k - 1), -np.ones(k - 1)])
+    return basis @ np.linalg.inv(basis.T @ info @ basis) @ basis.T
 
 
 def ml_fit_sequential(samples, cm, n_bootstrap, seed):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (assert_identity_semantics, dark_ion_dist, dicke_state,
-                      em_fit, ml_fit_sequential)
+                      em_fit, ml_fit_sequential, observed_information,
+                      simplex_covariance, squarem_em)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
@@ -15,7 +18,7 @@ from dickesim import (ConvergenceError, DataError, FitResult,
                       parity_std_from_fit, rotated_density,
                       synthesize_shots)
 from dickesim import detection
-from dickesim.detection import _em, _fold_convolve, _folded_poisson
+from dickesim.detection import _fold_convolve, _folded_poisson, _newton
 from dickesim.dicke import weights
 
 
@@ -378,6 +381,18 @@ def test_ml_fit_all_dark_sample():
     assert fit.populations[0] > 0.98
 
 
+def test_ml_fit_on_a_readout_without_dark_counts():
+    # with no dark or background counts P(n|0) is 0 above n = 0, so a
+    # step onto the all-dark vertex leaves the mixture 0 on every bin
+    # above 0; bins that hold no counts must not spoil that step's score
+    model = ReadoutModel(lambda_bright=2.0, lambda_dark=0.0, lambda_bg=0.0,
+                         gamma=0.0)
+    cm = composite_dists(model, n_max=30)
+    fit = ml_fit(np.zeros(500, dtype=int), cm, n_bootstrap=20, seed=2)
+    assert np.array_equal(fit.populations, [1.0, 0.0, 0.0])
+    assert fit.log_likelihood == 0.0
+
+
 def test_ml_fit_deterministic():
     cm = composite_dists(MODEL, n_max=100)
     shots = synthesize_shots((0.3, 0.4, 0.3), cm, 2_000, seed=14)
@@ -428,33 +443,53 @@ def test_em_engine_matches_scalar_oracle():
     rng = np.random.default_rng(61)
     starts = np.vstack([np.full((len(truths), 3), 1.0 / 3.0),
                         rng.dirichlet(np.ones(3), size=2 * len(truths))])
-    pops, lls = _em(hists, cm, starts)
-    assert np.min(pops) < 1e-12  # some fits did reach the boundary
+    pops, lls = _newton(hists, cm, starts)
+    assert np.min(pops) == 0.0  # some fits did end on a face exactly
     for h, start, c, ll in zip(hists, starts, pops, lls):
         _, ll_em = em_fit(h, cm, c0=start)
         assert ll >= ll_em - 1e-12 * abs(ll_em)
         # the optimum, as plain EM run until an update gains nothing:
-        # plain EM under the engine's stop rule sits up to 3.5e-7 from it
-        # on these histograms, the engine at most 2.5e-8
+        # plain EM under a 1e-10 stop rule sits up to 3.5e-7 from it on
+        # these histograms, the Newton fit at most 2.8e-8
         c_opt, _ = em_fit(h, cm, c0=start, tol=0.0)
         assert np.max(np.abs(c - c_opt)) < 1e-7
         assert_em_optimal(h, cm, c)
 
 
 def test_em_engine_keeps_small_populations_alive():
-    # extrapolation overshoots a small interior population below 0; a
-    # clip to 0 there would pin it, since EM updates are multiplicative
+    # a Newton step from the uniform start overshoots a small interior
+    # population below 0.  Pinned at 0, it could regrow only about
+    # twofold per iteration once freed (these fits took up to 89
+    # iterations that way), so the step stops short of the boundary where
+    # the likelihood falls there; they now take at most 20
     cm = composite_dists(MODEL)
     hists = np.concatenate([
         _histograms(cm, [(1e-3, 0.998, 1e-3), (1e-4, 0.9998, 1e-4),
-                         (0.01, 0.0, 0.99)], shots, seed=68)
+                         (0.01, 0.0, 0.99), (0.005, 0.0, 0.995),
+                         (0.01, 0.98, 0.01)], shots, seed=68)
         for shots in (5_000, 50_000)])
     starts = np.full((len(hists), 3), 1.0 / 3.0)
-    pops, lls = _em(hists, cm, starts)
+    pops, lls = _newton(hists, cm, starts, max_iter=25)
     for h, start, c, ll in zip(hists, starts, pops, lls):
         _, ll_em = em_fit(h, cm, c0=start)
         assert ll >= ll_em - 1e-12 * abs(ll_em)
         assert_em_optimal(h, cm, c)
+
+
+def test_em_engine_frees_one_population_at_a_time():
+    # from a vertex both pinned populations can have wrong-signed
+    # multipliers; freed together, the step on the whole simplex may
+    # point one of them below 0, where it would be pinned again at once
+    cm = composite_dists(MODEL)
+    hists = _histograms(cm, [(0.3, 0.4, 0.3), (0.08, 0.80, 0.12),
+                             (0.0, 0.9, 0.1), (0.5, 0.0, 0.5)], 5_000,
+                        seed=69)
+    for vertex in np.eye(3):
+        pops, _ = _newton(hists, cm, np.tile(vertex, (len(hists), 1)))
+        for h, c in zip(hists, pops):
+            c_opt, _ = em_fit(h, cm, tol=0.0)
+            assert np.max(np.abs(c - c_opt)) < 1e-7
+            assert_em_optimal(h, cm, c)
 
 
 def test_em_engine_raises_at_iteration_cap():
@@ -462,14 +497,14 @@ def test_em_engine_raises_at_iteration_cap():
     hists = _histograms(cm, [(0.3, 0.4, 0.3), (0.0, 1.0, 0.0),
                              (0.3, 0.4, 0.3)], 5_000, seed=62)
     starts = np.full((3, 3), 1.0 / 3.0)
-    # the boundary-pinned histogram crawls for 30 cycles, the interior
-    # ones stop after 3
+    # the boundary-pinned histogram takes 14 Newton iterations, the
+    # interior ones stop after 4
     with pytest.raises(ConvergenceError, match="1 of 3 histograms"):
-        _em(hists, cm, starts, max_iter=10)
+        _newton(hists, cm, starts, max_iter=10)
     with pytest.raises(ConvergenceError, match="1 of 1 histograms"):
-        _em(hists[1:2], cm, starts[1:2], max_iter=10)
-    _em(hists[::2], cm, starts[::2], max_iter=10)
-    _em(hists, cm, starts)
+        _newton(hists[1:2], cm, starts[1:2], max_iter=10)
+    _newton(hists[::2], cm, starts[::2], max_iter=10)
+    _newton(hists, cm, starts)
 
 
 def test_em_engine_row_does_not_depend_on_its_batch():
@@ -480,9 +515,9 @@ def test_em_engine_row_does_not_depend_on_its_batch():
                              (0.08, 0.80, 0.12)], 5_000, seed=66)
     starts = np.random.default_rng(67).dirichlet(np.ones(3), size=len(hists))
     for order in (np.arange(len(hists)), np.arange(len(hists))[::-1]):
-        pops, lls = _em(hists[order], cm, starts[order])
+        pops, lls = _newton(hists[order], cm, starts[order])
         for j, k in enumerate(order):
-            c, ll = _em(hists[k:k + 1], cm, starts[k:k + 1])
+            c, ll = _newton(hists[k:k + 1], cm, starts[k:k + 1])
             assert np.array_equal(c[0], pops[j])
             assert ll[0] == lls[j]
 
@@ -494,11 +529,69 @@ def test_em_engine_climbs_at_least_as_high_as_plain_em(samples, weights_):
     pmat = composite_dists(MODEL)
     h = np.bincount(samples, minlength=pmat.shape[1]).astype(float)
     start = np.array(weights_) / np.sum(weights_)
-    c, ll = _em(h[None], pmat, start[None])
+    c, ll = _newton(h[None], pmat, start[None])
     _, ll_em = em_fit(h, pmat, c0=start)
     assert ll[0] >= ll_em - 1e-12 * abs(ll_em)
     assert np.all(c >= 0.0)
     assert np.sum(c) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 100), min_size=1, max_size=300),
+       st.tuples(*[st.floats(0.01, 1.0)] * 3),
+       st.sampled_from([(0.3, 0.4, 0.3), (0.0, 0.97, 0.03), (0.0, 1.0, 0.0),
+                        (0.02, 0.0, 0.98)]),
+       st.integers(0, 2**32 - 1))
+def test_newton_fit_reaches_the_squarem_optimum(samples, weights_, truth,
+                                                seed):
+    # one histogram of arbitrary counts and one drawn from the model, each
+    # fit from the same start by both engines
+    pmat = composite_dists(MODEL)
+    hists = np.stack([
+        np.bincount(samples, minlength=pmat.shape[1]),
+        np.bincount(synthesize_shots(truth, pmat, 2_000, seed=seed),
+                    minlength=pmat.shape[1])]).astype(float)
+    starts = np.tile(np.array(weights_) / np.sum(weights_), (2, 1))
+    pops, lls = _newton(hists, pmat, starts)
+    _, lls_sq = squarem_em(hists, pmat, starts)
+    for h, c, ll, ll_sq in zip(hists, pops, lls, lls_sq):
+        assert ll >= ll_sq - 1e-9
+        assert_em_optimal(h, pmat, c)
+
+
+@pytest.mark.parametrize("truth, seed", [((0.3, 0.4, 0.3), 74),
+                                         ((0.05, 0.9, 0.05), 75),
+                                         ((0.1, 0.6, 0.3), 76)])
+def test_bootstrap_errors_match_the_cramer_rao_bound(truth, seed):
+    # interior fits: the inverse observed information on the simplex
+    # predicts the bootstrap spread; 400 resamples carry about 3.5%
+    # sampling error of their own
+    cm = composite_dists(MODEL)
+    shots = synthesize_shots(truth, cm, 10_000, seed=seed)
+    fit = ml_fit(shots, cm, n_bootstrap=400, seed=seed + 1)
+    info = observed_information(np.bincount(shots, minlength=cm.shape[1]),
+                                cm, fit.populations)
+    bound = np.sqrt(np.diag(simplex_covariance(info)))
+    assert np.all(np.abs(fit.std_errors / bound - 1.0) <= 0.15)
+
+
+def test_fit_working_set_stays_within_the_squarem_peak():
+    # the traced peak of one parity-scan call shape, 12 histograms of
+    # 10,000 shots with 100 resamples each; the SQUAREM EM fit that the
+    # Newton fit replaced peaked at 4,255,272 bytes on this call
+    cm = composite_dists(MODEL)
+    scans = _scan_shots(dicke_state(2, 1).density(),
+                        np.arange(12) * np.pi / 12, 10_000, seed=90)
+    hists = np.stack([detection._histogram(s, cm) for _, s in scans])
+    seeds = np.random.SeedSequence(91).spawn(len(scans))
+    detection._fit(hists, cm, 100, seeds)  # first-call allocations
+    tracemalloc.start()
+    try:
+        detection._fit(hists, cm, 100, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 4_255_272
 
 
 def test_ml_fit_matches_sequential_bootstrap_oracle():
@@ -550,6 +643,23 @@ def test_fits_reject_non_finite_counts(bad):
              for phi in np.arange(4) * np.pi / 4]
     scans[2] = (scans[2][0], samples)
     with pytest.raises(DataError, match="photon counts must be finite"):
+        parity_scan_analysis(scans, cm, n_bootstrap=0)
+
+
+@pytest.mark.parametrize("bad, why", [
+    (np.array([1 + 0j, 2]), "real numbers"),
+    (np.array([[1, 2], [3, 4]]), "flat sample"),
+    (np.array(["1", "2"]), "real numbers"),
+])
+def test_fits_reject_malformed_count_arrays(bad, why):
+    # complex counts would lose their imaginary part in the integer cast,
+    # a 2-d array would fail inside bincount, and strings in isfinite
+    cm = composite_dists(MODEL, n_max=100)
+    with pytest.raises(DataError, match=f"photon counts must be (a )?{why}"):
+        ml_fit(bad, cm)
+    scans = [(phi, np.array([1, 2, 3])) for phi in np.arange(4) * np.pi / 4]
+    scans[1] = (scans[1][0], bad)
+    with pytest.raises(DataError, match="photon counts"):
         parity_scan_analysis(scans, cm, n_bootstrap=0)
 
 
