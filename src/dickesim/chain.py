@@ -17,6 +17,7 @@ amplitudes in metres.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -305,6 +306,11 @@ def solve_axial_modes(config):
                    lamb_dicke=config.k_projection * z[0], equilibrium=eq)
 
 
+def _is_integer(value):
+    """Whether ``value`` is an int or numpy integer (a bool is neither)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def coupling_strengths(config, addressed):
     """Red-sideband coupling strengths ``Omega_i / Omega_0 = eta_i`` of a
     chain's addressed ions, taken on the in-phase mode, in chain order, as
@@ -320,17 +326,23 @@ def coupling_strengths(config, addressed):
     call returns a list that holds, per config, its couplings or the
     UnstableCrystalError it raises on its own, with one warning per SI
     row past 0.3.  The errors are those of :func:`solve_axial_modes`, and
-    a ValueError on an empty or unknown addressed set or a stack that is
-    empty or mixes ion counts, ``omega_z`` or ``k_projection``.
+    a ValueError, raised before any mode solve, on an addressed set that
+    is empty, holds an index that is not an integer (a numpy integer is
+    one, a bool is not) or one out of range, or on a stack that is empty
+    or mixes ion counts, ``omega_z`` or ``k_projection``.
     """
     stacked = not isinstance(config, ChainConfig)
     configs = list(config) if stacked else [config]
-    outcomes, rows, _, _, _, z = _mode_stack(configs)
+    addressed = tuple(addressed)
+    for i in addressed:
+        if not _is_integer(i):
+            raise ValueError(f"addressed ion index {i!r} is not an integer")
     addressed = sorted(set(int(i) for i in addressed))
     if not addressed:
         raise ValueError("addressed ion set must not be empty")
-    if addressed[0] < 0 or addressed[-1] >= configs[0].n_ions:
+    if configs and (addressed[0] < 0 or addressed[-1] >= configs[0].n_ions):
         raise ValueError("addressed ion index out of range")
+    outcomes, rows, _, _, _, z = _mode_stack(configs)
     eta = configs[0].k_projection * z[:, addressed, 0]
     eta.setflags(write=False)
     if configs[0].omega_z is not None:
@@ -370,7 +382,8 @@ class ChainTemplate:
 
         ``placement`` is ``"center"`` (for an odd qubit count the slot just
         below the midpoint), ``"edge"`` (last position), or an explicit
-        integer slot.  Other keyword arguments go to :class:`ChainConfig`.
+        integer slot (not a bool).  Other keyword arguments go to
+        :class:`ChainConfig`.
         """
         if n_qubits < 1:
             raise ValueError("need at least one qubit ion")
@@ -379,8 +392,8 @@ class ChainTemplate:
             slot = n_qubits // 2
         elif placement == "edge":
             slot = n_qubits
-        elif isinstance(placement, int):
-            slot = placement
+        elif _is_integer(placement):
+            slot = int(placement)
         else:
             raise ValueError(f"unknown placement {placement!r}")
         reference = 0 if slot != 0 else 1

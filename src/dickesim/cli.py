@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -88,13 +89,8 @@ def _write_json(data, stream):
 
 def _model_from_args(args):
     try:
-        model = ReadoutModel(
-            lambda_bright=args.lambda_bright,
-            lambda_dark=args.lambda_dark,
-            lambda_bg=args.lambda_bg,
-            gamma=args.gamma,
-            t_detect=args.t_detect,
-        )
+        model = ReadoutModel(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(ReadoutModel)})
     except ValueError as exc:
         raise _UsageError(f"readout model flags: {exc}") from exc
     # ReadoutModel itself allows this: calibrate's trial models may cross
@@ -107,18 +103,18 @@ def _model_from_args(args):
 
 def _add_model_flags(parser):
     parser.add_argument("--lambda-bright", type=float,
-                        default=DEFAULT_MODEL["lambda_bright"],
+                        default=DEFAULT_MODEL.lambda_bright,
                         help="mean counts per window from one bright ion")
     parser.add_argument("--lambda-dark", type=float,
-                        default=DEFAULT_MODEL["lambda_dark"],
+                        default=DEFAULT_MODEL.lambda_dark,
                         help="mean counts per window from one dark ion")
     parser.add_argument("--lambda-bg", type=float,
-                        default=DEFAULT_MODEL["lambda_bg"],
+                        default=DEFAULT_MODEL.lambda_bg,
                         help="mean background counts per window")
-    parser.add_argument("--gamma", type=float, default=DEFAULT_MODEL["gamma"],
+    parser.add_argument("--gamma", type=float, default=DEFAULT_MODEL.gamma,
                         help="dark-to-bright repump rate (1/s)")
     parser.add_argument("--t-detect", type=float,
-                        default=DEFAULT_MODEL["t_detect"],
+                        default=DEFAULT_MODEL.t_detect,
                         help="detection window (s)")
 
 

@@ -39,6 +39,7 @@ chain and pulse commands, which never read counts, load numpy only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +58,9 @@ _TAU = np.linspace(0.0, 1.0, QUAD_NODES)  # decay time over the window
 _SIMPSON = np.where(np.arange(QUAD_NODES) % 2, 4.0, 2.0)
 _SIMPSON[[0, -1]] = 1.0
 _SIMPSON /= 3.0 * (QUAD_NODES - 1)
+# the four rates, in ReadoutModel's field order and in the order of the
+# derivative rows of _composites (where gamma stands for gamma T)
+_CAL_PARAMS = ("lambda_bright", "lambda_dark", "lambda_bg", "gamma")
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class ReadoutModel:
     t_detect: float = DEFAULT_T_DETECT
 
     def __post_init__(self):
-        for name in ("lambda_bright", "lambda_dark", "lambda_bg", "gamma"):
+        for name in _CAL_PARAMS:
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not 0 < self.t_detect < np.inf:
@@ -340,6 +344,13 @@ def _newton(h, pmat, starts, max_iter=100):
                            "iterations")
 
 
+def _check_count(value, name):
+    """Raise ValueError naming ``name`` unless ``value`` is an int or a
+    numpy integer (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _histogram(samples, cm):
     """Bin a sample of photon counts on 0..n_max, the columns of the
     composite array ``cm``, rejecting a sample that is not one flat run of
@@ -373,6 +384,7 @@ def _fit(hists, cm, n_bootstrap, seeds):
     batch from the uniform populations, then all bootstrap resamples
     (drawn for row j from ``seeds[j]``) in another, each from its row's
     fit.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
+    _check_count(n_bootstrap, "n_bootstrap")
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
     k = cm.shape[0]
@@ -436,6 +448,7 @@ def synthesize_shots(populations, cm, n_shots, seed):
         raise ValueError("populations must be non-negative")
     if abs(float(np.sum(c)) - 1.0) > 1e-9:
         raise ValueError("populations must sum to 1")
+    _check_count(n_shots, "n_shots")
     if n_shots < 0:
         raise ValueError("n_shots must be >= 0")
     if len(c) != len(cm):
@@ -443,8 +456,8 @@ def synthesize_shots(populations, cm, n_shots, seed):
     rng = np.random.default_rng(seed)
     c = np.clip(c, 0.0, None)
     c /= np.sum(c)
-    component = rng.choice(len(c), size=int(n_shots), p=c)
-    counts = np.zeros(int(n_shots), dtype=int)
+    component = rng.choice(len(c), size=n_shots, p=c)
+    counts = np.zeros(n_shots, dtype=int)
     support = np.arange(cm.shape[1])
     for i, p in enumerate(cm):
         mask = component == i
@@ -454,8 +467,6 @@ def synthesize_shots(populations, cm, n_shots, seed):
 
 
 # --- calibration against reference histograms --------------------------------
-
-_CAL_PARAMS = ("lambda_bright", "lambda_dark", "lambda_bg", "gamma")
 
 
 @dataclass(frozen=True)
@@ -518,14 +529,16 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     sets n_max; the shorter one is padded with empty bins.
 
     ``fix`` optionally pins parameters (by name: lambda_bright,
-    lambda_dark, lambda_bg, gamma) instead of fitting them.  Note that the
-    two references constrain only three combinations of the four rates:
-    trading background against the per-ion rates along
-    (d lambda_bg, d lambda_dark, d lambda_bright) = (2e, -e, -e) leaves
-    every component distribution unchanged, so the free four-parameter fit
-    returns one point of that ridge.  The composite distributions (and any
-    population fit built on them) are unaffected; fix lambda_bg from an
-    independent background measurement when the individual rates matter.
+    lambda_dark, lambda_bg, gamma) instead of fitting them; a fixed rate
+    must be finite and non-negative, and anything else raises ValueError
+    before the fit starts.  Note that the two references constrain only
+    three combinations of the four rates: trading background against the
+    per-ion rates along (d lambda_bg, d lambda_dark, d lambda_bright) =
+    (2e, -e, -e) leaves every component distribution unchanged, so the
+    free four-parameter fit returns one point of that ridge.  The
+    composite distributions (and any population fit built on them) are
+    unaffected; fix lambda_bg from an independent background measurement
+    when the individual rates matter.
     """
     from scipy import optimize
 
@@ -539,52 +552,45 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     unknown = set(fix) - set(_CAL_PARAMS)
     if unknown:
         raise ValueError(f"unknown parameters in fix: {sorted(unknown)}")
-    # gamma enters the likelihood only through gamma * t_detect
-    if "gamma" in fix:
-        fix["gamma"] = fix["gamma"] * t_detect
-
-    mean_b = float(np.arange(len(hb)) @ hb / np.sum(hb))
-    mean_d = float(np.arange(len(hd)) @ hd / np.sum(hd))
-    start = {
-        "lambda_bright": max((mean_b - 0.5 * mean_d) / 2.0, 0.1),
-        "lambda_dark": max(0.25 * mean_d, 1e-3),
-        "lambda_bg": max(0.5 * mean_d, 1e-3),
-        "gamma": 0.1,  # gamma * t_detect
-    }
-    free = [p for p in _CAL_PARAMS if p not in fix]
+    free = [i for i, p in enumerate(_CAL_PARAMS) if p not in fix]
     if not free:
         raise ValueError("at least one parameter must be free")
 
-    def build(theta):
-        vals = dict(fix)
-        vals.update(dict(zip(free, theta)))
-        return ReadoutModel(
-            lambda_bright=max(vals["lambda_bright"], 0.0),
-            lambda_dark=max(vals["lambda_dark"], 0.0),
-            lambda_bg=max(vals["lambda_bg"], 0.0),
-            gamma=max(vals["gamma"], 0.0) / t_detect,
-            t_detect=t_detect,
-        )
+    # the start values, then the fixed rates over them; gamma enters the
+    # likelihood only through gamma * t_detect
+    mean_b = float(np.arange(len(hb)) @ hb / np.sum(hb))
+    mean_d = float(np.arange(len(hd)) @ hd / np.sum(hd))
+    theta = np.array([max((mean_b - 0.5 * mean_d) / 2.0, 0.1),
+                      max(0.25 * mean_d, 1e-3), max(0.5 * mean_d, 1e-3), 0.1])
+    for i, p in enumerate(_CAL_PARAMS):
+        if p in fix:
+            theta[i] = fix[p] * (t_detect if p == "gamma" else 1.0)
 
-    at_free = [_CAL_PARAMS.index(p) for p in free]
+    def model_at(x):
+        rates = theta.copy()
+        rates[free] = x
+        rates[-1] /= t_detect  # gamma T back to gamma
+        return ReadoutModel(**dict(zip(_CAL_PARAMS, rates)),
+                            t_detect=t_detect)
 
-    def nll(theta):
-        """Negative log-likelihood and its exact gradient in ``theta``."""
-        rows, grads = _composites(build(theta), n_max)
+    model_at(theta[free])  # a fixed rate ReadoutModel rejects raises here
+
+    def nll(x):
+        """Negative log-likelihood and its exact gradient in ``x``."""
+        rows, grads = _composites(model_at(x), n_max)
         p0 = np.maximum(rows[0], 1e-300)
         p2 = np.maximum(rows[2], 1e-300)
         grad = grads[1] @ (hb / p2) + grads[0] @ (hd / p0)
-        return -(hb @ np.log(p2) + hd @ np.log(p0)), -grad[at_free]
+        return -(hb @ np.log(p2) + hd @ np.log(p0)), -grad[free]
 
-    x0 = np.array([start[p] for p in free])
-    bounds = [(1e-9, None) if p != "gamma" else (0.0, 20.0) for p in free]
-    res = optimize.minimize(nll, x0, jac=True, method="L-BFGS-B",
-                            bounds=bounds)
+    bounds = [(1e-9, None)] * 3 + [(0.0, 20.0)]
+    res = optimize.minimize(nll, theta[free], jac=True, method="L-BFGS-B",
+                            bounds=[bounds[i] for i in free])
     if not res.success:
         raise ConvergenceError(f"calibration fit did not converge: "
                                f"{res.message} (nit={res.nit}, "
                                f"nfev={res.nfev})")
-    model = build(res.x)
+    model = model_at(res.x)
     cm = composite_dists(model, n_max)
     chi2_b, dof_b = _pearson_chi2(hb, cm[2])
     chi2_d, dof_d = _pearson_chi2(hd, cm[0])
@@ -616,6 +622,13 @@ class ParityScanResult:
     offset_error: float
 
 
+def _check_phases(phases):
+    """Raise IdentifiabilityError on fewer than four distinct phases, the
+    parameter count of the free-period fit."""
+    if len(np.unique(np.round(phases, 12))) < 4:
+        raise IdentifiabilityError("need at least 4 distinct analysis phases")
+
+
 def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     """Per-phase ML parity estimates and a least-squares sinusoid fit.
 
@@ -628,8 +641,7 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     """
     scans = list(scans)
     phases = np.array([float(phi) for phi, _ in scans])
-    if len(np.unique(np.round(phases, 12))) < 4:
-        raise IdentifiabilityError("need at least 4 distinct analysis phases")
+    _check_phases(phases)
 
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
@@ -678,11 +690,14 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
 def estimate_period(phases, parities):
     """Free-frequency cosine fit A cos(k phi - phi0) + B; returns the
     period 2 pi / k.  Used to verify the pi periodicity of a parity
-    oscillation without assuming it."""
+    oscillation without assuming it.  The fit has four parameters, so
+    fewer than 4 distinct phases raise IdentifiabilityError, as in
+    :func:`parity_scan_analysis`."""
     from scipy import optimize
 
     phases = np.asarray(phases, dtype=float)
     parities = np.asarray(parities, dtype=float)
+    _check_phases(phases)
 
     def f(phi, amp, k, phi0, off):
         return amp * np.cos(k * phi - phi0) + off

@@ -4,6 +4,8 @@ report."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_T_DETECT, ReadoutModel,
@@ -16,8 +18,9 @@ from .sideband import first_max_fidelity
 
 N_PHASES = 12  # analysis phases k pi / N_PHASES per experiment parity scan
 
-DEFAULT_MODEL = dict(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
-                     gamma=500.0, t_detect=DEFAULT_T_DETECT)
+DEFAULT_MODEL = ReadoutModel(lambda_bright=30.0, lambda_dark=0.3,
+                             lambda_bg=2.0, gamma=500.0,
+                             t_detect=DEFAULT_T_DETECT)
 
 
 def _bright_populations(rho):
@@ -29,7 +32,7 @@ def _bright_populations(rho):
     return c / np.sum(c)
 
 
-def run_experiment(chain_file, shots, seed, model=None,
+def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
                    n_bootstrap=DEFAULT_N_BOOTSTRAP):
     """End-to-end synthetic run on one chain config; returns the report dict.
 
@@ -41,8 +44,6 @@ def run_experiment(chain_file, shots, seed, model=None,
     """
     if n_bootstrap < 4:
         raise ValueError(f"n_bootstrap must be >= 4, got {n_bootstrap}")
-    if model is None:
-        model = ReadoutModel(**DEFAULT_MODEL)
     if chain_file.ancilla_index is None:
         raise DataError("experiment needs an ancilla_index entry in the config")
     config = chain_file.config
@@ -110,7 +111,7 @@ def run_experiment(chain_file, shots, seed, model=None,
             "fidelity": pulse.fidelity,
             "populations": populations,
         },
-        "readout_model_true": {k: getattr(model, k) for k in DEFAULT_MODEL},
+        "readout_model_true": dataclasses.asdict(model),
         "calibration": {
             "lambda_bright": cal.model.lambda_bright,
             "lambda_dark": cal.model.lambda_dark,

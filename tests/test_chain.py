@@ -237,13 +237,34 @@ def test_coupling_strengths_mg_ratio_within_percent_scale():
     assert 0.98 < om[0] / om[1] < 1.02
 
 
-def test_coupling_strengths_validates_addressed():
-    cfg = ChainConfig(masses=(1.0, 1.0))
-    for config in (cfg, [cfg, cfg]):
-        with pytest.raises(ValueError, match="must not be empty"):
-            coupling_strengths(config, ())
-        with pytest.raises(ValueError, match="out of range"):
-            coupling_strengths(config, (0, 5))
+def test_coupling_strengths_validates_addressed(monkeypatch):
+    # before the mode solve: int(0.7) used to address ion 0, and an empty
+    # or out-of-range set was reported only after the equilibrium solve
+    # and eigh had run
+    def never(config):
+        raise AssertionError("the mode solve ran")
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", never)
+    cfg = ChainConfig(masses=(1.0, 1.0, 1.08))
+    for config in (cfg, [cfg, ChainConfig(masses=(1.0, 1.0, 2.0))]):
+        for addressed, why in (((), "must not be empty"),
+                               ((0, 5), "out of range"),
+                               ((-1, 1), "out of range"),
+                               ((0.7, 1), "0.7 is not an integer"),
+                               ((True, 1), "True is not an integer"),
+                               ((np.float64(1.0), 2), "is not an integer")):
+            with pytest.raises(ValueError, match=why):
+                coupling_strengths(config, addressed)
+
+
+def test_coupling_strengths_accepts_numpy_integer_indices():
+    cfg = ChainConfig(masses=(1.0, 1.0, 1.08))
+    stack = [cfg, ChainConfig(masses=(1.0, 1.0, 2.0))]
+    for addressed in ((np.int64(0), np.int32(1)), np.array([1, 0])):
+        assert (coupling_strengths(cfg, addressed).tobytes()
+                == coupling_strengths(cfg, (0, 1)).tobytes())
+        for row, alone in zip(coupling_strengths(stack, addressed), stack):
+            assert row.tobytes() == coupling_strengths(alone, (0, 1)).tobytes()
 
 
 def test_lamb_dicke_warning_in_si_mode():
@@ -288,6 +309,19 @@ def test_template_placements():
     explicit = ChainTemplate.symmetric(3, placement=0)
     assert explicit.ancilla_index == 0
     assert explicit.config.reference_index == 1
+
+
+@pytest.mark.parametrize("placement", [True, False, 1.0, "middle"])
+def test_template_rejects_a_placement_that_is_no_slot(placement):
+    # a bool is an int subclass, and used to become ancilla_index=True
+    with pytest.raises(ValueError, match="unknown placement"):
+        ChainTemplate.symmetric(2, placement=placement)
+
+
+def test_template_accepts_a_numpy_integer_slot():
+    template = ChainTemplate.symmetric(3, placement=np.int64(0))
+    assert template == ChainTemplate.symmetric(3, placement=0)
+    assert type(template.ancilla_index) is int
 
 
 @pytest.mark.parametrize("units", [

@@ -663,10 +663,10 @@ def test_fits_reject_malformed_count_arrays(bad, why):
         parity_scan_analysis(scans, cm, n_bootstrap=0)
 
 
-@pytest.mark.parametrize("n_bootstrap", [1, -3])
+@pytest.mark.parametrize("n_bootstrap", [1, -3, 2.5, 3.0, True])
 def test_bootstrap_count_must_be_zero_or_two_or_more(n_bootstrap):
     # one resample has no standard deviation; a negative count has no
-    # meaning
+    # meaning; 2.5 resamples used to fail inside numpy
     cm = composite_dists(MODEL)
     shots = synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=70)
     with pytest.raises(ValueError, match="n_bootstrap"):
@@ -675,6 +675,25 @@ def test_bootstrap_count_must_be_zero_or_two_or_more(n_bootstrap):
                         300, seed=71)
     with pytest.raises(ValueError, match="n_bootstrap"):
         parity_scan_analysis(scans, cm, n_bootstrap=n_bootstrap)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+def test_shot_count_must_be_an_integer(bad):
+    # 2.5 shots used to draw 2
+    with pytest.raises(ValueError, match="n_shots must be an integer"):
+        synthesize_shots((0.1, 0.8, 0.1), composite_dists(MODEL), bad,
+                         seed=74)
+
+
+def test_count_arguments_accept_numpy_integers():
+    cm = composite_dists(MODEL)
+    shots = synthesize_shots((0.1, 0.8, 0.1), cm, np.int64(300), seed=76)
+    assert np.array_equal(shots,
+                          synthesize_shots((0.1, 0.8, 0.1), cm, 300, seed=76))
+    fit = ml_fit(shots, cm, n_bootstrap=np.int32(3), seed=77)
+    assert fit.bootstrap_populations.shape == (3, 3)
+    assert np.array_equal(fit.std_errors,
+                          ml_fit(shots, cm, n_bootstrap=3, seed=77).std_errors)
 
 
 def test_two_bootstrap_resamples_give_finite_errors():
@@ -771,6 +790,42 @@ def test_calibrate_raises_when_lbfgsb_fails(monkeypatch):
                        match=r"ABNORMAL_TERMINATION_IN_LNSRCH \(nit=\d+, "
                              r"nfev=\d+\)"):
         calibrate(hb, hd, t_detect=MODEL.t_detect)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", detection._CAL_PARAMS)
+def test_calibrate_rejects_a_fixed_rate_readout_model_rejects(name, value,
+                                                              monkeypatch):
+    # a negative fixed rate used to be clamped to 0 and fit silently; now
+    # it raises ReadoutModel's error before the optimizer starts
+    hb, hd = _reference_histograms(MODEL, 2_000, seed=80)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the optimizer started")
+
+    monkeypatch.setattr(optimize, "minimize", never)
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        calibrate(hb, hd, t_detect=MODEL.t_detect, fix={name: value})
+
+
+@pytest.mark.parametrize("lambda_bg", [0.0, 1.7])
+def test_calibrate_keeps_a_fixed_rate_as_given(lambda_bg):
+    hb, hd = _reference_histograms(MODEL, 5_000, seed=82)
+    cal = calibrate(hb, hd, t_detect=MODEL.t_detect,
+                    fix={"lambda_bg": lambda_bg})
+    assert cal.model.lambda_bg == lambda_bg
+    assert cal.model.t_detect == MODEL.t_detect
+
+
+def test_calibrate_rejects_unknown_or_all_fixed_rates():
+    hb, hd = _reference_histograms(MODEL, 2_000, seed=83)
+    with pytest.raises(ValueError,
+                       match=r"^unknown parameters in fix: \['gamma_t'\]$"):
+        calibrate(hb, hd, fix={"gamma_t": 0.1})
+    every = {p: getattr(MODEL, p) for p in detection._CAL_PARAMS}
+    with pytest.raises(ValueError,
+                       match="^at least one parameter must be free$"):
+        calibrate(hb, hd, fix=every)
 
 
 def test_calibrate_round_trip_with_known_background():
@@ -930,6 +985,15 @@ def test_estimate_period_on_clean_sinusoid():
     phis = np.linspace(0, np.pi, 16)
     values = 0.7 * np.cos(2 * phis - 0.4) + 0.05
     assert estimate_period(phis, values) == pytest.approx(np.pi, rel=1e-6)
+
+
+@pytest.mark.parametrize("phases", [[0.0, 1.0, 2.0],
+                                    [0.0, 0.0, 1.0, 1.0, 2.0]])
+def test_estimate_period_needs_four_distinct_phases(phases):
+    # four parameters cannot be fit to three points
+    with pytest.raises(IdentifiabilityError,
+                       match="need at least 4 distinct analysis phases"):
+        estimate_period(phases, np.cos(2 * np.asarray(phases)))
 
 
 def test_parity_scan_on_imperfect_state_recovers_coherence():
