@@ -17,7 +17,6 @@ amplitudes in metres.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from ._frozen import freeze
 from .errors import (ConvergenceError, DataError, UnstableCrystalError,
-                     unwrap)
+                     _check_integer, _is_integer, unwrap)
 
 HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS = 1.66053906660e-27  # kg
@@ -306,11 +305,6 @@ def solve_axial_modes(config):
                    lamb_dicke=config.k_projection * z[0], equilibrium=eq)
 
 
-def _is_integer(value):
-    """Whether ``value`` is an int or numpy integer (a bool is neither)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def coupling_strengths(config, addressed):
     """Red-sideband coupling strengths ``Omega_i / Omega_0 = eta_i`` of a
     chain's addressed ions, taken on the in-phase mode, in chain order, as
@@ -364,13 +358,16 @@ class ChainTemplate:
 
     The mass at ``ancilla_index`` in ``config`` is a placeholder that
     :meth:`config_for` replaces with ``mu * m_reference``; the reference
-    ion must be a qubit ion.
+    ion must be a qubit ion.  The slot is an int or a numpy integer (kept
+    as an int); a bool or any other value raises ValueError.
     """
 
     config: ChainConfig
     ancilla_index: int
 
     def __post_init__(self):
+        _check_integer(self.ancilla_index, "ancilla_index")
+        object.__setattr__(self, "ancilla_index", int(self.ancilla_index))
         if not 0 <= self.ancilla_index < self.config.n_ions:
             raise ValueError("ancilla_index out of range")
         if self.config.reference_index == self.ancilla_index:
@@ -393,7 +390,7 @@ class ChainTemplate:
         elif placement == "edge":
             slot = n_qubits
         elif _is_integer(placement):
-            slot = int(placement)
+            slot = placement
         else:
             raise ValueError(f"unknown placement {placement!r}")
         reference = 0 if slot != 0 else 1

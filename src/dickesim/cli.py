@@ -24,11 +24,11 @@ from .chain import (MODES_CSV_SCHEMA, ChainTemplate, modes_to_csv,
                     read_chain_file, solve_axial_modes, text_lines)
 from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_N_MAX, DEFAULT_T_DETECT,
                         ReadoutModel, calibrate, composite_dists, ml_fit,
-                        parity_from_fit, parity_std_from_fit,
-                        synthesize_shots)
+                        parity_std_from_fit, synthesize_shots)
 from .errors import (ConvergenceError, DataError, IdentifiabilityError,
                      SearchError, UnstableCrystalError)
-from .experiment import DEFAULT_MODEL, run_experiment
+from .experiment import (DEFAULT_MODEL, _calibration_section,
+                         _population_fit_entries, run_experiment)
 from .sideband import fidelity_vs_mass_ratio
 
 SWEEP_CSV_SCHEMA = "sweep.v1"
@@ -81,10 +81,11 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_json(data, stream):
-    stream.write(json.dumps(data, indent=2, sort_keys=True,
-                            default=_json_default))
-    stream.write("\n")
+def _write_json(data, path):
+    with _open_out(path) as out:
+        out.write(json.dumps(data, indent=2, sort_keys=True,
+                             default=_json_default))
+        out.write("\n")
 
 
 def _model_from_args(args):
@@ -124,19 +125,19 @@ def _add_model_flags(parser):
 def cmd_modes(args):
     chain_file = read_chain_file(args.config)
     modes = solve_axial_modes(chain_file.config)
-    with _open_out(args.out) as out:
-        if args.format == "csv":
+    if args.format == "csv":
+        with _open_out(args.out) as out:
             modes_to_csv(modes, out)
-        else:
-            _write_json({
-                "schema": MODES_CSV_SCHEMA,
-                "frequencies": modes.frequencies,
-                "inphase_index": 0,
-                "eigenvectors": modes.eigenvectors,
-                "ground_state_amplitudes": modes.ground_state_amplitudes,
-                "lamb_dicke": modes.lamb_dicke,
-                "equilibrium_positions_scaled": modes.equilibrium.positions,
-            }, out)
+    else:
+        _write_json({
+            "schema": MODES_CSV_SCHEMA,
+            "frequencies": modes.frequencies,
+            "inphase_index": 0,
+            "eigenvectors": modes.eigenvectors,
+            "ground_state_amplitudes": modes.ground_state_amplitudes,
+            "lamb_dicke": modes.lamb_dicke,
+            "equilibrium_positions_scaled": modes.equilibrium.positions,
+        }, args.out)
     return 0
 
 
@@ -162,39 +163,37 @@ def _mu_grid(args):
     return np.linspace(args.mu_start, args.mu_stop, args.mu_points)
 
 
-def _write_sweep_csv(grid, outcomes, m, out, carrier_rate=None):
-    out.write(f"# {SWEEP_CSV_SCHEMA}\n")
-    cols = ["mu", "duration", "duration_s", "fidelity"]
-    cols += [f"p{k}" for k in range(m + 1)]
-    cols += ["error"]
-    out.write(",".join(cols) + "\n")
-    for mu, pulse in zip(grid, outcomes):
-        mu = repr(float(mu))  # the CLI grid holds np.float64
-        if isinstance(pulse, Exception):
-            cells = [mu] + [""] * (3 + m + 1) + [str(pulse).replace(",", ";")]
-        else:
-            dur_s = repr(pulse.duration / carrier_rate) if carrier_rate else ""
-            cells = [mu, repr(pulse.duration), dur_s, repr(pulse.fidelity)]
-            cells += [repr(float(p)) for p in pulse.phonon_distribution]
-            cells += [""]
-        out.write(",".join(cells) + "\n")
-
-
-def _sweep_json_row(mu, pulse, carrier_rate):
-    if isinstance(pulse, Exception):
+def _sweep_row(mu, outcome, carrier_rate):
+    """One ``sweep.v1`` row, the record behind both the CSV and the JSON
+    row: a failed row holds its error and None in every other cell.  Only
+    the JSON row adds the qubit state, so a CSV sweep builds no density."""
+    if isinstance(outcome, Exception):
         return {"mu": float(mu), "duration": None, "duration_s": None,
                 "fidelity": None, "phonon_distribution": None,
-                "reduced_density": None, "error": str(pulse)}
+                "error": str(outcome)}
     return {
         "mu": float(mu),
-        "duration": pulse.duration,
-        "duration_s": (pulse.duration / carrier_rate if carrier_rate
+        "duration": outcome.duration,
+        "duration_s": (outcome.duration / carrier_rate if carrier_rate
                        else None),
-        "fidelity": pulse.fidelity,
-        "phonon_distribution": pulse.phonon_distribution,
-        "reduced_density": pulse.reduced_density.to_json_dict(),
+        "fidelity": outcome.fidelity,
+        "phonon_distribution": outcome.phonon_distribution,
         "error": None,
     }
+
+
+def _write_sweep_csv(rows, m, path):
+    cols = ["mu", "duration", "duration_s", "fidelity"]
+    header = cols + [f"p{k}" for k in range(m + 1)] + ["error"]
+    with _open_out(path) as out:
+        out.write(f"# {SWEEP_CSV_SCHEMA}\n{','.join(header)}\n")
+        for row in rows:
+            p = row["phonon_distribution"]
+            cells = [row[c] for c in cols]
+            cells += [None] * (m + 1) if p is None else list(p)
+            cells = ["" if c is None else repr(float(c)) for c in cells]
+            cells += [(row["error"] or "").replace(",", ";")]
+            out.write(",".join(cells) + "\n")
 
 
 def cmd_sweep(args):
@@ -207,18 +206,17 @@ def cmd_sweep(args):
         raise _UsageError("--carrier-rate must be finite and positive")
     grid = _mu_grid(args)
     outcomes = fidelity_vs_mass_ratio(template, grid, args.m)
-    with _open_out(args.out) as out:
-        if args.format == "csv":
-            _write_sweep_csv(grid, outcomes, args.m, out,
-                             carrier_rate=args.carrier_rate)
-        else:
-            payload = {
-                "schema": SWEEP_CSV_SCHEMA,
-                "m": args.m,
-                "rows": [_sweep_json_row(mu, pulse, args.carrier_rate)
-                         for mu, pulse in zip(grid, outcomes)],
-            }
-            _write_json(payload, out)
+    rows = [_sweep_row(mu, outcome, args.carrier_rate)
+            for mu, outcome in zip(grid, outcomes)]
+    if args.format == "csv":
+        _write_sweep_csv(rows, args.m, args.out)
+    else:
+        for row, outcome in zip(rows, outcomes):
+            row["reduced_density"] = (
+                None if isinstance(outcome, Exception)
+                else outcome.reduced_density.to_json_dict())
+        _write_json({"schema": SWEEP_CSV_SCHEMA, "m": args.m, "rows": rows},
+                    args.out)
     return 0
 
 
@@ -231,8 +229,7 @@ def cmd_experiment(args):
     chain_file = read_chain_file(args.config)
     report = run_experiment(chain_file, args.shots, _resolve_seed(args.seed),
                             model=_model_from_args(args))
-    with _open_out(args.out) as out:
-        _write_json(report, out)
+    _write_json(report, args.out)
     return 0
 
 
@@ -291,26 +288,16 @@ def cmd_fit(args):
     cm = composite_dists(cal.model, args.n_max)
     fit = ml_fit(shots, cm, n_bootstrap=args.bootstrap,
                  seed=_resolve_seed(args.seed))
-    report = {
+    _write_json({
         "schema": "fit.v1",
         "populations": fit.populations,
-        "std_errors": fit.std_errors,
-        "log_likelihood": fit.log_likelihood,
-        "n_samples": fit.n_samples,
-        "parity": parity_from_fit(fit),
+        **_population_fit_entries(fit),
         "parity_std": parity_std_from_fit(fit),
         "calibration": {
-            "lambda_bright": cal.model.lambda_bright,
-            "lambda_dark": cal.model.lambda_dark,
-            "lambda_bg": cal.model.lambda_bg,
-            "gamma": cal.model.gamma,
+            **_calibration_section(cal),
             "t_detect": cal.model.t_detect,
-            "chi2_bright": cal.chi2_bright,
-            "chi2_dark": cal.chi2_dark,
         },
-    }
-    with _open_out(args.out) as out:
-        _write_json(report, out)
+    }, args.out)
     return 0
 
 

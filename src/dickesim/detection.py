@@ -39,14 +39,14 @@ chain and pulse commands, which never read counts, load numpy only.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._frozen import freeze
-from .errors import ConvergenceError, DataError, IdentifiabilityError
+from .errors import (ConvergenceError, DataError, IdentifiabilityError,
+                     _check_integer)
 
 DEFAULT_N_MAX = 100
 DEFAULT_T_DETECT = 200e-6  # s
@@ -344,13 +344,6 @@ def _newton(h, pmat, starts, max_iter=100):
                            "iterations")
 
 
-def _check_count(value, name):
-    """Raise ValueError naming ``name`` unless ``value`` is an int or a
-    numpy integer (a bool is neither)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _histogram(samples, cm):
     """Bin a sample of photon counts on 0..n_max, the columns of the
     composite array ``cm``, rejecting a sample that is not one flat run of
@@ -384,7 +377,7 @@ def _fit(hists, cm, n_bootstrap, seeds):
     batch from the uniform populations, then all bootstrap resamples
     (drawn for row j from ``seeds[j]``) in another, each from its row's
     fit.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
-    _check_count(n_bootstrap, "n_bootstrap")
+    _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
     k = cm.shape[0]
@@ -448,7 +441,7 @@ def synthesize_shots(populations, cm, n_shots, seed):
         raise ValueError("populations must be non-negative")
     if abs(float(np.sum(c)) - 1.0) > 1e-9:
         raise ValueError("populations must sum to 1")
-    _check_count(n_shots, "n_shots")
+    _check_integer(n_shots, "n_shots")
     if n_shots < 0:
         raise ValueError("n_shots must be >= 0")
     if len(c) != len(cm):
@@ -531,7 +524,8 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     ``fix`` optionally pins parameters (by name: lambda_bright,
     lambda_dark, lambda_bg, gamma) instead of fitting them; a fixed rate
     must be finite and non-negative, and anything else raises ValueError
-    before the fit starts.  Note that the two references constrain only
+    before the fit starts.  A fixed rate comes back in the model exactly
+    as given.  Note that the two references constrain only
     three combinations of the four rates: trading background against the
     per-ion rates along (d lambda_bg, d lambda_dark, d lambda_bright) =
     (2e, -e, -e) leaves every component distribution unchanged, so the
@@ -556,20 +550,22 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     if not free:
         raise ValueError("at least one parameter must be free")
 
-    # the start values, then the fixed rates over them; gamma enters the
-    # likelihood only through gamma * t_detect
+    # the start values, then the fixed rates over them; a free gamma is
+    # fit as gamma * t_detect, the only way it enters the likelihood, and a
+    # fixed one is kept as given
     mean_b = float(np.arange(len(hb)) @ hb / np.sum(hb))
     mean_d = float(np.arange(len(hd)) @ hd / np.sum(hd))
     theta = np.array([max((mean_b - 0.5 * mean_d) / 2.0, 0.1),
                       max(0.25 * mean_d, 1e-3), max(0.5 * mean_d, 1e-3), 0.1])
     for i, p in enumerate(_CAL_PARAMS):
         if p in fix:
-            theta[i] = fix[p] * (t_detect if p == "gamma" else 1.0)
+            theta[i] = fix[p]
 
     def model_at(x):
         rates = theta.copy()
         rates[free] = x
-        rates[-1] /= t_detect  # gamma T back to gamma
+        if "gamma" not in fix:
+            rates[-1] /= t_detect  # gamma T back to gamma
         return ReadoutModel(**dict(zip(_CAL_PARAMS, rates)),
                             t_detect=t_detect)
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the argument checks, shared across the package."""
+
+import numbers
 
 
 def unwrap(outcome):
@@ -7,6 +9,18 @@ def unwrap(outcome):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _is_integer(value):
+    """Whether ``value`` is an int or numpy integer (a bool is neither)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_integer(value, name):
+    """Raise ValueError naming ``name`` unless ``value`` is an int or a
+    numpy integer (a bool is neither)."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class DickesimError(Exception):

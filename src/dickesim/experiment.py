@@ -8,10 +8,10 @@ import dataclasses
 
 import numpy as np
 
-from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_T_DETECT, ReadoutModel,
-                        calibrate, composite_dists, estimate_period, ml_fit,
-                        parity_from_fit, parity_scan_analysis,
-                        synthesize_shots)
+from .detection import (_CAL_PARAMS, DEFAULT_N_BOOTSTRAP, DEFAULT_T_DETECT,
+                        ReadoutModel, calibrate, composite_dists,
+                        estimate_period, ml_fit, parity_from_fit,
+                        parity_scan_analysis, synthesize_shots)
 from .dicke import rotated_density, weights
 from .errors import DataError
 from .sideband import first_max_fidelity
@@ -21,6 +21,35 @@ N_PHASES = 12  # analysis phases k pi / N_PHASES per experiment parity scan
 DEFAULT_MODEL = ReadoutModel(lambda_bright=30.0, lambda_dark=0.3,
                              lambda_bg=2.0, gamma=500.0,
                              t_detect=DEFAULT_T_DETECT)
+
+
+def _calibration_section(cal):
+    """The calibration entries of both reports: rates and chi^2."""
+    return {**{name: getattr(cal.model, name) for name in _CAL_PARAMS},
+            "chi2_bright": cal.chi2_bright,
+            "chi2_dark": cal.chi2_dark}
+
+
+def _population_fit_entries(fit):
+    """The population-fit entries of both reports."""
+    return {
+        "std_errors": fit.std_errors,
+        "log_likelihood": fit.log_likelihood,
+        "n_samples": fit.n_samples,
+        "parity": parity_from_fit(fit),
+    }
+
+
+def _scan_entries(res):
+    """The entries of both parity scans of the experiment report."""
+    return {
+        "phases": res.phases,
+        "parity": res.parities,
+        "parity_errors": res.parity_errors,
+        "amplitude": res.amplitude,
+        "amplitude_error": res.amplitude_error,
+        "offset": res.offset,
+    }
 
 
 def _bright_populations(rho):
@@ -113,39 +142,21 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
         },
         "readout_model_true": dataclasses.asdict(model),
         "calibration": {
-            "lambda_bright": cal.model.lambda_bright,
-            "lambda_dark": cal.model.lambda_dark,
-            "lambda_bg": cal.model.lambda_bg,
-            "gamma": cal.model.gamma,
+            **_calibration_section(cal),
             "log_likelihood": cal.log_likelihood,
-            "chi2_bright": cal.chi2_bright,
             "dof_bright": cal.dof_bright,
-            "chi2_dark": cal.chi2_dark,
             "dof_dark": cal.dof_dark,
         },
         "population_fit": {
             "c": fit.populations,
-            "std_errors": fit.std_errors,
-            "log_likelihood": fit.log_likelihood,
-            "n_samples": fit.n_samples,
-            "parity": parity_from_fit(fit),
+            **_population_fit_entries(fit),
         },
         "parity_scan": {
-            "phases": res_single.phases,
-            "parity": res_single.parities,
-            "parity_errors": res_single.parity_errors,
-            "amplitude": res_single.amplitude,
-            "amplitude_error": res_single.amplitude_error,
-            "offset": res_single.offset,
+            **_scan_entries(res_single),
             "offset_error": res_single.offset_error,
         },
         "parity_scan_double": {
-            "phases": res_double.phases,
-            "parity": res_double.parities,
-            "parity_errors": res_double.parity_errors,
-            "amplitude": res_double.amplitude,
-            "amplitude_error": res_double.amplitude_error,
-            "offset": res_double.offset,
+            **_scan_entries(res_double),
             "phase_offset": res_double.phase_offset,
             "period_estimate": period,
         },

@@ -31,7 +31,7 @@ import numpy as np
 from . import chain as chain_mod
 from ._frozen import freeze
 from .dicke import QubitDensity, weights
-from .errors import SearchError, unwrap
+from .errors import SearchError, _check_integer, unwrap
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
@@ -206,6 +206,9 @@ def first_max_from_couplings(couplings, m):
 
     Raises
     ------
+    ValueError
+        Before any solve, if ``m`` is not an int or numpy integer (a bool
+        is neither) in 1..N.
     SearchError
         If no local maximum appears before the time cap, or if the refine
         ends lower below the grid peak it started from than a unimodal
@@ -215,6 +218,7 @@ def first_max_from_couplings(couplings, m):
     stacked = om.ndim == 2
     om = om if stacked else om[None, :]
     n = om.shape[1]
+    _check_integer(m, "m")
     if m < 1:
         raise ValueError("need at least one phonon to convert")
     if m > n:
@@ -321,7 +325,9 @@ def _search_chunk(sector, om, omega_prime):
 def first_max_fidelity(config, addressed, m):
     """Full pipeline from one chain configuration: in-phase couplings of
     the addressed ions (about the chain's equilibrium) -> first-maximum
-    search."""
+    search.  A phonon number ``m`` that is not an integer raises ValueError
+    before the mode solve."""
+    _check_integer(m, "m")
     return first_max_from_couplings(
         chain_mod.coupling_strengths(config, addressed), m)
 
@@ -336,11 +342,14 @@ def fidelity_vs_mass_ratio(template, mu_grid, m):
     :func:`first_max_from_couplings` stack.  Returns, in grid order, each
     row's PulseResult or the exception the row raised; the sweep goes on
     past a failed row, and if the coupling stack fails as a whole (the
-    equilibrium, say), every row in it holds that failure.
+    equilibrium, say), every row in it holds that failure.  A mass ratio
+    that is not positive, or an ``m`` that is not an integer, raises
+    ValueError before any solve.
     """
     mu_grid = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mu_grid):
         raise ValueError("all mass ratios must be positive")
+    _check_integer(m, "m")
 
     outcomes, configs = {}, {}
     for i, mu in enumerate(mu_grid):

@@ -322,6 +322,11 @@ def test_template_accepts_a_numpy_integer_slot():
     template = ChainTemplate.symmetric(3, placement=np.int64(0))
     assert template == ChainTemplate.symmetric(3, placement=0)
     assert type(template.ancilla_index) is int
+    direct = ChainTemplate(ChainConfig(masses=(1.0, 1.0, 1.0)), np.int64(1))
+    assert type(direct.ancilla_index) is int
+    assert direct == ChainTemplate(ChainConfig(masses=(1.0, 1.0, 1.0)), 1)
+    assert direct.addressed() == (0, 2)
+    assert direct.config_for(2.0).masses == (1.0, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("units", [
@@ -345,6 +350,11 @@ def test_config_for_sets_only_the_ancilla_mass(units, mu):
     (3, "ancilla_index out of range"),
     (-1, "ancilla_index out of range"),
     (0, "reference ion must be a qubit ion"),
+    # a float slot cannot index the masses (and 1.5 leaves every ion
+    # addressed), and a bool would stand for ion 0 or 1
+    (1.5, "ancilla_index must be an integer"),
+    (True, "ancilla_index must be an integer"),
+    (np.float64(1.0), "ancilla_index must be an integer"),
 ])
 def test_template_rejects_bad_ancilla_slot(ancilla_index, message):
     with pytest.raises(ValueError, match=message):

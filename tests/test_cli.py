@@ -276,6 +276,32 @@ def test_ancilla_slot_exit_codes(tmp_path, capsys, command, chain, code):
 # --- experiment -----------------------------------------------------------------
 
 
+def test_csv_sweep_builds_no_density(tmp_path, monkeypatch):
+    # only the JSON rows read reduced_density, so a CSV sweep writes the
+    # same bytes when tracing out the motion would fail
+    from dickesim import sideband
+
+    cfg = write_chain(tmp_path, masses="25, 25, 25",
+                      ancilla="ancilla_index = 1\n")
+    sweep = ["sweep", "--config", cfg, "--m", "1", "--mu-start", "1e-300",
+             "--mu-stop", "10", "--mu-points", "4", "--mu-log",
+             "--carrier-rate", "1e6"]
+    plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
+    assert main(sweep + ["--out", str(plain)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the sweep built a density")
+
+    monkeypatch.setattr(sideband, "reduce_to_qubits", refuse)
+    assert main(sweep + ["--out", str(patched)]) == 0
+    assert patched.read_bytes() == plain.read_bytes()
+    _, header, rows = read_csv(patched)
+    errors = [row[header.index("error")] for row in rows]
+    assert "" in errors and any(errors)  # intact and failed rows
+    with pytest.raises(AssertionError, match="built a density"):
+        main(sweep + ["--format", "json", "--out", str(tmp_path / "s.json")])
+
+
 def test_experiment_report(tmp_path):
     cfg = write_chain(tmp_path)
     out = tmp_path / "report.json"

@@ -817,6 +817,16 @@ def test_calibrate_keeps_a_fixed_rate_as_given(lambda_bg):
     assert cal.model.t_detect == MODEL.t_detect
 
 
+@pytest.mark.parametrize("gamma", [13.0, 21.0])
+def test_calibrate_keeps_a_fixed_gamma_as_given(gamma):
+    # the fit works in gamma * t_detect, and these two rates do not
+    # survive the round trip (gamma * 200e-6) / 200e-6
+    assert gamma * MODEL.t_detect / MODEL.t_detect != gamma
+    hb, hd = _reference_histograms(MODEL, 3_000, seed=82)
+    cal = calibrate(hb, hd, t_detect=MODEL.t_detect, fix={"gamma": gamma})
+    assert cal.model.gamma == gamma
+
+
 def test_calibrate_rejects_unknown_or_all_fixed_rates():
     hb, hd = _reference_histograms(MODEL, 2_000, seed=83)
     with pytest.raises(ValueError,
@@ -962,6 +972,31 @@ def test_parity_scan_matches_per_phase_ml_fit(double):
         fit = ml_fit(samples, cm, n_bootstrap=30, seed=seeds[j])
         assert abs(res.parities[j] - parity_from_fit(fit)) < 1e-8
         assert abs(res.parity_errors[j] - parity_std_from_fit(fit)) < 1e-8
+
+
+def test_parity_scan_offset_error_matches_the_spread_of_offsets():
+    # an oracle for offset_error that does not use its weighted least
+    # squares: R = 60 independent scans of one interior state, 12 phases
+    # of 2,000 shots and 50 resamples each.  The sample std of R offsets
+    # carries a relative error of 1 / sqrt(2 (R - 1)) = 9.2%, so the band
+    # on median(offset_error) / std(offset) is three of those, 28%; the
+    # ratio was 0.89 to 1.07 over twelve seeds.  The mean offset sits
+    # within 3 standard errors of the state's coherence term, 0.7.
+    from dickesim import QubitDensity
+
+    r_scans = 60
+    mat = 0.7 * dicke_state(2, 1).density().matrix + 0.3 * np.eye(4) / 4
+    rho = QubitDensity(matrix=mat, n_qubits=2)
+    phases = np.arange(12) * np.pi / 12
+    cm = composite_dists(MODEL)
+    results = [parity_scan_analysis(_scan_shots(rho, phases, 2_000, seed=s),
+                                    cm, n_bootstrap=50, seed=s + 1)
+               for s in np.random.SeedSequence(0).generate_state(r_scans)]
+    offsets = np.array([res.offset for res in results])
+    spread = float(np.std(offsets, ddof=1))
+    median_error = float(np.median([res.offset_error for res in results]))
+    assert abs(median_error / spread - 1.0) <= 3.0 / np.sqrt(2 * (r_scans - 1))
+    assert abs(np.mean(offsets) - 0.7) <= 3.0 * spread / np.sqrt(r_scans)
 
 
 def test_parity_scan_without_bootstrap_weights_residuals():

@@ -462,6 +462,42 @@ def test_first_max_rejects_bad_args():
         first_max_from_couplings(np.ones(2), 3)
 
 
+@pytest.mark.parametrize("m", [2.0, 1.5, True, np.int64(1) + 0.0])
+def test_first_max_rejects_a_phonon_number_that_is_no_integer(m,
+                                                              monkeypatch):
+    # a float m reaches math.comb only after the sector eigh, and a bool
+    # would run as 0 or 1 phonons
+    def never(*args):
+        raise AssertionError("the pulse search ran")
+
+    monkeypatch.setattr(sideband, "rsb_hamiltonian", never)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        first_max_from_couplings(np.array([0.5, 0.7, 0.9]), m)
+
+
+@pytest.mark.parametrize("m", [1.5, True])
+def test_pulse_search_from_chains_rejects_a_non_integer_m_before_solving(
+        m, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the equilibrium solve ran")
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", never)
+    template = ChainTemplate.symmetric(2, placement="center")
+    with pytest.raises(ValueError, match="m must be an integer"):
+        fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], m)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        first_max_fidelity(template.config_for(1.0), template.addressed(), m)
+
+
+def test_pulse_search_takes_a_numpy_integer_m():
+    om = np.array([0.5, 0.7, 0.9])
+    res = first_max_from_couplings(om, np.int64(2))
+    assert res.fidelity == first_max_from_couplings(om, 2).fidelity
+    template = ChainTemplate.symmetric(2, placement="center")
+    rows = fidelity_vs_mass_ratio(template, [1.0], np.int64(1))
+    assert rows[0].fidelity == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("n,m", [(4, 2), (4, 3), (5, 2)])
 def test_symmetric_dynamics_stay_in_ladder(n, m):
     # equal couplings: population outside (Dicke state x Fock) span < 1e-10
