@@ -18,7 +18,7 @@ amplitudes in metres.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -218,23 +218,20 @@ def _fix_eigenvector_signs(vectors):
     return np.where(s[..., None, :] < 0, -vectors, vectors)
 
 
-def _mode_stack(configs):
-    """Modes of chains that share ion count, omega_z and k_projection: one
-    equilibrium solve, one stacked eigh, and the frequencies and
-    ground-state amplitudes of the whole stack at once.
+def _mode_stack(config, masses):
+    """Modes of a chain with its masses replaced by each row of the
+    ``(B, N)`` array ``masses``: one equilibrium solve, one stacked eigh,
+    and the frequencies and ground-state amplitudes of the whole stack at
+    once.
 
     Returns ``(outcomes, rows, eq, freqs, vecs, z)``: ``outcomes`` holds,
-    per config, the UnstableCrystalError it raises on its own, or None, and
-    the arrays hold the modes of the other configs, ``rows``, in order.
+    per mass row, the UnstableCrystalError it raises on its own, or None,
+    and the arrays hold the modes of the other rows, ``rows``, in order.
     """
-    if len({(c.n_ions, c.omega_z, c.k_projection) for c in configs}) != 1:
-        raise ValueError("a mode stack needs at least one chain, all of one "
-                         "ion count, omega_z and k_projection")
-    eq = solve_equilibrium(configs[0])
-    outcomes = [None] * len(configs)
-    masses = np.array([c.masses for c in configs])
-    refs = np.array([c.reference_index for c in configs])
-    mt = masses / masses[np.arange(len(configs)), refs][:, None]
+    eq = solve_equilibrium(config)
+    masses = np.asarray(masses, dtype=float)
+    outcomes = [None] * len(masses)
+    mt = masses / masses[:, config.reference_index, None]
     with np.errstate(over="ignore"):  # reported just below
         mass_products = mt[:, :, None] * mt[:, None, :]
     # m_i m_j is in range for every pair once every m_i^2 is, and rows
@@ -265,12 +262,11 @@ def _mode_stack(configs):
             "> 1e-10)")
     rows, evals, vecs = rows[resolved], evals[resolved], vecs[resolved]
     freqs = np.sqrt(evals)
-    omega_z = configs[0].omega_z
-    if omega_z is None:
+    if config.omega_z is None:
         # hbar = m_ref = omega_z = 1
         z = vecs / np.sqrt(2.0 * mt[rows][:, :, None] * freqs[:, None, :])
     else:
-        freqs = freqs * omega_z
+        freqs = freqs * config.omega_z
         m_kg = masses[rows] * ATOMIC_MASS
         z = vecs * np.sqrt(HBAR / (2.0 * m_kg[:, :, None] * freqs[:, None, :]))
     return outcomes, rows, eq, freqs, vecs, z
@@ -297,12 +293,31 @@ def solve_axial_modes(config):
         eigenvalue is then not positive, or its eigenvector has a component
         at or below 1e-10.
     """
-    outcomes, _, eq, freqs, vecs, z = _mode_stack([config])
+    outcomes, _, eq, freqs, vecs, z = _mode_stack(config, [config.masses])
     if outcomes[0] is not None:
         raise outcomes[0]
     return ModeSet(frequencies=freqs[0], eigenvectors=vecs[0],
                    ground_state_amplitudes=z[0],
                    lamb_dicke=config.k_projection * z[0], equilibrium=eq)
+
+
+def _couplings(config, masses, addressed):
+    """:func:`coupling_strengths` of the sorted ``addressed`` ions for
+    every mass row of :func:`_mode_stack`: per row its couplings or its
+    UnstableCrystalError, with one warning per SI row past 0.3."""
+    outcomes, rows, _, _, _, z = _mode_stack(config, masses)
+    eta = config.k_projection * z[:, addressed, 0]
+    eta.setflags(write=False)
+    if config.omega_z is not None:
+        peaks = np.max(np.abs(eta), axis=1)
+        for peak in peaks[peaks > LAMB_DICKE_THRESHOLD]:
+            warnings.warn(
+                f"max |eta| = {peak:.3f} exceeds {LAMB_DICKE_THRESHOLD}; the "
+                "linear sideband coupling model is unreliable here",
+                LambDickeWarning, stacklevel=3)
+    for r, row in zip(rows, eta):
+        outcomes[r] = row
+    return outcomes
 
 
 def coupling_strengths(config, addressed):
@@ -312,21 +327,12 @@ def coupling_strengths(config, addressed):
 
     The couplings are in units of the carrier Rabi rate Omega_0.  Emits a
     :class:`LambDickeWarning` when an addressed eta exceeds 0.3 on an SI chain
-    (in scaled units eta is not a physical Lamb-Dicke parameter).
-
-    ``config`` may also be a sequence of configs that share ion count,
-    ``omega_z`` and ``k_projection``, as a mass-ratio sweep passes them:
-    their modes are solved as one stack about one equilibrium, and the
-    call returns a list that holds, per config, its couplings or the
-    UnstableCrystalError it raises on its own, with one warning per SI
-    row past 0.3.  The errors are those of :func:`solve_axial_modes`, and
-    a ValueError, raised before any mode solve, on an addressed set that
-    is empty, holds an index that is not an integer (a numpy integer is
-    one, a bool is not) or one out of range, or on a stack that is empty
-    or mixes ion counts, ``omega_z`` or ``k_projection``.
+    (in scaled units eta is not a physical Lamb-Dicke parameter).  The
+    errors are those of :func:`solve_axial_modes`, and a ValueError, raised
+    before the mode solve, on an addressed set that is empty, holds an
+    index that is not an integer (a numpy integer is one, a bool is not)
+    or one out of range.
     """
-    stacked = not isinstance(config, ChainConfig)
-    configs = list(config) if stacked else [config]
     addressed = tuple(addressed)
     for i in addressed:
         if not _is_integer(i):
@@ -334,21 +340,9 @@ def coupling_strengths(config, addressed):
     addressed = sorted(set(int(i) for i in addressed))
     if not addressed:
         raise ValueError("addressed ion set must not be empty")
-    if configs and (addressed[0] < 0 or addressed[-1] >= configs[0].n_ions):
+    if addressed[0] < 0 or addressed[-1] >= config.n_ions:
         raise ValueError("addressed ion index out of range")
-    outcomes, rows, _, _, _, z = _mode_stack(configs)
-    eta = configs[0].k_projection * z[:, addressed, 0]
-    eta.setflags(write=False)
-    if configs[0].omega_z is not None:
-        peaks = np.max(np.abs(eta), axis=1)
-        for peak in peaks[peaks > LAMB_DICKE_THRESHOLD]:
-            warnings.warn(
-                f"max |eta| = {peak:.3f} exceeds {LAMB_DICKE_THRESHOLD}; the "
-                "linear sideband coupling model is unreliable here",
-                LambDickeWarning, stacklevel=2)
-    for r, row in zip(rows, eta):
-        outcomes[r] = row
-    return outcomes if stacked else unwrap(outcomes[0])
+    return unwrap(_couplings(config, [config.masses], addressed)[0])
 
 
 @dataclass(frozen=True)
@@ -406,16 +400,24 @@ class ChainTemplate:
         return tuple(i for i in range(self.config.n_ions)
                      if i != self.ancilla_index)
 
+    def _masses(self, mu_grid):
+        """``(B, N)`` masses: per mass ratio mu, the template's masses with
+        the ancilla's set to mu times the reference (qubit) mass.  A mu
+        that is not finite and positive raises ValueError."""
+        mus = np.array([float(mu) for mu in mu_grid])
+        if not np.all((mus > 0) & (mus < np.inf)):
+            raise ValueError("mass ratios must be finite and positive")
+        cfg = self.config
+        masses = np.tile(cfg.masses, (len(mus), 1))
+        with np.errstate(over="ignore"):  # the mode solve names the row
+            masses[:, self.ancilla_index] = (
+                mus * cfg.masses[cfg.reference_index])
+        return masses
+
     def config_for(self, mu):
         """ChainConfig with the ancilla mass set to ``mu`` times the
-        reference (qubit) mass."""
-        if mu <= 0:
-            raise ValueError("mass ratio must be positive")
-        cfg = self.config
-        masses = list(cfg.masses)
-        masses[self.ancilla_index] = mu * masses[cfg.reference_index]
-        return ChainConfig(masses=masses, reference_index=cfg.reference_index,
-                           omega_z=cfg.omega_z, k_projection=cfg.k_projection)
+        reference (qubit) mass: one row of :meth:`_masses`."""
+        return replace(self.config, masses=self._masses([mu])[0])
 
 
 # --- plain-text config files and CSV export ---------------------------------

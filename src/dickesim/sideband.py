@@ -186,6 +186,16 @@ def _golden_max(f, a, b, tol):
     return xm, f(xm, every)
 
 
+def _check_m(m, n):
+    """Raise ValueError unless the phonon number ``m`` is an int or numpy
+    integer (a bool is neither) in 1..n, the number of qubits."""
+    _check_integer(m, "m")
+    if m < 1:
+        raise ValueError("need at least one phonon to convert")
+    if m > n:
+        raise ValueError(f"{m} phonons cannot all be absorbed by {n} qubits")
+
+
 def first_max_from_couplings(couplings, m):
     """Locate the first local maximum of F(t) = <D(N,m)| rho(t) |D(N,m)>
     under the red-sideband pulse, starting from all-down with m phonons.
@@ -218,11 +228,7 @@ def first_max_from_couplings(couplings, m):
     stacked = om.ndim == 2
     om = om if stacked else om[None, :]
     n = om.shape[1]
-    _check_integer(m, "m")
-    if m < 1:
-        raise ValueError("need at least one phonon to convert")
-    if m > n:
-        raise ValueError(f"{m} phonons cannot all be absorbed by {n} qubits")
+    _check_m(m, n)
     outcomes = [None] * len(om)
     # Omega' as np.linalg.norm takes it for one vector: sqrt of a BLAS dot
     with np.errstate(invalid="ignore"):  # non-finite rows leave just below
@@ -335,38 +341,27 @@ def first_max_fidelity(config, addressed, m):
 def fidelity_vs_mass_ratio(template, mu_grid, m):
     """First-maximum fidelity across a grid of ancilla-to-qubit mass ratios.
 
-    Rebuilds the chain for every mu via ``template.config_for``, takes the
-    in-phase couplings of the qubit ions of every chain that builds in one
-    :func:`chain.coupling_strengths` stack (one equilibrium and one mode
-    solve for the whole grid), and searches them as one
-    :func:`first_max_from_couplings` stack.  Returns, in grid order, each
-    row's PulseResult or the exception the row raised; the sweep goes on
-    past a failed row, and if the coupling stack fails as a whole (the
-    equilibrium, say), every row in it holds that failure.  A mass ratio
-    that is not positive, or an ``m`` that is not an integer, raises
-    ValueError before any solve.
+    Takes the template's chain with one ancilla mass per mu, solves the
+    in-phase couplings of its qubit ions as one mode stack (one
+    equilibrium and one stacked mode solve for the whole grid), and
+    searches them as one :func:`first_max_from_couplings` stack.  Returns,
+    in grid order, each row's PulseResult or the exception the row raised;
+    the sweep goes on past a failed row, and if the coupling stack fails
+    as a whole (the equilibrium, say), every row holds that failure.  An
+    ``m`` that is not an integer in 1..(qubit count), or a mass ratio that
+    is not finite and positive, raises ValueError before any solve.
     """
-    mu_grid = [float(mu) for mu in mu_grid]
-    if any(mu <= 0 for mu in mu_grid):
-        raise ValueError("all mass ratios must be positive")
-    _check_integer(m, "m")
-
-    outcomes, configs = {}, {}
-    for i, mu in enumerate(mu_grid):
-        try:
-            configs[i] = template.config_for(mu)
-        except Exception as exc:
-            outcomes[i] = exc
-    if configs:
-        try:
-            etas = chain_mod.coupling_strengths(list(configs.values()),
-                                                template.addressed())
-        except Exception as exc:
-            etas = [exc] * len(configs)
-        outcomes.update(zip(configs, etas))
-    couplings = {i: eta for i, eta in outcomes.items()
-                 if not isinstance(eta, Exception)}
+    _check_m(m, template.n_qubits)
+    masses = template._masses(mu_grid)
+    try:
+        outcomes = chain_mod._couplings(template.config, masses,
+                                        list(template.addressed()))
+    except Exception as exc:
+        outcomes = [exc] * len(masses)
+    rows = [r for r, eta in enumerate(outcomes)
+            if not isinstance(eta, Exception)]
     pulses = first_max_from_couplings(
-        np.reshape(list(couplings.values()), (-1, template.n_qubits)), m)
-    outcomes.update(zip(couplings, pulses))
-    return [outcomes[i] for i in range(len(mu_grid))]
+        np.reshape([outcomes[r] for r in rows], (-1, template.n_qubits)), m)
+    for r, pulse in zip(rows, pulses):
+        outcomes[r] = pulse
+    return outcomes

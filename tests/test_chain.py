@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
-                      LambDickeWarning, coupling_strengths, modes_to_csv,
+                      LambDickeWarning, coupling_strengths,
+                      fidelity_vs_mass_ratio, modes_to_csv,
                       read_chain_file, scaled_gradient, scaled_hessian,
                       solve_axial_modes, solve_equilibrium)
 from dickesim import chain as chain_mod
@@ -246,25 +247,21 @@ def test_coupling_strengths_validates_addressed(monkeypatch):
 
     monkeypatch.setattr(chain_mod, "solve_equilibrium", never)
     cfg = ChainConfig(masses=(1.0, 1.0, 1.08))
-    for config in (cfg, [cfg, ChainConfig(masses=(1.0, 1.0, 2.0))]):
-        for addressed, why in (((), "must not be empty"),
-                               ((0, 5), "out of range"),
-                               ((-1, 1), "out of range"),
-                               ((0.7, 1), "0.7 is not an integer"),
-                               ((True, 1), "True is not an integer"),
-                               ((np.float64(1.0), 2), "is not an integer")):
-            with pytest.raises(ValueError, match=why):
-                coupling_strengths(config, addressed)
+    for addressed, why in (((), "must not be empty"),
+                           ((0, 5), "out of range"),
+                           ((-1, 1), "out of range"),
+                           ((0.7, 1), "0.7 is not an integer"),
+                           ((True, 1), "True is not an integer"),
+                           ((np.float64(1.0), 2), "is not an integer")):
+        with pytest.raises(ValueError, match=why):
+            coupling_strengths(cfg, addressed)
 
 
 def test_coupling_strengths_accepts_numpy_integer_indices():
     cfg = ChainConfig(masses=(1.0, 1.0, 1.08))
-    stack = [cfg, ChainConfig(masses=(1.0, 1.0, 2.0))]
     for addressed in ((np.int64(0), np.int32(1)), np.array([1, 0])):
         assert (coupling_strengths(cfg, addressed).tobytes()
                 == coupling_strengths(cfg, (0, 1)).tobytes())
-        for row, alone in zip(coupling_strengths(stack, addressed), stack):
-            assert row.tobytes() == coupling_strengths(alone, (0, 1)).tobytes()
 
 
 def test_lamb_dicke_warning_in_si_mode():
@@ -466,8 +463,16 @@ def test_modes_name_a_mass_ratio_whose_square_leaves_double_range(ratio,
      ChainConfig(masses=(1.0,) * 3, k_projection=2.0)],
 ], ids=["empty", "3-and-4-ions", "scaled-and-si", "two-omega-z",
         "two-k-projections"])
-def test_mode_stack_needs_one_ion_count(configs):
-    with pytest.raises(ValueError, match="one ion count"):
+def test_mode_stack_needs_one_ion_count(configs, monkeypatch):
+    # a mode stack is one chain and a column of masses, so it has one ion
+    # count, omega_z and k_projection by construction; coupling_strengths
+    # takes that one chain and refuses a sequence of them, mixed or not,
+    # before any solve
+    def never(config):
+        raise AssertionError("the mode solve ran")
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", never)
+    with pytest.raises(AttributeError, match="n_ions"):
         coupling_strengths(configs, (0, 1))
 
 
@@ -479,15 +484,17 @@ def test_mode_stack_shares_one_equilibrium(monkeypatch):
         return solve_equilibrium(config)
 
     monkeypatch.setattr(chain_mod, "solve_equilibrium", counted)
-    configs = [ChainConfig(masses=(1.0, mu, 1.0, 1.0))
-               for mu in (0.5, 2.0, 1e-300)]
-    stack = coupling_strengths(configs, (0, 2, 3))
-    assert calls == configs[:1]
+    template = ChainTemplate(ChainConfig(masses=(1.0, 1.0, 1.0, 1.0)), 1)
+    mus = (0.5, 2.0, 1e-300)
+    stack = chain_mod._couplings(template.config, template._masses(mus),
+                                 [0, 2, 3])
+    assert calls == [template.config]
     assert isinstance(stack[2], UnstableCrystalError)
     # the scaled equilibrium reads only the ion count, so every row equals
     # the chain solved on its own
-    for cfg, row in zip(configs[:2], stack):
-        assert row.tobytes() == coupling_strengths(cfg, (0, 2, 3)).tobytes()
+    for mu, row in zip(mus[:2], stack):
+        assert row.tobytes() == coupling_strengths(template.config_for(mu),
+                                                   (0, 2, 3)).tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -498,28 +505,65 @@ def test_mode_stack_shares_one_equilibrium(monkeypatch):
        st.data())
 def test_coupling_stack_rows_equal_the_chains_solved_alone(n, omega_z, mus,
                                                            data):
-    # a stack reads z[:, addressed, 0] of one stacked solve; each row must
-    # keep the bits of its chain's own coupling and mode solve, and rows
-    # the modes cannot resolve keep their own error text
+    # a sweep reads z[:, addressed, 0] of one stacked solve over its mass
+    # column; each row must keep the bits of its chain's own coupling and
+    # mode solve, and rows the modes cannot resolve keep their own error
+    # text
     slot = data.draw(st.integers(min_value=0, max_value=n - 1))
     template = ChainTemplate.symmetric(n - 1, placement=slot, qubit_mass=25.0,
                                        omega_z=omega_z, k_projection=1.0e7)
     addr = template.addressed()
     mus = mus + [1e-300, 1e-16]
-    configs = [template.config_for(mu) for mu in mus]
-    stack = coupling_strengths(configs, addr)
-    assert len(stack) == len(configs)
-    for cfg, row in zip(configs, stack):
+    rows = fidelity_vs_mass_ratio(template, mus, 1)
+    assert len(rows) == len(mus)
+    for mu, row in zip(mus, rows):
+        cfg = template.config_for(mu)
         try:
             modes = solve_axial_modes(cfg)
         except UnstableCrystalError as alone:
             assert (type(row), str(row)) == (type(alone), str(alone))
             continue
-        assert row.tobytes() == coupling_strengths(cfg, addr).tobytes()
-        assert row.tobytes() == modes.lamb_dicke[list(addr), 0].tobytes()
+        eta = row.couplings.tobytes()
+        assert eta == coupling_strengths(cfg, addr).tobytes()
+        assert eta == modes.lamb_dicke[list(addr), 0].tobytes()
     # 1e-300 squares out of range; 1e-16 loses the mode curvatures to
     # rounding on most slots, and the loop above compared whichever it was
-    assert "out of range" in str(stack[-2])
+    assert "out of range" in str(rows[-2])
+
+
+def test_sweep_builds_no_chain_config_per_row(monkeypatch):
+    calls = []
+    post_init = ChainConfig.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    template = ChainTemplate.symmetric(4, placement="center")
+    monkeypatch.setattr(ChainConfig, "__post_init__", counted)
+    rows = fidelity_vs_mass_ratio(template, np.geomspace(0.1, 10.0, 301), 2)
+    assert calls == []
+    assert all(not isinstance(row, Exception) for row in rows)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_mass_column_takes_finite_positive_ratios(mu):
+    template = ChainTemplate.symmetric(2, placement="center")
+    with pytest.raises(ValueError, match="finite and positive"):
+        template.config_for(mu)
+    with pytest.raises(ValueError, match="finite and positive"):
+        template._masses([1.0, mu])
+
+
+def test_mass_column_scales_the_reference_mass():
+    # the ancilla slot is mu times the reference ion's mass, whichever ion
+    # that is, and no other mass moves
+    template = ChainTemplate(ChainConfig(masses=(25.0, 24.0, 27.0, 26.0),
+                                         reference_index=1), 2)
+    masses = template._masses([0.5, 2.0])
+    assert masses.tolist() == [[25.0, 24.0, 12.0, 26.0],
+                               [25.0, 24.0, 48.0, 26.0]]
+    assert template.config_for(2.0).masses == (25.0, 24.0, 48.0, 26.0)
 
 
 def test_modes_csv_export():

@@ -672,26 +672,30 @@ def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
 
 
 def test_sweep_without_a_chain_solves_no_equilibrium(monkeypatch):
-    calls = []
-    monkeypatch.setattr(chain_mod, "solve_equilibrium", calls.append)
-    template = ChainTemplate.symmetric(2, placement="center")
-    rows = fidelity_vs_mass_ratio(template, [np.inf, np.inf], 1)
-    assert calls == []
-    assert all(type(row) is ValueError and "must be finite" in str(row)
-               for row in rows)
-
-
-def test_sweep_equilibrium_failure_spares_rows_that_build_no_chain(
-        monkeypatch):
+    # a mass ratio that builds no chain fails the whole call before the
+    # equilibrium solve, so a stalled equilibrium is never reached
     def stalled(config, **kwargs):
         raise ConvergenceError("equilibrium solver stalled", residual_norm=1.0)
 
     monkeypatch.setattr(chain_mod, "solve_equilibrium", stalled)
     template = ChainTemplate.symmetric(2, placement="center")
-    rows = fidelity_vs_mass_ratio(template, [0.5, np.inf, 2.0], 1)
-    assert type(rows[1]) is ValueError and "must be finite" in str(rows[1])
-    assert all(isinstance(rows[i], ConvergenceError)
-               and "stalled" in str(rows[i]) for i in (0, 2))
+    for grid in ([np.inf, np.inf], [0.5, np.inf, 2.0], [0.5, np.nan],
+                 [0.5, -np.inf], [0.0]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fidelity_vs_mass_ratio(template, grid, 1)
+
+
+def test_sweep_row_whose_ancilla_mass_overflows_is_out_of_range():
+    # a finite mu whose mass overflows double range is that row's error,
+    # like a mu whose square does
+    template = ChainTemplate.symmetric(2, placement="edge", qubit_mass=25.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = fidelity_vs_mass_ratio(template, [0.5, 1e307, 2.0], 1)
+    assert isinstance(rows[1], UnstableCrystalError)
+    assert "of ion 2 is out of range" in str(rows[1])
+    assert not isinstance(rows[0], Exception)
+    assert not isinstance(rows[2], Exception)
 
 
 def test_pulse_search_from_a_chain_builds_no_mode_set(monkeypatch):
@@ -752,11 +756,11 @@ def test_sweep_row_does_not_depend_on_its_chunk(n, m, placement, lo, hi,
 
 
 def test_failed_rows_inside_a_chunk_keep_their_own_errors(monkeypatch):
-    # on a three-ion chain 1e-300 squares out of range, 1e-16 loses the
-    # mode curvature to rounding and inf builds no chain; all three sit in
-    # the middle of one chunk
+    # on a three-ion chain 1e-300 and 1e300 square out of range and 1e-16
+    # loses the mode curvature to rounding; all three sit in the middle of
+    # one chunk
     template = ChainTemplate.symmetric(2, placement="edge")
-    grid = [0.3, 0.7, 1e-300, 1.5, 1e-16, np.inf, 3.0]
+    grid = [0.3, 0.7, 1e-300, 1.5, 1e-16, 1e300, 3.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rows = fidelity_vs_mass_ratio(template, grid, 1)
@@ -764,7 +768,8 @@ def test_failed_rows_inside_a_chunk_keep_their_own_errors(monkeypatch):
     assert "mass ratio 1e-300 of ion 2 is out of range" in str(rows[2])
     assert isinstance(rows[4], UnstableCrystalError)
     assert "lost to rounding" in str(rows[4])
-    assert type(rows[5]) is ValueError and "must be finite" in str(rows[5])
+    assert isinstance(rows[5], UnstableCrystalError)
+    assert "mass ratio 1e+300 of ion 2 is out of range" in str(rows[5])
     assert [isinstance(row, Exception) for row in rows] == [
         False, False, True, False, True, True, False]
     for mu, row in zip(grid, rows):
