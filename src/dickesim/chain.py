@@ -301,6 +301,21 @@ def solve_axial_modes(config):
                    lamb_dicke=config.k_projection * z[0], equilibrium=eq)
 
 
+def _addressed_ions(config, addressed):
+    """The distinct addressed ions, sorted, or the ValueError of
+    :func:`coupling_strengths`."""
+    addressed = tuple(addressed)
+    for i in addressed:
+        if not _is_integer(i):
+            raise ValueError(f"addressed ion index {i!r} is not an integer")
+    addressed = sorted(set(int(i) for i in addressed))
+    if not addressed:
+        raise ValueError("addressed ion set must not be empty")
+    if addressed[0] < 0 or addressed[-1] >= config.n_ions:
+        raise ValueError("addressed ion index out of range")
+    return addressed
+
+
 def _couplings(config, masses, addressed):
     """:func:`coupling_strengths` of the sorted ``addressed`` ions for
     every mass row of :func:`_mode_stack`: per row its couplings or its
@@ -333,15 +348,7 @@ def coupling_strengths(config, addressed):
     index that is not an integer (a numpy integer is one, a bool is not)
     or one out of range.
     """
-    addressed = tuple(addressed)
-    for i in addressed:
-        if not _is_integer(i):
-            raise ValueError(f"addressed ion index {i!r} is not an integer")
-    addressed = sorted(set(int(i) for i in addressed))
-    if not addressed:
-        raise ValueError("addressed ion set must not be empty")
-    if addressed[0] < 0 or addressed[-1] >= config.n_ions:
-        raise ValueError("addressed ion index out of range")
+    addressed = _addressed_ions(config, addressed)
     return unwrap(_couplings(config, [config.masses], addressed)[0])
 
 
@@ -376,6 +383,7 @@ class ChainTemplate:
         integer slot (not a bool).  Other keyword arguments go to
         :class:`ChainConfig`.
         """
+        _check_integer(n_qubits, "n_qubits")
         if n_qubits < 1:
             raise ValueError("need at least one qubit ion")
         n = n_qubits + 1

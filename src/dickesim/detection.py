@@ -619,8 +619,11 @@ class ParityScanResult:
 
 
 def _check_phases(phases):
-    """Raise IdentifiabilityError on fewer than four distinct phases, the
-    parameter count of the free-period fit."""
+    """Raise DataError on a phase that is not finite, and
+    IdentifiabilityError on fewer than four distinct phases, the parameter
+    count of the free-period fit."""
+    if not np.all(np.isfinite(phases)):
+        raise DataError("analysis phases must be finite")
     if len(np.unique(np.round(phases, 12))) < 4:
         raise IdentifiabilityError("need at least 4 distinct analysis phases")
 

@@ -58,6 +58,8 @@ class ExcitationSector:
     phonons: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_integer(self.n_qubits, "n_qubits")
+        _check_integer(self.m, "m")
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
         if self.m < 0:
@@ -331,9 +333,9 @@ def _search_chunk(sector, om, omega_prime):
 def first_max_fidelity(config, addressed, m):
     """Full pipeline from one chain configuration: in-phase couplings of
     the addressed ions (about the chain's equilibrium) -> first-maximum
-    search.  A phonon number ``m`` that is not an integer raises ValueError
-    before the mode solve."""
-    _check_integer(m, "m")
+    search.  An ``m`` that is not an integer in 1..(distinct addressed
+    ions) raises ValueError before the mode solve."""
+    _check_m(m, len(chain_mod._addressed_ions(config, addressed)))
     return first_max_from_couplings(
         chain_mod.coupling_strengths(config, addressed), m)
 

@@ -315,6 +315,20 @@ def test_template_rejects_a_placement_that_is_no_slot(placement):
         ChainTemplate.symmetric(2, placement=placement)
 
 
+@pytest.mark.parametrize("n_qubits", [2.0, True, np.float64(2.0), "2"])
+def test_template_takes_an_integer_qubit_count(n_qubits):
+    # 2.0 used to fail in the tuple product with a TypeError, and True
+    # built a one-qubit chain
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        ChainTemplate.symmetric(n_qubits)
+
+
+def test_template_accepts_a_numpy_integer_qubit_count():
+    template = ChainTemplate.symmetric(np.int64(2))
+    assert template == ChainTemplate.symmetric(2)
+    assert template.n_qubits == 2
+
+
 def test_template_accepts_a_numpy_integer_slot():
     template = ChainTemplate.symmetric(3, placement=np.int64(0))
     assert template == ChainTemplate.symmetric(3, placement=0)

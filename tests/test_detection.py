@@ -1016,6 +1016,22 @@ def test_parity_scan_needs_four_phases():
         parity_scan_analysis(scans, composite_dists(MODEL))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_analysis_phases_must_be_finite(bad):
+    # a nan phase used to give a nan offset and amplitude, an inf phase a
+    # RuntimeWarning from cos, and estimate_period a scipy error
+    rho = dicke_state(2, 1).density()
+    phases = np.arange(6) * np.pi / 6
+    scans = _scan_shots(rho, phases, 500, seed=48)
+    scans = [(bad if k == 2 else phi, samples)
+             for k, (phi, samples) in enumerate(scans)]
+    with pytest.raises(DataError, match="analysis phases must be finite"):
+        parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
+    phases = np.where(np.arange(6) == 2, bad, phases)
+    with pytest.raises(DataError, match="analysis phases must be finite"):
+        estimate_period(phases, np.cos(2 * np.arange(6) * np.pi / 6))
+
+
 def test_estimate_period_on_clean_sinusoid():
     phis = np.linspace(0, np.pi, 16)
     values = 0.7 * np.cos(2 * phis - 0.4) + 0.05

@@ -93,6 +93,22 @@ def test_sector_basis():
     assert ExcitationSector(n_qubits=3, m=5).dimension == 8
 
 
+@pytest.mark.parametrize("n_qubits,m,name", [
+    (2, 1.5, "m"), (2, True, "m"), (2, np.float64(1.0), "m"),
+    (2.0, 1, "n_qubits"), (True, 1, "n_qubits"),
+])
+def test_sector_takes_integers(n_qubits, m, name):
+    # m = 1.5 used to build the m = 1 states and keep m = 1.5
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ExcitationSector(n_qubits=n_qubits, m=m)
+
+
+def test_sector_accepts_numpy_integers():
+    sector = ExcitationSector(n_qubits=np.int64(4), m=np.int32(2))
+    assert sector == ExcitationSector(n_qubits=4, m=2)
+    assert sector.phonons.tolist() == ExcitationSector(4, 2).phonons.tolist()
+
+
 def test_sector_hamiltonian_is_full_space_restriction():
     rng = np.random.default_rng(19)
     for n, m in [(1, 1), (2, 1), (3, 2), (4, 3), (5, 2)]:
@@ -487,6 +503,30 @@ def test_pulse_search_from_chains_rejects_a_non_integer_m_before_solving(
         fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], m)
     with pytest.raises(ValueError, match="m must be an integer"):
         first_max_fidelity(template.config_for(1.0), template.addressed(), m)
+
+
+def test_pulse_search_from_chains_rejects_m_beyond_the_qubits_before_solving(
+        monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return solve_equilibrium(config)
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", counted)
+    template = ChainTemplate.symmetric(2, placement="center")
+    cfg = template.config_for(1.0)
+    for m, why in ((3, "3 phonons cannot all be absorbed by 2 qubits"),
+                   (0, "need at least one phonon")):
+        with pytest.raises(ValueError, match=why):
+            fidelity_vs_mass_ratio(template, [0.5, 1.0, 2.0], m)
+        with pytest.raises(ValueError, match=why):
+            first_max_fidelity(cfg, template.addressed(), m)
+    # the bound is the number of distinct addressed ions
+    with pytest.raises(ValueError, match="2 phonons cannot all be absorbed "
+                                         "by 1 qubits"):
+        first_max_fidelity(cfg, (0, 0), 2)
+    assert calls == []
 
 
 def test_pulse_search_takes_a_numpy_integer_m():
