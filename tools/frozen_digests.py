@@ -42,9 +42,9 @@ K_PROJECTION = "1.1e7"
 CARRIER_RATE = "1e6"  # rad/s
 
 
-def _chain(name, masses, ancilla=None):
+def _chain(name, masses, ancilla=None, reference=0):
     text = (f"masses = {', '.join(str(m) for m in masses)}\n"
-            f"omega_z = {OMEGA_Z_HZ}\nreference_index = 0\n"
+            f"omega_z = {OMEGA_Z_HZ}\nreference_index = {reference}\n"
             f"k_projection = {K_PROJECTION}\n")
     if ancilla is not None:
         text += f"ancilla_index = {ancilla}\n"
@@ -76,6 +76,10 @@ def commands():
     five = _chain("five.cfg", (25,) * 5, ancilla=4)
     nine = _chain("nine.cfg", (25,) * 9, ancilla=8)
     unstable = _chain("unstable.cfg", (25, 25, 1e-290))
+    # unequal qubit masses, the ancilla in the centre and the reference
+    # off ion 0: the ancilla mass is mu times ion 1's
+    centre = _chain("centre.cfg", (25, 24, 27, 25, 26), ancilla=2,
+                    reference=1)
     for tag, cfg in (("mg_mg_al", mg_mg_al), ("five", five), ("nine", nine)):
         for fmt in ("csv", "json"):
             yield f"modes-{tag}.{fmt}", ["modes", "--config", cfg,
@@ -94,6 +98,10 @@ def commands():
     yield "sweep-8-4-errors.csv", _sweep(nine, 4, "1e-20", "1e20", 41, "csv")
     yield "sweep-8-4-errors.json", _sweep(nine, 4, "1e-20", "1e20", 21,
                                           "json")
+    yield "sweep-centre-4-2-errors.csv", _sweep(centre, 2, "1e-20", "1e20",
+                                                41, "csv")
+    yield "sweep-centre-4-2-errors.json", _sweep(centre, 2, "1e-20", "1e20",
+                                                 41, "json")
 
     for seed in range(4):
         yield f"experiment-seed{seed}.json", [
