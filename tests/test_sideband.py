@@ -713,16 +713,32 @@ def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
 
 def test_sweep_without_a_chain_solves_no_equilibrium(monkeypatch):
     # a mass ratio that builds no chain fails the whole call before the
-    # equilibrium solve, so a stalled equilibrium is never reached
-    def stalled(config, **kwargs):
-        raise ConvergenceError("equilibrium solver stalled", residual_norm=1.0)
-
-    monkeypatch.setattr(chain_mod, "solve_equilibrium", stalled)
+    # equilibrium solve
+    calls = []
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", calls.append)
     template = ChainTemplate.symmetric(2, placement="center")
     for grid in ([np.inf, np.inf], [0.5, np.inf, 2.0], [0.5, np.nan],
                  [0.5, -np.inf], [0.0]):
         with pytest.raises(ValueError, match="finite and positive"):
             fidelity_vs_mass_ratio(template, grid, 1)
+    assert calls == []
+
+
+def test_sweep_equilibrium_failure_spares_rows_that_build_no_chain(
+        monkeypatch):
+    # a stalled equilibrium does not mask a mass ratio that builds no
+    # chain: the call fails with that ratio's own error, not the stall
+    def stalled(config, **kwargs):
+        raise ConvergenceError("equilibrium solver stalled", residual_norm=1.0)
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", stalled)
+    template = ChainTemplate.symmetric(2, placement="center")
+    with pytest.raises(ValueError, match="finite and positive"):
+        fidelity_vs_mass_ratio(template, [0.5, np.inf, 2.0], 1)
+    # with every ratio finite, the stall reaches each row
+    rows = fidelity_vs_mass_ratio(template, [0.5, 2.0], 1)
+    assert all(isinstance(row, ConvergenceError) and "stalled" in str(row)
+               for row in rows)
 
 
 def test_sweep_row_whose_ancilla_mass_overflows_is_out_of_range():
