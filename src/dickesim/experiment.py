@@ -13,7 +13,7 @@ from .detection import (_CAL_PARAMS, DEFAULT_N_BOOTSTRAP, DEFAULT_T_DETECT,
                         estimate_period, ml_fit, parity_from_fit,
                         parity_scan_analysis, synthesize_shots)
 from .dicke import rotated_density, weights
-from .errors import DataError
+from .errors import DataError, _check_integer
 from .sideband import first_max_fidelity
 
 N_PHASES = 12  # analysis phases k pi / N_PHASES per experiment parity scan
@@ -71,6 +71,7 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
     final fidelity with its statistical error.  Each parity scan takes
     ``n_bootstrap // 2`` resamples, so ``n_bootstrap`` must be >= 4.
     """
+    _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap < 4:
         raise ValueError(f"n_bootstrap must be >= 4, got {n_bootstrap}")
     if chain_file.ancilla_index is None:

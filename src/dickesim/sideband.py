@@ -33,10 +33,10 @@ from ._frozen import freeze
 from .dicke import QubitDensity, weights
 from .errors import SearchError, _check_integer, unwrap
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
 MAX_PERIODS = 20.0  # the scan stops at MAX_PERIODS * pi / Omega'
-REFINE_TOL = 1e-6  # golden-section bracket width, in Omega_0 t
+NEWTON_RTOL = 1e-13  # the refine stops at a Newton step of at most this * t
+NEWTON_CAP = 50  # Newton steps a row may take before it fails
 # the search solves a coupling stack in chunks that hold this many bytes of
 # each row's largest block: its D x D Hamiltonian or its F(t) scan block
 CHUNK_BYTES = 1 << 20
@@ -153,39 +153,44 @@ def _fidelity(evals, weight, t):
     |z|^2 is hypot(Re z, Im z) squared by pow, which keeps the bits of
     ``abs(z) ** 2`` on a Python complex (``np.abs(z) ** 2`` differs in the
     last bit on some inputs).  The scan, the refine and the full-grid test
-    oracle all read F through here, so their peak tests and golden steps
-    see the same bits, and the frozen durations keep theirs.
+    oracle all read F through here, so the grid-peak test, the refine's
+    check against the grid peak and the oracle see the same bits.
     """
     phases = np.exp(-1j * evals[:, None, :] * t[:, :, None])
     amp = (phases @ weight[:, :, None])[:, :, 0]
     return np.float_power(np.hypot(amp.real, amp.imag), 2.0)
 
 
-def _golden_max(f, a, b, tol):
-    """Golden-section maximization of unimodal functions, one per row, on
-    the brackets ``[a_r, b_r]``, run in lockstep.
+def _refine(evals, weight, t, lo, hi):
+    """Newton's method on F'(t) = 0, each row on its own spectrum, run in
+    lockstep from the times ``t`` with every step clipped to ``[lo, hi]``.
 
-    ``f(t, rows)`` evaluates the functions of ``rows`` at the times ``t``.
-    Each row takes the steps a scalar search would and stops once its
-    bracket is at most ``tol`` wide.  Returns the bracket midpoints and f
-    there.
+    With ``s_n = sum_k E_k^n weight_k exp(-i E_k t)``, the amplitude
+    ``A = s_0`` has derivatives ``A^(n) = (-i)^n s_n``, so
+    ``F' = 2 Re(conj(A) A') = 2 Im(conj(s_0) s_1)`` and
+    ``F'' = 2 (|A'|^2 + Re(conj(A) A'')) = 2 (|s_1|^2 - Re(conj(s_0) s_2))``.
+    A row stops once F'' >= 0 (no step leads to a maximum) or once its
+    next step is at most ``NEWTON_RTOL * t``, a step it does not take.
+    Returns the end times, F there, F'' at each row's last evaluated time
+    and the rows still stepping after ``NEWTON_CAP`` steps.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    every = np.arange(len(a))
-    f1, f2 = f(x1, every), f(x2, every)
-    while (rows := np.flatnonzero(b - a > tol)).size:
-        left = f1[rows] >= f2[rows]  # the maximum lies in [a, x2]
-        lo, hi = rows[left], rows[~left]
-        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
-        x1[lo] = b[lo] - GOLDEN * (b[lo] - a[lo])
-        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
-        x2[hi] = a[hi] + GOLDEN * (b[hi] - a[hi])
-        new = f(np.where(left, x1[rows], x2[rows]), rows)
-        f1[lo], f2[hi] = new[left], new[~left]
-    xm = 0.5 * (a + b)
-    return xm, f(xm, every)
+    t = np.array(t, dtype=float)
+    moments = weight[:, :, None] * evals[:, :, None] ** np.arange(3)
+    curvature, rows = np.zeros(len(t)), np.arange(len(t))
+    for _ in range(NEWTON_CAP):
+        if not rows.size:
+            break
+        phases = np.exp(-1j * evals[rows] * t[rows, None])
+        s0, s1, s2 = (phases[:, None, :] @ moments[rows])[:, 0].T
+        curvature[rows] = 2.0 * (np.abs(s1) ** 2 - (s0.conj() * s2).real)
+        bent = curvature[rows] < 0.0
+        step = (np.where(bent, 2.0 * (s0.conj() * s1).imag, 0.0)
+                / np.where(bent, curvature[rows], -1.0))
+        new = np.clip(t[rows] - step, lo[rows], hi[rows])
+        moving = np.abs(new - t[rows]) > NEWTON_RTOL * t[rows]
+        t[rows[moving]] = new[moving]
+        rows = rows[moving]
+    return t, _fidelity(evals, weight, t[:, None])[:, 0], curvature, rows
 
 
 def _check_m(m, n):
@@ -205,8 +210,9 @@ def first_max_from_couplings(couplings, m):
     ``couplings`` are in units of Omega_0.  The fidelity is scanned on a
     grid of step pi/(GRID_PER_PERIOD * Omega') out to
     ``MAX_PERIODS * pi / Omega'``, stopping at the first detected local
-    maximum, which is refined by golden-section search to ``REFINE_TOL``
-    in Omega_0 t.
+    maximum.  Newton steps on the analytic F' and F'' refine it inside its
+    two grid neighbours until a step is at most ``NEWTON_RTOL`` of t, so
+    the duration is exact to rounding on any coupling scale.
 
     A ``(B, N)`` stack of coupling vectors is searched in chunks of as
     many rows as ``CHUNK_BYTES`` holds, counted by each row's largest
@@ -223,8 +229,8 @@ def first_max_from_couplings(couplings, m):
         is neither) in 1..N.
     SearchError
         If no local maximum appears before the time cap, or if the refine
-        ends lower below the grid peak it started from than a unimodal
-        F(t) allows.
+        ends where F'' >= 0, is still stepping after ``NEWTON_CAP``
+        steps, or ends with F below the grid peak it started from.
     """
     om = np.asarray(couplings, dtype=float)
     stacked = om.ndim == 2
@@ -267,7 +273,7 @@ def _search_chunk(sector, om, omega_prime):
 
     dt = np.pi / (GRID_PER_PERIOD * omega_prime)
     steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
-    bracket = np.zeros((len(om), 3))  # grid[j], grid[j + 2], f[j + 1]
+    peak = np.zeros((len(om), 4))  # grid[j + 1], grid[j], grid[j + 2], f[j + 1]
     # the first maximum comes after about one period, so the grid is
     # scanned two periods at a time and a row leaves the scan at the first
     # block that holds one; consecutive blocks share the two grid points
@@ -285,8 +291,9 @@ def _search_chunk(sector, om, omega_prime):
         is_peak = (f[:, 1:-1] > f[:, :-2]) & (f[:, 1:-1] >= f[:, 2:])
         found = np.flatnonzero(is_peak.any(axis=1))
         j = np.argmax(is_peak[found], axis=1)
-        bracket[scanning[found]] = np.stack(
-            [grid[found, j], grid[found, j + 2], f[found, j + 1]], axis=1)
+        peak[scanning[found]] = np.stack(
+            [grid[found, j + 1], grid[found, j], grid[found, j + 2],
+             f[found, j + 1]], axis=1)
         scanning = np.delete(scanning, found)
     outcomes = [None] * len(om)
     for k in scanning:
@@ -295,38 +302,30 @@ def _search_chunk(sector, om, omega_prime):
             f"t = {steps_cap * dt[k]:.3f}/Omega_0")
     peaked = np.setdiff1d(np.arange(len(om)), scanning)
     t_star, f_star = np.zeros(len(om)), np.zeros(len(om))
-    t_star[peaked], f_star[peaked] = _golden_max(
-        lambda t, sub: _fidelity(evals[peaked[sub]], weight[peaked[sub]],
-                                 t[:, None])[:, 0],
-        bracket[peaked, 0], bracket[peaked, 1], REFINE_TOL)
-    # on a unimodal bracket the refine ends within REFINE_TOL / 2 of the
-    # maximum, which is at least the grid peak f[j + 1], and
-    # |F''| <= (E_max - E_min)^2 bounds how far F can fall off it there;
-    # 1e-12 covers rounding
-    floor = (bracket[:, 2] - 1e-12
-             - ((evals[:, -1] - evals[:, 0]) * REFINE_TOL) ** 2 / 8.0)
+    t_star[peaked], f_star[peaked], curvature, unsettled = _refine(
+        evals[peaked], weight[peaked], *peak[peaked, :3].T)
     # every row of the stack, scan failures at t = 0 included, so that no
     # row subset copies the eigenvectors
     amps = np.exp(-1j * evals * t_star[:, None]) * start
     states = (vecs @ amps[:, :, None])[:, :, 0]
-    for k in peaked:
-        if f_star[k] < floor[k]:
-            outcomes[k] = SearchError(
-                f"golden-section refine ended at F = {float(f_star[k])!r} at "
-                f"t = {t_star[k]:.6f}/Omega_0, below the {floor[k]!r} that a "
-                "unimodal F(t) guarantees; F(t) is not unimodal on the "
-                "bracket")
+    for i, k in enumerate(peaked):
+        if curvature[i] >= 0.0:
+            why = f"F'' = {float(curvature[i])!r} >= 0: not a maximum"
+        elif i in unsettled:
+            why = f"still stepping after {NEWTON_CAP} steps"
+        elif f_star[k] < peak[k, 3]:
+            why = (f"F = {float(f_star[k])!r}, below the grid peak's "
+                   f"{float(peak[k, 3])!r}")
+        else:
+            outcomes[k] = PulseResult(
+                duration=float(t_star[k]), fidelity=min(float(f_star[k]), 1.0),
+                phonon_distribution=np.bincount(
+                    sector.phonons, weights=np.abs(states[k]) ** 2,
+                    minlength=sector.m + 1),
+                couplings=om[k], sector=sector, state=states[k])
             continue
-        outcomes[k] = PulseResult(
-            duration=float(t_star[k]),
-            fidelity=min(float(f_star[k]), 1.0),
-            phonon_distribution=np.bincount(
-                sector.phonons, weights=np.abs(states[k]) ** 2,
-                minlength=sector.m + 1),
-            couplings=om[k],
-            sector=sector,
-            state=states[k],
-        )
+        outcomes[k] = SearchError(
+            f"Newton refine ended at t = {t_star[k]:.6f}/Omega_0: {why}")
     return outcomes
 
 

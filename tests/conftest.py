@@ -145,8 +145,8 @@ def evolve(psi, hamiltonian, t):
 def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
     """Duration and fidelity of the first local maximum of the Dicke
     fidelity, from the full space: a scan that steps the state by
-    expm(-i H dt), then a bounded Brent search over expm(-i H t) psi0
-    converged far below the program's refine_tol."""
+    expm(-i H dt), then a bounded Brent search over expm(-i H t) psi0 to
+    ``xatol`` 1e-10 in t."""
     om = np.asarray(couplings, dtype=float)
     space = FullSpace(len(om), cutoff)
     h = space.hamiltonian(om)
@@ -174,7 +174,7 @@ def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
 def first_max_full_grid(couplings, m):
     """Duration and fidelity of the pulse search when it evaluates F(t) on
     every grid point out to the time cap before it picks the first peak:
-    the program's own sector, grid, peak test, golden refine and F(t)
+    the program's own sector, grid, peak test, Newton refine and F(t)
     routine (read from :mod:`dickesim.sideband` at call time, so a patched
     Hamiltonian, refine or F reaches both), one row at a time, without the
     scan's early stop."""
@@ -188,10 +188,8 @@ def first_max_full_grid(couplings, m):
     grid = np.arange(steps_cap + 1) * dt
     f = sideband._fidelity(evals[None], weight[None], grid[None])[0]
     j = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[0]
-    t_star, f_star = sideband._golden_max(
-        lambda t, rows: sideband._fidelity(
-            evals[None][rows], weight[None][rows], t[:, None])[:, 0],
-        [grid[j]], [grid[j + 2]], sideband.REFINE_TOL)
+    t_star, f_star, _, _ = sideband._refine(
+        evals[None], weight[None], grid[[j + 1]], grid[[j]], grid[[j + 2]])
     return float(t_star[0]), min(float(f_star[0]), 1.0), int(j + 1)
 
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dickesim import experiment
 from dickesim.chain import read_chain_file
 from dickesim.cli import main, run_experiment
 
@@ -342,6 +343,20 @@ def test_run_experiment_needs_four_resamples(tmp_path, n_bootstrap):
     # the parity scans take n_bootstrap // 2 resamples, which need >= 2
     chain_file = read_chain_file(write_chain(tmp_path))
     with pytest.raises(ValueError, match="n_bootstrap"):
+        run_experiment(chain_file, shots=1000, seed=0, n_bootstrap=n_bootstrap)
+
+
+@pytest.mark.parametrize("n_bootstrap", [4.5, True, 8.0])
+def test_run_experiment_takes_an_integer_resample_count_before_any_work(
+        tmp_path, monkeypatch, n_bootstrap):
+    # 4.5 once ran the pulse, synthesis, calibration and population fit
+    # before the fit rejected it, and True was "must be >= 4, got True"
+    def never(*args):
+        raise AssertionError("the pulse search ran")
+
+    monkeypatch.setattr(experiment, "first_max_fidelity", never)
+    chain_file = read_chain_file(write_chain(tmp_path))
+    with pytest.raises(ValueError, match="n_bootstrap must be an integer"):
         run_experiment(chain_file, shots=1000, seed=0, n_bootstrap=n_bootstrap)
 
 

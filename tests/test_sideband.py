@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ from conftest import (FullSpace, assert_identity_semantics, dicke_fidelity,
                       dicke_vector, evolve,
                       first_max_full_grid, first_max_full_space, purity,
                       w_fidelity_analytic)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
@@ -352,14 +353,20 @@ def test_first_max_equal_couplings_makes_w_state():
     assert dicke_fidelity(res.reduced_density, 1) == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+# coupling scales on which the refine must keep its relative accuracy
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_first_max_m2_matches_ladder_closed_form(n):
-    # symmetric three-level ladder gives F = 4 N (N-1) / (2N-1)^2
-    res = first_max_from_couplings(np.ones(n), 2)
-    assert res.fidelity == pytest.approx(4 * n * (n - 1) / (2 * n - 1) ** 2,
-                                         abs=1e-9)
-    omega = 0.5 * np.sqrt(4 * n - 2)
-    assert res.duration == pytest.approx(np.pi / omega, abs=1e-5)
+    # the symmetric three-level ladder with couplings Omega peaks at
+    # t = 2 pi / (Omega sqrt(4N - 2)) with F = 4 N (N-1) / (2N-1)^2
+    for scale in SCALES:
+        res = first_max_from_couplings(np.full(n, scale), 2)
+        assert res.fidelity == pytest.approx(
+            4 * n * (n - 1) / (2 * n - 1) ** 2, abs=1e-9)
+        assert res.duration == pytest.approx(
+            2 * np.pi / (scale * np.sqrt(4 * n - 2)), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n,m", [(4, 3), (5, 3), (6, 3)])
@@ -392,29 +399,38 @@ def test_first_max_search_error_when_capped(monkeypatch):
         first_max_from_couplings(np.ones(2), 1)
 
 
-def test_golden_refine_raises_when_its_bracket_is_not_unimodal(monkeypatch):
-    golden = sideband._golden_max
+@pytest.mark.parametrize("move,why", [
+    # a quarter of the way to the peak F(t) is convex
+    (lambda t, lo, hi: (t / 4, lo / 4, hi / 4),
+     r"/Omega_0: F'' = .* >= 0: not a maximum"),
+    # on F ~ sin^2(Omega' t / 2) Newton steps -tan(Omega' t) in Omega' t,
+    # which from 0.6 pi clips to 1.4 pi and back, forever
+    (lambda t, lo, hi: (0.6 * t, 0.6 * t, 1.4 * t),
+     f"/Omega_0: still stepping after {sideband.NEWTON_CAP} steps"),
+    # a bracket that starts half a grid step past the peak ends on its edge
+    (lambda t, lo, hi: (t + 1.5 * (hi - t), t + 0.5 * (hi - t),
+                        t + 2.5 * (hi - t)),
+     r"/Omega_0: F = .*, below the grid peak's "),
+], ids=["convex", "cap", "below grid peak"])
+def test_refine_failure_stays_in_its_row(monkeypatch, move, why):
+    # the refine starts the middle row at a moved time inside a moved
+    # bracket; its stop rule fails that row alone
+    stack = np.array([[0.7, 1.1, 0.4], [1.0, 0.5, 0.9], [0.3, 0.8, 1.2]])
+    alone = [first_max_from_couplings(row, 1) for row in stack]
+    refine = sideband._refine
 
-    def notched(fid, a, b, tol):
-        # a notch over the middle of each bracket leaves F two maxima, one
-        # at each of the notch's edges
-        def f(t, rows):
-            mid, width = 0.5 * (a[rows] + b[rows]), b[rows] - a[rows]
-            return fid(t, rows) - np.where(np.abs(t - mid) < 0.3 * width,
-                                           0.5, 0.0)
-        return golden(f, a, b, tol)
+    def moved(evals, weight, t, lo, hi):
+        t, lo, hi = t.copy(), lo.copy(), hi.copy()
+        t[1], lo[1], hi[1] = move(t[1], lo[1], hi[1])
+        return refine(evals, weight, t, lo, hi)
 
-    monkeypatch.setattr(sideband, "_golden_max", notched)
-    with pytest.raises(SearchError, match="not unimodal on the bracket"):
-        first_max_from_couplings(np.ones(2), 1)
-
-
-def test_refine_check_allows_the_shortfall_of_strong_couplings():
-    # REFINE_TOL is absolute in t while F'' grows as Omega'^2, so at
-    # Omega' ~ 1e3 a unimodal refine ends 2.3e-8 below the grid peak
-    om = 1e3 * np.array([0.5, 0.9])
-    res = first_max_from_couplings(om, 1)
-    assert res.fidelity == pytest.approx(w_fidelity_analytic(om), abs=1e-7)
+    monkeypatch.setattr(sideband, "_refine", moved)
+    first, failed, last = first_max_from_couplings(stack, 1)
+    assert isinstance(failed, SearchError)
+    assert re.search(why, str(failed))
+    for res, one in ((first, alone[0]), (last, alone[2])):
+        assert (res.duration, res.fidelity) == (one.duration, one.fidelity)
+        assert res.state.tobytes() == one.state.tobytes()
 
 
 @pytest.mark.parametrize("peak_step", [99, 100, 101, 198, 199, 200])
@@ -555,8 +571,6 @@ def test_symmetric_dynamics_stay_in_ladder(n, m):
 
 # --- properties ------------------------------------------------------------------
 
-REFINE_TOL = sideband.REFINE_TOL
-
 
 @st.composite
 def couplings_and_m(draw, min_m=1, max_m=3):
@@ -580,8 +594,9 @@ def test_sector_search_matches_full_space_oracle(case):
         res.phonon_distribution, abs=1e-10)
     assert np.max(np.abs(space.reduced_density(psi)
                          - res.reduced_density.matrix)) < 1e-10
+    # Brent stops within 2 (sqrt(eps) t + xatol / 3) of its optimum
     t_oracle, _ = first_max_full_space(om, m, cutoff=m)
-    assert res.duration == pytest.approx(t_oracle, abs=REFINE_TOL)
+    assert res.duration == pytest.approx(t_oracle, rel=3e-8, abs=1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -604,27 +619,33 @@ def test_search_invariant_under_coupling_permutation(case, random):
     res = first_max_from_couplings(om, m)
     shuffled = first_max_from_couplings(om[perm], m)
     assert shuffled.fidelity == pytest.approx(res.fidelity, abs=1e-10)
-    assert shuffled.duration == pytest.approx(res.duration, abs=REFINE_TOL)
+    assert shuffled.duration == pytest.approx(res.duration, rel=1e-12, abs=0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(couplings_and_m(), st.floats(min_value=0.25, max_value=4.0))
 def test_search_time_scales_with_couplings(case, scale):
-    # each search lands within refine_tol / 2 of its own maximum
+    # each search lands on its own maximum to rounding, relative to t
     om, m = case
     res = first_max_from_couplings(om, m)
     scaled = first_max_from_couplings(scale * om, m)
     assert scaled.fidelity == pytest.approx(res.fidelity, abs=1e-10)
-    assert scaled.duration == pytest.approx(
-        res.duration / scale, abs=REFINE_TOL * max(1.0, 1.0 / scale))
+    assert scaled.duration == pytest.approx(res.duration / scale, rel=1e-12,
+                                            abs=0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(couplings_and_m(max_m=1))
-def test_single_phonon_search_matches_closed_form(case):
-    om, _ = case
+@given(couplings_and_m(max_m=1), st.sampled_from(SCALES))
+# strong couplings, where a refine tolerance absolute in t falls short of
+# the peak
+@example(case=(np.array([0.5, 0.9]), 1), scale=1e3)
+def test_single_phonon_search_matches_closed_form(case, scale):
+    # one phonon peaks at t = pi / Omega' on any coupling scale
+    om = scale * case[0]
     res = first_max_from_couplings(om, 1)
-    assert res.fidelity == pytest.approx(w_fidelity_analytic(om), abs=1e-9)
+    assert res.fidelity == pytest.approx(w_fidelity_analytic(om), abs=1e-12)
+    assert res.duration == pytest.approx(np.pi / np.linalg.norm(om),
+                                         rel=1e-12, abs=0)
 
 
 # --- chain-driven pipeline and sweeps -------------------------------------------

@@ -59,13 +59,24 @@ def test_largest_change_names_the_leaf_that_moved_most():
            "fit": {"c": [0.2, 0.5, 0.3], "ll": -100.0}}
     new = {"schema": "fit.v1", "n": 3, "ok": True, "nan": math.nan,
            "fit": {"c": [0.2, 0.5004, 0.2999], "ll": -100.0001}}
-    change, field = largest_change(old, new)
+    change, rel, field = largest_change(old, new)
     assert field == "fit.c[1]"
     assert change == abs(0.5004 - 0.5)
-    assert largest_change(old, old) == (0.0, "schema")
-    for edit in ({"schema": "fit.v2"}, {"ok": False}, {"n": None},
-                 {"fit": {"c": [0.2, 0.5], "ll": -100.0}}):
-        assert largest_change(old, {**old, **edit})[0] == math.inf
+    assert rel == change / 0.5004
+    # a small leaf can move least in absolute terms and most relative to
+    # its size
+    big_small = ({"a": 1000.0, "b": [0.001]}, {"a": 1000.1, "b": [0.002]})
+    assert largest_change(*big_small)[2] == "a"
+    assert largest_change(*big_small, relative=True) == (0.001, 0.5, "b[0]")
+    for relative in (False, True):
+        assert largest_change(old, old, relative=relative) == (0.0, 0.0,
+                                                               "schema")
+        for edit in ({"schema": "fit.v2"}, {"ok": False}, {"n": None},
+                     {"fit": {"c": [0.2, 0.5], "ll": -100.0}},
+                     {"n": math.inf}):
+            assert largest_change(old, {**old, **edit},
+                                  relative=relative)[:2] == (math.inf,
+                                                             math.inf)
 
 
 def fake_runs(trees):
@@ -92,6 +103,11 @@ def fake_runs(trees):
     ({}, 0, "2 of 2 outputs identical"),
     ({"b.json": (0, {"x": [1.0, 2.5]})}, 1, "largest change 0.5 at x[1]"),
     ({"a.json": (3, {"y": 1})}, 1, "a.json: exit 0 -> 3"),
+    # the leaf that moved most in absolute terms is not the one that moved
+    # most relative to its size
+    ({"b.json": (0, {"x": [1.4, 2.5]})}, 1,
+     "largest change 0.5 at x[1] (0.2 relative); largest relative change "
+     "0.286 at x[0]"),
 ])
 def test_compare_exits_1_when_an_output_differs(monkeypatch, capsys, edit,
                                                 status, printed):

@@ -17,8 +17,11 @@ that their ``modes.v1``, ``sweep.v1``, ``experiment.v1``, ``fit.v1`` and
 With ``--against`` both trees run, each in its own interpreter, and the
 printout names every output whose exit code or digest differs between
 them (``OTHER_SRC`` first, ``SRC_DIR`` second).  For a JSON output it
-adds the largest absolute change over the numeric leaves and the field
-that has it; a change of shape or of a non-numeric leaf reads ``inf``.
+adds the largest absolute change over the numeric leaves, the field
+that has it and that change relative to the leaf's size (``|a - b| /
+max(|a|, |b|)``), then the largest relative change and its field (often
+a leaf that is zero up to rounding); a change of shape or of a
+non-numeric leaf reads ``inf``.
 It exits 0 only when every output and exit code is the same in both
 trees, so ``frozen_digests.py src --against OTHER_SRC && ...`` gates on
 byte-identical outputs.
@@ -154,24 +157,27 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def largest_change(a, b, field=""):
-    """``(change, field)``: the largest absolute change between the numeric
-    leaves of two parsed JSON values, and the dotted path of its leaf.
-    A leaf that differs but is not a number on both sides, or a change of
-    shape, counts as an infinite change; two NaNs are equal."""
+def largest_change(a, b, field="", relative=False):
+    """``(change, relative change, field)`` of the numeric leaf that moved
+    most between two parsed JSON values, by its absolute change or, with
+    ``relative``, by ``|a - b| / max(|a|, |b|)``, and the dotted path of
+    that leaf.  A leaf that differs but is not a number on both sides, or
+    a change of shape, counts as an infinite change; two NaNs are equal."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         pairs = [(a[k], b[k], f"{field}.{k}" if field else k) for k in a]
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         pairs = [(x, y, f"{field}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
     elif _is_number(a) and _is_number(b):
         if a == b or (math.isnan(a) and math.isnan(b)):
-            return 0.0, field
+            return 0.0, 0.0, field
         change = abs(a - b)
-        return (math.inf if math.isnan(change) else change), field
+        moves = (change, change / max(abs(a), abs(b)))
+        return (*(math.inf if math.isnan(x) else x for x in moves), field)
     else:
-        return (0.0 if a == b else math.inf), field
-    return max((largest_change(x, y, f) for x, y, f in pairs),
-               key=lambda c: c[0], default=(0.0, field))
+        change = 0.0 if a == b else math.inf
+        return change, change, field
+    return max((largest_change(x, y, f, relative) for x, y, f in pairs),
+               key=lambda c: c[relative], default=(0.0, 0.0, field))
 
 
 def compare(src, other):
@@ -206,9 +212,13 @@ def compare(src, other):
                   f"digest {old[1]} -> {new[1]}")
             paths = [Path(tmp, sub, name) for sub in ("other", "src")]
             if name.endswith(".json") and all(p.exists() for p in paths):
-                change, field = largest_change(
-                    *(json.loads(p.read_text()) for p in paths))
-                print(f"  largest change {change:.3g} at {field}")
+                old_out, new_out = (json.loads(p.read_text()) for p in paths)
+                change, rel, field = largest_change(old_out, new_out)
+                _, most, most_field = largest_change(old_out, new_out,
+                                                     relative=True)
+                print(f"  largest change {change:.3g} at {field} "
+                      f"({rel:.3g} relative); largest relative change "
+                      f"{most:.3g} at {most_field}")
         print(f"{same} of {len(before)} outputs identical")
     return 0 if same == len(before) else 1
 
