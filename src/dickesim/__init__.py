@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 
 from .chain import (ChainConfig, ChainFile, ChainTemplate,
                     EquilibriumSolution, LambDickeWarning, ModeSet,
-                    coupling_strengths, modes_to_csv, read_chain_file,
-                    scaled_gradient, scaled_hessian, solve_axial_modes,
-                    solve_equilibrium)
+                    coupling_strengths, read_chain_file, scaled_gradient,
+                    scaled_hessian, solve_axial_modes, solve_equilibrium)
 from .detection import (CalibrationResult, FitResult,
                         ParityScanResult, ReadoutModel, calibrate,
                         composite_dists, estimate_period,

@@ -428,7 +428,7 @@ class ChainTemplate:
         return replace(self.config, masses=self._masses([mu])[0])
 
 
-# --- plain-text config files and CSV export ---------------------------------
+# --- plain-text config files ------------------------------------------------
 
 _CHAIN_KEYS = {"masses", "reference_index", "omega_z", "k_projection",
                "ancilla_index"}
@@ -512,27 +512,3 @@ def read_chain_file(path):
         raise DataError(f"{path}: {exc}") from exc
     return ChainFile(config=config, ancilla_index=ancilla_index,
                      omega_z_hz=omega_z_hz)
-
-
-MODES_CSV_SCHEMA = "modes.v1"
-
-
-def modes_to_csv(modes, stream):
-    """Write a mode table: one row per mode with its frequency, the in-phase
-    marker, then per-ion ground-state amplitudes and Lamb-Dicke parameters.
-
-    Frequencies are rad/s for an SI chain and units of omega_z when the
-    chain's ``omega_z`` is None; amplitudes are metres resp. scaled lengths.
-    """
-    n = modes.n_ions
-    stream.write(f"# {MODES_CSV_SCHEMA}\n")
-    cols = ["mode", "frequency", "in_phase"]
-    cols += [f"amp_{i}" for i in range(n)]
-    cols += [f"eta_{i}" for i in range(n)]
-    stream.write(",".join(cols) + "\n")
-    for k in range(n):
-        row = [str(k), repr(float(modes.frequencies[k])),
-               "1" if k == 0 else "0"]
-        row += [repr(float(modes.ground_state_amplitudes[i, k])) for i in range(n)]
-        row += [repr(float(modes.lamb_dicke[i, k])) for i in range(n)]
-        stream.write(",".join(row) + "\n")

@@ -13,15 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
-from .chain import (MODES_CSV_SCHEMA, ChainTemplate, modes_to_csv,
-                    read_chain_file, solve_axial_modes, text_lines)
+from .chain import (ChainTemplate, read_chain_file, solve_axial_modes,
+                    text_lines)
 from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_N_MAX, DEFAULT_T_DETECT,
                         ReadoutModel, calibrate, composite_dists, ml_fit,
                         parity_std_from_fit, synthesize_shots)
@@ -30,10 +29,6 @@ from .errors import (ConvergenceError, DataError, IdentifiabilityError,
 from .experiment import (DEFAULT_MODEL, _calibration_section,
                          _population_fit_entries, run_experiment)
 from .sideband import fidelity_vs_mass_ratio
-
-SWEEP_CSV_SCHEMA = "sweep.v1"
-SEED_ENV_VAR = "DICKESIM_SEED"
-
 
 class _UsageError(Exception):
     pass
@@ -54,31 +49,28 @@ def _open_out(path):
             yield fh
 
 
-def _resolve_seed(args_seed):
-    if args_seed is not None:
-        if args_seed < 0:
-            raise _UsageError(f"--seed must be >= 0, got {args_seed}")
-        return args_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError as exc:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+def _checked_seed(seed):
     if seed < 0:
-        raise _UsageError(f"{SEED_ENV_VAR} must be >= 0, got {seed}")
+        raise _UsageError(f"--seed must be >= 0, got {seed}")
     return seed
 
 
 def _json_default(value):
-    """``json.dumps`` hook for the numpy values in reports; ``np.float64``
-    is a ``float`` and needs none."""
+    """``json.dumps`` hook for the arrays in reports; ``np.float64`` is a
+    ``float`` and needs none."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, np.integer):
-        return int(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _density_json(rho):
+    """A QubitDensity as ``{"n_qubits", "matrix"}``, each matrix entry a
+    ``[real, imag]`` pair."""
+    return {
+        "n_qubits": rho.n_qubits,
+        "matrix": [[[float(v.real), float(v.imag)] for v in row]
+                   for row in rho.matrix],
+    }
 
 
 def _write_json(data, path):
@@ -86,6 +78,19 @@ def _write_json(data, path):
         out.write(json.dumps(data, indent=2, sort_keys=True,
                              default=_json_default))
         out.write("\n")
+
+
+def _write_table(path, schema, header, rows):
+    """Write a CSV table: a ``# schema`` line, the header, then one line
+    per row.  A None cell is empty, text has its commas made semicolons
+    and a number is written as ``repr(float(x))``."""
+    with _open_out(path) as out:
+        out.write(f"# {schema}\n{','.join(header)}\n")
+        for row in rows:
+            out.write(",".join(
+                "" if c is None
+                else c.replace(",", ";") if isinstance(c, str)
+                else repr(float(c)) for c in row) + "\n")
 
 
 def _model_from_args(args):
@@ -123,14 +128,22 @@ def _add_model_flags(parser):
 
 
 def cmd_modes(args):
-    chain_file = read_chain_file(args.config)
-    modes = solve_axial_modes(chain_file.config)
+    """The ``modes.v1`` table: per mode its frequency, the in-phase marker,
+    then per-ion ground-state amplitudes and Lamb-Dicke parameters (rad/s
+    and metres, as the chain file is SI)."""
+    modes = solve_axial_modes(read_chain_file(args.config).config)
+    n = modes.n_ions
     if args.format == "csv":
-        with _open_out(args.out) as out:
-            modes_to_csv(modes, out)
+        header = (["mode", "frequency", "in_phase"]
+                  + [f"amp_{i}" for i in range(n)]
+                  + [f"eta_{i}" for i in range(n)])
+        _write_table(args.out, "modes.v1", header, (
+            [str(k), modes.frequencies[k], "1" if k == 0 else "0",
+             *modes.ground_state_amplitudes[:, k], *modes.lamb_dicke[:, k]]
+            for k in range(n)))
     else:
         _write_json({
-            "schema": MODES_CSV_SCHEMA,
+            "schema": "modes.v1",
             "frequencies": modes.frequencies,
             "inphase_index": 0,
             "eigenvectors": modes.eigenvectors,
@@ -182,20 +195,6 @@ def _sweep_row(mu, outcome, carrier_rate):
     }
 
 
-def _write_sweep_csv(rows, m, path):
-    cols = ["mu", "duration", "duration_s", "fidelity"]
-    header = cols + [f"p{k}" for k in range(m + 1)] + ["error"]
-    with _open_out(path) as out:
-        out.write(f"# {SWEEP_CSV_SCHEMA}\n{','.join(header)}\n")
-        for row in rows:
-            p = row["phonon_distribution"]
-            cells = [row[c] for c in cols]
-            cells += [None] * (m + 1) if p is None else list(p)
-            cells = ["" if c is None else repr(float(c)) for c in cells]
-            cells += [(row["error"] or "").replace(",", ";")]
-            out.write(",".join(cells) + "\n")
-
-
 def cmd_sweep(args):
     chain_file = read_chain_file(args.config)
     template = _template_from_file(chain_file, args.config)
@@ -209,13 +208,20 @@ def cmd_sweep(args):
     rows = [_sweep_row(mu, outcome, args.carrier_rate)
             for mu, outcome in zip(grid, outcomes)]
     if args.format == "csv":
-        _write_sweep_csv(rows, args.m, args.out)
+        cols = ["mu", "duration", "duration_s", "fidelity"]
+        missing = [None] * (args.m + 1)
+        header = cols + [f"p{k}" for k in range(args.m + 1)] + ["error"]
+        _write_table(args.out, "sweep.v1", header, (
+            [*(row[c] for c in cols),
+             *(missing if row["phonon_distribution"] is None
+               else row["phonon_distribution"]),
+             row["error"]] for row in rows))
     else:
         for row, outcome in zip(rows, outcomes):
             row["reduced_density"] = (
                 None if isinstance(outcome, Exception)
-                else outcome.reduced_density.to_json_dict())
-        _write_json({"schema": SWEEP_CSV_SCHEMA, "m": args.m, "rows": rows},
+                else _density_json(outcome.reduced_density))
+        _write_json({"schema": "sweep.v1", "m": args.m, "rows": rows},
                     args.out)
     return 0
 
@@ -227,7 +233,7 @@ def cmd_experiment(args):
     if args.shots < 100:
         raise _UsageError("need at least 100 shots per record")
     chain_file = read_chain_file(args.config)
-    report = run_experiment(chain_file, args.shots, _resolve_seed(args.seed),
+    report = run_experiment(chain_file, args.shots, _checked_seed(args.seed),
                             model=_model_from_args(args))
     _write_json(report, args.out)
     return 0
@@ -287,7 +293,7 @@ def cmd_fit(args):
     cal = calibrate(hist_bright, hist_dark, t_detect=args.t_detect)
     cm = composite_dists(cal.model, args.n_max)
     fit = ml_fit(shots, cm, n_bootstrap=args.bootstrap,
-                 seed=_resolve_seed(args.seed))
+                 seed=_checked_seed(args.seed))
     _write_json({
         "schema": "fit.v1",
         "populations": fit.populations,
@@ -311,7 +317,7 @@ def cmd_synth(args):
     if args.shots < 0:
         raise _UsageError("--shots must be >= 0")
     cm = composite_dists(_model_from_args(args))
-    counts = synthesize_shots(c, cm, args.shots, _resolve_seed(args.seed))
+    counts = synthesize_shots(c, cm, args.shots, _checked_seed(args.seed))
     with _open_out(args.out) as out:
         for value in counts:
             out.write(f"{value}\n")
@@ -356,7 +362,7 @@ def build_parser():
     p_exp.add_argument("--config", required=True,
                        help="chain config file (needs ancilla_index)")
     p_exp.add_argument("--shots", type=int, default=50000)
-    p_exp.add_argument("--seed", type=int, default=None)
+    p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", default="-")
     _add_model_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
@@ -370,7 +376,7 @@ def build_parser():
     p_fit.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p_fit.add_argument("--t-detect", type=float, default=DEFAULT_T_DETECT)
     p_fit.add_argument("--bootstrap", type=int, default=DEFAULT_N_BOOTSTRAP)
-    p_fit.add_argument("--seed", type=int, default=None)
+    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", default="-")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -379,7 +385,7 @@ def build_parser():
     p_synth.add_argument("--c1", type=float, required=True)
     p_synth.add_argument("--c2", type=float, required=True)
     p_synth.add_argument("--shots", type=int, default=10000)
-    p_synth.add_argument("--seed", type=int, default=None)
+    p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", default="-")
     _add_model_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)

@@ -44,13 +44,6 @@ class QubitDensity:
         if min_eig < -1e-10:
             raise ValueError(f"density matrix not PSD (min eigenvalue {min_eig:.3e})")
 
-    def to_json_dict(self):
-        return {
-            "n_qubits": self.n_qubits,
-            "matrix": [[[float(v.real), float(v.imag)] for v in row]
-                       for row in self.matrix],
-        }
-
 
 def collective_rotation(theta, phi, n):
     """The same rotation applied to every one of n qubits: R(theta,phi)^{(x)n},

@@ -452,7 +452,8 @@ def state_from_json_dict(data):
 
 
 def density_from_json_dict(data):
-    """Reader for QubitDensity.to_json_dict."""
+    """Reader for ``cli._density_json``, the ``reduced_density`` of a
+    ``sweep --format json`` row."""
     rho = np.array([[complex(re, im) for re, im in row]
                     for row in data["matrix"]])
     return QubitDensity(matrix=rho, n_qubits=int(data["n_qubits"]))

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from conftest import (assert_identity_semantics, length_scale,
@@ -9,10 +7,11 @@ from hypothesis import strategies as st
 
 from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
                       LambDickeWarning, coupling_strengths,
-                      fidelity_vs_mass_ratio, modes_to_csv,
-                      read_chain_file, scaled_gradient, scaled_hessian,
-                      solve_axial_modes, solve_equilibrium)
+                      fidelity_vs_mass_ratio, read_chain_file,
+                      scaled_gradient, scaled_hessian, solve_axial_modes,
+                      solve_equilibrium)
 from dickesim import chain as chain_mod
+from dickesim.cli import main
 from dickesim.errors import DataError, UnstableCrystalError
 
 # closed forms: two ions at +-a with 2a^3 = ... dV/da = 2a - 1/(2a^2) = 0
@@ -580,12 +579,13 @@ def test_mass_column_scales_the_reference_mass():
     assert template.config_for(2.0).masses == (25.0, 24.0, 48.0, 26.0)
 
 
-def test_modes_csv_export():
-    cfg = ChainConfig(masses=(1.0, 1.0, 1.0))
-    modes = solve_axial_modes(cfg)
-    buf = io.StringIO()
-    modes_to_csv(modes, buf)
-    lines = buf.getvalue().strip().splitlines()
+def test_modes_csv_export(tmp_path):
+    # unit masses at omega_z = 1 rad/s: the in-phase mode is at 1 rad/s
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(f"masses = 1, 1, 1\nomega_z = {1 / (2 * np.pi)!r}\n")
+    out = tmp_path / "modes.csv"
+    assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
     assert lines[0] == "# modes.v1"
     header = lines[1].split(",")
     assert header == ["mode", "frequency", "in_phase",

@@ -385,15 +385,17 @@ def test_synth_deterministic(tmp_path):
     assert all(0 <= v <= 100 for v in values)
 
 
-def test_synth_env_seed_override(tmp_path, monkeypatch):
-    out_a = tmp_path / "a.txt"
-    out_b = tmp_path / "b.txt"
-    base = ["synth", "--c0", "1", "--c1", "0", "--c2", "0", "--shots", "100"]
+def test_synth_seed_comes_from_the_flag_alone(tmp_path, monkeypatch):
+    # the environment is not a seed source: no --seed is --seed 0
+    out_env = tmp_path / "env.txt"
+    out_zero = tmp_path / "zero.txt"
+    base = ["synth", "--c0", "0.1", "--c1", "0.8", "--c2", "0.1",
+            "--shots", "200"]
     monkeypatch.setenv("DICKESIM_SEED", "42")
-    assert main(base + ["--out", str(out_a)]) == 0
+    assert main(base + ["--out", str(out_env)]) == 0
     monkeypatch.delenv("DICKESIM_SEED")
-    assert main(base + ["--seed", "42", "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+    assert main(base + ["--seed", "0", "--out", str(out_zero)]) == 0
+    assert out_env.read_bytes() == out_zero.read_bytes()
 
 
 def test_synth_rejects_bad_simplex():
@@ -421,15 +423,12 @@ def _seeded_command(command, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "experiment"])
-@pytest.mark.parametrize("source", ["--seed", "DICKESIM_SEED"])
-def test_negative_seed_exits_1(tmp_path, capsys, monkeypatch, command, source):
+@pytest.mark.parametrize("source", ["--seed"])
+def test_negative_seed_exits_1(tmp_path, capsys, command, source):
     out = tmp_path / "out.txt"
-    args = _seeded_command(command, tmp_path) + ["--out", str(out)]
+    args = _seeded_command(command, tmp_path) + ["--out", str(out),
+                                                 source, "-1"]
     capsys.readouterr()
-    if source == "--seed":
-        args += ["--seed", "-1"]
-    else:
-        monkeypatch.setenv("DICKESIM_SEED", "-3")
     assert main(args) == 1
     assert f"{source} must be >= 0" in capsys.readouterr().err
     assert not out.exists()

@@ -7,6 +7,7 @@ from conftest import (QubitState, assert_identity_semantics,
                       state_to_json_dict, w_fidelity_analytic)
 
 from dickesim import QubitDensity, collective_rotation, rotated_density
+from dickesim.cli import _density_json
 
 
 def random_density(n_qubits, rng):
@@ -281,7 +282,7 @@ def test_state_json_round_trip():
 def test_density_json_round_trip():
     rng = np.random.default_rng(21)
     rho = random_density(2, rng)
-    back = density_from_json_dict(rho.to_json_dict())
+    back = density_from_json_dict(_density_json(rho))
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
 
 

@@ -34,7 +34,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -135,7 +134,6 @@ def run(src, workdir):
     (where the outputs stay) and print one digest line per output."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
-    os.environ.pop("DICKESIM_SEED", None)
     import dickesim.cli
 
     if not Path(dickesim.__file__).resolve().is_relative_to(src):
