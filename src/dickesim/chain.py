@@ -51,7 +51,8 @@ class ChainConfig:
     masses : sequence of float
         Atomic masses in u, ordered by position along the chain axis.
     reference_index : int
-        Index of the ion whose single-ion axial frequency is ``omega_z``.
+        Index of the ion whose single-ion axial frequency is ``omega_z``:
+        an int or a numpy integer (kept as an int), not a bool.
     omega_z : float or None
         Angular axial trap frequency of the reference ion alone (rad/s).
         None, the default, reports modes in scaled units: charge,
@@ -75,6 +76,8 @@ class ChainConfig:
             raise ValueError("masses, omega_z and k_projection must be finite")
         if any(m <= 0 for m in self.masses):
             raise ValueError("all masses must be positive")
+        _check_integer(self.reference_index, "reference_index")
+        object.__setattr__(self, "reference_index", int(self.reference_index))
         if not 0 <= self.reference_index < len(self.masses):
             raise ValueError("reference_index out of range")
         if self.omega_z is not None and self.omega_z <= 0:

@@ -178,6 +178,12 @@ def _composites(model, n_max):
 
 
 @lru_cache(maxsize=32)
+def _cached_composites(model, n_max):
+    pmat = _composites(model, n_max)[0]
+    pmat.setflags(write=False)
+    return pmat
+
+
 def composite_dists(model, n_max=DEFAULT_N_MAX):
     """Composite count distributions for two equally illuminated ions, as
     one read-only (3, n_max+1) array whose row i holds P(n|i) for i bright
@@ -188,11 +194,19 @@ def composite_dists(model, n_max=DEFAULT_N_MAX):
     P(n|2) = P_bg * P_down * P_down.
 
     The array is cached per (model, n_max): every caller gets the same
-    object back, which is why it is read-only.
+    object back, which is why it is read-only.  ``n_max`` is an int or a
+    numpy integer (a bool is neither) of at least 1; anything else raises
+    ValueError before the cache is read.
     """
-    pmat = _composites(model, n_max)[0]
-    pmat.setflags(write=False)
-    return pmat
+    _check_integer(n_max, "n_max")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return _cached_composites(model, int(n_max))
+
+
+# the cache's counters and reset, under the public name
+composite_dists.cache_info = _cached_composites.cache_info
+composite_dists.cache_clear = _cached_composites.cache_clear
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,11 +650,19 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     (0, or at least 2).
     The fit enforces the pi period of a two-qubit parity oscillation, so
     its offset is the coherence term: the two-phase average
-    (parity(0) + parity(pi/2)) / 2 of the fitted curve.
+    (parity(0) + parity(pi/2)) / 2 of the fitted curve.  Phases that
+    leave its three parameters unidentified, such as fewer than three
+    distinct phases modulo pi, raise IdentifiabilityError before any fit.
     """
     scans = list(scans)
     phases = np.array([float(phi) for phi, _ in scans])
     _check_phases(phases)
+    design = np.column_stack([np.cos(2 * phases), np.sin(2 * phases),
+                              np.ones_like(phases)])
+    if np.linalg.matrix_rank(design) < 3:
+        raise IdentifiabilityError(
+            "the analysis phases do not fix the pi-periodic fit: need at "
+            "least 3 distinct phases modulo pi")
 
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
@@ -649,8 +671,6 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     parities = np.array([parity_from_fit(fit) for fit in fits])
     errors = np.array([parity_std_from_fit(fit) for fit in fits], dtype=float)
 
-    design = np.column_stack([np.cos(2 * phases), np.sin(2 * phases),
-                              np.ones_like(phases)])
     have_errors = bool(np.all(np.isfinite(errors)))
     if have_errors:
         # boundary-pinned fits can bootstrap to sigma ~ 0; floor the

@@ -339,6 +339,30 @@ def test_template_accepts_a_numpy_integer_slot():
     assert direct.config_for(2.0).masses == (1.0, 2.0, 1.0)
 
 
+def test_symmetric_template_needs_a_qubit():
+    with pytest.raises(ValueError, match="at least one qubit ion"):
+        ChainTemplate.symmetric(0)
+
+
+@pytest.mark.parametrize("reference", [True, 1.5, np.float64(1)])
+def test_config_rejects_a_reference_index_that_is_no_integer(reference):
+    with pytest.raises(ValueError,
+                       match="reference_index must be an integer"):
+        ChainConfig(masses=(1.0, 2.0, 1.0), reference_index=reference)
+
+
+def test_config_takes_a_numpy_integer_reference_index():
+    config = ChainConfig(masses=(1.0, 2.0, 1.0), reference_index=np.int64(1))
+    plain = ChainConfig(masses=(1.0, 2.0, 1.0), reference_index=1)
+    assert type(config.reference_index) is int
+    assert config == plain
+    modes, plain_modes = solve_axial_modes(config), solve_axial_modes(plain)
+    for name in ("frequencies", "eigenvectors", "ground_state_amplitudes",
+                 "lamb_dicke"):
+        assert np.array_equal(getattr(modes, name),
+                              getattr(plain_modes, name))
+
+
 @pytest.mark.parametrize("units", [
     {},  # omega_z None: scaled units
     {"omega_z": 2 * np.pi * 2.55e6, "k_projection": 1.1e7},

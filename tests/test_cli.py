@@ -80,6 +80,21 @@ def test_modes_missing_file_exits_2(tmp_path):
     assert main(["modes", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_modes_without_out_writes_stdout(tmp_path, capsys):
+    cfg = write_chain(tmp_path)
+    out = tmp_path / "modes.csv"
+    assert main(["modes", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["modes", "--config", cfg]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_modes_empty_masses_exits_2(tmp_path, capsys):
+    cfg = write_chain(tmp_path, masses="")
+    assert main(["modes", "--config", cfg]) == 2
+    assert "chain.cfg: masses list is empty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("masses,omega", [
     ("25, 25, 27", "nan"),
     ("nan, 25", "2.55e6"),
@@ -246,6 +261,20 @@ def test_sweep_bad_flag_exits_1(tmp_path, capsys, flags, message):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--mu-points", "3",
                  "--out", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    ("sweep", "--mu-points must be >= 1"),
+    ("synth", "--shots must be >= 0"),
+])
+def test_count_flag_below_range_exits_1(tmp_path, capsys, command, message):
+    args = (["sweep", "--config", write_chain(tmp_path), "--mu-points", "0"]
+            if command == "sweep" else
+            ["synth", "--c0", "1", "--c1", "0", "--c2", "0", "--shots", "-1"])
+    out = tmp_path / "out.txt"
+    assert main(args + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -533,6 +562,23 @@ def test_fit_count_beyond_n_max_names_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "shots.txt:3" in err
     assert "400" in err
+
+
+@pytest.mark.parametrize("target,text,fragment", [
+    ("shots", "3\n2.5\n", "shots.txt:2: not an integer count"),
+    ("ref", "n,count\n0,10\n1,2,3\n", "ref.csv:3: expected 'n,count'"),
+    ("ref", "n,count\n0,ten\n", "ref.csv:2: bad histogram row"),
+    ("ref", "n,count\n0,10\n11,2\n", "ref.csv:3: bin 11 outside [0, 10]"),
+], ids=["shot-not-integer", "three-fields", "non-numeric", "bin-above-n-max"])
+def test_fit_bad_input_line_exits_2(tmp_path, capsys, target, text, fragment):
+    shots = tmp_path / "shots.txt"
+    shots.write_text("3\n5\n")
+    refs = tmp_path / "ref.csv"
+    refs.write_text("n,count\n0,10\n1,20\n")
+    (shots if target == "shots" else refs).write_text(text)
+    assert main(["fit", "--shots", str(shots), "--ref-bright", str(refs),
+                 "--ref-dark", str(refs), "--n-max", "10"]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["nan", "inf", "-inf"])

@@ -270,6 +270,25 @@ def test_composite_dists_hands_every_caller_one_read_only_array():
     assert np.array_equal(p, detection._composites(MODEL, 60)[0])
 
 
+@pytest.mark.parametrize("n_max,message", [
+    (2.5, "n_max must be an integer"), (True, "n_max must be an integer"),
+    (0, "n_max must be >= 1"), (-1, "n_max must be >= 1"),
+], ids=["2.5", "True", "0", "-1"])
+def test_composite_dists_takes_a_positive_integer_n_max(n_max, message):
+    # 2.5 gave rows summing to 1.19 and True a (3, 2) array, even past
+    # the cached entry of n_max = 1; -1 gave a bare IndexError
+    composite_dists(MODEL, 1)
+    with pytest.raises(ValueError, match=message):
+        composite_dists(MODEL, n_max)
+
+
+def test_composite_dists_caches_a_numpy_integer_n_max_as_its_int():
+    p = composite_dists(MODEL, 60)
+    size = composite_dists.cache_info().currsize
+    assert composite_dists(MODEL, np.int64(60)) is p
+    assert composite_dists.cache_info().currsize == size
+
+
 def test_composite_one_bright_matches_monte_carlo():
     cm = composite_dists(MODEL, n_max=100)
     oracle = repump_oracle(MODEL, n_max=100,
@@ -308,6 +327,21 @@ def test_synthesize_rejects_nan_population():
     cm = composite_dists(MODEL)
     with pytest.raises(ValueError, match="populations must be non-negative"):
         synthesize_shots((np.nan, 0.5, 0.5), cm, 10, seed=1)
+
+
+@pytest.mark.parametrize("populations,n_shots,message", [
+    ((0.1, 0.8, 0.1), -1, "n_shots must be >= 0"),
+    ((0.5, 0.5), 10, "populations length"),
+])
+def test_synthesize_rejects_bad_sizes(populations, n_shots, message):
+    with pytest.raises(ValueError, match=message):
+        synthesize_shots(populations, composite_dists(MODEL), n_shots, seed=1)
+
+
+def test_pearson_chi2_merges_a_small_histogram_into_one_bin():
+    # an expected count of 3 never reaches 5, so every bin merges into one
+    hist = np.array([3.0, 0.0, 0.0])
+    assert detection._pearson_chi2(hist, np.array([0.2, 0.3, 0.5])) == (0.0, 1)
 
 
 def test_synthesize_law_of_large_numbers():
@@ -1014,6 +1048,27 @@ def test_parity_scan_needs_four_phases():
     scans = _scan_shots(rho, [0.0, 0.5, 1.0], 500, seed=44)
     with pytest.raises(IdentifiabilityError):
         parity_scan_analysis(scans, composite_dists(MODEL))
+
+
+@pytest.mark.parametrize("phases", [
+    np.arange(4) * np.pi / 2,  # two distinct phases modulo pi
+    np.arange(4) * np.pi,  # one
+], ids=["two-mod-pi", "one-mod-pi"])
+def test_parity_scan_needs_three_phases_modulo_pi(phases):
+    # four distinct phases, but the pi-periodic fit's design has rank 2
+    # (resp. 1); the first set gave amplitude 1.5e14 +- 8.7e13
+    rho = dicke_state(2, 1).density()
+    scans = _scan_shots(rho, phases, 500, seed=49)
+    with pytest.raises(IdentifiabilityError, match="modulo pi"):
+        parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
+
+
+def test_parity_scan_fits_four_phases_with_three_modulo_pi():
+    rho = dicke_state(2, 1).density()
+    scans = _scan_shots(rho, [0.0, np.pi / 4, np.pi / 2, np.pi], 500, seed=49)
+    res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
+    assert np.isfinite(res.amplitude) and np.isfinite(res.offset)
+    assert res.amplitude < 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -279,6 +279,11 @@ def test_state_json_round_trip():
     assert back.amplitudes == pytest.approx(state.amplitudes)
 
 
+def test_collective_rotation_needs_a_qubit():
+    with pytest.raises(ValueError, match="at least one qubit"):
+        collective_rotation(np.pi / 2, 0.0, 0)
+
+
 def test_density_json_round_trip():
     rng = np.random.default_rng(21)
     rho = random_density(2, rng)

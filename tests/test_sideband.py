@@ -104,6 +104,14 @@ def test_sector_takes_integers(n_qubits, m, name):
         ExcitationSector(n_qubits=n_qubits, m=m)
 
 
+@pytest.mark.parametrize("n_qubits,m,message", [
+    (0, 1, "at least one qubit"), (2, -1, "excitation number must be >= 0"),
+])
+def test_sector_rejects_sizes_out_of_range(n_qubits, m, message):
+    with pytest.raises(ValueError, match=message):
+        ExcitationSector(n_qubits, m)
+
+
 def test_sector_accepts_numpy_integers():
     sector = ExcitationSector(n_qubits=np.int64(4), m=np.int32(2))
     assert sector == ExcitationSector(n_qubits=4, m=2)
