@@ -30,6 +30,7 @@ from .experiment import (DEFAULT_MODEL, _calibration_section,
                          _population_fit_entries, run_experiment)
 from .sideband import fidelity_vs_mass_ratio
 
+
 class _UsageError(Exception):
     pass
 
