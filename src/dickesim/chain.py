@@ -464,9 +464,11 @@ def text_lines(path):
 def read_chain_file(path):
     """Read a plain-text key/value chain description.
 
-    Recognized keys: ``masses`` (comma-separated, u), ``omega_z`` (Hz),
-    ``reference_index``, ``k_projection`` (1/m), ``ancilla_index``.
-    ``#`` starts a comment.  The resulting config is in SI units, with
+    Recognized keys: ``masses`` (u), ``omega_z`` (Hz), ``reference_index``,
+    ``k_projection`` (1/m), ``ancilla_index``.  ``masses`` is one comma
+    list with a number in every entry, so an empty entry, a trailing comma
+    or a whitespace-separated list is a line-numbered DataError.  ``#``
+    starts a comment.  The resulting config is in SI units, with
     ``omega_z`` in rad/s.
     """
     entries = {}
@@ -492,11 +494,8 @@ def read_chain_file(path):
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
 
-    masses = _parse("masses",
-                    lambda v: tuple(float(x) for x in v.replace(",", " ").split()),
+    masses = _parse("masses", lambda v: tuple(map(float, v.split(","))),
                     required=True)
-    if not masses:
-        raise DataError(f"{path}: masses list is empty")
     omega_z_hz = _parse("omega_z", float, required=True)
     reference_index = _parse("reference_index", int, default=0)
     k_projection = _parse("k_projection", float, default=1.0)

@@ -478,8 +478,10 @@ def synthesize_shots(populations, cm, n_shots, seed):
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Fitted readout model plus goodness-of-fit diagnostics (Pearson chi^2
-    with tail bins merged to expected counts >= 5)."""
+    """Fitted readout model plus goodness-of-fit diagnostics: the Pearson
+    chi^2 of each reference histogram, whose bins merge from the left until
+    each expects at least 5 counts, a short remainder joining the last bin,
+    and whose degrees of freedom are the number of merged bins - 1."""
 
     model: ReadoutModel
     log_likelihood: float
@@ -504,29 +506,20 @@ def _check_reference(hist, name):
 
 
 def _pearson_chi2(hist, probs):
-    """Pearson chi^2 after merging low-expectation bins (from the right)."""
-    n = float(np.sum(hist))
-    expected = probs * n
-    obs_m, exp_m = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(hist, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs_m.append(acc_o)
-            exp_m.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0:
-        if exp_m:
-            obs_m[-1] += acc_o
-            exp_m[-1] += acc_e
+    """Pearson chi^2 and its bins - 1 degrees of freedom, bins merged from
+    the left until each expects at least 5 counts."""
+    bins = []
+    for row in np.column_stack((hist, probs * float(np.sum(hist)))):
+        if bins and bins[-1][1] < 5.0:
+            bins[-1] += row
         else:
-            obs_m.append(acc_o)
-            exp_m.append(acc_e)
-    obs_m = np.asarray(obs_m)
-    exp_m = np.asarray(exp_m)
-    chi2 = float(np.sum((obs_m - exp_m) ** 2 / exp_m))
-    return chi2, max(len(obs_m) - 1, 1)
+            bins.append(row)
+    # a short remainder joins the last full bin, so no count is dropped
+    if len(bins) > 1 and bins[-1][1] < 5.0:
+        remainder = bins.pop()
+        bins[-1] += remainder
+    obs, exp = np.array(bins).T
+    return float(np.sum((obs - exp) ** 2 / exp)), len(bins) - 1
 
 
 def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):

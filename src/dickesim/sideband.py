@@ -119,13 +119,12 @@ def rsb_hamiltonian(sector, couplings):
     if om.ndim not in (1, 2) or om.shape[-1] != n:
         raise ValueError(f"need exactly {n} couplings, got {om.shape}")
     # sigma_i^+ a takes |q, k> to |q with qubit i up, k - 1> with amplitude
-    # sqrt(k); the target has one more up qubit, so it is in the sector too
-    position = np.zeros(2**n, dtype=int)
-    position[sector.qubits] = np.arange(sector.dimension)
+    # sqrt(k); the target has one more up qubit, so it is in the sector too,
+    # and the sorted qubit indices give its position
     bits = 1 << (n - 1 - np.arange(n))
     src, qubit = np.nonzero(((sector.qubits[:, None] & bits) == 0)
                             & (sector.phonons[:, None] > 0))
-    dst = position[sector.qubits[src] | bits[qubit]]
+    dst = np.searchsorted(sector.qubits, sector.qubits[src] | bits[qubit])
     lower = np.zeros(om.shape[:-1] + (sector.dimension, sector.dimension))
     lower[..., dst, src] = 0.5 * om[..., qubit] * np.sqrt(sector.phonons[src])
     return lower + np.swapaxes(lower, -1, -2)

@@ -428,6 +428,15 @@ def test_chain_file_rejects_malformed(tmp_path, content):
         read_chain_file(path)
 
 
+@pytest.mark.parametrize("masses", ["25,,25, 27", "25, 25,", "25 25 27"])
+def test_chain_file_masses_are_one_comma_list(tmp_path, masses):
+    # every comma-separated entry must be one number
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"masses = {masses}\nomega_z = 1e6\n")
+    with pytest.raises(DataError, match=r"bad\.cfg:1: bad value for masses"):
+        read_chain_file(path)
+
+
 _FUZZ_NUMBERS = st.one_of(
     st.floats().map(repr),
     st.floats(min_value=1e-3, max_value=1e9).map(repr),

@@ -92,7 +92,15 @@ def test_modes_without_out_writes_stdout(tmp_path, capsys):
 def test_modes_empty_masses_exits_2(tmp_path, capsys):
     cfg = write_chain(tmp_path, masses="")
     assert main(["modes", "--config", cfg]) == 2
-    assert "chain.cfg: masses list is empty" in capsys.readouterr().err
+    assert "chain.cfg:1: bad value for masses: ''" in capsys.readouterr().err
+
+
+def test_modes_masses_with_an_empty_entry_exits_2(tmp_path, capsys):
+    # the empty entry is an error, not a 3-ion chain
+    cfg = write_chain(tmp_path, masses="25,,25, 27")
+    assert main(["modes", "--config", cfg]) == 2
+    assert ("chain.cfg:1: bad value for masses: '25,,25, 27'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("masses,omega", [

@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (assert_identity_semantics, dark_ion_dist, dicke_state,
-                      em_fit, ml_fit_sequential, observed_information,
-                      simplex_covariance, squarem_em)
+from conftest import (assert_identity_semantics, bright_populations_loop,
+                      dark_ion_dist, dicke_state, em_fit, ml_fit_sequential,
+                      observed_information, simplex_covariance, squarem_em)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
@@ -19,7 +19,6 @@ from dickesim import (ConvergenceError, DataError, FitResult,
                       synthesize_shots)
 from dickesim import detection
 from dickesim.detection import _fold_convolve, _folded_poisson, _newton
-from dickesim.dicke import weights
 
 
 def tv_distance(p, q):
@@ -68,16 +67,6 @@ def repump_oracle(model, n_max, extra_mean=0.0, n_samples=1_000_000, seed=0):
         pm[-1, :] += stats.poisson.sf(n_max, means)
         p += np.sum(pm, axis=1)
     return p / n_samples
-
-
-def bright_populations(rho):
-    """(c0, c1, c2) = probabilities of 0/1/2 ions bright (down)."""
-    diag = np.real(np.diag(rho.matrix))
-    ups = weights(rho.n_qubits)
-    c = np.zeros(3)
-    for idx, w in enumerate(ups):
-        c[2 - w] += max(diag[idx], 0.0)
-    return c / np.sum(c)
 
 
 MODEL = ReadoutModel(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
@@ -343,8 +332,15 @@ def test_pearson_chi2_merges_a_small_histogram_into_one_bin():
     # one, whose observed count equals its expected one; unmerged, the
     # three bins would give chi^2 = 12
     hist = np.array([3.0, 0.0, 0.0])
-    chi2, _ = detection._pearson_chi2(hist, np.array([0.2, 0.3, 0.5]))
-    assert chi2 == 0.0
+    assert detection._pearson_chi2(hist, np.array([0.2, 0.3, 0.5])) == (0.0, 0)
+
+
+def test_pearson_chi2_keeps_the_counts_of_a_zero_probability_tail():
+    # the tail expects 0 counts but holds 3, which join the last full bin
+    # (200 expected, 197 + 3 observed); dropped, they would give 0.045
+    hist = np.array([500.0, 300.0, 197.0, 0.0, 3.0])
+    probs = np.array([0.5, 0.3, 0.2, 0.0, 0.0])
+    assert detection._pearson_chi2(hist, probs) == (0.0, 2)
 
 
 def test_synthesize_law_of_large_numbers():
@@ -970,7 +966,7 @@ def _scan_shots(rho, phases, shots_per_phase, seed, double=False):
     scans = []
     for phi, s in zip(phases, seeds):
         rotated = rotated_density(base, np.pi / 2, phi)
-        scans.append((phi, synthesize_shots(bright_populations(rotated),
+        scans.append((phi, synthesize_shots(bright_populations_loop(rotated),
                                             cm, shots_per_phase, s)))
     return scans
 
@@ -1096,6 +1092,17 @@ def test_estimate_period_on_clean_sinusoid():
     assert estimate_period(phis, values) == pytest.approx(np.pi, rel=1e-6)
 
 
+def test_estimate_period_reports_a_fit_that_does_not_converge(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("Optimal parameters not found")
+
+    monkeypatch.setattr(optimize, "curve_fit", failing)
+    phis = np.linspace(0, np.pi, 16)
+    with pytest.raises(DataError, match="period fit did not converge: "
+                       "Optimal parameters not found"):
+        estimate_period(phis, np.cos(2 * phis))
+
+
 @pytest.mark.parametrize("phases", [[0.0, 1.0, 2.0],
                                     [0.0, 0.0, 1.0, 1.0, 2.0]])
 def test_estimate_period_needs_four_distinct_phases(phases):
@@ -1130,7 +1137,8 @@ def test_parity_scan_on_imperfect_state_recovers_coherence():
         np.pi, rel=0.03)
 
     # full fidelity assembly: fitted odd population plus coherence, halved
-    direct = synthesize_shots(bright_populations(rho), cm, 30_000, seed=54)
+    direct = synthesize_shots(bright_populations_loop(rho), cm, 30_000,
+                              seed=54)
     fit = ml_fit(direct, cm, n_bootstrap=0)
     fidelity = 0.5 * (fit.populations[1] + res.offset)
     assert fidelity == pytest.approx(0.77, abs=0.015)
