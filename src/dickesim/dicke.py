@@ -19,7 +19,8 @@ from ._frozen import freeze
 def weights(n_qubits):
     """Excitation count (number of up qubits, the set bits of the index)
     of every basis state, as an integer array."""
-    return np.array([b.bit_count() for b in range(2**n_qubits)])
+    bits = np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)
+    return (bits & 1).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,20 @@ m phonons never leaves the m-excitation sector: the states
 ``|q> (x) |m - popcount(q) phonons>`` with ``popcount(q) <= m``.  There are
 ``sum_{k<=m} C(N, k)`` of them (638 at N = 10, m = 5, against the
 ``2^N (m + 1)`` = 6144 of the qubit-times-Fock space), and the dynamics
-are solved exactly on them.  The phonon number fixes the qubit weight, so
-the reduced qubit density is block-diagonal by weight; it is built only
-when a caller reads it from a pulse result (a sweep row is its pulse
-result or the exception the row raised).
+are solved exactly on them.  Each term of H flips one qubit, so H links
+only states whose up-qubit counts differ by one: the sector splits into an
+even-count half E, which holds the start state, and an odd-count half O,
+and H is ``[[0, B], [B^T, 0]]``.  One thin SVD ``B = U S V^T`` gives the
+whole spectrum, ``+-s_k`` and ``|De - Do|`` zeros, and the pulse
+``psi_E(t) = e_0 + U (cos St - 1) U[0]^T``,
+``psi_O(t) = -i V sin St U[0]^T``.  The Dicke target lies in one half, by
+the parity of m, so its amplitude is real up to a phase,
+``A(t) = sum_k a_k g(s_k t)`` with g = sin for odd m and cos - 1 for even
+m, and ``F = A^2`` is a sum over ``min(De, Do)`` real frequencies.  The
+phonon number fixes the qubit weight, so the reduced qubit density is
+block-diagonal by weight; it is built only when a caller reads it from a
+pulse result (a sweep row is its pulse result or the exception the row
+raised).
 
 Times are dimensionless throughout, in units of 1/Omega_0, the carrier
 Rabi rate in which the couplings are given.
@@ -24,13 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from . import chain as chain_mod
 from ._frozen import freeze
-from .dicke import QubitDensity, weights
+from .dicke import QubitDensity
 from .errors import SearchError, _check_integer, unwrap
 
 GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
@@ -38,7 +49,9 @@ MAX_PERIODS = 20.0  # the scan stops at MAX_PERIODS * pi / Omega'
 NEWTON_RTOL = 1e-13  # the refine stops at a Newton step of at most this * t
 NEWTON_CAP = 50  # Newton steps a row may take before it fails
 # the search solves a coupling stack in chunks that hold this many bytes of
-# each row's largest block: its D x D Hamiltonian or its F(t) scan block
+# each row's largest block: its D x D Hamiltonian or its F(t) scan block,
+# counted at 16 bytes per (grid point, state), which covers the scan's real
+# sines of r <= D / 2 frequencies and their temporaries
 CHUNK_BYTES = 1 << 20
 
 
@@ -64,10 +77,17 @@ class ExcitationSector:
             raise ValueError("need at least one qubit")
         if self.m < 0:
             raise ValueError("excitation number must be >= 0")
-        ups = weights(self.n_qubits)
-        qubits = np.flatnonzero(ups <= self.m)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "phonons", self.m - ups[qubits])
+        # the indices with k = 0..m up qubits, enumerated, then sorted
+        n = self.n_qubits
+        bits = 1 << (n - 1 - np.arange(n))
+        by_count = [np.array(list(combinations(bits, k)), dtype=int)
+                    .reshape(comb(n, k), k).sum(axis=1)
+                    for k in range(min(self.m, n) + 1)]
+        qubits = np.concatenate(by_count)
+        ups = np.repeat(np.arange(len(by_count)), [len(q) for q in by_count])
+        order = np.argsort(qubits)
+        object.__setattr__(self, "qubits", qubits[order])
+        object.__setattr__(self, "phonons", self.m - ups[order])
         freeze(self, int, "qubits", "phonons")
 
     @property
@@ -144,52 +164,89 @@ def reduce_to_qubits(sector, amplitudes):
     return QubitDensity(matrix=rho, n_qubits=sector.n_qubits)
 
 
-def _fidelity(evals, weight, t):
-    """F(t_rj) = |sum_k weight_rk exp(-i E_rk t_rj)|^2 on a ``(rows,
-    times)`` block of times ``t``, each row on its own spectrum.
+def _spectrum(sector, om):
+    """The pulse on a ``(B, N)`` coupling stack, solved on the sector's two
+    parity halves from one stacked thin SVD ``B = U S V^T`` of the
+    Hamiltonian's ``De x Do`` block between them.
 
-    The sum is one BLAS product per row (a dot for a single time), and
-    |z|^2 is hypot(Re z, Im z) squared by pow, which keeps the bits of
-    ``abs(z) ** 2`` on a Python complex (``np.abs(z) ** 2`` differs in the
-    last bit on some inputs).  The scan, the refine and the full-grid test
-    oracle all read F through here, so the grid-peak test, the refine's
-    check against the grid peak and the oracle see the same bits.
+    Returns each row's frequencies ``s`` and real Dicke weights ``a``,
+    both ``(B, r)`` with ``r = min(De, Do)``, such that
+    ``F(t) = (sum_k a_k g(s_k t))^2`` (see :func:`_wave`), then ``U``
+    ``(B, De, r)``, ``V^T`` ``(B, r, Do)`` and the mask of the even half
+    over the sector's states.  ``a_k = (D.u_k) U[0, k]`` for even m and
+    ``(D.v_k) U[0, k]`` for odd m, with D the Dicke target: the
+    phonon-free states over ``sqrt(C(N, m))``, which lie in the half of
+    m's parity.  The scan, the refine and the full-grid test oracle all
+    read the spectrum here.
     """
-    phases = np.exp(-1j * evals[:, None, :] * t[:, :, None])
-    amp = (phases @ weight[:, :, None])[:, :, 0]
-    return np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+    even = (sector.m - sector.phonons) % 2 == 0
+    e, o = np.flatnonzero(even), np.flatnonzero(~even)
+    u, s, vt = np.linalg.svd(rsb_hamiltonian(sector, om)[:, e[:, None], o],
+                             full_matrices=False)
+    dicke = sector.phonons == 0
+    if sector.m % 2:
+        overlap = vt[:, :, dicke[o]].sum(axis=2)
+    else:
+        overlap = u[:, dicke[e], :].sum(axis=1)
+    weight = overlap / np.sqrt(comb(sector.n_qubits, sector.m)) * u[:, 0, :]
+    return s, weight, u, vt, even
 
 
-def _refine(evals, weight, t, lo, hi):
+def _wave(odd, x):
+    """g(x) of the Dicke amplitude ``A(t) = sum_k a_k g(s_k t)``: sin for
+    odd m, and for even m ``cos x - 1``, written ``-2 sin^2(x / 2)`` so
+    that it loses no digits near x = 0."""
+    return np.sin(x) if odd else -2.0 * np.sin(0.5 * x) ** 2
+
+
+def _fidelity(freqs, weight, odd, t):
+    """F(t_rj) = (sum_k weight_rk g(freqs_rk t_rj))^2 on a ``(rows,
+    times)`` block of times ``t``, each row on its own spectrum, with g
+    from :func:`_wave` by the parity of m.
+
+    Each sum is a reduction over the last, contiguous axis, whose rounding
+    depends on the r terms alone, not on the block's shape.  The scan, the
+    refine and the full-grid test oracle all read F through here, so the
+    grid-peak test, the refine's check against the grid peak and the
+    oracle see the same bits.
+    """
+    terms = _wave(odd, freqs[:, None, :] * t[:, :, None])
+    amp = (terms * weight[:, None, :]).sum(axis=2)
+    return amp * amp
+
+
+def _refine(freqs, weight, odd, t, lo, hi):
     """Newton's method on F'(t) = 0, each row on its own spectrum, run in
     lockstep from the times ``t`` with every step clipped to ``[lo, hi]``.
 
-    With ``s_n = sum_k E_k^n weight_k exp(-i E_k t)``, the amplitude
-    ``A = s_0`` has derivatives ``A^(n) = (-i)^n s_n``, so
-    ``F' = 2 Re(conj(A) A') = 2 Im(conj(s_0) s_1)`` and
-    ``F'' = 2 (|A'|^2 + Re(conj(A) A'')) = 2 (|s_1|^2 - Re(conj(s_0) s_2))``.
-    A row stops once F'' >= 0 (no step leads to a maximum) or once its
-    next step is at most ``NEWTON_RTOL * t``, a step it does not take.
-    Returns the end times, F there, F'' at each row's last evaluated time
-    and the rows still stepping after ``NEWTON_CAP`` steps.
+    With ``A = sum_k a_k g(s_k t)`` and ``A^(n) = sum_k a_k s_k^n
+    g^(n)(s_k t)``, where ``(g', g'') = (cos, -sin)`` for odd m and
+    ``(-sin, -cos)`` for even m, ``F' = 2 A A'`` and
+    ``F'' = 2 (A'^2 + A A'')``.  A row stops once F'' >= 0 (no step leads
+    to a maximum) or once its next step is at most ``NEWTON_RTOL * t``, a
+    step it does not take.  Returns the end times, F there, F'' at each
+    row's last evaluated time and the rows still stepping after
+    ``NEWTON_CAP`` steps.
     """
     t = np.array(t, dtype=float)
-    moments = weight[:, :, None] * evals[:, :, None] ** np.arange(3)
+    moments = weight[:, None, :] * freqs[:, None, :] ** np.arange(3)[:, None]
     curvature, rows = np.zeros(len(t)), np.arange(len(t))
     for _ in range(NEWTON_CAP):
         if not rows.size:
             break
-        phases = np.exp(-1j * evals[rows] * t[rows, None])
-        s0, s1, s2 = (phases[:, None, :] @ moments[rows])[:, 0].T
-        curvature[rows] = 2.0 * (np.abs(s1) ** 2 - (s0.conj() * s2).real)
+        x = freqs[rows] * t[rows, None]
+        sin, cos = np.sin(x), np.cos(x)
+        waves = (sin, cos, -sin) if odd else (_wave(odd, x), -sin, -cos)
+        a0, a1, a2 = (np.stack(waves, axis=1) * moments[rows]).sum(axis=2).T
+        curvature[rows] = 2.0 * (a1 * a1 + a0 * a2)
         bent = curvature[rows] < 0.0
-        step = (np.where(bent, 2.0 * (s0.conj() * s1).imag, 0.0)
+        step = (np.where(bent, 2.0 * a0 * a1, 0.0)
                 / np.where(bent, curvature[rows], -1.0))
         new = np.clip(t[rows] - step, lo[rows], hi[rows])
         moving = np.abs(new - t[rows]) > NEWTON_RTOL * t[rows]
         t[rows[moving]] = new[moving]
         rows = rows[moving]
-    return t, _fidelity(evals, weight, t[:, None])[:, 0], curvature, rows
+    return t, _fidelity(freqs, weight, odd, t[:, None])[:, 0], curvature, rows
 
 
 def _check_m(m, n):
@@ -215,8 +272,8 @@ def first_max_from_couplings(couplings, m):
 
     A ``(B, N)`` stack of coupling vectors is searched in chunks of as
     many rows as ``CHUNK_BYTES`` holds, counted by each row's largest
-    block (its D x D Hamiltonian or its complex F(t) scan block): one
-    stacked eigh, scan and refine per chunk, each row on its own grid.  A
+    block (its D x D Hamiltonian or its F(t) scan block): one
+    stacked SVD, scan and refine per chunk, each row on its own grid.  A
     row's result does not depend on its chunk.  The call then returns a
     list that holds, per row, its PulseResult or the ValueError or
     SearchError the row raises on its own.
@@ -240,7 +297,7 @@ def first_max_from_couplings(couplings, m):
     # Omega' as np.linalg.norm takes it for one vector: sqrt of a BLAS dot
     with np.errstate(invalid="ignore"):  # non-finite rows leave just below
         omega_prime = np.sqrt((om[:, None, :] @ om[:, :, None])[:, 0, 0])
-    # a row that LAPACK cannot diagonalize would fail the whole stack
+    # a row that LAPACK cannot decompose would fail the whole stack
     finite = np.all(np.isfinite(om), axis=1)
     for r in np.flatnonzero(~finite):
         outcomes[r] = ValueError("couplings must be finite")
@@ -263,12 +320,8 @@ def _search_chunk(sector, om, omega_prime):
     """The first-maximum search on a stack of finite, nonzero coupling
     rows with their Omega'; returns each row's PulseResult or SearchError.
     Its arrays go when it returns, so chunks do not pile up."""
-    evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om))
-    start = vecs[:, 0, :]
-    # |D(N,m)> with the mode in vacuum spans exactly the phonon-free states
-    dicke = (vecs[:, sector.phonons == 0, :].sum(axis=1)
-             / np.sqrt(comb(sector.n_qubits, sector.m)))
-    weight = dicke * start  # F(t) = |sum_k weight_k exp(-i E_k t)|^2
+    freqs, weight, u, vt, even = _spectrum(sector, om)
+    odd = sector.m % 2 == 1
 
     dt = np.pi / (GRID_PER_PERIOD * omega_prime)
     steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
@@ -284,7 +337,7 @@ def _search_chunk(sector, om, omega_prime):
             break
         steps = np.arange(first, min(first + span, steps_cap) + 1)
         grid = steps * dt[scanning, None]
-        f = _fidelity(evals[scanning], weight[scanning], grid)
+        f = _fidelity(freqs[scanning], weight[scanning], odd, grid)
         # grid point j + 1 is a maximum, bracketed by its neighbours, when
         # F rose into it and does not rise out of it
         is_peak = (f[:, 1:-1] > f[:, :-2]) & (f[:, 1:-1] >= f[:, 2:])
@@ -302,11 +355,16 @@ def _search_chunk(sector, om, omega_prime):
     peaked = np.setdiff1d(np.arange(len(om)), scanning)
     t_star, f_star = np.zeros(len(om)), np.zeros(len(om))
     t_star[peaked], f_star[peaked], curvature, unsettled = _refine(
-        evals[peaked], weight[peaked], *peak[peaked, :3].T)
+        freqs[peaked], weight[peaked], odd, *peak[peaked, :3].T)
     # every row of the stack, scan failures at t = 0 included, so that no
-    # row subset copies the eigenvectors
-    amps = np.exp(-1j * evals * t_star[:, None]) * start
-    states = (vecs @ amps[:, :, None])[:, :, 0]
+    # row subset copies the singular vectors: psi_E = e_0 + U (cos St - 1)
+    # U[0]^T and psi_O = -i V sin St U[0]^T
+    x = freqs * t_star[:, None]
+    states = np.zeros((len(om), sector.dimension), dtype=complex)
+    states[:, even] = (u @ (_wave(False, x) * u[:, 0, :])[:, :, None])[:, :, 0]
+    states[:, 0] += 1.0
+    states[:, ~even] = -1j * (np.swapaxes(vt, 1, 2)
+                              @ (np.sin(x) * u[:, 0, :])[:, :, None])[:, :, 0]
     for i, k in enumerate(peaked):
         if curvature[i] >= 0.0:
             why = f"F'' = {float(curvature[i])!r} >= 0: not a maximum"

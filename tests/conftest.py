@@ -174,22 +174,21 @@ def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
 def first_max_full_grid(couplings, m):
     """Duration and fidelity of the pulse search when it evaluates F(t) on
     every grid point out to the time cap before it picks the first peak:
-    the program's own sector, grid, peak test, Newton refine and F(t)
-    routine (read from :mod:`dickesim.sideband` at call time, so a patched
-    Hamiltonian, refine or F reaches both), one row at a time, without the
-    scan's early stop."""
+    the program's own sector, spectrum, grid, peak test, Newton refine and
+    F(t) routine (read from :mod:`dickesim.sideband` at call time, so a
+    patched Hamiltonian, spectrum, refine or F reaches both), one row at a
+    time, without the scan's early stop."""
     om = np.asarray(couplings, dtype=float)
     sector = sideband.ExcitationSector(n_qubits=len(om), m=m)
-    evals, vecs = np.linalg.eigh(sideband.rsb_hamiltonian(sector, om))
-    dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(len(om), m))
-    weight = dicke * vecs[0]
+    freqs, weight = sideband._spectrum(sector, om[None])[:2]
+    odd = m % 2 == 1
     dt = np.pi / (sideband.GRID_PER_PERIOD * float(np.linalg.norm(om)))
     steps_cap = int(np.ceil(sideband.GRID_PER_PERIOD * sideband.MAX_PERIODS))
     grid = np.arange(steps_cap + 1) * dt
-    f = sideband._fidelity(evals[None], weight[None], grid[None])[0]
+    f = sideband._fidelity(freqs, weight, odd, grid[None])[0]
     j = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[0]
     t_star, f_star, _, _ = sideband._refine(
-        evals[None], weight[None], grid[[j + 1]], grid[[j]], grid[[j + 2]])
+        freqs, weight, odd, grid[[j + 1]], grid[[j]], grid[[j + 2]])
     return float(t_star[0]), min(float(f_star[0]), 1.0), int(j + 1)
 
 

@@ -8,6 +8,7 @@ from conftest import (QubitState, assert_identity_semantics,
 
 from dickesim import QubitDensity, collective_rotation, rotated_density
 from dickesim.cli import _density_json
+from dickesim.dicke import weights
 
 
 def random_density(n_qubits, rng):
@@ -293,3 +294,8 @@ def test_density_json_round_trip():
 
 def test_qubit_density_compares_by_identity():
     assert_identity_semantics(lambda: dicke_state(2, 1).density())
+
+
+def test_weights_count_the_set_bits_of_every_index():
+    for n in range(13):
+        assert weights(n).tolist() == [q.bit_count() for q in range(2**n)]

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import (FullSpace, assert_identity_semantics, dicke_fidelity,
                       dicke_vector, evolve,
                       first_max_full_grid, first_max_full_space, purity,
                       w_fidelity_analytic)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
@@ -110,6 +111,23 @@ def test_sector_takes_integers(n_qubits, m, name):
 def test_sector_rejects_sizes_out_of_range(n_qubits, m, message):
     with pytest.raises(ValueError, match=message):
         ExcitationSector(n_qubits, m)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sector_equals_the_popcount_filter_of_all_qubit_states(n):
+    ups = np.array([q.bit_count() for q in range(2**n)])
+    for m in range(n + 2):
+        sector = ExcitationSector(n_qubits=n, m=m)
+        assert sector.qubits.tolist() == np.flatnonzero(ups <= m).tolist()
+        assert sector.phonons.tolist() == (m - ups[ups <= m]).tolist()
+
+
+def test_sector_size_does_not_scale_with_two_to_the_n():
+    # 1 + 30 + 435 states; a 2^30 filter would hold a billion indices
+    sector = ExcitationSector(n_qubits=30, m=2)
+    assert sector.dimension == 466
+    assert sector.qubits[-1] == 0b11 << 28
+    assert list(sector.qubits) == sorted(sector.qubits)
 
 
 def test_sector_accepts_numpy_integers():
@@ -427,10 +445,10 @@ def test_refine_failure_stays_in_its_row(monkeypatch, move, why):
     alone = [first_max_from_couplings(row, 1) for row in stack]
     refine = sideband._refine
 
-    def moved(evals, weight, t, lo, hi):
+    def moved(freqs, weight, odd, t, lo, hi):
         t, lo, hi = t.copy(), lo.copy(), hi.copy()
         t[1], lo[1], hi[1] = move(t[1], lo[1], hi[1])
-        return refine(evals, weight, t, lo, hi)
+        return refine(freqs, weight, odd, t, lo, hi)
 
     monkeypatch.setattr(sideband, "_refine", moved)
     first, failed, last = first_max_from_couplings(stack, 1)
@@ -490,8 +508,8 @@ def test_stacked_search_keeps_bad_rows_to_themselves(monkeypatch):
 
 
 def test_stacked_search_chunks_bound_the_traced_peak():
-    # measured with numpy 2.4: 4.5 MB, the returned results included,
-    # against 157.5 MB when the whole stack is one chunk
+    # measured with numpy 2.4: 3.0 MB, the returned results included,
+    # against 39.6 MB when the whole stack is one chunk
     om = np.random.default_rng(3).uniform(0.2, 1.0, size=(3001, 5))
     first_max_from_couplings(om[:1], 2)
     tracemalloc.start()
@@ -627,6 +645,44 @@ def test_first_peak_scan_matches_full_grid_oracle(case):
     res = first_max_from_couplings(om, m)
     t_star, f_star, _ = first_max_full_grid(om, m)
     assert (res.duration, res.fidelity) == (t_star, f_star)
+
+
+@st.composite
+def equal_or_distinct_couplings(draw):
+    """:func:`couplings_and_m`, with all couplings set equal (degenerate
+    frequencies) in about half the draws."""
+    om, m = draw(couplings_and_m())
+    return (np.full(len(om), om[0]) if draw(st.booleans()) else om), m
+
+
+@example((np.ones(1), 1))  # N = 1: one state in each half
+@example((np.array([0.4, 0.9, 1.3, 0.7]), 2))  # De = 7 > Do = 4
+@example((np.array([0.3, 1.1, 0.6, 0.9, 1.4]), 1))  # De = 1 < Do = 5
+@example((np.full(6, 0.8), 3))  # De = 16 < Do = 26, degenerate s
+@example((np.full(5, 1.2), 2))  # De = 11 > Do = 5, degenerate s
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(equal_or_distinct_couplings())
+def test_parity_split_matches_the_dense_eigenbasis(case):
+    # the SVD of the E-O block against eigh of the whole sector
+    # Hamiltonian, and the state it builds against full-space expm
+    om, m = case
+    n, omega_prime = len(om), np.linalg.norm(om)
+    sector = ExcitationSector(n_qubits=n, m=m)
+    evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om))
+    freqs, weight, _, _, even = sideband._spectrum(sector, om[None])
+    zeros = np.zeros(abs(np.count_nonzero(even) - np.count_nonzero(~even)))
+    split = np.sort(np.concatenate([freqs[0], -freqs[0], zeros]))
+    assert np.max(np.abs(split - evals)) < 1e-12 * omega_prime
+    t = np.linspace(0.0, 3.0 * np.pi / omega_prime, 151)
+    dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(n, m))
+    amp = np.exp(-1j * np.outer(t, evals)) @ (dicke * vecs[0])
+    f = sideband._fidelity(freqs, weight, m % 2 == 1, t[None])[0]
+    assert np.max(np.abs(f - np.abs(amp) ** 2)) < 1e-12
+    res = first_max_from_couplings(om, m)
+    space = FullSpace(n_qubits=n, cutoff=m)
+    psi = evolve(space.initial_state(m), space.hamiltonian(om), res.duration)
+    rows = [space.index(q, k) for q, k in zip(sector.qubits, sector.phonons)]
+    assert np.max(np.abs(psi[rows] - res.state)) < 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -813,6 +869,26 @@ def test_sweep_keep_density():
 
 
 # --- batched sweeps: a row does not depend on its chunk ------------------------
+
+
+def test_sweep_runs_without_a_dense_eigh(monkeypatch):
+    # the mode solve takes its couplings from eigh, so they are solved
+    # first; the pulse search on them then must not reach eigh
+    template = ChainTemplate.symmetric(6, placement="edge")
+    grid = np.geomspace(0.3, 3.0, 5)
+    want = fidelity_vs_mass_ratio(template, grid, 3)
+    couplings = chain_mod._couplings(template.config, template._masses(grid),
+                                     list(template.addressed()))
+    monkeypatch.setattr(chain_mod, "_couplings", lambda *args: couplings)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the pulse search called np.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    rows = fidelity_vs_mass_ratio(template, grid, 3)
+    assert all(not isinstance(row, Exception) for row in rows)
+    for row, alone in zip(rows, want):
+        assert_same_outcome(row, alone)
 
 
 def assert_same_outcome(row, alone):
