@@ -31,6 +31,11 @@ from .experiment import (DEFAULT_MODEL, _calibration_section,
 from .sideband import fidelity_vs_mass_ratio
 
 
+# a JSON sweep row holds the dense 2^N x 2^N reduced density, 1 GB of
+# complex numbers at N = 13
+JSON_MAX_QUBITS = 12
+
+
 class _UsageError(Exception):
     pass
 
@@ -204,6 +209,12 @@ def cmd_sweep(args):
                           "qubit ion count")
     if args.carrier_rate is not None and not 0 < args.carrier_rate < np.inf:
         raise _UsageError("--carrier-rate must be finite and positive")
+    n = template.n_qubits
+    if args.format == "json" and n > JSON_MAX_QUBITS:
+        raise _UsageError(
+            f"--format json writes a dense {2**n} x {2**n} reduced density "
+            f"per row ({16 * 4**n / 1e9:.1f} GB at {n} qubit ions) and "
+            f"takes at most {JSON_MAX_QUBITS}; use --format csv")
     grid = _mu_grid(args)
     outcomes = fidelity_vs_mass_ratio(template, grid, args.m)
     rows = [_sweep_row(mu, outcome, args.carrier_rate)

@@ -14,17 +14,25 @@ m phonons never leaves the m-excitation sector: the states
 are solved exactly on them.  Each term of H flips one qubit, so H links
 only states whose up-qubit counts differ by one: the sector splits into an
 even-count half E, which holds the start state, and an odd-count half O,
-and H is ``[[0, B], [B^T, 0]]``.  One thin SVD ``B = U S V^T`` gives the
-whole spectrum, ``+-s_k`` and ``|De - Do|`` zeros, and the pulse
-``psi_E(t) = e_0 + U (cos St - 1) U[0]^T``,
-``psi_O(t) = -i V sin St U[0]^T``.  The Dicke target lies in one half, by
-the parity of m, so its amplitude is real up to a phase,
-``A(t) = sum_k a_k g(s_k t)`` with g = sin for odd m and cos - 1 for even
-m, and ``F = A^2`` is a sum over ``min(De, Do)`` real frequencies.  The
-phonon number fixes the qubit weight, so the reduced qubit density is
-block-diagonal by weight; it is built only when a caller reads it from a
-pulse result (a sweep row is its pulse result or the exception the row
-raised).
+and H is ``[[0, B], [B^T, 0]]``.  The pulse lives in the Krylov space of H
+started at ``e_0`` (short-iterative Lanczos: Park & Light, J. Chem. Phys.
+85, 5870 (1986)).  On the bipartite H, Lanczos is a Golub-Kahan
+bidiagonalisation of B, with no dense matrix: k steps give E and O bases
+``Q_E``, ``Q_O`` and a ``(k + 1) x k`` bidiagonal ``L = X S Y^T``, so
+``U = Q_E X`` and ``V = Q_O Y`` stand in for the singular vectors of B and
+the pulse is ``psi_E(t) = e_0 + U (cos St - 1) U[0]^T``,
+``psi_O(t) = -i V sin St U[0]^T``.  A row stops when its basis closes (an
+invariant space, exact at every t) or when a bound on the amplitude error
+at the end of the scan block falls below ``KRYLOV_TOL``; it grows again
+for a later block, and fails past ``KRYLOV_CAP`` steps.  The Dicke target
+lies in one half, by the parity of m, so its amplitude is real up to a
+phase, ``A(t) = sum_k a_k g(s_k t)`` with g = sin for odd m and cos - 1
+for even m, and ``F = A^2`` is a sum over at most k real frequencies.
+The same search runs from (2, 1) to (16, 8), 39,203 states, where a dense
+sector matrix would take 12 GB.  The phonon number fixes the qubit weight,
+so the reduced qubit density is block-diagonal by weight; it is built only
+when a caller reads it from a pulse result (a sweep row is its pulse
+result or the exception the row raised).
 
 Times are dimensionless throughout, in units of 1/Omega_0, the carrier
 Rabi rate in which the couplings are given.
@@ -35,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, lgamma
 
 import numpy as np
 
@@ -48,10 +56,15 @@ GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
 MAX_PERIODS = 20.0  # the scan stops at MAX_PERIODS * pi / Omega'
 NEWTON_RTOL = 1e-13  # the refine stops at a Newton step of at most this * t
 NEWTON_CAP = 50  # Newton steps a row may take before it fails
+KRYLOV_TOL = 1e-14  # a row's Krylov amplitude error bound over its block
+KRYLOV_CAP = 128  # Golub-Kahan steps a row may take before it fails
+CLOSURE = 1e-13  # a Lanczos coefficient below this * Omega' closes a basis
 # the search solves a coupling stack in chunks that hold this many bytes of
-# each row's largest block: its D x D Hamiltonian or its F(t) scan block,
-# counted at 16 bytes per (grid point, state), which covers the scan's real
-# sines of r <= D / 2 frequencies and their temporaries
+# each row's Krylov width, w + 1 <= min(De, Do, KRYLOV_CAP) + 1 E vectors,
+# not of its D states: 16 bytes per (state, Krylov vector), which covers
+# its basis, U and V^T, or per (grid point, Krylov vector) of its F(t)
+# scan block, which covers the block's real sines and their temporaries,
+# whichever is more (108 rows at (5, 2), one row from (10, 5) up)
 CHUNK_BYTES = 1 << 20
 
 
@@ -115,7 +128,7 @@ class PulseResult:
         freeze(self, complex, "state")
         if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        if abs(float(np.sum(self.phonon_distribution)) - 1.0) > 1e-10:
+        if abs(float(self.phonon_distribution.sum()) - 1.0) > 1e-10:
             raise ValueError("phonon distribution must sum to 1")
 
     @cached_property
@@ -124,12 +137,27 @@ class PulseResult:
         return reduce_to_qubits(self.sector, self.state)
 
 
+def _coupling_pattern(sector):
+    """The ``(src, dst, qubit)`` links of the sector: sigma_qubit^+ a takes
+    state src to state dst with amplitude ``(Omega_qubit / 2) sqrt(n)``,
+    n = ``sector.phonons[src]``."""
+    # the target has one more up qubit, so it is in the sector too, and the
+    # sorted qubit indices give its position
+    n = sector.n_qubits
+    bits = 1 << (n - 1 - np.arange(n))
+    src, qubit = np.nonzero(((sector.qubits[:, None] & bits) == 0)
+                            & (sector.phonons[:, None] > 0))
+    dst = np.searchsorted(sector.qubits, sector.qubits[src] | bits[qubit])
+    return src, dst, qubit
+
+
 def rsb_hamiltonian(sector, couplings):
     """Resonant red-sideband Hamiltonian on an excitation sector.
 
     Returns a real symmetric matrix over ``sector``'s basis (couplings must
     be real; time units 1/Omega_0).  A ``(B, N)`` stack of coupling vectors
-    gives the ``(B, D, D)`` stack of their Hamiltonians.
+    gives the ``(B, D, D)`` stack of their Hamiltonians.  The pulse search
+    never builds it; it applies the same links as a sparse product.
     """
     om = np.asarray(couplings)
     if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0:
@@ -138,13 +166,7 @@ def rsb_hamiltonian(sector, couplings):
     n = sector.n_qubits
     if om.ndim not in (1, 2) or om.shape[-1] != n:
         raise ValueError(f"need exactly {n} couplings, got {om.shape}")
-    # sigma_i^+ a takes |q, k> to |q with qubit i up, k - 1> with amplitude
-    # sqrt(k); the target has one more up qubit, so it is in the sector too,
-    # and the sorted qubit indices give its position
-    bits = 1 << (n - 1 - np.arange(n))
-    src, qubit = np.nonzero(((sector.qubits[:, None] & bits) == 0)
-                            & (sector.phonons[:, None] > 0))
-    dst = np.searchsorted(sector.qubits, sector.qubits[src] | bits[qubit])
+    src, dst, qubit = _coupling_pattern(sector)
     lower = np.zeros(om.shape[:-1] + (sector.dimension, sector.dimension))
     lower[..., dst, src] = 0.5 * om[..., qubit] * np.sqrt(sector.phonons[src])
     return lower + np.swapaxes(lower, -1, -2)
@@ -164,32 +186,267 @@ def reduce_to_qubits(sector, amplitudes):
     return QubitDensity(matrix=rho, n_qubits=sector.n_qubits)
 
 
-def _spectrum(sector, om):
+@dataclass(frozen=True, eq=False)
+class _Links:
+    """The links into each state j of one parity half from the other, as
+    ``(slots, states)`` tables: slot i holds a neighbour ``other[i, j]``,
+    the qubit that links them and ``sqrt(n) / 2``, and a state with fewer
+    links than the most has amplitude 0 in its spare slots."""
+
+    other: np.ndarray
+    qubit: np.ndarray
+    amp: np.ndarray
+
+    @classmethod
+    def gather(cls, into, other, qubit, amp, size):
+        order = np.argsort(into, kind="stable")
+        count = np.bincount(into, minlength=size)
+        slot = np.arange(len(into)) - np.repeat(np.cumsum(count) - count,
+                                                count)
+        table = [np.zeros((max(count.max(), 1), size), dtype=a.dtype)
+                 for a in (other, qubit, amp)]
+        for full, a in zip(table, (other, qubit, amp)):
+            full[slot, into[order]] = a[order]
+        return cls(*table)
+
+
+def _link_amplitudes(links, om):
+    """The ``(B, slots, states)`` amplitudes ``(Omega_q / 2) sqrt(n)`` of
+    a ``(B, N)`` coupling stack over a :class:`_Links` table."""
+    return links.amp * om[:, links.qubit]
+
+
+@dataclass(frozen=True, eq=False)
+class _Halves:
+    """An excitation sector split by the parity of its up-qubit count:
+    the even half E holds the start state (its state 0) and the odd half
+    O, and the links of H only join E to O.  Built once per search."""
+
+    sector: ExcitationSector
+    even: np.ndarray  # mask of E over the sector's states
+    into_even: _Links  # B, from O to E
+    into_odd: _Links  # B^T, from E to O
+    dicke: np.ndarray  # mask of the Dicke target over the half of m's parity
+    width: int  # Golub-Kahan steps a row can take: min(De, Do, KRYLOV_CAP)
+
+    @classmethod
+    def of(cls, sector):
+        even = (sector.m - sector.phonons) % 2 == 0
+        place = np.where(even, np.cumsum(even), np.cumsum(~even)) - 1
+        src, dst, qubit = _coupling_pattern(sector)
+        amp = 0.5 * np.sqrt(sector.phonons[src])
+        at_e = np.where(even[src], src, dst)
+        at_o = np.where(even[src], dst, src)
+        n_even, n_odd = np.count_nonzero(even), np.count_nonzero(~even)
+        dicke = sector.phonons == 0
+        return cls(
+            sector=sector, even=even,
+            into_even=_Links.gather(place[at_e], place[at_o], qubit, amp,
+                                    n_even),
+            into_odd=_Links.gather(place[at_o], place[at_e], qubit, amp,
+                                   n_odd),
+            dicke=dicke[~even] if sector.m % 2 else dicke[even],
+            width=min(n_even, n_odd, KRYLOV_CAP))
+
+
+def _apply(links, amps, x):
+    """One half of H on a stack of vectors ``x`` over the other half,
+    added up slot by slot in elementwise steps into a C-ordered stack (the
+    BLAS products that read it then take one path whatever the stack's
+    height), so that a row's bits do not depend on its stack."""
+    y = np.multiply(amps[:, 0], x[:, links.other[0]], order="C")
+    for i in range(1, len(links.other)):
+        y += amps[:, i] * x[:, links.other[i]]
+    return y
+
+
+def _omega_prime(om):
+    """Omega' of each row of a ``(B, N)`` stack as np.linalg.norm takes it
+    for one vector: sqrt of a BLAS dot."""
+    with np.errstate(invalid="ignore"):  # non-finite rows leave just below
+        return np.sqrt((om[:, None, :] @ om[:, :, None])[:, 0, 0])
+
+
+class _Krylov:
+    """Golub-Kahan bidiagonalisation of each row's ``De x Do`` block B,
+    started from ``e_0``: Lanczos on the bipartite H, whose tridiagonal
+    has a zero diagonal and alternates E vectors ``u_j`` (``basis_e``) and
+    O vectors ``v_j`` (``basis_o``), with ``B v_j = alpha_j u_j +
+    beta_{j+1} u_{j+1}`` and ``B^T u_j = beta_j v_{j-1} + alpha_j v_j``.
+    Both are reorthogonalised against their half in full.
+
+    After k steps a row holds ``u_1 .. u_{k+1}``, ``v_1 .. v_{k+1}`` and
+    the ``(k + 1) x k`` bidiagonal L of ``alpha_1 .. alpha_k`` and
+    ``beta_2 .. beta_{k+1}``: ``n = 2k + 1`` Lanczos vectors, whose next
+    coefficient is ``gamma_{n+1} = alpha_{k+1}``.  The rows of a stack step
+    in lockstep, each with its own coefficients, so that a row's bits
+    depend on the row alone.
+    """
+
+    def __init__(self, halves, om, omega_prime):
+        self.halves = halves
+        rows, width = len(om), halves.width
+        n_even, n_odd = (halves.into_even.amp.shape[1],
+                         halves.into_odd.amp.shape[1])
+        self.to_e = _link_amplitudes(halves.into_even, om)
+        self.to_o = _link_amplitudes(halves.into_odd, om)
+        self.floor = CLOSURE * omega_prime
+        self.basis_e = np.zeros((rows, width + 1, n_even))
+        self.basis_o = np.zeros((rows, width + 1, n_odd))
+        self.alpha = np.zeros((rows, width + 1))
+        self.beta = np.zeros((rows, width + 1))
+        self.steps = np.zeros(rows, dtype=int)
+        self.closed = np.zeros(rows, dtype=bool)
+        # log of the product of the Lanczos coefficients so far
+        self.log_gamma = np.zeros(rows)
+        self.log_factorial = np.array([lgamma(n + 1.0)
+                                       for n in range(2 * width + 2)])
+        self.until = np.zeros(rows)  # the time each row's spectrum covers
+        # each row's spectrum at its step count, zero-padded to the width
+        self.solved = np.zeros(rows, dtype=int)
+        self.s = np.zeros((rows, width))
+        self.weight = np.zeros((rows, width))
+        self.u = np.zeros((rows, n_even, width))
+        self.vt = np.zeros((rows, width, n_odd))
+        self.basis_e[:, 0, 0] = 1.0
+        v = _apply(halves.into_odd, self.to_o, self.basis_e[:, 0])
+        self.alpha[:, 0] = np.sqrt((v * v).sum(axis=1))
+        self.basis_o[:, 0] = v / self.alpha[:, :1]
+        self.log_gamma += np.log(self.alpha[:, 0])
+
+    def bound(self, rows):
+        """log of each row's bound on the amplitude error of its Krylov
+        pulse at times up to its ``until``:
+        ``t^n prod(gamma_2 .. gamma_{n+1}) / n!``.
+
+        The error is ``gamma_{n+1} int_0^t |[exp(-i T_n s)]_{n,1}| ds``
+        (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich,
+        SIAM J. Numer. Anal. 34, 1911 (1997)), and the Hermite-Genocchi
+        formula bounds that entry of the tridiagonal's exponential by
+        ``prod(gamma_2 .. gamma_n) s^(n-1) / (n-1)!``.  It grows with t, so
+        a row that covers a later time never takes fewer steps.
+        """
+        n = 2 * self.steps[rows] + 1
+        return (self.log_gamma[rows] + n * np.log(self.until[rows])
+                - self.log_factorial[n])
+
+    def cover(self, rows, t):
+        """Step each row until its error bound at time t is at most
+        KRYLOV_TOL or its basis closes, and solve its spectrum there.
+        Returns the rows that reach the width first."""
+        self.until[rows] = t
+        need = rows[~self.closed[rows]]
+        need = need[self.bound(need) > np.log(KRYLOV_TOL)]
+        stuck = []
+        while need.size:
+            full = self.steps[need] == self.halves.width
+            stuck += need[full].tolist()
+            need = need[~full]
+            if need.size:
+                level = self.steps[need].min()
+                self._step(need[self.steps[need] == level])
+                need = need[~self.closed[need]]
+                need = need[self.bound(need) > np.log(KRYLOV_TOL)]
+        stuck = np.array(stuck, dtype=int)
+        self._solve(np.setdiff1d(rows, stuck))
+        return stuck
+
+    def _step(self, rows):
+        """One Golub-Kahan step for rows at the same step count k: the
+        next E vector from ``B v_{k+1}``, then the next O vector from
+        ``B^T u_{k+2}``.  A coefficient below ``CLOSURE * Omega'`` closes
+        the row's basis: its Krylov space is invariant under H."""
+        k = self.steps[rows[0]]
+        h = self.halves
+        self.steps[rows] = k + 1
+        # a slice, not a copy, while the whole chunk steps together
+        at = rows if len(rows) < len(self.steps) else slice(None)
+        u = _apply(h.into_even, self.to_e[at], self.basis_o[at, k])
+        u -= self.alpha[at, k, None] * self.basis_e[at, k]
+        beta = _orthogonalise(u, self.basis_e[at, :k + 1])
+        rows, at, (u, beta) = self._close(rows, at, beta, u, beta)
+        self.beta[at, k + 1] = beta
+        self.basis_e[at, k + 1] = u / beta[:, None]
+        v = _apply(h.into_odd, self.to_o[at], self.basis_e[at, k + 1])
+        v -= beta[:, None] * self.basis_o[at, k]
+        alpha = _orthogonalise(v, self.basis_o[at, :k + 1])
+        rows, at, (v, beta, alpha) = self._close(rows, at, alpha, v, beta,
+                                                 alpha)
+        self.alpha[at, k + 1] = alpha
+        self.basis_o[at, k + 1] = v / alpha[:, None]
+        self.log_gamma[at] += np.log(beta) + np.log(alpha)
+
+    def _close(self, rows, at, norm, *arrays):
+        """Close the rows whose new coefficient ``norm`` is below
+        ``CLOSURE * Omega'``; returns the rest, their index and their part
+        of ``arrays``."""
+        shut = norm < self.floor[at]
+        if not shut.any():
+            return rows, at, arrays
+        self.closed[rows[shut]] = True
+        rows = rows[~shut]
+        return rows, rows, tuple(a[~shut] for a in arrays)
+
+    def _solve(self, rows):
+        """The spectrum of the rows whose step count moved, from the thin
+        SVD ``L = X S Y^T`` of their bidiagonal: ``s``, ``u = Q_E X`` and
+        ``v^T = (Q_O Y)^T``, zero-padded to the width, and the weights of
+        :func:`_spectrum`."""
+        rows = rows[self.steps[rows] != self.solved[rows]]
+        h = self.halves
+        for k in np.unique(self.steps[rows]):
+            group = rows[self.steps[rows] == k]
+            lower = np.zeros((len(group), k + 1, k))
+            diag = np.arange(k)
+            lower[:, diag, diag] = self.alpha[group, :k]
+            lower[:, diag + 1, diag] = self.beta[group, 1:k + 1]
+            x, s, yt = np.linalg.svd(lower, full_matrices=False)
+            self.s[group, :k] = s
+            self.u[group, :, :k] = np.swapaxes(self.basis_e[group, :k + 1],
+                                               1, 2) @ x
+            self.vt[group, :k] = yt @ self.basis_o[group, :k]
+            self.solved[group] = k
+        u, vt = self.u[rows], self.vt[rows]
+        # a masked gather from a stack lays the mask axis out first, which
+        # would make the order of the sum depend on the stack's height
+        if h.sector.m % 2:
+            overlap = np.ascontiguousarray(vt[:, :, h.dicke]).sum(axis=2)
+        else:
+            overlap = np.ascontiguousarray(u[:, h.dicke, :]).sum(axis=1)
+        self.weight[rows] = (overlap / np.sqrt(comb(h.sector.n_qubits,
+                                                    h.sector.m))
+                             * u[:, 0, :])
+
+
+def _orthogonalise(x, basis):
+    """Remove from each row of ``x`` its projection on the orthonormal rows
+    of ``basis`` (one classical Gram-Schmidt pass, in place) and return the
+    norms of what is left."""
+    x -= (np.swapaxes(basis @ x[:, :, None], 1, 2) @ basis)[:, 0]
+    return np.sqrt((x * x).sum(axis=1))
+
+
+def _spectrum(sector, om, t):
     """The pulse on a ``(B, N)`` coupling stack, solved on the sector's two
-    parity halves from one stacked thin SVD ``B = U S V^T`` of the
-    Hamiltonian's ``De x Do`` block between them.
+    parity halves from a Krylov space of H started at ``e_0``, with each
+    row's error bound at most KRYLOV_TOL at its time ``t``.
 
     Returns each row's frequencies ``s`` and real Dicke weights ``a``,
-    both ``(B, r)`` with ``r = min(De, Do)``, such that
+    both ``(B, w)`` with w the width of :class:`_Halves`, such that
     ``F(t) = (sum_k a_k g(s_k t))^2`` (see :func:`_wave`), then ``U``
-    ``(B, De, r)``, ``V^T`` ``(B, r, Do)`` and the mask of the even half
-    over the sector's states.  ``a_k = (D.u_k) U[0, k]`` for even m and
-    ``(D.v_k) U[0, k]`` for odd m, with D the Dicke target: the
+    ``(B, De, w)``, ``V^T`` ``(B, w, Do)`` and the mask of the even half
+    over the sector's states; a row of k steps fills the first k of the w
+    columns, and the rest are zero.  ``a_k = (D.u_k) U[0, k]`` for even m
+    and ``(D.v_k) U[0, k]`` for odd m, with D the Dicke target: the
     phonon-free states over ``sqrt(C(N, m))``, which lie in the half of
-    m's parity.  The scan, the refine and the full-grid test oracle all
-    read the spectrum here.
+    m's parity.  The full-grid test oracle reads the spectrum here; the
+    search keeps one :class:`_Krylov` per chunk and grows it block by
+    block, which gives the same bits.
     """
-    even = (sector.m - sector.phonons) % 2 == 0
-    e, o = np.flatnonzero(even), np.flatnonzero(~even)
-    u, s, vt = np.linalg.svd(rsb_hamiltonian(sector, om)[:, e[:, None], o],
-                             full_matrices=False)
-    dicke = sector.phonons == 0
-    if sector.m % 2:
-        overlap = vt[:, :, dicke[o]].sum(axis=2)
-    else:
-        overlap = u[:, dicke[e], :].sum(axis=1)
-    weight = overlap / np.sqrt(comb(sector.n_qubits, sector.m)) * u[:, 0, :]
-    return s, weight, u, vt, even
+    halves = _Halves.of(sector)
+    krylov = _Krylov(halves, om, _omega_prime(om))
+    krylov.cover(np.arange(len(om)), np.asarray(t, dtype=float))
+    return krylov.s, krylov.weight, krylov.u, krylov.vt, halves.even
 
 
 def _wave(odd, x):
@@ -265,18 +522,23 @@ def first_max_from_couplings(couplings, m):
 
     ``couplings`` are in units of Omega_0.  The fidelity is scanned on a
     grid of step pi/(GRID_PER_PERIOD * Omega') out to
-    ``MAX_PERIODS * pi / Omega'``, stopping at the first detected local
-    maximum.  Newton steps on the analytic F' and F'' refine it inside its
+    ``MAX_PERIODS * pi / Omega'``, two periods at a time, stopping at the
+    first detected local maximum.  Before each block a row's Krylov basis
+    (Golub-Kahan steps on the sector's E-O block, see the module
+    docstring) grows until it closes, or until the bound
+    ``t^n prod(gamma) / n!`` on its amplitude error at the block's end
+    (n Lanczos vectors with coefficients gamma) is at most ``KRYLOV_TOL``.
+    Newton steps on the analytic F' and F'' refine the maximum inside its
     two grid neighbours until a step is at most ``NEWTON_RTOL`` of t, so
     the duration is exact to rounding on any coupling scale.
 
     A ``(B, N)`` stack of coupling vectors is searched in chunks of as
-    many rows as ``CHUNK_BYTES`` holds, counted by each row's largest
-    block (its D x D Hamiltonian or its F(t) scan block): one
-    stacked SVD, scan and refine per chunk, each row on its own grid.  A
-    row's result does not depend on its chunk.  The call then returns a
-    list that holds, per row, its PulseResult or the ValueError or
-    SearchError the row raises on its own.
+    many rows as ``CHUNK_BYTES`` holds, counted by each row's Krylov width:
+    one lockstep Krylov growth, scan and refine per chunk, each row on its
+    own grid with its own step count.  A row's result does not depend on
+    its chunk.  The call then returns a list that holds, per row, its
+    PulseResult or the ValueError or SearchError the row raises on its
+    own.
 
     Raises
     ------
@@ -284,9 +546,11 @@ def first_max_from_couplings(couplings, m):
         Before any solve, if ``m`` is not an int or numpy integer (a bool
         is neither) in 1..N.
     SearchError
-        If no local maximum appears before the time cap, or if the refine
-        ends where F'' >= 0, is still stepping after ``NEWTON_CAP``
-        steps, or ends with F below the grid peak it started from.
+        If no local maximum appears before the time cap, if the Krylov
+        bound is still above ``KRYLOV_TOL`` after ``KRYLOV_CAP`` steps, or
+        if the refine ends where F'' >= 0, is still stepping after
+        ``NEWTON_CAP`` steps, or ends with F below the grid peak it started
+        from.
     """
     om = np.asarray(couplings, dtype=float)
     stacked = om.ndim == 2
@@ -294,9 +558,7 @@ def first_max_from_couplings(couplings, m):
     n = om.shape[1]
     _check_m(m, n)
     outcomes = [None] * len(om)
-    # Omega' as np.linalg.norm takes it for one vector: sqrt of a BLAS dot
-    with np.errstate(invalid="ignore"):  # non-finite rows leave just below
-        omega_prime = np.sqrt((om[:, None, :] @ om[:, :, None])[:, 0, 0])
+    omega_prime = _omega_prime(om)
     # a row that LAPACK cannot decompose would fail the whole stack
     finite = np.all(np.isfinite(om), axis=1)
     for r in np.flatnonzero(~finite):
@@ -304,40 +566,50 @@ def first_max_from_couplings(couplings, m):
     for r in np.flatnonzero(finite & (omega_prime == 0.0)):
         outcomes[r] = ValueError("at least one coupling must be nonzero")
     rows = np.flatnonzero(finite & (omega_prime != 0.0))
-    sector = ExcitationSector(n_qubits=n, m=m)
-    dim = sector.dimension
-    row_bytes = max(8 * dim * dim, 16 * (2 * GRID_PER_PERIOD + 1) * dim)
+    halves = _Halves.of(ExcitationSector(n_qubits=n, m=m))
+    row_bytes = (16 * max(halves.sector.dimension, 2 * GRID_PER_PERIOD + 1)
+                 * (halves.width + 1))
     chunk = max(1, CHUNK_BYTES // row_bytes)
     for first in range(0, len(rows), chunk):
         part = rows[first:first + chunk]
-        found = _search_chunk(sector, om[part], omega_prime[part])
+        found = _search_chunk(halves, om[part], omega_prime[part])
         for r, outcome in zip(part, found):
             outcomes[r] = outcome
     return outcomes if stacked else unwrap(outcomes[0])
 
 
-def _search_chunk(sector, om, omega_prime):
+def _search_chunk(halves, om, omega_prime):
     """The first-maximum search on a stack of finite, nonzero coupling
     rows with their Omega'; returns each row's PulseResult or SearchError.
     Its arrays go when it returns, so chunks do not pile up."""
-    freqs, weight, u, vt, even = _spectrum(sector, om)
+    sector = halves.sector
+    krylov = _Krylov(halves, om, omega_prime)
     odd = sector.m % 2 == 1
 
     dt = np.pi / (GRID_PER_PERIOD * omega_prime)
     steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
     peak = np.zeros((len(om), 4))  # grid[j + 1], grid[j], grid[j + 2], f[j + 1]
+    outcomes = [None] * len(om)
     # the first maximum comes after about one period, so the grid is
     # scanned two periods at a time and a row leaves the scan at the first
     # block that holds one; consecutive blocks share the two grid points
-    # that the peak test on their seam reads
+    # that the peak test on their seam reads.  A row's Krylov basis grows
+    # to cover each block it scans.
     span = 2 * GRID_PER_PERIOD
-    scanning = np.arange(len(om))
+    scanning, peaked = np.arange(len(om)), []
     for first in range(0, steps_cap - 1, span - 1):
         if not scanning.size:
             break
         steps = np.arange(first, min(first + span, steps_cap) + 1)
+        stuck = krylov.cover(scanning, steps[-1] * dt[scanning])
+        for k, bound in zip(stuck, np.exp(krylov.bound(stuck))):
+            outcomes[k] = SearchError(
+                f"Krylov basis not converged at k = {krylov.steps[k]} "
+                f"steps: error bound {bound:.3g} at "
+                f"t = {krylov.until[k]:.3f}/Omega_0")
+        scanning = np.setdiff1d(scanning, stuck)
         grid = steps * dt[scanning, None]
-        f = _fidelity(freqs[scanning], weight[scanning], odd, grid)
+        f = _fidelity(krylov.s[scanning], krylov.weight[scanning], odd, grid)
         # grid point j + 1 is a maximum, bracketed by its neighbours, when
         # F rose into it and does not rise out of it
         is_peak = (f[:, 1:-1] > f[:, :-2]) & (f[:, 1:-1] >= f[:, 2:])
@@ -346,40 +618,46 @@ def _search_chunk(sector, om, omega_prime):
         peak[scanning[found]] = np.stack(
             [grid[found, j + 1], grid[found, j], grid[found, j + 2],
              f[found, j + 1]], axis=1)
+        peaked += scanning[found].tolist()
         scanning = np.delete(scanning, found)
-    outcomes = [None] * len(om)
     for k in scanning:
         outcomes[k] = SearchError(
             "no fidelity maximum found before "
             f"t = {steps_cap * dt[k]:.3f}/Omega_0")
-    peaked = np.setdiff1d(np.arange(len(om)), scanning)
+    peaked = np.sort(np.array(peaked, dtype=int))
     t_star, f_star = np.zeros(len(om)), np.zeros(len(om))
     t_star[peaked], f_star[peaked], curvature, unsettled = _refine(
-        freqs[peaked], weight[peaked], odd, *peak[peaked, :3].T)
-    # every row of the stack, scan failures at t = 0 included, so that no
-    # row subset copies the singular vectors: psi_E = e_0 + U (cos St - 1)
+        krylov.s[peaked], krylov.weight[peaked], odd, *peak[peaked, :3].T)
+    # every row of the stack, failures at t = 0 included, so that no row
+    # subset copies the singular vectors: psi_E = e_0 + U (cos St - 1)
     # U[0]^T and psi_O = -i V sin St U[0]^T
-    x = freqs * t_star[:, None]
+    u, vt = krylov.u, krylov.vt
+    x = krylov.s * t_star[:, None]
     states = np.zeros((len(om), sector.dimension), dtype=complex)
-    states[:, even] = (u @ (_wave(False, x) * u[:, 0, :])[:, :, None])[:, :, 0]
+    states[:, halves.even] = (u @ (_wave(False, x) * u[:, 0, :])[:, :, None]
+                              )[:, :, 0]
     states[:, 0] += 1.0
-    states[:, ~even] = -1j * (np.swapaxes(vt, 1, 2)
-                              @ (np.sin(x) * u[:, 0, :])[:, :, None])[:, :, 0]
-    for i, k in enumerate(peaked):
-        if curvature[i] >= 0.0:
-            why = f"F'' = {float(curvature[i])!r} >= 0: not a maximum"
-        elif i in unsettled:
+    states[:, ~halves.even] = -1j * (
+        np.swapaxes(vt, 1, 2) @ (np.sin(x) * u[:, 0, :])[:, :, None])[:, :, 0]
+    # each row's phonon distribution, added up in state order per row
+    phonons = np.zeros((len(om), sector.m + 1))
+    np.add.at(phonons, (slice(None), sector.phonons), np.abs(states) ** 2)
+    stepping = np.isin(np.arange(len(peaked)), unsettled).tolist()
+    t_star, f_star = t_star.tolist(), f_star.tolist()
+    grid_peak = peak[:, 3].tolist()
+    for i, (k, bent) in enumerate(zip(peaked.tolist(), curvature.tolist())):
+        if bent >= 0.0:
+            why = f"F'' = {bent!r} >= 0: not a maximum"
+        elif stepping[i]:
             why = f"still stepping after {NEWTON_CAP} steps"
-        elif f_star[k] < peak[k, 3]:
-            why = (f"F = {float(f_star[k])!r}, below the grid peak's "
-                   f"{float(peak[k, 3])!r}")
+        elif f_star[k] < grid_peak[k]:
+            why = (f"F = {f_star[k]!r}, below the grid peak's "
+                   f"{grid_peak[k]!r}")
         else:
             outcomes[k] = PulseResult(
-                duration=float(t_star[k]), fidelity=min(float(f_star[k]), 1.0),
-                phonon_distribution=np.bincount(
-                    sector.phonons, weights=np.abs(states[k]) ** 2,
-                    minlength=sector.m + 1),
-                couplings=om[k], sector=sector, state=states[k])
+                duration=t_star[k], fidelity=min(f_star[k], 1.0),
+                phonon_distribution=phonons[k], couplings=om[k],
+                sector=sector, state=states[k])
             continue
         outcomes[k] = SearchError(
             f"Newton refine ended at t = {t_star[k]:.6f}/Omega_0: {why}")

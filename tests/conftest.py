@@ -6,7 +6,9 @@ coupled Hessian), and the pulse oracle works on the whole qubit-times-Fock
 space, not the conserved excitation sector, and propagates by dense
 scaling-and-squaring (``scipy.linalg.expm``) instead of eigendecomposition.
 A second pulse reference runs the program's own F(t) scan over the whole
-grid, where the program stops at the first chunk that holds a peak.
+grid, where the program stops at the first chunk that holds a peak, and a
+third takes the spectrum from a dense SVD of the sector Hamiltonian, where
+the program grows a Krylov space.
 The readout-fit oracle runs the plain EM update on one histogram at a
 time, and draws and fits bootstrap resamples one after another, where the
 program fits a whole stack of histograms in one batch with Newton steps.
@@ -173,23 +175,52 @@ def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
 
 def first_max_full_grid(couplings, m):
     """Duration and fidelity of the pulse search when it evaluates F(t) on
-    every grid point out to the time cap before it picks the first peak:
-    the program's own sector, spectrum, grid, peak test, Newton refine and
-    F(t) routine (read from :mod:`dickesim.sideband` at call time, so a
-    patched Hamiltonian, spectrum, refine or F reaches both), one row at a
-    time, without the scan's early stop."""
+    every grid point up to the end of a scan block before it picks the
+    first peak: the program's own sector, spectrum, grid, peak test, Newton
+    refine and F(t) routine (read from :mod:`dickesim.sideband` at call
+    time, so a patched Krylov path, spectrum, refine or F reaches both),
+    one row at a time, without the scan's early stop.  The spectrum covers
+    the block end, as the search's does; the first block end whose grid
+    holds a peak is the search's, with the same spectrum."""
     om = np.asarray(couplings, dtype=float)
     sector = sideband.ExcitationSector(n_qubits=len(om), m=m)
-    freqs, weight = sideband._spectrum(sector, om[None])[:2]
     odd = m % 2 == 1
     dt = np.pi / (sideband.GRID_PER_PERIOD * float(np.linalg.norm(om)))
     steps_cap = int(np.ceil(sideband.GRID_PER_PERIOD * sideband.MAX_PERIODS))
     grid = np.arange(steps_cap + 1) * dt
-    f = sideband._fidelity(freqs, weight, odd, grid[None])[0]
-    j = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))[0]
+    span = 2 * sideband.GRID_PER_PERIOD
+    for first in range(0, steps_cap - 1, span - 1):
+        end = min(first + span, steps_cap)
+        freqs, weight = sideband._spectrum(sector, om[None], grid[[end]])[:2]
+        f = sideband._fidelity(freqs, weight, odd, grid[None, :end + 1])[0]
+        peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
+        if peaks.size:
+            break
+    j = peaks[0]
     t_star, f_star, _, _ = sideband._refine(
         freqs, weight, odd, grid[[j + 1]], grid[[j]], grid[[j + 2]])
     return float(t_star[0]), min(float(f_star[0]), 1.0), int(j + 1)
+
+
+def dense_spectrum(sector, om):
+    """The pulse spectrum of a ``(B, N)`` coupling stack from one stacked
+    thin SVD ``B = U S V^T`` of the dense sector Hamiltonian's ``De x Do``
+    block between its parity halves: ``(s, a, U, V^T, even)`` in the
+    layout of ``sideband._spectrum``, with all ``r = min(De, Do)``
+    frequencies, ``a_k = (D.u_k) U[0, k]`` for even m and
+    ``(D.v_k) U[0, k]`` for odd m."""
+    even = (sector.m - sector.phonons) % 2 == 0
+    e, o = np.flatnonzero(even), np.flatnonzero(~even)
+    u, s, vt = np.linalg.svd(
+        sideband.rsb_hamiltonian(sector, om)[:, e[:, None], o],
+        full_matrices=False)
+    dicke = sector.phonons == 0
+    if sector.m % 2:
+        overlap = vt[:, :, dicke[o]].sum(axis=2)
+    else:
+        overlap = u[:, dicke[e], :].sum(axis=1)
+    weight = overlap / np.sqrt(comb(sector.n_qubits, sector.m)) * u[:, 0, :]
+    return s, weight, u, vt, even
 
 
 def em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dickesim import experiment
+from dickesim import cli, experiment, first_max_from_couplings
 from dickesim.chain import read_chain_file
 from dickesim.cli import main, run_experiment
 
@@ -285,6 +285,52 @@ def test_count_flag_below_range_exits_1(tmp_path, capsys, command, message):
     assert main(args + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_json_sweep_past_twelve_qubits_exits_1_before_solving(
+        tmp_path, capsys, monkeypatch, n):
+    # a JSON row holds the dense 2^N x 2^N reduced density, 1.1 GB at
+    # N = 13 and 4.3 GB at N = 14
+    def refuse(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "fidelity_vs_mass_ratio", refuse)
+    cfg = write_chain(tmp_path, masses=", ".join(["25"] * (n + 1)),
+                      ancilla=f"ancilla_index = {n}\n")
+    out = tmp_path / "sweep.json"
+    sweep = ["sweep", "--config", cfg, "--m", "1", "--mu-points", "1",
+             "--format", "json", "--out", str(out)]
+    if n == 12:
+        with pytest.raises(AssertionError, match="the sweep ran"):
+            main(sweep)
+        return
+    assert main(sweep) == 1
+    size = {13: "8192 x 8192 reduced density per row (1.1 GB at 13",
+            14: "16384 x 16384 reduced density per row (4.3 GB at 14"}[n]
+    err = capsys.readouterr().err
+    assert size in err and "at most 12; use --format csv" in err
+    assert not out.exists()
+
+
+def test_csv_sweep_reaches_sixteen_qubits(tmp_path):
+    # an edge-ancilla chain at (16, 8): 39,203 sector states per row; at
+    # mu = 1 the couplings are equal
+    cfg = write_chain(tmp_path, masses=", ".join(["25"] * 17),
+                      ancilla="ancilla_index = 16\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--m", "8", "--mu-start", "1",
+                 "--mu-stop", "1.08", "--mu-points", "2",
+                 "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert [row[header.index("error")] for row in rows] == ["", ""]
+    equal = first_max_from_couplings(np.ones(16), 8)
+    fids = [float(row[header.index("fidelity")]) for row in rows]
+    assert fids[0] == pytest.approx(equal.fidelity, abs=1e-10)
+    assert 0.9 < fids[1] < fids[0]
+    for row in rows:
+        probs = [float(row[header.index(f"p{k}")]) for k in range(9)]
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- ancilla slot ---------------------------------------------------------------

@@ -1,16 +1,18 @@
 import re
 import tracemalloc
 import warnings
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
-from conftest import (FullSpace, assert_identity_semantics, dicke_fidelity,
-                      dicke_vector, evolve,
+from conftest import (FullSpace, assert_identity_semantics, dense_spectrum,
+                      dicke_fidelity, dicke_vector, evolve,
                       first_max_full_grid, first_max_full_space, purity,
                       w_fidelity_analytic)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
                       LambDickeWarning, SearchError, UnstableCrystalError,
@@ -476,10 +478,10 @@ def test_first_peak_scan_across_chunk_seams_matches_full_grid(monkeypatch,
     # scaling H by s leaves the grid alone and moves the single-phonon
     # peak from step 50 to step 50 / s, onto and beside the seams that
     # the two-period chunks share (steps 99-100 and 198-199)
-    build = sideband.rsb_hamiltonian
+    build = sideband._link_amplitudes
     scale = 50.0 / peak_step
-    monkeypatch.setattr(sideband, "rsb_hamiltonian",
-                        lambda sector, om: scale * build(sector, om))
+    monkeypatch.setattr(sideband, "_link_amplitudes",
+                        lambda links, om: scale * build(links, om))
     t_star, f_star, step = first_max_full_grid(np.ones(3), 1)
     assert step == peak_step
     res = first_max_from_couplings(np.ones(3), 1)
@@ -508,8 +510,8 @@ def test_stacked_search_keeps_bad_rows_to_themselves(monkeypatch):
 
 
 def test_stacked_search_chunks_bound_the_traced_peak():
-    # measured with numpy 2.4: 3.0 MB, the returned results included,
-    # against 39.6 MB when the whole stack is one chunk
+    # measured with numpy 2.4: 3.9 MB, the returned results included,
+    # against 44.1 MB when the whole stack is one chunk
     om = np.random.default_rng(3).uniform(0.2, 1.0, size=(3001, 5))
     first_max_from_couplings(om[:1], 2)
     tracemalloc.start()
@@ -539,7 +541,7 @@ def test_first_max_rejects_a_phonon_number_that_is_no_integer(m,
     def never(*args):
         raise AssertionError("the pulse search ran")
 
-    monkeypatch.setattr(sideband, "rsb_hamiltonian", never)
+    monkeypatch.setattr(sideband, "_Krylov", never)
     with pytest.raises(ValueError, match="m must be an integer"):
         first_max_from_couplings(np.array([0.5, 0.7, 0.9]), m)
 
@@ -589,6 +591,84 @@ def test_pulse_search_takes_a_numpy_integer_m():
     template = ChainTemplate.symmetric(2, placement="center")
     rows = fidelity_vs_mass_ratio(template, [1.0], np.int64(1))
     assert rows[0].fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n,m", [(6, 3), (10, 5), (14, 7), (16, 8)])
+def test_krylov_spectrum_obeys_the_small_time_law(n, m):
+    # every m-th order path raises m distinct ions, each with amplitude
+    # prod(Omega_i / 2) sqrt(m!), in m! orders: F(t) = t^(2m) m! e_m^2 /
+    # (4^m C(N, m)) (1 + O(t^2)), e_m the elementary symmetric polynomial
+    om = 1.0 + 0.1 * np.random.default_rng(n).standard_normal(n)
+    sector = ExcitationSector(n_qubits=n, m=m)
+    # the spectrum of the first scan block, as the search takes it
+    freqs, weight = sideband._spectrum(
+        sector, om[None], [2.0 * np.pi / np.linalg.norm(om)])[:2]
+    t = 1e-2
+    f = sideband._fidelity(freqs, weight, m % 2 == 1, np.array([[t]]))[0, 0]
+    e_m = np.poly(-om)[m]
+    law = t ** (2 * m) * factorial(m) * e_m**2 / (4**m * comb(n, m))
+    assert f == pytest.approx(law, rel=1e-3)
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (7, 3), (10, 5), (14, 7), (16, 8)])
+def test_equal_couplings_close_the_krylov_basis_on_the_ladder(n, m):
+    # the m + 1 ladder states |D(N, k), m - k phonons> alternate halves,
+    # so Golub-Kahan closes after (m + 1) // 2 steps on them
+    sector = ExcitationSector(n_qubits=n, m=m)
+    om = np.ones((1, n))
+    krylov = sideband._Krylov(sideband._Halves.of(sector), om,
+                              sideband._omega_prime(om))
+    krylov.cover(np.arange(1), np.array([20.0 * np.pi / np.sqrt(n)]))
+    assert krylov.closed[0] and krylov.steps[0] == (m + 1) // 2
+    if n >= 14:
+        t_oracle, f_oracle = ladder_first_max(n, m)
+        res = first_max_from_couplings(om[0], m)
+        assert res.fidelity == pytest.approx(f_oracle, abs=1e-9)
+        assert res.duration == pytest.approx(t_oracle, abs=1e-5)
+
+
+@pytest.mark.parametrize("n,m", [(14, 7), (16, 8)])
+def test_krylov_search_matches_sparse_propagation(n, m):
+    # scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    # 488 (2011)) on a sparse sector Hamiltonian built link by link, at
+    # sizes no dense solve reaches (9908 and 39,203 states)
+    om = 1.0 + 0.1 * np.random.default_rng(n).standard_normal(n)
+    res = first_max_from_couplings(om, m)
+    qubits, phonons = res.sector.qubits, res.sector.phonons
+    where = {int(q): j for j, q in enumerate(qubits)}
+    rows, cols, vals = [], [], []
+    for j, (q, k) in enumerate(zip(qubits.tolist(), phonons.tolist())):
+        for i in range(n):
+            bit = 1 << (n - 1 - i)
+            if k and not q & bit:
+                rows.append(where[q | bit])
+                cols.append(j)
+                vals.append(0.5 * om[i] * np.sqrt(k))
+    lower = coo_matrix((vals, (rows, cols)), shape=(len(qubits),) * 2)
+    h = (lower + lower.T).tocsr()
+    psi0 = np.zeros(len(qubits), dtype=complex)
+    psi0[0] = 1.0
+    psi = expm_multiply(-1j * res.duration * h, psi0)
+    dicke = (phonons == 0) / np.sqrt(comb(n, m))
+    assert abs(dicke @ psi) ** 2 == pytest.approx(res.fidelity, abs=1e-10)
+    assert np.max(np.abs(psi - res.state)) < 1e-10
+
+
+def test_krylov_cap_fails_its_rows_alone(monkeypatch):
+    # equal couplings close after two steps at (6, 3); a spread needs
+    # about ten, so a cap of four fails those rows, each as it does alone
+    monkeypatch.setattr(sideband, "KRYLOV_CAP", 4)
+    rng = np.random.default_rng(7)
+    stack = np.vstack([1.0 + 0.2 * rng.standard_normal(6), np.full(6, 0.8),
+                       1.0 + 0.2 * rng.standard_normal(6)])
+    rows = first_max_from_couplings(stack, 3)
+    for row, om in zip(rows, stack):
+        assert_same_outcome(row, first_max_from_couplings(om[None], 3)[0])
+    assert not isinstance(rows[1], Exception)
+    for row in (rows[0], rows[2]):
+        assert isinstance(row, SearchError)
+        assert re.fullmatch(r"Krylov basis not converged at k = 4 steps: "
+                            r"error bound \S+ at t = \S+/Omega_0", str(row))
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (4, 3), (5, 2)])
@@ -663,21 +743,34 @@ def equal_or_distinct_couplings(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(equal_or_distinct_couplings())
 def test_parity_split_matches_the_dense_eigenbasis(case):
-    # the SVD of the E-O block against eigh of the whole sector
-    # Hamiltonian, and the state it builds against full-space expm
+    # the dense SVD of the E-O block against eigh of the whole sector
+    # Hamiltonian; the Krylov spectrum's F(t) and state against both; and
+    # the state the search builds against full-space expm
     om, m = case
     n, omega_prime = len(om), np.linalg.norm(om)
     sector = ExcitationSector(n_qubits=n, m=m)
     evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om))
-    freqs, weight, _, _, even = sideband._spectrum(sector, om[None])
+    dense = dense_spectrum(sector, om[None])
+    even = dense[4]
     zeros = np.zeros(abs(np.count_nonzero(even) - np.count_nonzero(~even)))
-    split = np.sort(np.concatenate([freqs[0], -freqs[0], zeros]))
+    split = np.sort(np.concatenate([dense[0][0], -dense[0][0], zeros]))
     assert np.max(np.abs(split - evals)) < 1e-12 * omega_prime
     t = np.linspace(0.0, 3.0 * np.pi / omega_prime, 151)
+    krylov = sideband._spectrum(sector, om[None], t[-1:])
+    assert np.array_equal(krylov[4], even)
     dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(n, m))
     amp = np.exp(-1j * np.outer(t, evals)) @ (dicke * vecs[0])
-    f = sideband._fidelity(freqs, weight, m % 2 == 1, t[None])[0]
-    assert np.max(np.abs(f - np.abs(amp) ** 2)) < 1e-12
+    psi = (vecs * np.exp(-1j * np.outer(t[::30], evals))[:, None, :]
+           ) @ vecs[0]
+    for freqs, weight, u, vt, _ in (dense, krylov):
+        f = sideband._fidelity(freqs, weight, m % 2 == 1, t[None])[0]
+        assert np.max(np.abs(f - np.abs(amp) ** 2)) < 1e-12
+        x = np.outer(t[::30], freqs[0])
+        state = np.zeros_like(psi)
+        state[:, even] = sideband._wave(False, x) * u[0, 0] @ u[0].T
+        state[:, 0] += 1.0
+        state[:, ~even] = -1j * (np.sin(x) * u[0, 0]) @ vt[0]
+        assert np.max(np.abs(state - psi)) < 1e-12
     res = first_max_from_couplings(om, m)
     space = FullSpace(n_qubits=n, cutoff=m)
     psi = evolve(space.initial_state(m), space.hamiltonian(om), res.duration)
@@ -873,7 +966,8 @@ def test_sweep_keep_density():
 
 def test_sweep_runs_without_a_dense_eigh(monkeypatch):
     # the mode solve takes its couplings from eigh, so they are solved
-    # first; the pulse search on them then must not reach eigh
+    # first; the pulse search on them then must not reach eigh, nor build
+    # a dense sector Hamiltonian
     template = ChainTemplate.symmetric(6, placement="edge")
     grid = np.geomspace(0.3, 3.0, 5)
     want = fidelity_vs_mass_ratio(template, grid, 3)
@@ -881,10 +975,11 @@ def test_sweep_runs_without_a_dense_eigh(monkeypatch):
                                      list(template.addressed()))
     monkeypatch.setattr(chain_mod, "_couplings", lambda *args: couplings)
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("the pulse search called np.linalg.eigh")
+    def dense(*args, **kwargs):
+        raise AssertionError("the pulse search went dense")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    monkeypatch.setattr(sideband, "rsb_hamiltonian", dense)
     rows = fidelity_vs_mass_ratio(template, grid, 3)
     assert all(not isinstance(row, Exception) for row in rows)
     for row, alone in zip(rows, want):
@@ -922,6 +1017,16 @@ def test_sweep_row_does_not_depend_on_its_chunk(n, m, placement, lo, hi,
         rows = fidelity_vs_mass_ratio(template, grid, m)
     for mu, row in zip(grid, rows, strict=True):
         assert_same_outcome(row, fidelity_vs_mass_ratio(template, [mu], m)[0])
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_single_phonon_rows_past_eight_qubits_match_alone(n):
+    # at m = 1 the N Dicke states fill the odd half; the masked sum over
+    # them once changed its order (pairwise or in turn) with the height of
+    # the stack, from eight states up
+    stack = np.random.default_rng(n).uniform(0.1, 1.5, (3, n))
+    for row, om in zip(first_max_from_couplings(stack, 1), stack):
+        assert_same_outcome(row, first_max_from_couplings(om, 1))
 
 
 def test_failed_rows_inside_a_chunk_keep_their_own_errors(monkeypatch):
@@ -979,8 +1084,8 @@ def test_sweep_warns_on_si_rows_outside_lamb_dicke():
 @pytest.mark.parametrize("n,m,points,bound_mb", [(5, 2, 301, 4.0),
                                                  (8, 4, 11, 4.0)])
 def test_sweep_chunks_bound_the_traced_peak(n, m, points, bound_mb):
-    # measured with numpy 2.4: 2.5 MB at (5, 2) and 2.2 MB at (8, 4) in
-    # 1 MiB chunks, against 16.3 MB and 7.9 MB with the whole grid in one
+    # measured with numpy 2.4: 1.8 MB at (5, 2) and 2.0 MB at (8, 4) in
+    # 1 MiB chunks, against 4.5 MB and 3.6 MB with the whole grid in one
     # chunk; results kept for the returned rows are included
     template = ChainTemplate.symmetric(n, placement="edge")
     grid = np.geomspace(0.1, 10.0, points)

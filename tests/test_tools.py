@@ -24,6 +24,7 @@ EXIT_CODES = {
     "sweep-8-4.csv": 0, "sweep-8-4.json": 0,
     "sweep-4-2-errors.csv": 0, "sweep-4-2-errors.json": 0,
     "sweep-8-4-errors.csv": 0, "sweep-8-4-errors.json": 0,
+    "sweep-14-7.csv": 0,
     "sweep-centre-4-2-errors.csv": 0, "sweep-centre-4-2-errors.json": 0,
     "experiment-seed0.json": 0, "experiment-seed1.json": 0,
     "experiment-seed2.json": 0, "experiment-seed3.json": 0,

@@ -77,6 +77,7 @@ def commands():
     mg_mg_al = _chain("mg_mg_al.cfg", (25, 25, 27), ancilla=2)
     five = _chain("five.cfg", (25,) * 5, ancilla=4)
     nine = _chain("nine.cfg", (25,) * 9, ancilla=8)
+    fifteen = _chain("fifteen.cfg", (25,) * 15, ancilla=14)
     unstable = _chain("unstable.cfg", (25, 25, 1e-290))
     # unequal qubit masses, the ancilla in the centre and the reference
     # off ion 0: the ancilla mass is mu times ion 1's
@@ -98,6 +99,8 @@ def commands():
     yield "sweep-4-2-errors.json", _sweep(five, 2, "1e-20", "1e20", 41,
                                           "json")
     yield "sweep-8-4-errors.csv", _sweep(nine, 4, "1e-20", "1e20", 41, "csv")
+    # 9908 sector states a row, past the reach of a dense sector solve
+    yield "sweep-14-7.csv", _sweep(fifteen, 7, "0.1", "10", 3, "csv")
     yield "sweep-8-4-errors.json", _sweep(nine, 4, "1e-20", "1e20", 21,
                                           "json")
     yield "sweep-centre-4-2-errors.csv", _sweep(centre, 2, "1e-20", "1e20",
