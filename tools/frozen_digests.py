@@ -99,10 +99,11 @@ def commands():
     yield "sweep-4-2-errors.json", _sweep(five, 2, "1e-20", "1e20", 41,
                                           "json")
     yield "sweep-8-4-errors.csv", _sweep(nine, 4, "1e-20", "1e20", 41, "csv")
-    # 9908 sector states a row, past the reach of a dense sector solve
-    yield "sweep-14-7.csv", _sweep(fifteen, 7, "0.1", "10", 3, "csv")
     yield "sweep-8-4-errors.json", _sweep(nine, 4, "1e-20", "1e20", 21,
                                           "json")
+    # 9908 sector states a row: a dense sector solve takes about a minute
+    # and over 1.5 GB per row here
+    yield "sweep-14-7.csv", _sweep(fifteen, 7, "0.1", "10", 3, "csv")
     yield "sweep-centre-4-2-errors.csv", _sweep(centre, 2, "1e-20", "1e20",
                                                 41, "csv")
     yield "sweep-centre-4-2-errors.json", _sweep(centre, 2, "1e-20", "1e20",
