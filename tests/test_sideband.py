@@ -627,6 +627,26 @@ def test_equal_couplings_close_the_krylov_basis_on_the_ladder(n, m):
         assert res.duration == pytest.approx(t_oracle, abs=1e-5)
 
 
+def test_krylov_basis_resumed_for_later_blocks_matches_a_fresh_one():
+    # the error bound grows with t, so a basis grown block by block stops
+    # at the step count, and gives the bits, of a fresh start at the last
+    # block's end
+    sector = ExcitationSector(n_qubits=10, m=5)
+    om = 1.0 + 0.1 * np.random.default_rng(10).standard_normal((1, 10))
+    halves = sideband._Halves.of(sector)
+    omega_prime = sideband._omega_prime(om)
+    ends = np.array([100, 199, 298]) * np.pi / (50.0 * omega_prime)
+    grown = sideband._Krylov(halves, om, omega_prime)
+    steps = []
+    for end in ends:
+        grown.cover(np.arange(1), np.array([end]))
+        steps.append(int(grown.steps[0]))
+    assert steps[0] < steps[1] < steps[2]
+    fresh = sideband._spectrum(sector, om, ends[-1:])
+    for a, b in zip((grown.s, grown.weight, grown.u, grown.vt), fresh):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n,m", [(14, 7), (16, 8)])
 def test_krylov_search_matches_sparse_propagation(n, m):
     # scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
