@@ -115,8 +115,10 @@ class ModeSet:
     solution the modes were solved at.  When the chain's ``omega_z`` is
     None, frequencies are in units of omega_z and amplitudes in scaled
     lengths (hbar = 1), otherwise in rad/s and metres.  Only
-    :func:`solve_axial_modes` builds one; the pulse layer reads its
-    couplings from :func:`coupling_strengths`.
+    :func:`solve_axial_modes` builds one.  The pulse layer reads no
+    ModeSet: it takes a sweep's couplings from ``_couplings``, one mode
+    stack for all its rows, and one chain's from
+    :func:`coupling_strengths`, which wraps it.
     """
 
     frequencies: np.ndarray

@@ -17,22 +17,24 @@ even-count half E, which holds the start state, and an odd-count half O,
 and H is ``[[0, B], [B^T, 0]]``.  The pulse lives in the Krylov space of H
 started at ``e_0`` (short-iterative Lanczos: Park & Light, J. Chem. Phys.
 85, 5870 (1986)).  On the bipartite H, Lanczos is a Golub-Kahan
-bidiagonalisation of B, with no dense matrix: k steps give E and O bases
-``Q_E``, ``Q_O`` and a ``(k + 1) x k`` bidiagonal ``L = X S Y^T``, so
-``U = Q_E X`` and ``V = Q_O Y`` stand in for the singular vectors of B and
-the pulse is ``psi_E(t) = e_0 + U (cos St - 1) U[0]^T``,
-``psi_O(t) = -i V sin St U[0]^T``.  A row stops when its basis closes (an
-invariant space, exact at every t) or when a bound on the amplitude error
-at the end of the scan block falls below ``KRYLOV_TOL``; it grows again
-for a later block, and fails past ``KRYLOV_CAP`` steps.  The Dicke target
-lies in one half, by the parity of m, so its amplitude is real up to a
-phase, ``A(t) = sum_k a_k g(s_k t)`` with g = sin for odd m and cos - 1
-for even m, and ``F = A^2`` is a sum over at most k real frequencies.
-The same search runs from (2, 1) to (16, 8), 39,203 states, where a dense
-sector matrix would take 12 GB.  The phonon number fixes the qubit weight,
-so the reduced qubit density is block-diagonal by weight; it is built only
-when a caller reads it from a pulse result (a sweep row is its pulse
-result or the exception the row raised).
+bidiagonalisation of B, applied from one per-qubit link table per half
+(which :func:`rsb_hamiltonian` fills its matrix from), with no dense
+matrix: k steps give E and O bases ``Q_E``, ``Q_O`` and a ``(k + 1) x k``
+bidiagonal ``L = X S Y^T``, so ``Q_E X`` and ``Q_O Y`` stand in for the
+singular vectors of B.  The first row of ``Q_E`` is ``e_0``, so the pulse
+is ``psi_E(t) = e_0 + Q_E X (cos St - 1) X[0]^T``,
+``psi_O(t) = -i Q_O Y sin St X[0]^T``.  A row stops when its basis
+closes (an invariant space, exact at every t) or when a bound on the
+amplitude error at the end of the scan block falls below ``KRYLOV_TOL``;
+it grows again for a later block, and fails past ``KRYLOV_CAP`` steps.
+The Dicke target lies in one half, by the parity of m, so its amplitude
+is real up to a phase, ``A(t) = sum_k a_k g(s_k t)`` with g = sin for odd
+m and cos - 1 for even m, and ``F = A^2`` is a sum over at most k real
+frequencies.  The same search runs from (2, 1) to (20, 10), 616,666
+states, where a dense sector matrix would take 3 TB.  The phonon number
+fixes the qubit weight, so the reduced qubit density is block-diagonal by
+weight; it is built only when a caller reads it from a pulse result (a
+sweep row is its pulse result or the exception the row raised).
 
 Times are dimensionless throughout, in units of 1/Omega_0, the carrier
 Rabi rate in which the couplings are given.
@@ -62,7 +64,8 @@ CLOSURE = 1e-13  # a Lanczos coefficient below this * Omega' closes a basis
 # the search solves a coupling stack in chunks that hold this many bytes of
 # each row's Krylov width, w + 1 <= min(De, Do, KRYLOV_CAP) + 1 E vectors,
 # not of its D states: 16 bytes per (state, Krylov vector), which covers
-# its basis, U and V^T, or per (grid point, Krylov vector) of its F(t)
+# its two bases (8) and as much again for its link amplitudes and the
+# temporaries of a step, or per (grid point, Krylov vector) of its F(t)
 # scan block, which covers the block's real sines and their temporaries,
 # whichever is more (108 rows at (5, 2), one row from (10, 5) up)
 CHUNK_BYTES = 1 << 20
@@ -137,27 +140,13 @@ class PulseResult:
         return reduce_to_qubits(self.sector, self.state)
 
 
-def _coupling_pattern(sector):
-    """The ``(src, dst, qubit)`` links of the sector: sigma_qubit^+ a takes
-    state src to state dst with amplitude ``(Omega_qubit / 2) sqrt(n)``,
-    n = ``sector.phonons[src]``."""
-    # the target has one more up qubit, so it is in the sector too, and the
-    # sorted qubit indices give its position
-    n = sector.n_qubits
-    bits = 1 << (n - 1 - np.arange(n))
-    src, qubit = np.nonzero(((sector.qubits[:, None] & bits) == 0)
-                            & (sector.phonons[:, None] > 0))
-    dst = np.searchsorted(sector.qubits, sector.qubits[src] | bits[qubit])
-    return src, dst, qubit
-
-
 def rsb_hamiltonian(sector, couplings):
     """Resonant red-sideband Hamiltonian on an excitation sector.
 
     Returns a real symmetric matrix over ``sector``'s basis (couplings must
     be real; time units 1/Omega_0).  A ``(B, N)`` stack of coupling vectors
     gives the ``(B, D, D)`` stack of their Hamiltonians.  The pulse search
-    never builds it; it applies the same links as a sparse product.
+    never builds it; it applies the same link table as a sparse product.
     """
     om = np.asarray(couplings)
     if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0:
@@ -166,9 +155,14 @@ def rsb_hamiltonian(sector, couplings):
     n = sector.n_qubits
     if om.ndim not in (1, 2) or om.shape[-1] != n:
         raise ValueError(f"need exactly {n} couplings, got {om.shape}")
-    src, dst, qubit = _coupling_pattern(sector)
+    # each link joins an E state to an O state, so E's table holds it once
+    halves = _Halves.of(sector)
+    links = halves.into_even
+    qubit, j = np.nonzero(links.amp)
+    e, o = np.flatnonzero(halves.even), np.flatnonzero(~halves.even)
     lower = np.zeros(om.shape[:-1] + (sector.dimension, sector.dimension))
-    lower[..., dst, src] = 0.5 * om[..., qubit] * np.sqrt(sector.phonons[src])
+    lower[..., e[j], o[links.other[qubit, j]]] = (om[..., qubit]
+                                                  * links.amp[qubit, j])
     return lower + np.swapaxes(lower, -1, -2)
 
 
@@ -189,31 +183,19 @@ def reduce_to_qubits(sector, amplitudes):
 @dataclass(frozen=True, eq=False)
 class _Links:
     """The links into each state j of one parity half from the other, as
-    ``(slots, states)`` tables: slot i holds a neighbour ``other[i, j]``,
-    the qubit that links them and ``sqrt(n) / 2``, and a state with fewer
-    links than the most has amplitude 0 in its spare slots."""
+    ``(N, states)`` tables indexed by qubit: row q holds the neighbour
+    ``other[q, j]`` that differs from j in qubit q, and ``sqrt(n) / 2``
+    with n the phonons of whichever of the two has qubit q down; the
+    amplitude is 0 where that neighbour leaves the sector."""
 
     other: np.ndarray
-    qubit: np.ndarray
     amp: np.ndarray
-
-    @classmethod
-    def gather(cls, into, other, qubit, amp, size):
-        order = np.argsort(into, kind="stable")
-        count = np.bincount(into, minlength=size)
-        slot = np.arange(len(into)) - np.repeat(np.cumsum(count) - count,
-                                                count)
-        table = [np.zeros((max(count.max(), 1), size), dtype=a.dtype)
-                 for a in (other, qubit, amp)]
-        for full, a in zip(table, (other, qubit, amp)):
-            full[slot, into[order]] = a[order]
-        return cls(*table)
 
 
 def _link_amplitudes(links, om):
-    """The ``(B, slots, states)`` amplitudes ``(Omega_q / 2) sqrt(n)`` of
-    a ``(B, N)`` coupling stack over a :class:`_Links` table."""
-    return links.amp * om[:, links.qubit]
+    """The ``(B, N, states)`` amplitudes ``(Omega_q / 2) sqrt(n)`` of a
+    ``(B, N)`` coupling stack over a :class:`_Links` table."""
+    return links.amp * om[:, :, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,25 +215,28 @@ class _Halves:
     def of(cls, sector):
         even = (sector.m - sector.phonons) % 2 == 0
         place = np.where(even, np.cumsum(even), np.cumsum(~even)) - 1
-        src, dst, qubit = _coupling_pattern(sector)
-        amp = 0.5 * np.sqrt(sector.phonons[src])
-        at_e = np.where(even[src], src, dst)
-        at_o = np.where(even[src], dst, src)
-        n_even, n_odd = np.count_nonzero(even), np.count_nonzero(~even)
+        bits = 1 << (sector.n_qubits - 1 - np.arange(sector.n_qubits))[:, None]
+        # raising a down qubit takes a phonon, so from a phonon-free state
+        # it leaves the sector: n = 0 there
+        phonons = np.where(sector.qubits & bits, sector.phonons + 1,
+                           sector.phonons)
+        flipped = np.searchsorted(sector.qubits, sector.qubits ^ bits)
+        other = np.where(phonons > 0,
+                         place[np.minimum(flipped, sector.dimension - 1)], 0)
+        amp = 0.5 * np.sqrt(phonons)
         dicke = sector.phonons == 0
         return cls(
             sector=sector, even=even,
-            into_even=_Links.gather(place[at_e], place[at_o], qubit, amp,
-                                    n_even),
-            into_odd=_Links.gather(place[at_o], place[at_e], qubit, amp,
-                                   n_odd),
+            into_even=_Links(other[:, even], amp[:, even]),
+            into_odd=_Links(other[:, ~even], amp[:, ~even]),
             dicke=dicke[~even] if sector.m % 2 else dicke[even],
-            width=min(n_even, n_odd, KRYLOV_CAP))
+            width=min(np.count_nonzero(even), np.count_nonzero(~even),
+                      KRYLOV_CAP))
 
 
 def _apply(links, amps, x):
     """One half of H on a stack of vectors ``x`` over the other half,
-    added up slot by slot in elementwise steps into a C-ordered stack (the
+    added up qubit by qubit in elementwise steps into a C-ordered stack (the
     BLAS products that read it then take one path whatever the stack's
     height), so that a row's bits do not depend on its stack."""
     y = np.multiply(amps[:, 0], x[:, links.other[0]], order="C")
@@ -286,13 +271,11 @@ class _Krylov:
     def __init__(self, halves, om, omega_prime):
         self.halves = halves
         rows, width = len(om), halves.width
-        n_even, n_odd = (halves.into_even.amp.shape[1],
-                         halves.into_odd.amp.shape[1])
         self.to_e = _link_amplitudes(halves.into_even, om)
         self.to_o = _link_amplitudes(halves.into_odd, om)
         self.floor = CLOSURE * omega_prime
-        self.basis_e = np.zeros((rows, width + 1, n_even))
-        self.basis_o = np.zeros((rows, width + 1, n_odd))
+        self.basis_e = np.zeros((rows, width + 1, self.to_e.shape[2]))
+        self.basis_o = np.zeros((rows, width + 1, self.to_o.shape[2]))
         self.alpha = np.zeros((rows, width + 1))
         self.beta = np.zeros((rows, width + 1))
         self.steps = np.zeros(rows, dtype=int)
@@ -306,8 +289,8 @@ class _Krylov:
         self.solved = np.zeros(rows, dtype=int)
         self.s = np.zeros((rows, width))
         self.weight = np.zeros((rows, width))
-        self.u = np.zeros((rows, n_even, width))
-        self.vt = np.zeros((rows, width, n_odd))
+        self.x = np.zeros((rows, width + 1, width))
+        self.yt = np.zeros((rows, width, width))
         self.basis_e[:, 0, 0] = 1.0
         v = _apply(halves.into_odd, self.to_o, self.basis_e[:, 0])
         self.alpha[:, 0] = np.sqrt((v * v).sum(axis=1))
@@ -389,11 +372,13 @@ class _Krylov:
 
     def _solve(self, rows):
         """The spectrum of the rows whose step count moved, from the thin
-        SVD ``L = X S Y^T`` of their bidiagonal: ``s``, ``u = Q_E X`` and
-        ``v^T = (Q_O Y)^T``, zero-padded to the width, and the weights of
-        :func:`_spectrum`."""
+        SVD ``L = X S Y^T`` of their bidiagonal: ``s``, X and ``Y^T``,
+        zero-padded to the width, and the weights of :func:`_spectrum`,
+        with ``U[0] = X[0]`` (each E vector after ``e_0`` loses its e_0
+        part exactly) and the Dicke sums of the bases times X or Y."""
         rows = rows[self.steps[rows] != self.solved[rows]]
         h = self.halves
+        odd = h.sector.m % 2
         for k in np.unique(self.steps[rows]):
             group = rows[self.steps[rows] == k]
             lower = np.zeros((len(group), k + 1, k))
@@ -401,21 +386,36 @@ class _Krylov:
             lower[:, diag, diag] = self.alpha[group, :k]
             lower[:, diag + 1, diag] = self.beta[group, 1:k + 1]
             x, s, yt = np.linalg.svd(lower, full_matrices=False)
+            # one C-ordered gather of the Dicke states (a masked gather
+            # from a stack lays the mask axis out first, which would make
+            # the order of the sum depend on the stack's height)
+            basis = self.basis_o if odd else self.basis_e
+            dicke = basis[np.ix_(group, np.arange(k + 1 - odd), h.dicke)
+                          ].sum(axis=2)
+            overlap = ((yt @ dicke[:, :, None])[:, :, 0] if odd
+                       else (dicke[:, None, :] @ x)[:, 0])
             self.s[group, :k] = s
-            self.u[group, :, :k] = np.swapaxes(self.basis_e[group, :k + 1],
-                                               1, 2) @ x
-            self.vt[group, :k] = yt @ self.basis_o[group, :k]
+            self.x[group, :k + 1, :k] = x
+            self.yt[group, :k, :k] = yt
+            self.weight[group, :k] = (overlap / np.sqrt(comb(h.sector.n_qubits,
+                                                             h.sector.m))
+                                      * x[:, 0])
             self.solved[group] = k
-        u, vt = self.u[rows], self.vt[rows]
-        # a masked gather from a stack lays the mask axis out first, which
-        # would make the order of the sum depend on the stack's height
-        if h.sector.m % 2:
-            overlap = np.ascontiguousarray(vt[:, :, h.dicke]).sum(axis=2)
-        else:
-            overlap = np.ascontiguousarray(u[:, h.dicke, :]).sum(axis=1)
-        self.weight[rows] = (overlap / np.sqrt(comb(h.sector.n_qubits,
-                                                    h.sector.m))
-                             * u[:, 0, :])
+
+    def state(self, t):
+        """Each row's state over the sector at its time ``t``, from its
+        spectrum and bases: ``psi_E = e_0 + Q_E X (cos St - 1) X[0]^T``
+        and ``psi_O = -i Q_O Y sin St X[0]^T``.  It takes every row of
+        the stack, so that no row subset copies the bases."""
+        h = self.halves
+        arg, head = (self.s * t[:, None])[:, None], self.x[:, :1]
+        states = np.zeros((len(t), h.sector.dimension), dtype=complex)
+        states[:, h.even] = (_wave(False, arg) * head
+                             @ np.swapaxes(self.x, 1, 2) @ self.basis_e)[:, 0]
+        states[:, 0] += 1.0
+        states[:, ~h.even] = -1j * (np.sin(arg) * head @ self.yt
+                                    @ self.basis_o[:, :h.width])[:, 0]
+        return states
 
 
 def _orthogonalise(x, basis):
@@ -431,22 +431,23 @@ def _spectrum(sector, om, t):
     parity halves from a Krylov space of H started at ``e_0``, with each
     row's error bound at most KRYLOV_TOL at its time ``t``.
 
-    Returns each row's frequencies ``s`` and real Dicke weights ``a``,
-    both ``(B, w)`` with w the width of :class:`_Halves`, such that
-    ``F(t) = (sum_k a_k g(s_k t))^2`` (see :func:`_wave`), then ``U``
-    ``(B, De, w)``, ``V^T`` ``(B, w, Do)`` and the mask of the even half
-    over the sector's states; a row of k steps fills the first k of the w
-    columns, and the rest are zero.  ``a_k = (D.u_k) U[0, k]`` for even m
-    and ``(D.v_k) U[0, k]`` for odd m, with D the Dicke target: the
-    phonon-free states over ``sqrt(C(N, m))``, which lie in the half of
-    m's parity.  The full-grid test oracle reads the spectrum here; the
-    search keeps one :class:`_Krylov` per chunk and grows it block by
-    block, which gives the same bits.
+    Returns the stack's :class:`_Krylov`: each row's frequencies ``s``
+    and real Dicke weights a (``weight``), both ``(B, w)`` with w the
+    width of :class:`_Halves`, such that ``F(t) = (sum_k a_k g(s_k t))^2``
+    (see :func:`_wave`), the factors X ``(B, w + 1, w)`` and ``Y^T``
+    ``(B, w, w)`` of its bidiagonal and its two bases, from which
+    ``state(t)`` builds the pulse; a row of k steps fills the first k of
+    the w columns, and the rest are zero.  With ``U = Q_E X`` and
+    ``V = Q_O Y`` (never formed), ``a_k = (D.U_k) U[0, k]`` for even m and
+    ``(D.V_k) U[0, k]`` for odd m, with D the Dicke target: the phonon-free
+    states over ``sqrt(C(N, m))``, which lie in the half of m's parity.
+    The full-grid test oracle reads the spectrum here; the search keeps
+    one :class:`_Krylov` per chunk and grows it block by block, which
+    gives the same bits.
     """
-    halves = _Halves.of(sector)
-    krylov = _Krylov(halves, om, _omega_prime(om))
+    krylov = _Krylov(_Halves.of(sector), om, _omega_prime(om))
     krylov.cover(np.arange(len(om)), np.asarray(t, dtype=float))
-    return krylov.s, krylov.weight, krylov.u, krylov.vt, halves.even
+    return krylov
 
 
 def _wave(odd, x):
@@ -628,17 +629,7 @@ def _search_chunk(halves, om, omega_prime):
     t_star, f_star = np.zeros(len(om)), np.zeros(len(om))
     t_star[peaked], f_star[peaked], curvature, unsettled = _refine(
         krylov.s[peaked], krylov.weight[peaked], odd, *peak[peaked, :3].T)
-    # every row of the stack, failures at t = 0 included, so that no row
-    # subset copies the singular vectors: psi_E = e_0 + U (cos St - 1)
-    # U[0]^T and psi_O = -i V sin St U[0]^T
-    u, vt = krylov.u, krylov.vt
-    x = krylov.s * t_star[:, None]
-    states = np.zeros((len(om), sector.dimension), dtype=complex)
-    states[:, halves.even] = (u @ (_wave(False, x) * u[:, 0, :])[:, :, None]
-                              )[:, :, 0]
-    states[:, 0] += 1.0
-    states[:, ~halves.even] = -1j * (
-        np.swapaxes(vt, 1, 2) @ (np.sin(x) * u[:, 0, :])[:, :, None])[:, :, 0]
+    states = krylov.state(t_star)  # failures at t = 0: e_0
     # each row's phonon distribution, added up in state order per row
     phonons = np.zeros((len(om), sector.m + 1))
     np.add.at(phonons, (slice(None), sector.phonons), np.abs(states) ** 2)

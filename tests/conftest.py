@@ -191,7 +191,8 @@ def first_max_full_grid(couplings, m):
     span = 2 * sideband.GRID_PER_PERIOD
     for first in range(0, steps_cap - 1, span - 1):
         end = min(first + span, steps_cap)
-        freqs, weight = sideband._spectrum(sector, om[None], grid[[end]])[:2]
+        krylov = sideband._spectrum(sector, om[None], grid[[end]])
+        freqs, weight = krylov.s, krylov.weight
         f = sideband._fidelity(freqs, weight, odd, grid[None, :end + 1])[0]
         peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))
         if peaks.size:
@@ -205,10 +206,9 @@ def first_max_full_grid(couplings, m):
 def dense_spectrum(sector, om):
     """The pulse spectrum of a ``(B, N)`` coupling stack from one stacked
     thin SVD ``B = U S V^T`` of the dense sector Hamiltonian's ``De x Do``
-    block between its parity halves: ``(s, a, U, V^T, even)`` in the
-    layout of ``sideband._spectrum``, with all ``r = min(De, Do)``
-    frequencies, ``a_k = (D.u_k) U[0, k]`` for even m and
-    ``(D.v_k) U[0, k]`` for odd m."""
+    block between its parity halves: ``(s, a, even)``, with all
+    ``r = min(De, Do)`` frequencies, ``a_k = (D.u_k) U[0, k]`` for even m
+    and ``(D.v_k) U[0, k]`` for odd m, and the mask of the even half."""
     even = (sector.m - sector.phonons) % 2 == 0
     e, o = np.flatnonzero(even), np.flatnonzero(~even)
     u, s, vt = np.linalg.svd(
@@ -220,7 +220,7 @@ def dense_spectrum(sector, om):
     else:
         overlap = u[:, dicke[e], :].sum(axis=1)
     weight = overlap / np.sqrt(comb(sector.n_qubits, sector.m)) * u[:, 0, :]
-    return s, weight, u, vt, even
+    return s, weight, even
 
 
 def em_fit(hist, pmat, c0=None, tol=1e-10, max_iter=200000):

@@ -164,6 +164,27 @@ def test_hamiltonian_rejects_bad_couplings():
         rsb_hamiltonian(sector, (1.0, 1.0j))
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (4, 2), (5, 5), (7, 3),
+                                 (8, 4)])
+def test_each_link_appears_once_in_each_half(n, m):
+    # the O table is the transpose of the E table, qubit by qubit: each
+    # E-O link once in each, with the same amplitude
+    halves = sideband._Halves.of(ExcitationSector(n_qubits=n, m=m))
+
+    def dense(links, size):
+        out = np.zeros((n, links.amp.shape[1], size))
+        qubit, j = np.nonzero(links.amp)
+        out[qubit, j, links.other[qubit, j]] = links.amp[qubit, j]
+        return out
+
+    into_even = dense(halves.into_even, np.count_nonzero(~halves.even))
+    into_odd = dense(halves.into_odd, np.count_nonzero(halves.even))
+    assert np.array_equal(into_even, np.swapaxes(into_odd, 1, 2))
+    links = np.count_nonzero(halves.into_even.amp)
+    assert links == np.count_nonzero(halves.into_odd.amp) > 0
+    assert links == np.count_nonzero(into_even)
+
+
 # --- full-space oracle: dynamics -------------------------------------------------
 
 
@@ -524,6 +545,20 @@ def test_stacked_search_chunks_bound_the_traced_peak():
     assert peak < 8 * 2**20
 
 
+def test_large_sector_row_keeps_no_lifted_singular_vectors():
+    # one (14, 7) row traces 16.3 MB with numpy 2.4, mostly its two bases;
+    # a (De, w) and (w, Do) lift of X and Y took it to 43.9 MB
+    om = 1.0 + 0.1 * np.random.default_rng(14).standard_normal(14)
+    tracemalloc.start()
+    try:
+        res = first_max_from_couplings(om, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(res, Exception)
+    assert peak <= 24 * 10**6
+
+
 def test_first_max_rejects_bad_args():
     with pytest.raises(ValueError):
         first_max_from_couplings(np.ones(2), 0)
@@ -601,8 +636,9 @@ def test_krylov_spectrum_obeys_the_small_time_law(n, m):
     om = 1.0 + 0.1 * np.random.default_rng(n).standard_normal(n)
     sector = ExcitationSector(n_qubits=n, m=m)
     # the spectrum of the first scan block, as the search takes it
-    freqs, weight = sideband._spectrum(
-        sector, om[None], [2.0 * np.pi / np.linalg.norm(om)])[:2]
+    krylov = sideband._spectrum(
+        sector, om[None], [2.0 * np.pi / np.linalg.norm(om)])
+    freqs, weight = krylov.s, krylov.weight
     t = 1e-2
     f = sideband._fidelity(freqs, weight, m % 2 == 1, np.array([[t]]))[0, 0]
     e_m = np.poly(-om)[m]
@@ -643,8 +679,10 @@ def test_krylov_basis_resumed_for_later_blocks_matches_a_fresh_one():
         steps.append(int(grown.steps[0]))
     assert steps[0] < steps[1] < steps[2]
     fresh = sideband._spectrum(sector, om, ends[-1:])
-    for a, b in zip((grown.s, grown.weight, grown.u, grown.vt), fresh):
-        assert a.tobytes() == b.tobytes()
+    for name in ("s", "weight", "x", "yt"):
+        assert getattr(grown, name).tobytes() == getattr(fresh, name).tobytes()
+    t = ends[-1:] / 2.0
+    assert grown.state(t).tobytes() == fresh.state(t).tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(14, 7), (16, 8)])
@@ -771,26 +809,23 @@ def test_parity_split_matches_the_dense_eigenbasis(case):
     sector = ExcitationSector(n_qubits=n, m=m)
     evals, vecs = np.linalg.eigh(rsb_hamiltonian(sector, om))
     dense = dense_spectrum(sector, om[None])
-    even = dense[4]
+    even = dense[2]
     zeros = np.zeros(abs(np.count_nonzero(even) - np.count_nonzero(~even)))
     split = np.sort(np.concatenate([dense[0][0], -dense[0][0], zeros]))
     assert np.max(np.abs(split - evals)) < 1e-12 * omega_prime
     t = np.linspace(0.0, 3.0 * np.pi / omega_prime, 151)
     krylov = sideband._spectrum(sector, om[None], t[-1:])
-    assert np.array_equal(krylov[4], even)
+    assert np.array_equal(krylov.halves.even, even)
     dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(n, m))
     amp = np.exp(-1j * np.outer(t, evals)) @ (dicke * vecs[0])
-    psi = (vecs * np.exp(-1j * np.outer(t[::30], evals))[:, None, :]
-           ) @ vecs[0]
-    for freqs, weight, u, vt, _ in (dense, krylov):
+    for freqs, weight in (dense[:2], (krylov.s, krylov.weight)):
         f = sideband._fidelity(freqs, weight, m % 2 == 1, t[None])[0]
         assert np.max(np.abs(f - np.abs(amp) ** 2)) < 1e-12
-        x = np.outer(t[::30], freqs[0])
-        state = np.zeros_like(psi)
-        state[:, even] = sideband._wave(False, x) * u[0, 0] @ u[0].T
-        state[:, 0] += 1.0
-        state[:, ~even] = -1j * (np.sin(x) * u[0, 0]) @ vt[0]
-        assert np.max(np.abs(state - psi)) < 1e-12
+    psi = (vecs * np.exp(-1j * np.outer(t[::30], evals))[:, None, :]
+           ) @ vecs[0]
+    for t_j, psi_j in zip(t[::30], psi):
+        state = krylov.state(np.array([t_j]))[0]
+        assert np.max(np.abs(state - psi_j)) < 1e-12
     res = first_max_from_couplings(om, m)
     space = FullSpace(n_qubits=n, cutoff=m)
     psi = evolve(space.initial_state(m), space.hamiltonian(om), res.duration)
