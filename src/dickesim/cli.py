@@ -255,7 +255,8 @@ def cmd_experiment(args):
 
 
 def _read_shot_file(path, n_max):
-    counts = []
+    """The count histogram over 0..n_max of one integer count per line."""
+    hist = np.zeros(n_max + 1, dtype=int)
     for lineno, line in text_lines(path):
         try:
             value = int(line)
@@ -265,10 +266,10 @@ def _read_shot_file(path, n_max):
         if value < 0 or value > n_max:
             raise DataError(f"{path}:{lineno}: count {value} outside "
                             f"[0, {n_max}]")
-        counts.append(value)
-    if not counts:
+        hist[value] += 1
+    if not np.any(hist):
         raise DataError(f"{path}: no shot records found")
-    return np.array(counts, dtype=int)
+    return hist
 
 
 def _read_histogram(path, n_max):
@@ -299,12 +300,12 @@ def cmd_fit(args):
         raise _UsageError("--t-detect must be finite and positive")
     if args.n_max < 1:
         raise _UsageError("--n-max must be >= 1")
-    shots = _read_shot_file(args.shots, args.n_max)
+    hist = _read_shot_file(args.shots, args.n_max)
     hist_bright = _read_histogram(args.ref_bright, args.n_max)
     hist_dark = _read_histogram(args.ref_dark, args.n_max)
     cal = calibrate(hist_bright, hist_dark, t_detect=args.t_detect)
     cm = composite_dists(cal.model, args.n_max)
-    fit = ml_fit(shots, cm, n_bootstrap=args.bootstrap,
+    fit = ml_fit(hist, cm, n_bootstrap=args.bootstrap,
                  seed=_checked_seed(args.seed))
     _write_json({
         "schema": "fit.v1",

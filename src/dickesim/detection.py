@@ -18,12 +18,12 @@ rows of one read-only (3, n_max+1) array; shot synthesis, fits and parity
 scans all read the rows of that array, and n_max from its shape;
 calibration builds the same rows, and with them the exact derivatives of
 the two reference rows that its gradient needs, for each trial model.
-An observed sample of counts is fit with the three-component mixture by
+Observed counts are histograms over n = 0..n_max, for the calibration
+references and for the records fit with the three-component mixture by
 maximizing the log-likelihood over the population simplex.  The problem
 is concave, so the optimum is global, and Newton steps with the exact
 Hessian on the face of the simplex that holds the free populations reach
-it in a few iterations, where EM-style multiplicative updates crawl near
-the boundary.
+it in a few iterations, where EM-style updates crawl near the boundary.
 Uncertainties come from a nonparametric bootstrap of 0 (none) or at least
 2 resamples.  The fits of a call run in two batches through one Newton
 loop: the point fits (one sample, or every phase of a parity scan), then
@@ -61,6 +61,8 @@ _SIMPSON /= 3.0 * (QUAD_NODES - 1)
 # the four rates, in ReadoutModel's field order and in the order of the
 # derivative rows of _composites (where gamma stands for gamma T)
 _CAL_PARAMS = ("lambda_bright", "lambda_dark", "lambda_bg", "gamma")
+_GUIDE = 4096  # buckets of the shot sampler's guide table
+_EDGES = np.arange(_GUIDE + 1) / _GUIDE
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,12 @@ def _folded_poisson(mean, n_max):
     from scipy import special
 
     n = np.arange(n_max + 1).reshape((-1,) + (1,) * np.ndim(mean))
-    p = np.exp(special.xlogy(n, mean) - special.gammaln(n + 1) - mean)
+    # n log(mean) from one log per mean, bit for bit xlogy(n, mean); a
+    # zero mean logs -inf, and its n = 0 row is 0 * log(mean) = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = n * special.xlogy(1, mean)
+    log_p[0] = 0.0
+    p = np.exp(log_p - special.gammaln(n + 1) - mean)
     p[-1] += special.pdtrc(n_max, mean)
     return p
 
@@ -358,32 +365,26 @@ def _newton(h, pmat, starts, max_iter=100):
                            "iterations")
 
 
-def _histogram(samples, cm):
-    """Bin a sample of photon counts on 0..n_max, the columns of the
-    composite array ``cm``, rejecting a sample that is not one flat run of
-    real numbers, and counts that are not integers in that range."""
-    counts = np.asarray(samples)
-    if counts.ndim != 1:
-        raise DataError("photon counts must be a flat sample; "
-                        f"got an array of shape {counts.shape}")
-    if counts.dtype.kind not in "iuf":
-        raise DataError("photon counts must be real numbers; "
-                        f"got dtype {counts.dtype}")
-    if counts.size == 0:
-        raise ValueError("need at least one sample")
-    if counts.dtype.kind == "f":
-        if not np.all(np.isfinite(counts)):
-            raise DataError("photon counts must be finite")
-        rounded = np.rint(counts)
-        if np.max(np.abs(counts - rounded)) > 0:
-            raise DataError("photon counts must be integers")
-        counts = rounded.astype(int)
-    n_max = cm.shape[1] - 1
-    if counts.min() < 0 or counts.max() > n_max:
-        raise DataError(
-            f"photon counts must lie in [0, {n_max}]; "
-            f"got range [{counts.min()}, {counts.max()}]")
-    return np.bincount(counts, minlength=n_max + 1).astype(float)
+def _check_histogram(hist, name, n_bins=None):
+    """``hist`` as a float array, once it is a histogram of photon counts:
+    1-d, real, finite and non-negative.  A fit passes ``n_bins``, the
+    column count of its composite array, and needs at least one count; a
+    calibration reference needs two occupied bins to fix the rates."""
+    h = np.asarray(hist)
+    if (h.ndim != 1 or h.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(h)) or np.any(h < 0)):
+        raise DataError(f"{name} histogram must be 1-d, finite and "
+                        "non-negative real numbers")
+    if n_bins is None and np.count_nonzero(h) < 2:
+        raise IdentifiabilityError(f"{name} reference histogram " + (
+            "occupies a single bin; rates are not identifiable"
+            if np.any(h) else "is empty"))
+    if n_bins is not None and len(h) != n_bins:
+        raise DataError(f"{name} histogram must have {n_bins} bins, one per "
+                        f"count 0..{n_bins - 1}; got {len(h)}")
+    if n_bins is not None and not np.any(h):
+        raise ValueError(f"{name} histogram holds no counts")
+    return h.astype(float)
 
 
 def _fit(hists, cm, n_bootstrap, seeds):
@@ -413,16 +414,18 @@ def _fit(hists, cm, n_bootstrap, seeds):
             for c, l, b, h in zip(c_hat, ll, boots, hists)]
 
 
-def ml_fit(samples, cm, n_bootstrap=DEFAULT_N_BOOTSTRAP, seed=0):
-    """Fit mixture populations (c0, c1, c2) to a sample of photon counts:
-    the maximum-likelihood point on the simplex, found by Newton steps
-    with the exact Hessian.
+def ml_fit(hist, cm, n_bootstrap=DEFAULT_N_BOOTSTRAP, seed=0):
+    """Fit mixture populations (c0, c1, c2) to a histogram of photon
+    counts: the maximum-likelihood point on the simplex, found by Newton
+    steps with the exact Hessian.
 
-    ``cm`` is the array from :func:`composite_dists`.  Standard errors
-    are the bootstrap standard deviations over ``n_bootstrap`` multinomial
+    ``cm`` is the array from :func:`composite_dists`, and ``hist`` has one
+    bin per column of it, for the counts 0..n_max.  Standard errors are
+    the bootstrap standard deviations over ``n_bootstrap`` multinomial
     resamples (0 for none, else at least 2).
     """
-    return _fit(_histogram(samples, cm)[None], cm, n_bootstrap, [seed])[0]
+    hists = _check_histogram(hist, "photon-count", cm.shape[1])[None]
+    return _fit(hists, cm, n_bootstrap, [seed])[0]
 
 
 def _parity(c):
@@ -444,6 +447,23 @@ def parity_std_from_fit(fit):
     return float(np.std(_parity(b), ddof=1))
 
 
+def _draw(p, u):
+    """Generator.choice(len(p), p=p)'s draws for uniforms ``u`` and its
+    checks of ``p`` (a sum within 2**-26 = sqrt(eps) of 1); a draw is
+    searched only in a guide bucket with a cdf step (u * _GUIDE is exact)."""
+    if np.any(p < 0) or not abs(float(np.sum(p)) - 1.0) <= 2.0**-26:
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    lo = np.searchsorted(cdf, _EDGES[:-1], side="right")
+    stepped = np.searchsorted(cdf, _EDGES[1:], side="left") > lo
+    bucket = (u * _GUIDE).astype(np.intp)
+    out = lo[bucket]
+    search = np.flatnonzero(stepped[bucket])
+    out[search] = np.searchsorted(cdf, u[search], side="right")
+    return out
+
+
 def synthesize_shots(populations, cm, n_shots, seed):
     """Draw i.i.d. photon counts from the mixture sum_i c_i P(n|i) of the
     rows of the :func:`composite_dists` array ``cm``.
@@ -463,13 +483,13 @@ def synthesize_shots(populations, cm, n_shots, seed):
     rng = np.random.default_rng(seed)
     c = np.clip(c, 0.0, None)
     c /= np.sum(c)
-    component = rng.choice(len(c), size=n_shots, p=c)
+    # rng.choice's uniforms: the components, then each one's counts in turn
+    component = _draw(c, rng.random(n_shots))
     counts = np.zeros(n_shots, dtype=int)
-    support = np.arange(cm.shape[1])
     for i, p in enumerate(cm):
         mask = component == i
         if np.any(mask):
-            counts[mask] = rng.choice(support, size=int(np.sum(mask)), p=p)
+            counts[mask] = _draw(p, rng.random(int(np.sum(mask))))
     return counts
 
 
@@ -489,20 +509,6 @@ class CalibrationResult:
     chi2_dark: float
     dof_bright: int
     dof_dark: int
-
-
-def _check_reference(hist, name):
-    h = np.asarray(hist, dtype=float)
-    if h.ndim != 1 or not np.all(np.isfinite(h)) or np.any(h < 0):
-        raise DataError(f"{name} histogram must be 1-d, finite and "
-                        "non-negative")
-    if np.sum(h) <= 0:
-        raise IdentifiabilityError(f"{name} reference histogram is empty")
-    if np.count_nonzero(h) < 2:
-        raise IdentifiabilityError(
-            f"{name} reference histogram occupies a single bin; "
-            "rates are not identifiable")
-    return h
 
 
 def _pearson_chi2(hist, probs):
@@ -543,11 +549,10 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     """
     from scipy import optimize
 
-    hb = _check_reference(ref_bright, "bright")
-    hd = _check_reference(ref_dark, "dark")
+    hb, hd = (_check_histogram(hist, name) for hist, name in
+              ((ref_bright, "bright"), (ref_dark, "dark")))
     n_max = max(len(hb), len(hd)) - 1
-    hb = np.pad(hb, (0, n_max + 1 - len(hb)))
-    hd = np.pad(hd, (0, n_max + 1 - len(hd)))
+    hb, hd = (np.pad(h, (0, n_max + 1 - len(h))) for h in (hb, hd))
 
     fix = dict(fix or {})
     unknown = set(fix) - set(_CAL_PARAMS)
@@ -597,14 +602,9 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     cm = composite_dists(model, n_max)
     chi2_b, dof_b = _pearson_chi2(hb, cm[2])
     chi2_d, dof_d = _pearson_chi2(hd, cm[0])
-    return CalibrationResult(
-        model=model,
-        log_likelihood=float(-res.fun),
-        chi2_bright=chi2_b,
-        chi2_dark=chi2_d,
-        dof_bright=dof_b,
-        dof_dark=dof_d,
-    )
+    return CalibrationResult(model=model, log_likelihood=float(-res.fun),
+                             chi2_bright=chi2_b, chi2_dark=chi2_d,
+                             dof_bright=dof_b, dof_dark=dof_d)
 
 
 # --- parity scans -------------------------------------------------------------
@@ -638,14 +638,14 @@ def _check_phases(phases):
 def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     """Per-phase ML parity estimates and a least-squares sinusoid fit.
 
-    ``scans`` is an iterable of (phi, samples), each fit against the
-    :func:`composite_dists` array ``cm`` with ``n_bootstrap`` resamples
-    (0, or at least 2).
-    The fit enforces the pi period of a two-qubit parity oscillation, so
-    its offset is the coherence term: the two-phase average
-    (parity(0) + parity(pi/2)) / 2 of the fitted curve.  Phases that
-    leave its three parameters unidentified, such as fewer than three
-    distinct phases modulo pi, raise IdentifiabilityError before any fit.
+    ``scans`` is an iterable of (phi, hist), each histogram fit as by
+    :func:`ml_fit` against the :func:`composite_dists` array ``cm`` with
+    ``n_bootstrap`` resamples (0, or at least 2).  The fit enforces the pi
+    period of a two-qubit parity oscillation, so its offset is the
+    coherence term: the two-phase average (parity(0) + parity(pi/2)) / 2
+    of the fitted curve.  Phases that leave its three parameters
+    unidentified, such as fewer than three distinct phases modulo pi,
+    raise IdentifiabilityError before any fit.
     """
     scans = list(scans)
     phases = np.array([float(phi) for phi, _ in scans])
@@ -659,7 +659,8 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
 
     root = (seed if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed))
-    hists = np.stack([_histogram(samples, cm) for _, samples in scans])
+    hists = np.stack([_check_histogram(hist, "photon-count", cm.shape[1])
+                      for _, hist in scans])
     fits = _fit(hists, cm, n_bootstrap, root.spawn(len(scans)))
     parities = np.array([parity_from_fit(fit) for fit in fits])
     errors = np.array([parity_std_from_fit(fit) for fit in fits], dtype=float)
@@ -688,15 +689,10 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     else:
         amp_var = max(cov[0, 0], cov[1, 1])
     return ParityScanResult(
-        phases=phases,
-        parities=parities,
-        parity_errors=errors,
-        amplitude=amplitude,
-        amplitude_error=float(np.sqrt(max(amp_var, 0.0))),
-        phase_offset=float(np.arctan2(b, a)),
-        offset=float(offset),
-        offset_error=float(np.sqrt(max(cov[2, 2], 0.0))),
-    )
+        phases=phases, parities=parities, parity_errors=errors,
+        amplitude=amplitude, amplitude_error=float(np.sqrt(max(amp_var, 0.0))),
+        phase_offset=float(np.arctan2(b, a)), offset=float(offset),
+        offset_error=float(np.sqrt(max(cov[2, 2], 0.0))))
 
 
 def estimate_period(phases, parities):

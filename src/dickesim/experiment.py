@@ -65,8 +65,8 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
                    n_bootstrap=DEFAULT_N_BOOTSTRAP):
     """End-to-end synthetic run on one chain config; returns the report dict.
 
-    Simulates the preparation pulse, generates reference/experiment/parity
-    shot records from the true readout model, calibrates against the
+    Simulates the preparation pulse, draws reference/experiment/parity
+    count histograms from the true readout model, calibrates against the
     references, fits populations and parity scans, and assembles the
     final fidelity with its statistical error.  Each parity scan takes
     ``n_bootstrap // 2`` resamples, so ``n_bootstrap`` must be >= 4.
@@ -94,24 +94,27 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
 
     cm_true = composite_dists(model)
     n_max = cm_true.shape[1] - 1
-    ref_bright = synthesize_shots((0.0, 0.0, 1.0), cm_true, shots, next(seed_iter))
-    ref_dark = synthesize_shots((1.0, 0.0, 0.0), cm_true, shots, next(seed_iter))
-    hist_bright = np.bincount(ref_bright, minlength=n_max + 1)
-    hist_dark = np.bincount(ref_dark, minlength=n_max + 1)
-    cal = calibrate(hist_bright, hist_dark, t_detect=model.t_detect)
+
+    def record(c, n_shots):
+        """The count histogram of a shot record drawn from the next seed."""
+        counts = synthesize_shots(c, cm_true, n_shots, next(seed_iter))
+        return np.bincount(counts, minlength=n_max + 1)
+
+    cal = calibrate(record((0.0, 0.0, 1.0), shots),
+                    record((1.0, 0.0, 0.0), shots), t_detect=model.t_detect)
     # calibrate's own (model, n_max) cache key, as the references have
     # n_max + 1 bins, so its last build is reused
     cm_fit = composite_dists(cal.model, n_max)
 
-    exp_shots = synthesize_shots(populations, cm_true, shots, next(seed_iter))
-    fit = ml_fit(exp_shots, cm_fit, n_bootstrap=n_bootstrap, seed=next(seed_iter))
+    fit = ml_fit(record(populations, shots), cm_fit, n_bootstrap=n_bootstrap,
+                 seed=next(seed_iter))
 
     # the single scan rotates the prepared state once, the double scan
     # rotates it after a first pi/2 pulse at phase 0
     shots_per_phase = max(shots // 5, 200)
-    scans = [[(phi, synthesize_shots(
+    scans = [[(phi, record(
                  _bright_populations(rotated_density(start, np.pi / 2, phi)),
-                 cm_true, shots_per_phase, next(seed_iter)))
+                 shots_per_phase))
               for phi in phases]
              for start in (rho, rotated_density(rho, np.pi / 2, 0.0))]
     res_single, res_double = [

@@ -333,11 +333,11 @@ def simplex_covariance(info):
     return basis @ np.linalg.inv(basis.T @ info @ basis) @ basis.T
 
 
-def ml_fit_sequential(samples, cm, n_bootstrap, seed):
-    """Populations and bootstrap populations of one sample of counts, with
+def ml_fit_sequential(hist, cm, n_bootstrap, seed):
+    """Populations and bootstrap populations of one count histogram, with
     every resample drawn and fit one after another, each fit run until an
     EM update gains nothing."""
-    hist = np.bincount(samples, minlength=cm.shape[1]).astype(float)
+    hist = np.asarray(hist, dtype=float)
     c_hat, ll = em_fit(hist, cm, tol=0.0)
     rng = np.random.default_rng(seed)
     n = int(np.sum(hist))

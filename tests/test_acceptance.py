@@ -240,7 +240,8 @@ def test_ml_recovery_reference_operating_point():
     worst = 0.0
     for seed in range(20):
         shots = synthesize_shots(truth, cm, 10_000, seed=seed)
-        fit = ml_fit(shots, cm, n_bootstrap=0)
+        fit = ml_fit(np.bincount(shots, minlength=cm.shape[1]), cm,
+                     n_bootstrap=0)
         err = float(np.max(np.abs(fit.populations - truth)))
         worst = max(worst, err)
         passes += err < 0.02

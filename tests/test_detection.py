@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import (assert_identity_semantics, bright_populations_loop,
                       observed_information, simplex_covariance, squarem_em)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 from scipy.integrate import simpson
 
 from dickesim import (ConvergenceError, DataError, FitResult,
@@ -19,6 +20,11 @@ from dickesim import (ConvergenceError, DataError, FitResult,
                       synthesize_shots)
 from dickesim import detection
 from dickesim.detection import _fold_convolve, _folded_poisson, _newton
+
+
+def _binned(shots, cm):
+    """The count histogram of ``shots`` over the columns of ``cm``."""
+    return np.bincount(shots, minlength=cm.shape[1])
 
 
 def tv_distance(p, q):
@@ -100,6 +106,24 @@ def test_folded_poisson_equals_scipy_stats():
         means = np.concatenate([[0.0], rng.uniform(0.0, 120.0, size=512)])
         assert np.array_equal(_folded_poisson(means, 100),
                               folded_pmf(means, 100))
+
+
+@pytest.mark.parametrize("n_max", [1, 100])
+def test_folded_poisson_takes_one_log_per_mean(n_max):
+    # n * log(mean) matches xlogy(n, mean) bit for bit, at the extreme
+    # means too, and a zero mean raises no floating-point warning
+    means = np.array([0.0, 5e-324, 1e-300, 1e-10, 0.3, 30.0, 1e300])
+    n = np.arange(n_max + 1)[:, None]
+    with np.errstate(divide="ignore"):
+        log_p = special.xlogy(n, means)
+    expected = np.exp(log_p - special.gammaln(n + 1) - means)
+    expected[-1] += special.pdtrc(n_max, means)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_folded_poisson(means, n_max), expected)
+        for j, mean in enumerate(means):
+            assert np.array_equal(_folded_poisson(mean, n_max),
+                                  expected[:, j])
 
 
 KERNEL_MODELS = [
@@ -303,6 +327,77 @@ def test_synthesize_zero_shots():
     assert len(synthesize_shots((1.0, 0.0, 0.0), cm, 0, seed=1)) == 0
 
 
+def _choice_shots(populations, cm, n_shots, seed):
+    """synthesize_shots' draws made by Generator.choice itself."""
+    rng = np.random.default_rng(seed)
+    component = rng.choice(len(cm), size=n_shots, p=populations)
+    counts = np.zeros(n_shots, dtype=int)
+    for i, p in enumerate(cm):
+        mask = component == i
+        if np.any(mask):
+            counts[mask] = rng.choice(cm.shape[1], size=int(np.sum(mask)),
+                                      p=p)
+    return counts
+
+
+def _edge_rows():
+    """Rows whose cdf steps sit on guide-bucket edges k / 4096, some of
+    them holding zero entries, and a row with a step inside a bucket."""
+    on_edges = np.zeros(9)
+    on_edges[[0, 2, 3, 6, 8]] = np.array([1, 2, 1021, 2048, 1024]) / 4096
+    zeros = np.zeros(9)
+    zeros[[4, 5]] = 0.25, 0.75
+    inside = np.full(9, 1.0 / 9.0)
+    return np.array([on_edges, zeros, inside])
+
+
+def test_guide_table_draws_match_searchsorted_at_bucket_edges():
+    # uniforms on every bucket edge, either side of it, and on every cdf
+    # step, where side="right" matters
+    cdfs = np.cumsum(_edge_rows(), axis=1)
+    cdfs /= cdfs[:, -1:]
+    edges = np.arange(4096) / 4096
+    u = np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                        np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)],
+                        cdfs[cdfs < 1.0],
+                        np.random.default_rng(3).random(1000)])
+    for p, cdf in zip(_edge_rows(), cdfs):
+        assert np.array_equal(detection._draw(p, u),
+                              np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("n_shots", [0, 1, 7, 5_000])
+@pytest.mark.parametrize("populations", [(0.2, 0.5, 0.3), (1.0, 0.0, 0.0),
+                                         (0.0, 0.0, 1.0)])
+def test_synthesize_replays_generator_choice(populations, n_shots):
+    # the same uniforms in the same order as Generator.choice, so the
+    # same shots, on the model's rows and on rows with steps on bucket
+    # edges and zero entries
+    for cm in (composite_dists(MODEL), composite_dists(KERNEL_MODELS[1], 30),
+               _edge_rows()):
+        for seed in range(3):
+            shots = synthesize_shots(populations, cm, n_shots, seed)
+            assert shots.dtype == int
+            assert np.array_equal(
+                shots, _choice_shots(populations, cm, n_shots, seed))
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0.5, -0.1, 0.6], "non-negative"),
+    ([0.5, 0.2, 0.2], "sum to 1"),
+    ([0.5, np.nan, 0.5], "NaN|sum to 1"),
+])
+def test_synthesize_rejects_a_drawn_row_that_choice_rejects(row, message):
+    # rows that hold no draw are not read, as in Generator.choice
+    cm = np.array([row, [0.25, 0.25, 0.5], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=message):
+        np.random.default_rng(0).choice(3, size=5, p=np.array(row))
+    with pytest.raises(ValueError, match=message):
+        synthesize_shots((0.5, 0.5, 0.0), cm, 10, seed=1)
+    assert np.array_equal(synthesize_shots((0.0, 0.5, 0.5), cm, 10, seed=1),
+                          _choice_shots((0.0, 0.5, 0.5), cm, 10, seed=1))
+
+
 def test_synthesize_rejects_bad_simplex():
     cm = composite_dists(MODEL)
     with pytest.raises(ValueError):
@@ -369,7 +464,7 @@ def test_synthesize_mixture_converges_to_p_rho():
 def test_ml_fit_pure_component():
     cm = composite_dists(MODEL, n_max=100)
     shots = synthesize_shots((0.0, 1.0, 0.0), cm, 100_000, seed=7)
-    fit = ml_fit(shots, cm, n_bootstrap=0)
+    fit = ml_fit(_binned(shots, cm), cm, n_bootstrap=0)
     assert fit.populations[1] >= 0.99
 
 
@@ -377,7 +472,7 @@ def test_ml_fit_operating_point():
     cm = composite_dists(MODEL, n_max=100)
     truth = np.array([0.08, 0.80, 0.12])
     shots = synthesize_shots(truth, cm, 10_000, seed=8)
-    fit = ml_fit(shots, cm, n_bootstrap=100, seed=9)
+    fit = ml_fit(_binned(shots, cm), cm, n_bootstrap=100, seed=9)
     assert np.max(np.abs(fit.populations - truth)) < 0.02
     assert np.all(fit.std_errors < 0.02)
     assert fit.n_samples == 10_000
@@ -387,8 +482,8 @@ def test_ml_fit_likelihood_at_optimum_beats_truth():
     cm = composite_dists(MODEL, n_max=100)
     truth = np.array([0.08, 0.80, 0.12])
     shots = synthesize_shots(truth, cm, 5_000, seed=10)
-    fit = ml_fit(shots, cm, n_bootstrap=0)
     hist = np.bincount(shots, minlength=101)
+    fit = ml_fit(hist, cm, n_bootstrap=0)
     ll_truth = float(hist @ np.log(truth @ cm))
     assert fit.log_likelihood >= ll_truth - 1e-9
 
@@ -399,7 +494,7 @@ def test_ml_fit_error_shrinks_with_samples():
     errs = []
     for n, seed in ((1_000, 11), (10_000, 12), (100_000, 13)):
         shots = synthesize_shots(truth, cm, n, seed=seed)
-        fit = ml_fit(shots, cm, n_bootstrap=60, seed=seed)
+        fit = ml_fit(_binned(shots, cm), cm, n_bootstrap=60, seed=seed)
         errs.append(np.max(fit.std_errors))
     assert errs[0] > errs[1] > errs[2]
     # roughly 1/sqrt(n): a factor 100 in samples shrinks errors ~10x
@@ -410,7 +505,7 @@ def test_ml_fit_all_dark_sample():
     model = ReadoutModel(lambda_bright=20.0, lambda_dark=0.05, lambda_bg=0.05,
                          gamma=0.0)
     cm = composite_dists(model, n_max=60)
-    fit = ml_fit(np.zeros(300, dtype=int), cm, n_bootstrap=0)
+    fit = ml_fit(_binned(np.zeros(300, dtype=int), cm), cm, n_bootstrap=0)
     assert fit.populations[0] > 0.98
 
 
@@ -421,16 +516,17 @@ def test_ml_fit_on_a_readout_without_dark_counts():
     model = ReadoutModel(lambda_bright=2.0, lambda_dark=0.0, lambda_bg=0.0,
                          gamma=0.0)
     cm = composite_dists(model, n_max=30)
-    fit = ml_fit(np.zeros(500, dtype=int), cm, n_bootstrap=20, seed=2)
+    fit = ml_fit(_binned(np.zeros(500, dtype=int), cm), cm, n_bootstrap=20,
+                 seed=2)
     assert np.array_equal(fit.populations, [1.0, 0.0, 0.0])
     assert fit.log_likelihood == 0.0
 
 
 def test_ml_fit_deterministic():
     cm = composite_dists(MODEL, n_max=100)
-    shots = synthesize_shots((0.3, 0.4, 0.3), cm, 2_000, seed=14)
-    a = ml_fit(shots, cm, n_bootstrap=30, seed=15)
-    b = ml_fit(shots, cm, n_bootstrap=30, seed=15)
+    hist = _binned(synthesize_shots((0.3, 0.4, 0.3), cm, 2_000, seed=14), cm)
+    a = ml_fit(hist, cm, n_bootstrap=30, seed=15)
+    b = ml_fit(hist, cm, n_bootstrap=30, seed=15)
     assert np.array_equal(a.populations, b.populations)
     assert np.array_equal(a.std_errors, b.std_errors)
 
@@ -439,7 +535,8 @@ def test_ml_fit_deterministic():
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=300),
        st.integers(0, 2**32 - 1))
 def test_ml_fit_populations_stay_on_simplex(samples, seed):
-    fit = ml_fit(np.array(samples), composite_dists(MODEL), n_bootstrap=3,
+    cm = composite_dists(MODEL)
+    fit = ml_fit(_binned(np.array(samples), cm), cm, n_bootstrap=3,
                  seed=seed)
     for c in (fit.populations, *fit.bootstrap_populations):
         assert np.all(c >= 0.0)
@@ -601,9 +698,8 @@ def test_bootstrap_errors_match_the_cramer_rao_bound(truth, seed):
     # sampling error of their own
     cm = composite_dists(MODEL)
     shots = synthesize_shots(truth, cm, 10_000, seed=seed)
-    fit = ml_fit(shots, cm, n_bootstrap=400, seed=seed + 1)
-    info = observed_information(np.bincount(shots, minlength=cm.shape[1]),
-                                cm, fit.populations)
+    fit = ml_fit(_binned(shots, cm), cm, n_bootstrap=400, seed=seed + 1)
+    info = observed_information(_binned(shots, cm), cm, fit.populations)
     bound = np.sqrt(np.diag(simplex_covariance(info)))
     assert np.all(np.abs(fit.std_errors / bound - 1.0) <= 0.15)
 
@@ -613,9 +709,9 @@ def test_fit_working_set_stays_within_the_squarem_peak():
     # 10,000 shots with 100 resamples each; the SQUAREM EM fit that the
     # Newton fit replaced peaked at 4,255,272 bytes on this call
     cm = composite_dists(MODEL)
-    scans = _scan_shots(dicke_state(2, 1).density(),
-                        np.arange(12) * np.pi / 12, 10_000, seed=90)
-    hists = np.stack([detection._histogram(s, cm) for _, s in scans])
+    scans = _scan_histograms(dicke_state(2, 1).density(),
+                             np.arange(12) * np.pi / 12, 10_000, seed=90)
+    hists = np.stack([h for _, h in scans]).astype(float)
     seeds = np.random.SeedSequence(91).spawn(len(scans))
     detection._fit(hists, cm, 100, seeds)  # first-call allocations
     tracemalloc.start()
@@ -630,9 +726,9 @@ def test_fit_working_set_stays_within_the_squarem_peak():
 def test_ml_fit_matches_sequential_bootstrap_oracle():
     cm = composite_dists(MODEL)
     for truth, seed in (((0.08, 0.80, 0.12), 63), ((0.0, 0.9, 0.1), 64)):
-        shots = synthesize_shots(truth, cm, 5_000, seed=seed)
-        fit = ml_fit(shots, cm, n_bootstrap=40, seed=seed)
-        c_ref, ll_ref, boots_ref = ml_fit_sequential(shots, cm, 40, seed)
+        hist = _binned(synthesize_shots(truth, cm, 5_000, seed=seed), cm)
+        fit = ml_fit(hist, cm, n_bootstrap=40, seed=seed)
+        c_ref, ll_ref, boots_ref = ml_fit_sequential(hist, cm, 40, seed)
         assert np.max(np.abs(fit.populations - c_ref)) < 1e-8
         assert fit.log_likelihood == pytest.approx(ll_ref, rel=1e-12)
         assert np.max(np.abs(fit.bootstrap_populations - boots_ref)) < 1e-8
@@ -646,54 +742,83 @@ def test_ml_fit_matches_sequential_bootstrap_oracle():
 def test_synthesize_then_fit_recovers_populations(weights_, shots, seed):
     truth = np.array(weights_) / np.sum(weights_)
     cm = composite_dists(MODEL)
-    fit = ml_fit(synthesize_shots(truth, cm, shots, seed=seed), cm,
-                 n_bootstrap=50, seed=seed + 1)
+    fit = ml_fit(_binned(synthesize_shots(truth, cm, shots, seed=seed), cm),
+                 cm, n_bootstrap=50, seed=seed + 1)
     assert np.all(np.abs(fit.populations - truth)
                   <= 5 * fit.std_errors + 2e-3)
 
 
+def _fits_of(hist, cm):
+    """ml_fit of ``hist``, and a four-phase parity scan that holds ``hist``
+    at its third phase, each as a call without arguments."""
+    good = _binned(np.array([1, 2, 3]), cm)
+    scans = [(phi, hist if k == 2 else good)
+             for k, phi in enumerate(np.arange(4) * np.pi / 4)]
+    return (lambda: ml_fit(hist, cm),
+            lambda: parity_scan_analysis(scans, cm, n_bootstrap=0))
+
+
 def test_ml_fit_rejects_bad_samples():
+    # the histogram forms of an empty sample, a count above n_max and a
+    # negative count; a count of 1.5 photons has no histogram form
     cm = composite_dists(MODEL, n_max=100)
-    with pytest.raises(ValueError):
-        ml_fit(np.array([], dtype=int), cm)
-    with pytest.raises(DataError):
-        ml_fit(np.array([5, 200]), cm)
-    with pytest.raises(DataError):
-        ml_fit(np.array([-3, 5]), cm)
-    with pytest.raises(DataError):
-        ml_fit(np.array([1.5, 2.0]), cm)
+    beyond = np.zeros(201)
+    beyond[[5, 200]] = 1
+    negative = _binned(np.array([5]), cm)
+    negative[3] = -1
+    for fit in _fits_of(np.zeros(101), cm):
+        with pytest.raises(ValueError, match="holds no counts"):
+            fit()
+    for bad in (beyond, np.array([], dtype=int), negative):
+        for fit in _fits_of(bad, cm):
+            with pytest.raises(DataError, match="photon-count histogram"):
+                fit()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fits_reject_non_finite_counts(bad):
-    # a non-finite count must not reach the integer cast, which warns and
-    # reports a range of -2^63
+    # a non-finite bin must not reach the bootstrap's multinomial
     cm = composite_dists(MODEL, n_max=100)
-    samples = np.array([1.0, bad, 3.0])
-    with pytest.raises(DataError, match="photon counts must be finite"):
-        ml_fit(samples, cm)
-    scans = [(phi, np.array([1.0, 2.0, 3.0]))
-             for phi in np.arange(4) * np.pi / 4]
-    scans[2] = (scans[2][0], samples)
-    with pytest.raises(DataError, match="photon counts must be finite"):
-        parity_scan_analysis(scans, cm, n_bootstrap=0)
+    hist = _binned(np.array([1, 2, 3]), cm).astype(float)
+    hist[2] = bad
+    for fit in _fits_of(hist, cm):
+        with pytest.raises(DataError, match="histogram must be 1-d, finite"):
+            fit()
 
 
 @pytest.mark.parametrize("bad, why", [
-    (np.array([1 + 0j, 2]), "real numbers"),
-    (np.array([[1, 2], [3, 4]]), "flat sample"),
-    (np.array(["1", "2"]), "real numbers"),
+    (np.ones(101, dtype=complex), "real numbers"),
+    (np.ones((2, 101)), "1-d"),
+    (np.array(["1"] * 101), "real numbers"),
 ])
 def test_fits_reject_malformed_count_arrays(bad, why):
-    # complex counts would lose their imaginary part in the integer cast,
-    # a 2-d array would fail inside bincount, and strings in isfinite
+    # complex bins would lose their imaginary part in the float cast, a
+    # stack of histograms is not one, and strings would fail in isfinite
     cm = composite_dists(MODEL, n_max=100)
-    with pytest.raises(DataError, match=f"photon counts must be (a )?{why}"):
-        ml_fit(bad, cm)
-    scans = [(phi, np.array([1, 2, 3])) for phi in np.arange(4) * np.pi / 4]
-    scans[1] = (scans[1][0], bad)
-    with pytest.raises(DataError, match="photon counts"):
-        parity_scan_analysis(scans, cm, n_bootstrap=0)
+    for fit in _fits_of(bad, cm):
+        with pytest.raises(DataError,
+                           match=f"photon-count histogram must be .*{why}"):
+            fit()
+
+
+@pytest.mark.parametrize("n_bins", [0, 1, 100, 102])
+def test_fits_reject_a_histogram_of_another_bin_count(n_bins):
+    # one bin per column of the composite array, counts 0..n_max
+    cm = composite_dists(MODEL, n_max=100)
+    for fit in _fits_of(np.ones(n_bins), cm):
+        with pytest.raises(DataError, match=f"must have 101 bins.*got {n_bins}"):
+            fit()
+
+
+def test_fits_take_a_histogram_with_fractional_bins():
+    # the likelihood weighs each bin by its count, whole or not
+    cm = composite_dists(MODEL, n_max=100)
+    hist = _binned(synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=78), cm)
+    whole = ml_fit(hist, cm, n_bootstrap=0)
+    halves = ml_fit(hist / 2.0, cm, n_bootstrap=0)
+    assert np.max(np.abs(halves.populations - whole.populations)) < 1e-8
+    assert halves.log_likelihood == pytest.approx(whole.log_likelihood / 2.0,
+                                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("n_bootstrap", [1, -3, 2.5, 3.0, True])
@@ -701,11 +826,11 @@ def test_bootstrap_count_must_be_zero_or_two_or_more(n_bootstrap):
     # one resample has no standard deviation; a negative count has no
     # meaning; 2.5 resamples used to fail inside numpy
     cm = composite_dists(MODEL)
-    shots = synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=70)
+    hist = _binned(synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=70), cm)
     with pytest.raises(ValueError, match="n_bootstrap"):
-        ml_fit(shots, cm, n_bootstrap=n_bootstrap)
-    scans = _scan_shots(dicke_state(2, 1).density(), np.arange(4) * np.pi / 4,
-                        300, seed=71)
+        ml_fit(hist, cm, n_bootstrap=n_bootstrap)
+    scans = _scan_histograms(dicke_state(2, 1).density(),
+                             np.arange(4) * np.pi / 4, 300, seed=71)
     with pytest.raises(ValueError, match="n_bootstrap"):
         parity_scan_analysis(scans, cm, n_bootstrap=n_bootstrap)
 
@@ -723,16 +848,17 @@ def test_count_arguments_accept_numpy_integers():
     shots = synthesize_shots((0.1, 0.8, 0.1), cm, np.int64(300), seed=76)
     assert np.array_equal(shots,
                           synthesize_shots((0.1, 0.8, 0.1), cm, 300, seed=76))
-    fit = ml_fit(shots, cm, n_bootstrap=np.int32(3), seed=77)
+    hist = _binned(shots, cm)
+    fit = ml_fit(hist, cm, n_bootstrap=np.int32(3), seed=77)
     assert fit.bootstrap_populations.shape == (3, 3)
     assert np.array_equal(fit.std_errors,
-                          ml_fit(shots, cm, n_bootstrap=3, seed=77).std_errors)
+                          ml_fit(hist, cm, n_bootstrap=3, seed=77).std_errors)
 
 
 def test_two_bootstrap_resamples_give_finite_errors():
     cm = composite_dists(MODEL)
-    fit = ml_fit(synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=72), cm,
-                 n_bootstrap=2, seed=73)
+    shots = synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=72)
+    fit = ml_fit(_binned(shots, cm), cm, n_bootstrap=2, seed=73)
     assert np.all(np.isfinite(fit.std_errors))
     assert np.isfinite(parity_std_from_fit(fit))
 
@@ -959,22 +1085,23 @@ def test_parity_from_fit_operating_point():
     assert parity_from_fit(_fake_fit([0.08, 0.80, 0.12])) == pytest.approx(-0.60)
 
 
-def _scan_shots(rho, phases, shots_per_phase, seed, double=False):
+def _scan_histograms(rho, phases, shots_per_phase, seed, double=False):
     cm = composite_dists(MODEL, n_max=100)
     seeds = np.random.SeedSequence(seed).spawn(len(phases))
     base = rotated_density(rho, np.pi / 2, 0.0) if double else rho
     scans = []
     for phi, s in zip(phases, seeds):
         rotated = rotated_density(base, np.pi / 2, phi)
-        scans.append((phi, synthesize_shots(bright_populations_loop(rotated),
-                                            cm, shots_per_phase, s)))
+        shots = synthesize_shots(bright_populations_loop(rotated), cm,
+                                 shots_per_phase, s)
+        scans.append((phi, _binned(shots, cm)))
     return scans
 
 
 def test_parity_scan_ideal_w_state_is_flat():
     rho = dicke_state(2, 1).density()
     phases = np.arange(12) * np.pi / 12
-    scans = _scan_shots(rho, phases, 20_000, seed=40)
+    scans = _scan_histograms(rho, phases, 20_000, seed=40)
     res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=40,
                                seed=41)
     assert res.amplitude < 0.02
@@ -985,7 +1112,7 @@ def test_parity_scan_ideal_w_state_is_flat():
 def test_parity_scan_double_rotation_full_contrast():
     rho = dicke_state(2, 1).density()
     phases = np.arange(12) * np.pi / 12
-    scans = _scan_shots(rho, phases, 20_000, seed=42, double=True)
+    scans = _scan_histograms(rho, phases, 20_000, seed=42, double=True)
     res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=40,
                                seed=43)
     assert res.amplitude == pytest.approx(1.0, abs=0.03)
@@ -997,12 +1124,12 @@ def test_parity_scan_double_rotation_full_contrast():
 def test_parity_scan_matches_per_phase_ml_fit(double):
     rho = dicke_state(2, 1).density()
     phases = np.arange(6) * np.pi / 6
-    scans = _scan_shots(rho, phases, 3_000, seed=45, double=double)
+    scans = _scan_histograms(rho, phases, 3_000, seed=45, double=double)
     cm = composite_dists(MODEL)
     res = parity_scan_analysis(scans, cm, n_bootstrap=30, seed=46)
     seeds = np.random.SeedSequence(46).spawn(len(scans))
-    for j, (_, samples) in enumerate(scans):
-        fit = ml_fit(samples, cm, n_bootstrap=30, seed=seeds[j])
+    for j, (_, hist) in enumerate(scans):
+        fit = ml_fit(hist, cm, n_bootstrap=30, seed=seeds[j])
         assert abs(res.parities[j] - parity_from_fit(fit)) < 1e-8
         assert abs(res.parity_errors[j] - parity_std_from_fit(fit)) < 1e-8
 
@@ -1022,8 +1149,9 @@ def test_parity_scan_offset_error_matches_the_spread_of_offsets():
     rho = QubitDensity(matrix=mat, n_qubits=2)
     phases = np.arange(12) * np.pi / 12
     cm = composite_dists(MODEL)
-    results = [parity_scan_analysis(_scan_shots(rho, phases, 2_000, seed=s),
-                                    cm, n_bootstrap=50, seed=s + 1)
+    results = [parity_scan_analysis(
+                   _scan_histograms(rho, phases, 2_000, seed=s), cm,
+                   n_bootstrap=50, seed=s + 1)
                for s in np.random.SeedSequence(0).generate_state(r_scans)]
     offsets = np.array([res.offset for res in results])
     spread = float(np.std(offsets, ddof=1))
@@ -1035,7 +1163,7 @@ def test_parity_scan_offset_error_matches_the_spread_of_offsets():
 def test_parity_scan_without_bootstrap_weights_residuals():
     rho = dicke_state(2, 1).density()
     phases = np.arange(6) * np.pi / 6
-    scans = _scan_shots(rho, phases, 3_000, seed=47, double=True)
+    scans = _scan_histograms(rho, phases, 3_000, seed=47, double=True)
     res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
     assert np.all(np.isnan(res.parity_errors))
     assert res.amplitude == pytest.approx(1.0, abs=0.05)
@@ -1044,7 +1172,7 @@ def test_parity_scan_without_bootstrap_weights_residuals():
 
 def test_parity_scan_needs_four_phases():
     rho = dicke_state(2, 1).density()
-    scans = _scan_shots(rho, [0.0, 0.5, 1.0], 500, seed=44)
+    scans = _scan_histograms(rho, [0.0, 0.5, 1.0], 500, seed=44)
     with pytest.raises(IdentifiabilityError):
         parity_scan_analysis(scans, composite_dists(MODEL))
 
@@ -1057,14 +1185,15 @@ def test_parity_scan_needs_three_phases_modulo_pi(phases):
     # four distinct phases, but the pi-periodic fit's design has rank 2
     # (resp. 1); the first set gave amplitude 1.5e14 +- 8.7e13
     rho = dicke_state(2, 1).density()
-    scans = _scan_shots(rho, phases, 500, seed=49)
+    scans = _scan_histograms(rho, phases, 500, seed=49)
     with pytest.raises(IdentifiabilityError, match="modulo pi"):
         parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
 
 
 def test_parity_scan_fits_four_phases_with_three_modulo_pi():
     rho = dicke_state(2, 1).density()
-    scans = _scan_shots(rho, [0.0, np.pi / 4, np.pi / 2, np.pi], 500, seed=49)
+    scans = _scan_histograms(rho, [0.0, np.pi / 4, np.pi / 2, np.pi], 500,
+                             seed=49)
     res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
     assert np.isfinite(res.amplitude) and np.isfinite(res.offset)
     assert res.amplitude < 1.0
@@ -1076,9 +1205,9 @@ def test_analysis_phases_must_be_finite(bad):
     # RuntimeWarning from cos, and estimate_period a scipy error
     rho = dicke_state(2, 1).density()
     phases = np.arange(6) * np.pi / 6
-    scans = _scan_shots(rho, phases, 500, seed=48)
-    scans = [(bad if k == 2 else phi, samples)
-             for k, (phi, samples) in enumerate(scans)]
+    scans = _scan_histograms(rho, phases, 500, seed=48)
+    scans = [(bad if k == 2 else phi, hist)
+             for k, (phi, hist) in enumerate(scans)]
     with pytest.raises(DataError, match="analysis phases must be finite"):
         parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
     phases = np.where(np.arange(6) == 2, bad, phases)
@@ -1125,12 +1254,12 @@ def test_parity_scan_on_imperfect_state_recovers_coherence():
     phases = np.arange(12) * np.pi / 12
 
     cm = composite_dists(MODEL)
-    scans = _scan_shots(rho, phases, 30_000, seed=50)
+    scans = _scan_histograms(rho, phases, 30_000, seed=50)
     res = parity_scan_analysis(scans, cm, n_bootstrap=40, seed=51)
     assert res.offset == pytest.approx(0.74, abs=0.02)
     assert res.amplitude < 0.02
 
-    double = _scan_shots(rho, phases, 30_000, seed=52, double=True)
+    double = _scan_histograms(rho, phases, 30_000, seed=52, double=True)
     res2 = parity_scan_analysis(double, cm, n_bootstrap=40, seed=53)
     assert res2.amplitude == pytest.approx(0.67, abs=0.02)
     assert estimate_period(res2.phases, res2.parities) == pytest.approx(
@@ -1139,6 +1268,6 @@ def test_parity_scan_on_imperfect_state_recovers_coherence():
     # full fidelity assembly: fitted odd population plus coherence, halved
     direct = synthesize_shots(bright_populations_loop(rho), cm, 30_000,
                               seed=54)
-    fit = ml_fit(direct, cm, n_bootstrap=0)
+    fit = ml_fit(_binned(direct, cm), cm, n_bootstrap=0)
     fidelity = 0.5 * (fit.populations[1] + res.offset)
     assert fidelity == pytest.approx(0.77, abs=0.015)
