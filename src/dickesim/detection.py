@@ -450,13 +450,18 @@ def parity_std_from_fit(fit):
 def _draw(p, u):
     """Generator.choice(len(p), p=p)'s draws for uniforms ``u`` and its
     checks of ``p`` (a sum within 2**-26 = sqrt(eps) of 1); a draw is
-    searched only in a guide bucket with a cdf step (u * _GUIDE is exact)."""
+    searched only in a guide bucket with a cdf step (u * _GUIDE is exact);
+    bucket b starts at ``#{j: cdf_j <= b / _GUIDE}``, counted from each cdf
+    entry's place among the edges."""
     if np.any(p < 0) or not abs(float(np.sum(p)) - 1.0) <= 2.0**-26:
         raise ValueError("probabilities must be non-negative and sum to 1")
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    lo = np.searchsorted(cdf, _EDGES[:-1], side="right")
-    stepped = np.searchsorted(cdf, _EDGES[1:], side="left") > lo
+    lo = np.cumsum(np.bincount(np.searchsorted(_EDGES, cdf, side="left"),
+                               minlength=_GUIDE + 1))[:_GUIDE]
+    below = np.cumsum(np.bincount(np.searchsorted(_EDGES, cdf, side="right"),
+                                  minlength=_GUIDE + 2))[1:_GUIDE + 1]
+    stepped = below > lo
     bucket = (u * _GUIDE).astype(np.intp)
     out = lo[bucket]
     search = np.flatnonzero(stepped[bucket])

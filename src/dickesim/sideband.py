@@ -183,7 +183,8 @@ def reduce_to_qubits(sector, amplitudes):
 @dataclass(frozen=True, eq=False)
 class _Links:
     """The links into each state j of one parity half from the other, as
-    ``(N, states)`` tables indexed by qubit: row q holds the neighbour
+    C-ordered ``(N, states)`` tables indexed by qubit: row q, one
+    contiguous row that :func:`_apply` gathers from, holds the neighbour
     ``other[q, j]`` that differs from j in qubit q, and ``sqrt(n) / 2``
     with n the phonons of whichever of the two has qubit q down; the
     amplitude is 0 where that neighbour leaves the sector."""
@@ -214,21 +215,20 @@ class _Halves:
     @classmethod
     def of(cls, sector):
         even = (sector.m - sector.phonons) % 2 == 0
-        place = np.where(even, np.cumsum(even), np.cumsum(~even)) - 1
         bits = 1 << (sector.n_qubits - 1 - np.arange(sector.n_qubits))[:, None]
-        # raising a down qubit takes a phonon, so from a phonon-free state
-        # it leaves the sector: n = 0 there
-        phonons = np.where(sector.qubits & bits, sector.phonons + 1,
-                           sector.phonons)
-        flipped = np.searchsorted(sector.qubits, sector.qubits ^ bits)
-        other = np.where(phonons > 0,
-                         place[np.minimum(flipped, sector.dimension - 1)], 0)
-        amp = 0.5 * np.sqrt(phonons)
+
+        def links(into, from_):
+            qubits, phonons = sector.qubits[into], sector.phonons[into]
+            # raising a down qubit takes a phonon, so from a phonon-free
+            # state it leaves the sector: n = 0 there
+            n = np.where(qubits & bits, phonons + 1, phonons)
+            other = np.searchsorted(sector.qubits[from_], qubits ^ bits)
+            return _Links(np.where(n > 0, other, 0), 0.5 * np.sqrt(n))
+
         dicke = sector.phonons == 0
         return cls(
             sector=sector, even=even,
-            into_even=_Links(other[:, even], amp[:, even]),
-            into_odd=_Links(other[:, ~even], amp[:, ~even]),
+            into_even=links(even, ~even), into_odd=links(~even, even),
             dicke=dicke[~even] if sector.m % 2 else dicke[even],
             width=min(np.count_nonzero(even), np.count_nonzero(~even),
                       KRYLOV_CAP))

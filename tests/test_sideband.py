@@ -164,12 +164,16 @@ def test_hamiltonian_rejects_bad_couplings():
         rsb_hamiltonian(sector, (1.0, 1.0j))
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (4, 2), (5, 5), (7, 3),
-                                 (8, 4)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 4), (3, 1), (4, 2), (5, 5),
+                                 (7, 3), (8, 4)])
 def test_each_link_appears_once_in_each_half(n, m):
     # the O table is the transpose of the E table, qubit by qubit: each
-    # E-O link once in each, with the same amplitude
+    # E-O link once in each, with the same amplitude; each table one
+    # contiguous row per qubit, the order the matvec gathers in
     halves = sideband._Halves.of(ExcitationSector(n_qubits=n, m=m))
+    for links in (halves.into_even, halves.into_odd):
+        assert links.other.flags.c_contiguous
+        assert links.amp.flags.c_contiguous
 
     def dense(links, size):
         out = np.zeros((n, links.amp.shape[1], size))
@@ -543,6 +547,20 @@ def test_stacked_search_chunks_bound_the_traced_peak():
         tracemalloc.stop()
     assert all(not isinstance(res, Exception) for res in results)
     assert peak < 8 * 2**20
+
+
+def test_link_tables_are_built_without_full_sector_temporaries():
+    # measured with numpy 2.4: 14.0 MB for the 9.6 MB of tables kept,
+    # against 29.3 MB when both halves were cut out of (N, D) tables
+    sector = ExcitationSector(n_qubits=16, m=8)
+    tracemalloc.start()
+    try:
+        halves = sideband._Halves.of(sector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert halves.width == sideband.KRYLOV_CAP
+    assert peak <= 20 * 2**20
 
 
 def test_large_sector_row_keeps_no_lifted_singular_vectors():
