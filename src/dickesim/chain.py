@@ -181,19 +181,20 @@ def solve_equilibrium(config):
     """
     n = config.n_ions
     u = (np.arange(n) - (n - 1) / 2.0) * 1.3
-    gnorm = np.linalg.norm(scaled_gradient(u))
+    g = scaled_gradient(u)
+    gnorm = np.linalg.norm(g)
     iterations = 0
     stalled = False
     while gnorm >= GRAD_TOL and iterations < MAX_ITER:
-        g = scaled_gradient(u)
         step = np.linalg.solve(scaled_hessian(u), g)
         lam = 1.0
         while lam > 1e-14:
             trial = u - lam * step
             if np.all(np.diff(trial) > 0):
-                trial_norm = np.linalg.norm(scaled_gradient(trial))
+                g_trial = scaled_gradient(trial)
+                trial_norm = np.linalg.norm(g_trial)
                 if trial_norm < gnorm:
-                    u, gnorm = trial, trial_norm
+                    u, g, gnorm = trial, g_trial, trial_norm
                     break
             lam *= 0.5
         else:

@@ -52,6 +52,7 @@ DEFAULT_N_MAX = 100
 DEFAULT_T_DETECT = 200e-6  # s
 DEFAULT_N_BOOTSTRAP = 200
 _BLOCK_ROWS = 256  # rows per block of the Newton fit's line search
+FIT_CAP = 100  # Newton iterations before a fit raises ConvergenceError
 QUAD_NODES = 513  # 512 Simpson intervals over the detection window
 _TAU = np.linspace(0.0, 1.0, QUAD_NODES)  # decay time over the window
 # composite Simpson weights on _TAU: (1, 4, 2, 4, ..., 2, 4, 1) h / 3
@@ -235,10 +236,21 @@ class FitResult:
             raise ValueError("populations must sum to 1")
 
 
-def _newton(h, pmat, starts, max_iter=100):
+def _mixture(c, pmat):
+    """The mixture sum_i c_bi P_in of each population row, floored at
+    1e-300 so that its log is finite."""
+    return np.maximum(np.einsum("bi,in->bn", c, pmat), 1e-300)
+
+
+def _log_likelihood(h, c, pmat):
+    """sum_n h_bn log(mixture_bn) for each histogram row b of ``h``."""
+    return np.einsum("bn,bn->b", h, np.log(_mixture(c, pmat)))
+
+
+def _newton(h, pmat, starts):
     """Maximize sum_n h_bn log(sum_i c_bi P_in) over the simplex for each
     histogram row b of ``h``, from ``starts``; returns the (B, k)
-    populations and (B,) log-likelihoods.
+    populations.
 
     The objective is concave, so each iteration takes one Newton step with
     the exact Hessian on the free face of the simplex (Redner & Walker,
@@ -253,7 +265,7 @@ def _newton(h, pmat, starts, max_iter=100):
     only be undone by crawling back from 0).  Once g.d <= 1e-10 the
     face is solved: the pinned coordinate whose multiplier has the most
     wrong sign (g_j > nu) is freed, and a row with none stops after
-    taking that last step whole.  Rows still running after ``max_iter``
+    taking that last step whole.  Rows still running after ``FIT_CAP``
     iterations raise ConvergenceError.
     """
     h = np.asarray(h, dtype=float)
@@ -264,9 +276,6 @@ def _newton(h, pmat, starts, max_iter=100):
     # elementwise products, last-axis reductions, einsum without optimize
     # and stacked solves: a row's arithmetic is that of a one-histogram
     # fit, whatever the batch
-    def mixture(c):
-        return np.maximum(np.einsum("bi,in->bn", c, pmat), 1e-300)
-
     def along(sel, t, d, mix, slope=False):
         # for the rows ``sel``: the gain sum_n h_n log(1 + t s_n) of the
         # step t d, where s = dmix / mix (exact for short steps), or with
@@ -295,10 +304,10 @@ def _newton(h, pmat, starts, max_iter=100):
 
     c = starts / starts.sum(axis=1, keepdims=True)
     free = c > 0
-    out_c, out_ll = np.empty_like(c), np.empty(len(h))
+    out = np.empty_like(c)
     rows = np.arange(len(h))
-    for _ in range(max_iter):
-        mix = mixture(c)
+    for _ in range(FIT_CAP):
+        mix = _mixture(c, pmat)
         w = h / mix
         g = np.einsum("bn,in->bi", w, pmat)
         w /= mix
@@ -353,15 +362,13 @@ def _newton(h, pmat, starts, max_iter=100):
         free[np.flatnonzero(wrong), worst[wrong]] = True
         done = solved & ~wrong
         if done.any():
-            out_c[rows[done]] = c[done]
-            out_ll[rows[done]] = np.einsum("bn,bn->b", h[done],
-                                           np.log(mixture(c[done])))
+            out[rows[done]] = c[done]
             keep = ~done
             rows, h, c, free = rows[keep], h[keep], c[keep], free[keep]
             if not len(rows):
-                return out_c, out_ll
-    raise ConvergenceError(f"Newton fit: {len(rows)} of {len(out_ll)} "
-                           f"histograms did not converge in {max_iter} "
+                return out
+    raise ConvergenceError(f"Newton fit: {len(rows)} of {len(out)} "
+                           f"histograms did not converge in {FIT_CAP} "
                            "iterations")
 
 
@@ -396,7 +403,7 @@ def _fit(hists, cm, n_bootstrap, seeds):
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
     k = cm.shape[0]
-    c_hat, ll = _newton(hists, cm, np.full((len(hists), k), 1.0 / k))
+    c_hat = _newton(hists, cm, np.full((len(hists), k), 1.0 / k))
     boots = [None] * len(hists)
     if n_bootstrap > 0:
         starts = np.repeat(np.clip(c_hat, 1e-6, None), n_bootstrap, axis=0)
@@ -406,12 +413,13 @@ def _fit(hists, cm, n_bootstrap, seeds):
             np.random.default_rng(seed).multinomial(int(n), h / n,
                                                     size=n_bootstrap)
             for seed, h, n in zip(seeds, hists, np.sum(hists, axis=1))],
-            dtype=float), cm, starts)[0].reshape(len(hists), -1, k)
+            dtype=float), cm, starts).reshape(len(hists), -1, k)
+    lls = _log_likelihood(hists, c_hat, cm)
     return [FitResult(populations=c, log_likelihood=float(l),
                       std_errors=(np.zeros(k) if b is None
                                   else np.std(b, axis=0, ddof=1)),
                       n_samples=int(np.sum(h)), bootstrap_populations=b)
-            for c, l, b, h in zip(c_hat, ll, boots, hists)]
+            for c, l, b, h in zip(c_hat, lls, boots, hists)]
 
 
 def ml_fit(hist, cm, n_bootstrap=DEFAULT_N_BOOTSTRAP, seed=0):
@@ -533,24 +541,20 @@ def _pearson_chi2(hist, probs):
     return float(np.sum((obs - exp) ** 2 / exp)), len(bins) - 1
 
 
-def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
-    """Joint maximum-likelihood fit of the readout model to two reference
-    histograms: an all-bright preparation (both ions down, P(n|2)) and an
-    all-dark preparation (both ions up, P(n|0)).  The longer histogram
-    sets n_max; the shorter one is padded with empty bins.
+def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT):
+    """Joint maximum-likelihood fit of the four readout rates to two
+    reference histograms: an all-bright preparation (both ions down,
+    P(n|2)) and an all-dark preparation (both ions up, P(n|0)).  The
+    longer histogram sets n_max; the shorter one is padded with empty
+    bins.
 
-    ``fix`` optionally pins parameters (by name: lambda_bright,
-    lambda_dark, lambda_bg, gamma) instead of fitting them; a fixed rate
-    must be finite and non-negative, and anything else raises ValueError
-    before the fit starts.  A fixed rate comes back in the model exactly
-    as given.  Note that the two references constrain only
-    three combinations of the four rates: trading background against the
-    per-ion rates along (d lambda_bg, d lambda_dark, d lambda_bright) =
-    (2e, -e, -e) leaves every component distribution unchanged, so the
-    free four-parameter fit returns one point of that ridge.  The
-    composite distributions (and any population fit built on them) are
-    unaffected; fix lambda_bg from an independent background measurement
-    when the individual rates matter.
+    The two references constrain only three combinations of the four
+    rates: gamma, lambda_bg + 2 lambda_dark and lambda_bg + 2
+    lambda_bright.  Trading background against the per-ion rates along
+    (d lambda_bg, d lambda_dark, d lambda_bright) = (2e, -e, -e) leaves
+    every component distribution unchanged, so the reported rates are
+    one point of that ridge.  The composite distributions (and any
+    population fit built on them) are unaffected.
     """
     from scipy import optimize
 
@@ -559,34 +563,15 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
     n_max = max(len(hb), len(hd)) - 1
     hb, hd = (np.pad(h, (0, n_max + 1 - len(h))) for h in (hb, hd))
 
-    fix = dict(fix or {})
-    unknown = set(fix) - set(_CAL_PARAMS)
-    if unknown:
-        raise ValueError(f"unknown parameters in fix: {sorted(unknown)}")
-    free = [i for i, p in enumerate(_CAL_PARAMS) if p not in fix]
-    if not free:
-        raise ValueError("at least one parameter must be free")
-
-    # the start values, then the fixed rates over them; a free gamma is
-    # fit as gamma * t_detect, the only way it enters the likelihood, and a
-    # fixed one is kept as given
+    # the start values; gamma is fit as gamma * t_detect, the only way it
+    # enters the likelihood
     mean_b = float(np.arange(len(hb)) @ hb / np.sum(hb))
     mean_d = float(np.arange(len(hd)) @ hd / np.sum(hd))
     theta = np.array([max((mean_b - 0.5 * mean_d) / 2.0, 0.1),
                       max(0.25 * mean_d, 1e-3), max(0.5 * mean_d, 1e-3), 0.1])
-    for i, p in enumerate(_CAL_PARAMS):
-        if p in fix:
-            theta[i] = fix[p]
 
     def model_at(x):
-        rates = theta.copy()
-        rates[free] = x
-        if "gamma" not in fix:
-            rates[-1] /= t_detect  # gamma T back to gamma
-        return ReadoutModel(**dict(zip(_CAL_PARAMS, rates)),
-                            t_detect=t_detect)
-
-    model_at(theta[free])  # a fixed rate ReadoutModel rejects raises here
+        return ReadoutModel(*x[:3], gamma=x[3] / t_detect, t_detect=t_detect)
 
     def nll(x):
         """Negative log-likelihood and its exact gradient in ``x``."""
@@ -594,11 +579,10 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT, fix=None):
         p0 = np.maximum(rows[0], 1e-300)
         p2 = np.maximum(rows[2], 1e-300)
         grad = grads[1] @ (hb / p2) + grads[0] @ (hd / p0)
-        return -(hb @ np.log(p2) + hd @ np.log(p0)), -grad[free]
+        return -(hb @ np.log(p2) + hd @ np.log(p0)), -grad
 
-    bounds = [(1e-9, None)] * 3 + [(0.0, 20.0)]
-    res = optimize.minimize(nll, theta[free], jac=True, method="L-BFGS-B",
-                            bounds=[bounds[i] for i in free])
+    res = optimize.minimize(nll, theta, jac=True, method="L-BFGS-B",
+                            bounds=[(1e-9, None)] * 3 + [(0.0, 20.0)])
     if not res.success:
         raise ConvergenceError(f"calibration fit did not converge: "
                                f"{res.message} (nit={res.nit}, "

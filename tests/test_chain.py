@@ -99,6 +99,21 @@ def test_equilibrium_deterministic():
     assert np.array_equal(a.positions, b.positions)
 
 
+@pytest.mark.parametrize("n_ions", [3, 7, 9, 11])
+def test_equilibrium_evaluates_each_position_once(n_ions, monkeypatch):
+    # the accepted trial's gradient is the next iteration's gradient
+    seen = []
+    gradient = chain_mod.scaled_gradient
+
+    def recorded(positions):
+        seen.append(positions.tobytes())
+        return gradient(positions)
+
+    monkeypatch.setattr(chain_mod, "scaled_gradient", recorded)
+    solve_equilibrium(ChainConfig(masses=(1.0,) * n_ions))
+    assert len(seen) == len(set(seen))
+
+
 def test_convergence_error_carries_residual(monkeypatch):
     monkeypatch.setattr(chain_mod, "MAX_ITER", 1)
     monkeypatch.setattr(chain_mod, "GRAD_TOL", 1e-14)

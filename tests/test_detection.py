@@ -19,7 +19,8 @@ from dickesim import (ConvergenceError, DataError, FitResult,
                       parity_std_from_fit, rotated_density,
                       synthesize_shots)
 from dickesim import detection
-from dickesim.detection import _fold_convolve, _folded_poisson, _newton
+from dickesim.detection import (_fold_convolve, _folded_poisson,
+                                _log_likelihood, _newton)
 
 
 def _binned(shots, cm):
@@ -77,6 +78,13 @@ def repump_oracle(model, n_max, extra_mean=0.0, n_samples=1_000_000, seed=0):
 
 MODEL = ReadoutModel(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
                      gamma=500.0, t_detect=200e-6)  # gamma T = 0.1
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", detection._CAL_PARAMS)
+def test_readout_model_rejects_a_negative_or_non_finite_rate(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        ReadoutModel(**{**vars(MODEL), name: value})
 
 
 # --- folded Poisson kernel -----------------------------------------------------
@@ -573,7 +581,8 @@ def test_em_engine_matches_scalar_oracle():
     rng = np.random.default_rng(61)
     starts = np.vstack([np.full((len(truths), 3), 1.0 / 3.0),
                         rng.dirichlet(np.ones(3), size=2 * len(truths))])
-    pops, lls = _newton(hists, cm, starts)
+    pops = _newton(hists, cm, starts)
+    lls = _log_likelihood(hists, pops, cm)
     assert np.min(pops) == 0.0  # some fits did end on a face exactly
     for h, start, c, ll in zip(hists, starts, pops, lls):
         _, ll_em = em_fit(h, cm, c0=start)
@@ -586,7 +595,7 @@ def test_em_engine_matches_scalar_oracle():
         assert_em_optimal(h, cm, c)
 
 
-def test_em_engine_keeps_small_populations_alive():
+def test_em_engine_keeps_small_populations_alive(monkeypatch):
     # a Newton step from the uniform start overshoots a small interior
     # population below 0.  Pinned at 0, it could regrow only about
     # twofold per iteration once freed (these fits took up to 89
@@ -599,7 +608,9 @@ def test_em_engine_keeps_small_populations_alive():
                          (0.01, 0.98, 0.01)], shots, seed=68)
         for shots in (5_000, 50_000)])
     starts = np.full((len(hists), 3), 1.0 / 3.0)
-    pops, lls = _newton(hists, cm, starts, max_iter=25)
+    monkeypatch.setattr(detection, "FIT_CAP", 25)
+    pops = _newton(hists, cm, starts)
+    lls = _log_likelihood(hists, pops, cm)
     for h, start, c, ll in zip(hists, starts, pops, lls):
         _, ll_em = em_fit(h, cm, c0=start)
         assert ll >= ll_em - 1e-12 * abs(ll_em)
@@ -615,25 +626,27 @@ def test_em_engine_frees_one_population_at_a_time():
                              (0.0, 0.9, 0.1), (0.5, 0.0, 0.5)], 5_000,
                         seed=69)
     for vertex in np.eye(3):
-        pops, _ = _newton(hists, cm, np.tile(vertex, (len(hists), 1)))
+        pops = _newton(hists, cm, np.tile(vertex, (len(hists), 1)))
         for h, c in zip(hists, pops):
             c_opt, _ = em_fit(h, cm, tol=0.0)
             assert np.max(np.abs(c - c_opt)) < 1e-7
             assert_em_optimal(h, cm, c)
 
 
-def test_em_engine_raises_at_iteration_cap():
+def test_em_engine_raises_at_iteration_cap(monkeypatch):
     cm = composite_dists(MODEL)
     hists = _histograms(cm, [(0.3, 0.4, 0.3), (0.0, 1.0, 0.0),
                              (0.3, 0.4, 0.3)], 5_000, seed=62)
     starts = np.full((3, 3), 1.0 / 3.0)
     # the boundary-pinned histogram takes 14 Newton iterations, the
     # interior ones stop after 4
+    monkeypatch.setattr(detection, "FIT_CAP", 10)
     with pytest.raises(ConvergenceError, match="1 of 3 histograms"):
-        _newton(hists, cm, starts, max_iter=10)
+        _newton(hists, cm, starts)
     with pytest.raises(ConvergenceError, match="1 of 1 histograms"):
-        _newton(hists[1:2], cm, starts[1:2], max_iter=10)
-    _newton(hists[::2], cm, starts[::2], max_iter=10)
+        _newton(hists[1:2], cm, starts[1:2])
+    _newton(hists[::2], cm, starts[::2])
+    monkeypatch.undo()
     _newton(hists, cm, starts)
 
 
@@ -645,9 +658,11 @@ def test_em_engine_row_does_not_depend_on_its_batch():
                              (0.08, 0.80, 0.12)], 5_000, seed=66)
     starts = np.random.default_rng(67).dirichlet(np.ones(3), size=len(hists))
     for order in (np.arange(len(hists)), np.arange(len(hists))[::-1]):
-        pops, lls = _newton(hists[order], cm, starts[order])
+        pops = _newton(hists[order], cm, starts[order])
+        lls = _log_likelihood(hists[order], pops, cm)
         for j, k in enumerate(order):
-            c, ll = _newton(hists[k:k + 1], cm, starts[k:k + 1])
+            c = _newton(hists[k:k + 1], cm, starts[k:k + 1])
+            ll = _log_likelihood(hists[k:k + 1], c, cm)
             assert np.array_equal(c[0], pops[j])
             assert ll[0] == lls[j]
 
@@ -659,7 +674,8 @@ def test_em_engine_climbs_at_least_as_high_as_plain_em(samples, weights_):
     pmat = composite_dists(MODEL)
     h = np.bincount(samples, minlength=pmat.shape[1]).astype(float)
     start = np.array(weights_) / np.sum(weights_)
-    c, ll = _newton(h[None], pmat, start[None])
+    c = _newton(h[None], pmat, start[None])
+    ll = _log_likelihood(h[None], c, pmat)
     _, ll_em = em_fit(h, pmat, c0=start)
     assert ll[0] >= ll_em - 1e-12 * abs(ll_em)
     assert np.all(c >= 0.0)
@@ -682,7 +698,8 @@ def test_newton_fit_reaches_the_squarem_optimum(samples, weights_, truth,
         np.bincount(synthesize_shots(truth, pmat, 2_000, seed=seed),
                     minlength=pmat.shape[1])]).astype(float)
     starts = np.tile(np.array(weights_) / np.sum(weights_), (2, 1))
-    pops, lls = _newton(hists, pmat, starts)
+    pops = _newton(hists, pmat, starts)
+    lls = _log_likelihood(hists, pops, pmat)
     _, lls_sq = squarem_em(hists, pmat, starts)
     for h, c, ll, ll_sq in zip(hists, pops, lls, lls_sq):
         assert ll >= ll_sq - 1e-9
@@ -874,18 +891,17 @@ def _reference_histograms(model, shots, seed, n_max=100):
             np.bincount(dark, minlength=n_max + 1))
 
 
-@pytest.mark.parametrize("fix", [None, {"lambda_bg": MODEL.lambda_bg}])
-def test_calibrated_likelihood_is_that_of_composite_dists(fix):
+def test_calibrated_likelihood_is_that_of_composite_dists():
     # the objective and composite_dists build their rows on one path, so
     # the reported likelihood is that of the cached composite array
     hb, hd = (np.asarray(h, dtype=float)
               for h in _reference_histograms(MODEL, 20_000, seed=82))
-    cal = calibrate(hb, hd, t_detect=MODEL.t_detect, fix=fix)
+    cal = calibrate(hb, hd, t_detect=MODEL.t_detect)
     cm = composite_dists(cal.model, len(hb) - 1)
     assert cal.log_likelihood == hb @ np.log(cm[2]) + hd @ np.log(cm[0])
 
 
-def _calibration_objective(hb, hd, fix, monkeypatch):
+def _calibration_objective(hb, hd, monkeypatch):
     """The (value, gradient) objective that calibrate hands to L-BFGS-B."""
     seen = []
     minimize = optimize.minimize
@@ -895,22 +911,18 @@ def _calibration_objective(hb, hd, fix, monkeypatch):
         return minimize(fun, x0, **kwargs)
 
     monkeypatch.setattr(optimize, "minimize", capture)
-    calibrate(hb, hd, t_detect=MODEL.t_detect, fix=fix)
+    calibrate(hb, hd, t_detect=MODEL.t_detect)
     return seen[0]
 
 
-@pytest.mark.parametrize("fix", [None, {"lambda_bg": MODEL.lambda_bg},
-                                 {"gamma": MODEL.gamma}])
-def test_calibration_gradient_matches_central_differences(fix, monkeypatch):
+def test_calibration_gradient_matches_central_differences(monkeypatch):
     # n_max = 60 folds a third of the bright counts into the last bin
     hb, hd = _reference_histograms(MODEL, 20_000, seed=86, n_max=60)
-    nll = _calibration_objective(hb, hd, fix, monkeypatch)
-    free = [p for p in detection._CAL_PARAMS if p not in (fix or {})]
+    nll = _calibration_objective(hb, hd, monkeypatch)
     # (lambda_bright, lambda_dark, lambda_bg, gamma T), none at an optimum
     for point in ((28.0, 0.5, 2.5, 0.2), (31.0, 0.2, 1.5, 0.05),
                   (30.5, 1.0, 3.0, 1.5)):
-        theta = np.array([v for p, v in zip(detection._CAL_PARAMS, point)
-                          if p in free])
+        theta = np.array(point)
         grad = nll(theta)[1]
         diff = np.empty_like(theta)
         for k, step in enumerate(1e-6 * theta):
@@ -951,60 +963,16 @@ def test_calibrate_raises_when_lbfgsb_fails(monkeypatch):
         calibrate(hb, hd, t_detect=MODEL.t_detect)
 
 
-@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
-@pytest.mark.parametrize("name", detection._CAL_PARAMS)
-def test_calibrate_rejects_a_fixed_rate_readout_model_rejects(name, value,
-                                                              monkeypatch):
-    # a negative fixed rate used to be clamped to 0 and fit silently; now
-    # it raises ReadoutModel's error before the optimizer starts
-    hb, hd = _reference_histograms(MODEL, 2_000, seed=80)
-
-    def never(*args, **kwargs):
-        raise AssertionError("the optimizer started")
-
-    monkeypatch.setattr(optimize, "minimize", never)
-    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
-        calibrate(hb, hd, t_detect=MODEL.t_detect, fix={name: value})
-
-
-@pytest.mark.parametrize("lambda_bg", [0.0, 1.7])
-def test_calibrate_keeps_a_fixed_rate_as_given(lambda_bg):
-    hb, hd = _reference_histograms(MODEL, 5_000, seed=82)
-    cal = calibrate(hb, hd, t_detect=MODEL.t_detect,
-                    fix={"lambda_bg": lambda_bg})
-    assert cal.model.lambda_bg == lambda_bg
-    assert cal.model.t_detect == MODEL.t_detect
-
-
-@pytest.mark.parametrize("gamma", [13.0, 21.0])
-def test_calibrate_keeps_a_fixed_gamma_as_given(gamma):
-    # the fit works in gamma * t_detect, and these two rates do not
-    # survive the round trip (gamma * 200e-6) / 200e-6
-    assert gamma * MODEL.t_detect / MODEL.t_detect != gamma
-    hb, hd = _reference_histograms(MODEL, 3_000, seed=82)
-    cal = calibrate(hb, hd, t_detect=MODEL.t_detect, fix={"gamma": gamma})
-    assert cal.model.gamma == gamma
-
-
-def test_calibrate_rejects_unknown_or_all_fixed_rates():
-    hb, hd = _reference_histograms(MODEL, 2_000, seed=83)
-    with pytest.raises(ValueError,
-                       match=r"^unknown parameters in fix: \['gamma_t'\]$"):
-        calibrate(hb, hd, fix={"gamma_t": 0.1})
-    every = {p: getattr(MODEL, p) for p in detection._CAL_PARAMS}
-    with pytest.raises(ValueError,
-                       match="^at least one parameter must be free$"):
-        calibrate(hb, hd, fix=every)
-
-
-def test_calibrate_round_trip_with_known_background():
-    hb, hd = _reference_histograms(MODEL, 100_000, seed=20)
-    cal = calibrate(hb, hd, t_detect=MODEL.t_detect,
-                    fix={"lambda_bg": MODEL.lambda_bg})
-    assert cal.model.lambda_bright == pytest.approx(MODEL.lambda_bright,
-                                                    rel=0.02)
-    assert cal.model.lambda_dark == pytest.approx(MODEL.lambda_dark, rel=0.15)
-    assert cal.model.gamma == pytest.approx(MODEL.gamma, rel=0.10)
+def assert_identifiable_rates(fitted, model):
+    """The rates the references pin: background trades exactly against
+    the per-ion rates, so the fit is compared on gamma and on the
+    combinations lambda_bg + 2 lambda_dark and lambda_bg + 2
+    lambda_bright, which that trade leaves unchanged."""
+    assert (fitted.lambda_bg + 2 * fitted.lambda_dark) == pytest.approx(
+        model.lambda_bg + 2 * model.lambda_dark, rel=0.02)
+    assert (fitted.lambda_bg + 2 * fitted.lambda_bright) == pytest.approx(
+        model.lambda_bg + 2 * model.lambda_bright, rel=0.02)
+    assert fitted.gamma == pytest.approx(model.gamma, rel=0.10)
 
 
 @pytest.mark.parametrize("gamma_t,seed", [(0.05, 22), (0.4, 24)])
@@ -1012,22 +980,14 @@ def test_calibrate_recovers_gamma(gamma_t, seed):
     model = ReadoutModel(lambda_bright=30.0, lambda_dark=0.3, lambda_bg=2.0,
                          gamma=gamma_t / 200e-6)
     hb, hd = _reference_histograms(model, 100_000, seed=seed)
-    cal = calibrate(hb, hd, t_detect=model.t_detect,
-                    fix={"lambda_bg": model.lambda_bg})
-    assert cal.model.gamma == pytest.approx(model.gamma, rel=0.10)
+    cal = calibrate(hb, hd, t_detect=model.t_detect)
+    assert_identifiable_rates(cal.model, model)
 
 
 def test_calibrate_free_fit_recovers_identifiable_combinations():
-    # background trades exactly against the per-ion rates, so compare the
-    # gauge-invariant combinations and the resulting distributions
     hb, hd = _reference_histograms(MODEL, 100_000, seed=26)
-    cal = calibrate(hb, hd, t_detect=MODEL.t_detect)
-    fitted = cal.model
-    assert (fitted.lambda_bg + 2 * fitted.lambda_dark) == pytest.approx(
-        MODEL.lambda_bg + 2 * MODEL.lambda_dark, rel=0.02)
-    assert (fitted.lambda_bg + 2 * fitted.lambda_bright) == pytest.approx(
-        MODEL.lambda_bg + 2 * MODEL.lambda_bright, rel=0.02)
-    assert fitted.gamma == pytest.approx(MODEL.gamma, rel=0.10)
+    fitted = calibrate(hb, hd, t_detect=MODEL.t_detect).model
+    assert_identifiable_rates(fitted, MODEL)
     cm_true = composite_dists(MODEL, n_max=100)
     cm_fit = composite_dists(fitted, n_max=100)
     for i in range(3):
