@@ -891,38 +891,59 @@ def _reference_histograms(model, shots, seed, n_max=100):
             np.bincount(dark, minlength=n_max + 1))
 
 
-def test_calibrated_likelihood_is_that_of_composite_dists():
-    # the objective and composite_dists build their rows on one path, so
-    # the reported likelihood is that of the cached composite array
-    hb, hd = (np.asarray(h, dtype=float)
-              for h in _reference_histograms(MODEL, 20_000, seed=82))
-    cal = calibrate(hb, hd, t_detect=MODEL.t_detect)
-    cm = composite_dists(cal.model, len(hb) - 1)
-    assert cal.log_likelihood == hb @ np.log(cm[2]) + hd @ np.log(cm[0])
-
-
-def _calibration_objective(hb, hd, monkeypatch):
-    """The (value, gradient) objective that calibrate hands to L-BFGS-B."""
+def _calibrate_capturing(hb, hd, monkeypatch):
+    """calibrate's result, the (value, gradient) objective it hands to
+    L-BFGS-B and the optimizer's result."""
     seen = []
     minimize = optimize.minimize
 
     def capture(fun, x0, **kwargs):
-        seen.append(fun)
-        return minimize(fun, x0, **kwargs)
+        res = minimize(fun, x0, **kwargs)
+        seen.append((fun, res))
+        return res
 
     monkeypatch.setattr(optimize, "minimize", capture)
-    calibrate(hb, hd, t_detect=MODEL.t_detect)
-    return seen[0]
+    cal = calibrate(hb, hd, t_detect=MODEL.t_detect)
+    return (cal, *seen[0])
 
 
-def test_calibration_gradient_matches_central_differences(monkeypatch):
+def _with_rates(x, fix):
+    """The objective's point ``x`` (lambda_bright, lambda_dark, lambda_bg,
+    gamma T) with the rates named in ``fix`` set to the given values."""
+    x = np.array(x, dtype=float)
+    for name, value in (fix or {}).items():
+        x[detection._CAL_PARAMS.index(name)] = (
+            value * MODEL.t_detect if name == "gamma" else value)
+    return x
+
+
+@pytest.mark.parametrize("fix", [None, {"lambda_bg": MODEL.lambda_bg}])
+def test_calibrated_likelihood_is_that_of_composite_dists(fix, monkeypatch):
+    # the objective and composite_dists build their rows on one path, so
+    # the reported likelihood is that of the cached composite array, and
+    # so is the objective where ``fix`` moves a fitted rate off the optimum
+    hb, hd = (np.asarray(h, dtype=float)
+              for h in _reference_histograms(MODEL, 20_000, seed=82))
+    cal, nll, res = _calibrate_capturing(hb, hd, monkeypatch)
+    model = ReadoutModel(**{**vars(cal.model), **(fix or {})})
+    cm = composite_dists(model, len(hb) - 1)
+    log_likelihood = (cal.log_likelihood if fix is None
+                      else -nll(_with_rates(res.x, fix))[0])
+    assert log_likelihood == hb @ np.log(cm[2]) + hd @ np.log(cm[0])
+
+
+@pytest.mark.parametrize("fix", [None, {"lambda_bg": MODEL.lambda_bg},
+                                 {"gamma": MODEL.gamma}])
+def test_calibration_gradient_matches_central_differences(fix, monkeypatch):
     # n_max = 60 folds a third of the bright counts into the last bin
     hb, hd = _reference_histograms(MODEL, 20_000, seed=86, n_max=60)
-    nll = _calibration_objective(hb, hd, monkeypatch)
-    # (lambda_bright, lambda_dark, lambda_bg, gamma T), none at an optimum
+    _, nll, _ = _calibrate_capturing(hb, hd, monkeypatch)
+    # (lambda_bright, lambda_dark, lambda_bg, gamma T), none at an optimum;
+    # ``fix`` puts one rate at its reference value and the gradient is
+    # still checked in all four
     for point in ((28.0, 0.5, 2.5, 0.2), (31.0, 0.2, 1.5, 0.05),
                   (30.5, 1.0, 3.0, 1.5)):
-        theta = np.array(point)
+        theta = _with_rates(point, fix)
         grad = nll(theta)[1]
         diff = np.empty_like(theta)
         for k, step in enumerate(1e-6 * theta):
