@@ -629,13 +629,18 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
 
     ``scans`` is an iterable of (phi, hist), each histogram fit as by
     :func:`ml_fit` against the :func:`composite_dists` array ``cm`` with
-    ``n_bootstrap`` resamples (0, or at least 2).  The fit enforces the pi
-    period of a two-qubit parity oscillation, so its offset is the
-    coherence term: the two-phase average (parity(0) + parity(pi/2)) / 2
-    of the fitted curve.  Phases that leave its three parameters
-    unidentified, such as fewer than three distinct phases modulo pi,
-    raise IdentifiabilityError before any fit.
+    ``n_bootstrap`` resamples, at least 2 (``ValueError`` before any fit
+    otherwise).  The sinusoid weights each phase by 1 / sigma^2 of its
+    bootstrap parity error, floored at 1e-3 of the largest (and at 1e-6).
+    The fit enforces the pi period of a two-qubit parity oscillation, so
+    its offset is the coherence term: the two-phase average (parity(0) +
+    parity(pi/2)) / 2 of the fitted curve.  Phases that leave its three
+    parameters unidentified, such as fewer than three distinct phases
+    modulo pi, raise IdentifiabilityError before any fit.
     """
+    _check_integer(n_bootstrap, "n_bootstrap")
+    if n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be >= 2, got {n_bootstrap}")
     scans = list(scans)
     phases = np.array([float(phi) for phi, _ in scans])
     _check_phases(phases)
@@ -652,23 +657,15 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
                       for _, hist in scans])
     fits = _fit(hists, cm, n_bootstrap, root.spawn(len(scans)))
     parities = np.array([parity_from_fit(fit) for fit in fits])
-    errors = np.array([parity_std_from_fit(fit) for fit in fits], dtype=float)
+    errors = np.array([parity_std_from_fit(fit) for fit in fits])
 
-    have_errors = bool(np.all(np.isfinite(errors)))
-    if have_errors:
-        # boundary-pinned fits can bootstrap to sigma ~ 0; floor the
-        # weights so no single phase dominates the normal equations
-        floor = max(float(np.max(errors)) * 1e-3, 1e-6)
-        w = 1.0 / np.maximum(errors, floor) ** 2
-    else:
-        w = np.ones_like(parities)
+    # boundary-pinned fits can bootstrap to sigma ~ 0; floor the weights
+    # so no single phase dominates the normal equations
+    floor = max(float(np.max(errors)) * 1e-3, 1e-6)
+    w = 1.0 / np.maximum(errors, floor) ** 2
     a_mat = design.T @ (w[:, None] * design)
     beta = np.linalg.solve(a_mat, design.T @ (w * parities))
     cov = np.linalg.inv(a_mat)
-    if not have_errors:
-        resid = parities - design @ beta
-        dof = max(len(parities) - 3, 1)
-        cov = cov * float(resid @ resid) / dof
 
     a, b, offset = beta
     amplitude = float(np.hypot(a, b))

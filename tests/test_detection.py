@@ -772,7 +772,7 @@ def _fits_of(hist, cm):
     scans = [(phi, hist if k == 2 else good)
              for k, phi in enumerate(np.arange(4) * np.pi / 4)]
     return (lambda: ml_fit(hist, cm),
-            lambda: parity_scan_analysis(scans, cm, n_bootstrap=0))
+            lambda: parity_scan_analysis(scans, cm, n_bootstrap=2))
 
 
 def test_ml_fit_rejects_bad_samples():
@@ -846,10 +846,23 @@ def test_bootstrap_count_must_be_zero_or_two_or_more(n_bootstrap):
     hist = _binned(synthesize_shots((0.1, 0.8, 0.1), cm, 500, seed=70), cm)
     with pytest.raises(ValueError, match="n_bootstrap"):
         ml_fit(hist, cm, n_bootstrap=n_bootstrap)
+
+
+@pytest.mark.parametrize("n_bootstrap", [0, 1, -3, 2.5, 3.0, True])
+def test_parity_scan_needs_two_or_more_resamples_before_any_fit(
+        n_bootstrap, monkeypatch):
+    # a scan weights each phase by its bootstrap parity error, so it needs
+    # a standard deviation at every phase; the count is refused before
+    # the first Newton fit
+    def no_fit(*args):
+        raise AssertionError("a Newton fit ran")
+
+    monkeypatch.setattr(detection, "_newton", no_fit)
     scans = _scan_histograms(dicke_state(2, 1).density(),
                              np.arange(4) * np.pi / 4, 300, seed=71)
     with pytest.raises(ValueError, match="n_bootstrap"):
-        parity_scan_analysis(scans, cm, n_bootstrap=n_bootstrap)
+        parity_scan_analysis(scans, composite_dists(MODEL),
+                             n_bootstrap=n_bootstrap)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
@@ -1141,14 +1154,25 @@ def test_parity_scan_offset_error_matches_the_spread_of_offsets():
     assert abs(np.mean(offsets) - 0.7) <= 3.0 * spread / np.sqrt(r_scans)
 
 
-def test_parity_scan_without_bootstrap_weights_residuals():
-    rho = dicke_state(2, 1).density()
+def test_parity_scan_of_one_histogram_at_every_phase_has_no_amplitude():
+    # equal parities fit a flat curve, whose amplitude has no direction:
+    # its error is the larger standard error of the cos and sin terms of
+    # the 1 / sigma^2-weighted least squares
+    cm = composite_dists(MODEL)
+    hist = _binned(synthesize_shots((0.1, 0.8, 0.1), cm, 2_000, seed=50), cm)
     phases = np.arange(6) * np.pi / 6
-    scans = _scan_histograms(rho, phases, 3_000, seed=47, double=True)
-    res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
-    assert np.all(np.isnan(res.parity_errors))
-    assert res.amplitude == pytest.approx(1.0, abs=0.05)
-    assert res.offset_error > 0
+    res = parity_scan_analysis([(phi, hist) for phi in phases], cm,
+                               n_bootstrap=20, seed=51)
+    assert np.all(res.parities == res.parities[0])
+    assert res.amplitude < 1e-12
+    design = np.column_stack([np.cos(2 * phases), np.sin(2 * phases),
+                              np.ones_like(phases)])
+    floor = max(1e-3 * np.max(res.parity_errors), 1e-6)
+    w = 1.0 / np.maximum(res.parity_errors, floor) ** 2
+    cov = np.linalg.inv(design.T @ (w[:, None] * design))
+    assert np.isfinite(res.amplitude_error)
+    assert res.amplitude_error == pytest.approx(
+        np.sqrt(max(cov[0, 0], cov[1, 1])), rel=1e-12)
 
 
 def test_parity_scan_needs_four_phases():
@@ -1168,14 +1192,14 @@ def test_parity_scan_needs_three_phases_modulo_pi(phases):
     rho = dicke_state(2, 1).density()
     scans = _scan_histograms(rho, phases, 500, seed=49)
     with pytest.raises(IdentifiabilityError, match="modulo pi"):
-        parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
+        parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=2)
 
 
 def test_parity_scan_fits_four_phases_with_three_modulo_pi():
     rho = dicke_state(2, 1).density()
     scans = _scan_histograms(rho, [0.0, np.pi / 4, np.pi / 2, np.pi], 500,
                              seed=49)
-    res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
+    res = parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=2)
     assert np.isfinite(res.amplitude) and np.isfinite(res.offset)
     assert res.amplitude < 1.0
 
@@ -1190,7 +1214,7 @@ def test_analysis_phases_must_be_finite(bad):
     scans = [(bad if k == 2 else phi, hist)
              for k, (phi, hist) in enumerate(scans)]
     with pytest.raises(DataError, match="analysis phases must be finite"):
-        parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=0)
+        parity_scan_analysis(scans, composite_dists(MODEL), n_bootstrap=2)
     phases = np.where(np.arange(6) == 2, bad, phases)
     with pytest.raises(DataError, match="analysis phases must be finite"):
         estimate_period(phases, np.cos(2 * np.arange(6) * np.pi / 6))
