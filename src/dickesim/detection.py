@@ -25,11 +25,13 @@ is concave, so the optimum is global, and Newton steps with the exact
 Hessian on the face of the simplex that holds the free populations reach
 it in a few iterations, where EM-style updates crawl near the boundary.
 Uncertainties come from a nonparametric bootstrap of 0 (none) or at least
-2 resamples.  The fits of a call run in two batches through one Newton
-loop: the point fits (one sample, or every phase of a parity scan), then
-all of their bootstrap resamples.  A fit stops after the step whose Newton
-decrement is at most 1e-10, and its result does not depend on the rest of
-its batch.
+2 resamples.  The fits of a call go through one loop over blocks of at
+most ``_BLOCK_ROWS`` rows: the point fits (one sample, or every phase of
+a parity scan), then their bootstrap resamples, each block drawn from
+the histograms' own Generators as it is reached, so that the working set
+does not grow with the resample count.  A fit stops after the step whose
+Newton decrement is at most 1e-10, and its result does not depend on the
+rest of its block.
 
 scipy is imported inside the three functions that call it (the Poisson
 kernel, calibration's L-BFGS-B and the period fit), not at module level,
@@ -51,7 +53,7 @@ from .errors import (ConvergenceError, DataError, IdentifiabilityError,
 DEFAULT_N_MAX = 100
 DEFAULT_T_DETECT = 200e-6  # s
 DEFAULT_N_BOOTSTRAP = 200
-_BLOCK_ROWS = 256  # rows per block of the Newton fit's line search
+_BLOCK_ROWS = 400  # most rows (point fits or resamples) per Newton fit call
 FIT_CAP = 100  # Newton iterations before a fit raises ConvergenceError
 QUAD_NODES = 513  # 512 Simpson intervals over the detection window
 _TAU = np.linspace(0.0, 1.0, QUAD_NODES)  # decay time over the window
@@ -105,7 +107,11 @@ def _folded_poisson(mean, n_max):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = n * special.xlogy(1, mean)
     log_p[0] = 0.0
-    p = np.exp(log_p - special.gammaln(n + 1) - mean)
+    # in place, so that a grid of means holds one (n_max+1, len(mean))
+    # array, not four
+    log_p -= special.gammaln(n + 1)
+    log_p -= mean
+    p = np.exp(log_p, out=log_p)
     p[-1] += special.pdtrc(n_max, mean)
     return p
 
@@ -281,26 +287,20 @@ def _newton(h, pmat, starts):
         # step t d, where s = dmix / mix (exact for short steps), or with
         # ``slope`` its derivative in t, sum_n h_n / (1 / s_n + t).  A bin
         # without counts adds nothing, and a step onto a bin the mixture
-        # cannot reach scores nan or -inf.  The rows go in blocks of
-        # _BLOCK_ROWS, so that the copies they need stay small.
-        out = np.empty(len(sel))
-        for lo in range(0, len(sel), _BLOCK_ROWS):
-            part = sel[lo:lo + _BLOCK_ROWS]
-            tp = t[lo:lo + _BLOCK_ROWS, None]
-            r = np.einsum("bi,in->bn", d[part], pmat)
-            r /= mix[part]
-            hs = h[part]
-            held = hs > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if slope:
-                    np.reciprocal(r, out=r, where=held)
-                    r += tp
-                    np.reciprocal(r, out=r, where=held)
-                else:
-                    r *= tp
-                    np.log1p(r, out=r, where=held)
-                out[lo:lo + _BLOCK_ROWS] = np.einsum("bn,bn->b", hs, r)
-        return out
+        # cannot reach scores nan or -inf.
+        r = np.einsum("bi,in->bn", d[sel], pmat)
+        r /= mix[sel]
+        hs = h[sel]
+        held = hs > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if slope:
+                np.reciprocal(r, out=r, where=held)
+                r += t[:, None]
+                np.reciprocal(r, out=r, where=held)
+            else:
+                r *= t[:, None]
+                np.log1p(r, out=r, where=held)
+        return np.einsum("bn,bn->b", hs, r)
 
     c = starts / starts.sum(axis=1, keepdims=True)
     free = c > 0
@@ -395,25 +395,40 @@ def _check_histogram(hist, name, n_bins=None):
 
 
 def _fit(hists, cm, n_bootstrap, seeds):
-    """One FitResult per row of ``hists``: all rows are fit in one Newton
-    batch from the uniform populations, then all bootstrap resamples
-    (drawn for row j from ``seeds[j]``) in another, each from its row's
-    fit.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1 std)."""
+    """One FitResult per row of ``hists``: the rows are fit from the
+    uniform populations, then their bootstrap resamples (drawn for row j
+    from ``seeds[j]``) each from its row's fit, in blocks of at most
+    _BLOCK_ROWS Newton rows, so that the working set does not grow with
+    ``n_bootstrap``.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1
+    std)."""
     _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
-    k = cm.shape[0]
-    c_hat = _newton(hists, cm, np.full((len(hists), k), 1.0 / k))
-    boots = [None] * len(hists)
-    if n_bootstrap > 0:
-        starts = np.repeat(np.clip(c_hat, 1e-6, None), n_bootstrap, axis=0)
-        # resamples built inside the call, so that _newton holds their only
-        # reference and frees them as its working set shrinks
-        boots = _newton(np.concatenate([
-            np.random.default_rng(seed).multinomial(int(n), h / n,
-                                                    size=n_bootstrap)
-            for seed, h, n in zip(seeds, hists, np.sum(hists, axis=1))],
-            dtype=float), cm, starts).reshape(len(hists), -1, k)
+    n, k = len(hists), cm.shape[0]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    totals = np.sum(hists, axis=1)
+    # row r < n is the fit of hists[r], row n + j * n_bootstrap + b the
+    # fit of resample b of hists[j].  A resample starts from its
+    # histogram's fit, so no block mixes the two kinds; a Generator's
+    # successive multinomial draws of some rows each are the rows of one
+    # draw of all of them, and a row's fit does not depend on its block
+    fits = np.empty((n * (1 + n_bootstrap), k))
+    for lo in [*range(0, n, _BLOCK_ROWS), *range(n, len(fits), _BLOCK_ROWS)]:
+        hi = min(lo + _BLOCK_ROWS, n if lo < n else len(fits))
+        if lo < n:
+            h, starts = hists[lo:hi], np.full((hi - lo, k), 1.0 / k)
+        else:
+            j = (np.arange(lo, hi) - n) // n_bootstrap
+            h = np.concatenate([
+                rngs[i].multinomial(int(totals[i]), hists[i] / totals[i],
+                                    size=m)
+                for i, m in zip(*np.unique(j, return_counts=True))],
+                dtype=float)
+            starts = np.clip(fits[j], 1e-6, None)
+        fits[lo:hi] = _newton(h, cm, starts)
+    c_hat = fits[:n]
+    boots = (fits[n:].reshape(n, n_bootstrap, k) if n_bootstrap
+             else [None] * n)
     lls = _log_likelihood(hists, c_hat, cm)
     return [FitResult(populations=c, log_likelihood=float(l),
                       std_errors=(np.zeros(k) if b is None
@@ -477,12 +492,13 @@ def _draw(p, u):
     return out
 
 
-def synthesize_shots(populations, cm, n_shots, seed):
-    """Draw i.i.d. photon counts from the mixture sum_i c_i P(n|i) of the
-    rows of the :func:`composite_dists` array ``cm``.
-
-    Reproducible for a fixed seed (an int, SeedSequence or Generator).
-    """
+def _shot_draws(populations, cm, n_shots, seed):
+    """``n_shots`` shots drawn from the mixture of the rows of ``cm``, as
+    the normalised populations ``c``, the uniforms ``u`` with which
+    ``_draw(c, u)`` picks each shot's component, and for each row the
+    counts of the shots that picked it, in shot order: the one sampler of
+    :func:`synthesize_shots`, which puts the counts in shot order, and of
+    histograms that bin them as drawn, without any shot's component."""
     c = np.asarray(populations, dtype=float)
     if not np.all(c >= -1e-12):  # NaN fails this too
         raise ValueError("populations must be non-negative")
@@ -496,13 +512,28 @@ def synthesize_shots(populations, cm, n_shots, seed):
     rng = np.random.default_rng(seed)
     c = np.clip(c, 0.0, None)
     c /= np.sum(c)
-    # rng.choice's uniforms: the components, then each one's counts in turn
-    component = _draw(c, rng.random(n_shots))
+    # rng.choice's uniforms: the components, then each one's counts in
+    # turn; a row that holds no draw is not read.  _draw(c, u) picks
+    # #{j: cdf_j <= u} on _draw's cdf, so #{u < cdf_j} shots pick j or less
+    u = rng.random(n_shots)
+    cdf = np.cumsum(c)
+    cdf /= cdf[-1]
+    sizes = np.diff([np.count_nonzero(u < x) for x in cdf], prepend=0)
+    return c, u, [_draw(p, rng.random(m)) if m else np.zeros(0, int)
+                  for p, m in zip(cm, sizes)]
+
+
+def synthesize_shots(populations, cm, n_shots, seed):
+    """Draw i.i.d. photon counts from the mixture sum_i c_i P(n|i) of the
+    rows of the :func:`composite_dists` array ``cm``.
+
+    Reproducible for a fixed seed (an int, SeedSequence or Generator).
+    """
+    c, u, draws = _shot_draws(populations, cm, n_shots, seed)
+    component = _draw(c, u)
     counts = np.zeros(n_shots, dtype=int)
-    for i, p in enumerate(cm):
-        mask = component == i
-        if np.any(mask):
-            counts[mask] = _draw(p, rng.random(int(np.sum(mask))))
+    for i, d in enumerate(draws):
+        counts[component == i] = d
     return counts
 
 

@@ -9,9 +9,9 @@ import dataclasses
 import numpy as np
 
 from .detection import (_CAL_PARAMS, DEFAULT_N_BOOTSTRAP, DEFAULT_T_DETECT,
-                        ReadoutModel, calibrate, composite_dists,
-                        estimate_period, ml_fit, parity_from_fit,
-                        parity_scan_analysis, synthesize_shots)
+                        ReadoutModel, _shot_draws, calibrate,
+                        composite_dists, estimate_period, ml_fit,
+                        parity_from_fit, parity_scan_analysis)
 from .dicke import rotated_density, weights
 from .errors import DataError, _check_integer
 from .sideband import first_max_fidelity
@@ -96,9 +96,10 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
     n_max = cm_true.shape[1] - 1
 
     def record(c, n_shots):
-        """The count histogram of a shot record drawn from the next seed."""
-        counts = synthesize_shots(c, cm_true, n_shots, next(seed_iter))
-        return np.bincount(counts, minlength=n_max + 1)
+        """The count histogram of a shot record drawn from the next seed,
+        binned component by component as drawn."""
+        *_, draws = _shot_draws(c, cm_true, n_shots, next(seed_iter))
+        return sum(np.bincount(d, minlength=n_max + 1) for d in draws)
 
     cal = calibrate(record((0.0, 0.0, 1.0), shots),
                     record((1.0, 0.0, 0.0), shots), t_detect=model.t_detect)

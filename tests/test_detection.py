@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -738,6 +739,54 @@ def test_fit_working_set_stays_within_the_squarem_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 4_255_272
+
+
+def test_bootstrap_working_set_does_not_grow_with_the_resample_count():
+    # 20,000 resamples of a 20,000-shot histogram reach the Newton fit
+    # _BLOCK_ROWS rows at a time; built all at once they traced 60 MB, in
+    # blocks of 400 rows 2.1 MB, of which 0.5 MB are the fits themselves
+    cm = composite_dists(MODEL)
+    hist = _binned(synthesize_shots((0.1, 0.8, 0.1), cm, 20_000, seed=92), cm)
+    ml_fit(hist, cm, n_bootstrap=2, seed=93)  # first-call allocations
+    tracemalloc.start()
+    try:
+        fit = ml_fit(hist, cm, n_bootstrap=20_000, seed=93)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.bootstrap_populations.shape == (20_000, 3)
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("block", [1, 7, 150, 10**6])
+def test_fits_do_not_depend_on_the_block_size(monkeypatch, block):
+    # one histogram's 40 resamples, and nine scan histograms of 10
+    # resamples each: 7-row blocks end inside one histogram's resamples
+    # (after the 7th) and between two histograms' (after the 70th),
+    # 150-row blocks hold all of a call's resamples, and 10**6 rows are
+    # one batch
+    cm = composite_dists(MODEL)
+    hist = _binned(synthesize_shots((0.0, 0.9, 0.1), cm, 5_000, seed=94), cm)
+    scans = _scan_histograms(dicke_state(2, 1).density(),
+                             np.arange(9) * np.pi / 9, 2_000, seed=95)
+    hists = np.stack([h for _, h in scans]).astype(float)
+
+    def run():
+        return (ml_fit(hist, cm, n_bootstrap=40, seed=96),
+                parity_scan_analysis(scans, cm, n_bootstrap=10, seed=97),
+                detection._fit(hists, cm, 10,
+                               np.random.SeedSequence(97).spawn(len(scans))))
+
+    fit, scan, scan_fits = run()
+    monkeypatch.setattr(detection, "_BLOCK_ROWS", block)
+    fit_b, scan_b, scan_fits_b = run()
+    for a, b in zip([fit, *scan_fits], [fit_b, *scan_fits_b]):
+        for name in ("populations", "std_errors", "bootstrap_populations",
+                     "log_likelihood"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    for field in dataclasses.fields(ParityScanResult):
+        assert np.array_equal(getattr(scan, field.name),
+                              getattr(scan_b, field.name))
 
 
 def test_ml_fit_matches_sequential_bootstrap_oracle():
