@@ -22,18 +22,25 @@ from . import __version__
 from .chain import (ChainTemplate, read_chain_file, solve_axial_modes,
                     text_lines)
 from .detection import (DEFAULT_N_BOOTSTRAP, DEFAULT_N_MAX, DEFAULT_T_DETECT,
-                        ReadoutModel, calibrate, composite_dists, ml_fit,
-                        parity_std_from_fit, synthesize_shots)
+                        ReadoutModel, composite_dists, synthesize_shots)
 from .errors import (ConvergenceError, DataError, IdentifiabilityError,
                      SearchError, UnstableCrystalError)
-from .experiment import (DEFAULT_MODEL, _calibration_section,
-                         _population_fit_entries, run_experiment)
+from .experiment import DEFAULT_MODEL, fit_report, run_experiment
 from .sideband import fidelity_vs_mass_ratio
 
 
 # a JSON sweep row holds the dense 2^N x 2^N reduced density, 1 GB of
 # complex numbers at N = 13
 JSON_MAX_QUBITS = 12
+
+# the help text of each readout-model flag, by ReadoutModel field
+_MODEL_FLAG_HELP = {
+    "lambda_bright": "mean counts per window from one bright ion",
+    "lambda_dark": "mean counts per window from one dark ion",
+    "lambda_bg": "mean background counts per window",
+    "gamma": "dark-to-bright repump rate (1/s)",
+    "t_detect": "detection window (s)",
+}
 
 
 class _UsageError(Exception):
@@ -72,11 +79,9 @@ def _json_default(value):
 def _density_json(rho):
     """A QubitDensity as ``{"n_qubits", "matrix"}``, each matrix entry a
     ``[real, imag]`` pair."""
-    return {
-        "n_qubits": rho.n_qubits,
-        "matrix": [[[float(v.real), float(v.imag)] for v in row]
-                   for row in rho.matrix],
-    }
+    m = rho.matrix
+    return {"n_qubits": rho.n_qubits,
+            "matrix": np.stack([m.real, m.imag], axis=-1)}
 
 
 def _write_json(data, path):
@@ -114,20 +119,10 @@ def _model_from_args(args):
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--lambda-bright", type=float,
-                        default=DEFAULT_MODEL.lambda_bright,
-                        help="mean counts per window from one bright ion")
-    parser.add_argument("--lambda-dark", type=float,
-                        default=DEFAULT_MODEL.lambda_dark,
-                        help="mean counts per window from one dark ion")
-    parser.add_argument("--lambda-bg", type=float,
-                        default=DEFAULT_MODEL.lambda_bg,
-                        help="mean background counts per window")
-    parser.add_argument("--gamma", type=float, default=DEFAULT_MODEL.gamma,
-                        help="dark-to-bright repump rate (1/s)")
-    parser.add_argument("--t-detect", type=float,
-                        default=DEFAULT_MODEL.t_detect,
-                        help="detection window (s)")
+    for f in dataclasses.fields(ReadoutModel):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=float,
+                            default=getattr(DEFAULT_MODEL, f.name),
+                            help=_MODEL_FLAG_HELP[f.name])
 
 
 # --- modes --------------------------------------------------------------------
@@ -202,20 +197,20 @@ def _sweep_row(mu, outcome, carrier_rate):
 
 
 def cmd_sweep(args):
+    if args.carrier_rate is not None and not 0 < args.carrier_rate < np.inf:
+        raise _UsageError("--carrier-rate must be finite and positive")
+    grid = _mu_grid(args)
     chain_file = read_chain_file(args.config)
     template = _template_from_file(chain_file, args.config)
     if not 1 <= args.m <= template.n_qubits:
         raise _UsageError(f"--m must lie in 1..{template.n_qubits}, the "
                           "qubit ion count")
-    if args.carrier_rate is not None and not 0 < args.carrier_rate < np.inf:
-        raise _UsageError("--carrier-rate must be finite and positive")
     n = template.n_qubits
     if args.format == "json" and n > JSON_MAX_QUBITS:
         raise _UsageError(
             f"--format json writes a dense {2**n} x {2**n} reduced density "
             f"per row ({16 * 4**n / 1e9:.1f} GB at {n} qubit ions) and "
             f"takes at most {JSON_MAX_QUBITS}; use --format csv")
-    grid = _mu_grid(args)
     outcomes = fidelity_vs_mass_ratio(template, grid, args.m)
     rows = [_sweep_row(mu, outcome, args.carrier_rate)
             for mu, outcome in zip(grid, outcomes)]
@@ -244,9 +239,9 @@ def cmd_sweep(args):
 def cmd_experiment(args):
     if args.shots < 100:
         raise _UsageError("need at least 100 shots per record")
-    chain_file = read_chain_file(args.config)
-    report = run_experiment(chain_file, args.shots, _checked_seed(args.seed),
-                            model=_model_from_args(args))
+    seed, model = _checked_seed(args.seed), _model_from_args(args)
+    report = run_experiment(read_chain_file(args.config), args.shots, seed,
+                            model=model)
     _write_json(report, args.out)
     return 0
 
@@ -300,23 +295,11 @@ def cmd_fit(args):
         raise _UsageError("--t-detect must be finite and positive")
     if args.n_max < 1:
         raise _UsageError("--n-max must be >= 1")
-    hist = _read_shot_file(args.shots, args.n_max)
-    hist_bright = _read_histogram(args.ref_bright, args.n_max)
-    hist_dark = _read_histogram(args.ref_dark, args.n_max)
-    cal = calibrate(hist_bright, hist_dark, t_detect=args.t_detect)
-    cm = composite_dists(cal.model, args.n_max)
-    fit = ml_fit(hist, cm, n_bootstrap=args.bootstrap,
-                 seed=_checked_seed(args.seed))
-    _write_json({
-        "schema": "fit.v1",
-        "populations": fit.populations,
-        **_population_fit_entries(fit),
-        "parity_std": parity_std_from_fit(fit),
-        "calibration": {
-            **_calibration_section(cal),
-            "t_detect": cal.model.t_detect,
-        },
-    }, args.out)
+    seed = _checked_seed(args.seed)
+    _write_json(fit_report(_read_shot_file(args.shots, args.n_max),
+                           _read_histogram(args.ref_bright, args.n_max),
+                           _read_histogram(args.ref_dark, args.n_max),
+                           args.t_detect, args.bootstrap, seed), args.out)
     return 0
 
 
@@ -329,8 +312,8 @@ def cmd_synth(args):
         raise _UsageError("--c0/--c1/--c2 must be non-negative and sum to 1")
     if args.shots < 0:
         raise _UsageError("--shots must be >= 0")
-    cm = composite_dists(_model_from_args(args))
-    counts = synthesize_shots(c, cm, args.shots, _checked_seed(args.seed))
+    seed, model = _checked_seed(args.seed), _model_from_args(args)
+    counts = synthesize_shots(c, composite_dists(model), args.shots, seed)
     with _open_out(args.out) as out:
         for value in counts:
             out.write(f"{value}\n")

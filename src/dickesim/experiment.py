@@ -1,6 +1,6 @@
-"""The synthetic end-to-end D(2,1) experiment: pulse simulation,
-calibration, population fit and parity scans, as the ``experiment.v1``
-report."""
+"""The readout reports: the synthetic end-to-end D(2,1) experiment as
+``experiment.v1`` (pulse, calibration, population fit and parity scans),
+and the calibration and population fit of recorded counts as ``fit.v1``."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ import dataclasses
 import numpy as np
 
 from .detection import (_CAL_PARAMS, DEFAULT_N_BOOTSTRAP, DEFAULT_T_DETECT,
-                        ReadoutModel, _shot_draws, calibrate,
-                        composite_dists, estimate_period, ml_fit,
-                        parity_from_fit, parity_scan_analysis)
+                        ReadoutModel, _shot_draws, calibrate, composite_dists,
+                        estimate_period, ml_fit, parity_from_fit,
+                        parity_scan_analysis, parity_std_from_fit)
 from .dicke import rotated_density, weights
 from .errors import DataError, _check_integer
 from .sideband import first_max_fidelity
@@ -59,6 +59,22 @@ def _bright_populations(rho):
     diag = np.maximum(np.real(np.diag(rho.matrix)), 0.0)
     c = np.bincount(n - weights(n), weights=diag)
     return c / np.sum(c)
+
+
+def fit_report(hist, ref_bright, ref_dark, t_detect, n_bootstrap, seed):
+    """The ``fit.v1`` report: calibrate on the two reference histograms,
+    then fit the populations of ``hist``, whose last bin is n_max."""
+    cal = calibrate(ref_bright, ref_dark, t_detect=t_detect)
+    fit = ml_fit(hist, composite_dists(cal.model, len(hist) - 1),
+                 n_bootstrap=n_bootstrap, seed=seed)
+    return {
+        "schema": "fit.v1",
+        "populations": fit.populations,
+        **_population_fit_entries(fit),
+        "parity_std": parity_std_from_fit(fit),
+        "calibration": {**_calibration_section(cal),
+                        "t_detect": cal.model.t_detect},
+    }
 
 
 def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,

@@ -517,6 +517,40 @@ def test_negative_seed_exits_1(tmp_path, capsys, command, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["experiment", "--seed", "-1"], "--seed must be >= 0"),
+    (["experiment", "--lambda-bright", "0.1"], "readout model flags"),
+    (["fit", "--seed", "-1"], "--seed must be >= 0"),
+    (["sweep", "--carrier-rate", "0"], "--carrier-rate"),
+    (["sweep", "--mu-points", "0"], "--mu-points must be >= 1"),
+], ids=["experiment-seed", "experiment-model", "fit-seed",
+        "sweep-carrier-rate", "sweep-mu-points"])
+def test_usage_error_comes_before_any_file_is_read(tmp_path, capsys, args,
+                                                   message):
+    # every input file is missing, which reading would report as exit 2
+    missing = str(tmp_path / "missing")
+    files = (["--shots", missing, "--ref-bright", missing,
+              "--ref-dark", missing] if args[0] == "fit"
+             else ["--config", missing])
+    out = tmp_path / "out"
+    assert main(args + files + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_checks_its_seed_before_building_the_count_model(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the count model was built")
+
+    monkeypatch.setattr(cli, "composite_dists", refuse)
+    out = tmp_path / "s.txt"
+    assert main(["synth", "--c0", "1", "--c1", "0", "--c2", "0",
+                 "--seed", "-1", "--out", str(out)]) == 1
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_reference_histogram(path, counts):
     hist = np.bincount(counts, minlength=101)
     with open(path, "w") as fh:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import (QubitState, assert_identity_semantics,
@@ -7,7 +9,7 @@ from conftest import (QubitState, assert_identity_semantics,
                       state_to_json_dict, w_fidelity_analytic)
 
 from dickesim import QubitDensity, collective_rotation, rotated_density
-from dickesim.cli import _density_json
+from dickesim.cli import _density_json, _json_default
 from dickesim.dicke import weights
 
 
@@ -290,6 +292,26 @@ def test_density_json_round_trip():
     rho = random_density(2, rng)
     back = density_from_json_dict(_density_json(rho))
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
+
+
+def test_density_json_writes_every_entry_as_its_float_pair():
+    # signed zeros, a subnormal and ordinary entries keep their exact text
+    rho = QubitDensity(matrix=np.array([
+        [0.5, complex(0.1, -0.0), 5e-324, 0.0],
+        [0.1, 0.25, 0.05j, 0.0],
+        [5e-324, -0.05j, 0.25, complex(-0.0, 0.0)],
+        [0.0, 0.0, complex(-0.0, -0.0), complex(-0.0, 0.0)],
+    ]), n_qubits=2)
+    entries = {"n_qubits": 2,
+               "matrix": [[[float(v.real), float(v.imag)] for v in row]
+                          for row in rho.matrix]}
+
+    def dump(data):
+        return json.dumps(data, indent=2, sort_keys=True,
+                          default=_json_default)
+
+    assert "-0.0" in dump(entries) and "5e-324" in dump(entries)
+    assert dump(_density_json(rho)) == dump(entries)
 
 
 def test_qubit_density_compares_by_identity():

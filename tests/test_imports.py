@@ -1,8 +1,10 @@
 """The chain and pulse paths run on numpy alone: importing the package and
 running `modes` or `sweep` loads no scipy module, and the readout commands
 load scipy on first use.  Each check runs in a fresh interpreter, since
-this test session has scipy loaded already."""
+this test session has scipy loaded already.  The CLI only parses,
+dispatches and writes: the readout pipeline is the library's."""
 
+import ast
 import json
 import os
 import subprocess
@@ -73,3 +75,21 @@ print(json.dumps({SCIPY_MODULES}))
     assert "scipy.optimize" in run_fresh(code, tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["schema"] == "experiment.v1"
+
+
+def test_cli_reaches_the_library_through_public_names_only():
+    tree = ast.parse((Path(dickesim.__file__).parent / "cli.py").read_text(
+        "utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("dickesim"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
+    called = {node.func.id if isinstance(node.func, ast.Name)
+              else getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"calibrate", "ml_fit"}
+    # bench/test_checks.py imports run_experiment from the CLI module
+    from dickesim.cli import run_experiment
+    assert run_experiment is dickesim.run_experiment
