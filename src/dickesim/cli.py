@@ -369,11 +369,18 @@ def build_parser():
                        help="bright reference histogram CSV (n,count)")
     p_fit.add_argument("--ref-dark", required=True,
                        help="dark reference histogram CSV (n,count)")
-    p_fit.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p_fit.add_argument("--t-detect", type=float, default=DEFAULT_T_DETECT)
-    p_fit.add_argument("--bootstrap", type=int, default=DEFAULT_N_BOOTSTRAP)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--out", default="-")
+    p_fit.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+                       help="largest photon count in the shot file and "
+                            "histograms")
+    p_fit.add_argument("--t-detect", type=float, default=DEFAULT_T_DETECT,
+                       help=_MODEL_FLAG_HELP["t_detect"])
+    p_fit.add_argument("--bootstrap", type=int, default=DEFAULT_N_BOOTSTRAP,
+                       help="bootstrap resamples for the population errors "
+                            "(0 for none, else at least 2)")
+    p_fit.add_argument("--seed", type=int, default=0,
+                       help="seed of the bootstrap resamples (>= 0)")
+    p_fit.add_argument("--out", default="-",
+                       help="output JSON file ('-' for stdout)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_synth = sub.add_parser("synth", help="generate synthetic shot records")

@@ -146,8 +146,9 @@ def _dark_ion(model, n_max):
     contributes Poisson counts with the time-weighted mean.  The decay
     time x = tau/T has density gamma T exp(-gamma T x); on the grid it
     becomes the Simpson weights times exp(-gamma T x), normalised to sum
-    1, so that the decayed branch carries the exact mass 1 - exp(-gamma T).  The normaliser is at least the first weight, so no
-    gamma T >= 0 divides by zero.  One (n_max+1, QUAD_NODES) product with
+    1, so that the decayed branch carries the exact mass
+    1 - exp(-gamma T).  The normaliser is at least the first weight, so
+    no gamma T >= 0 divides by zero.  One (n_max+1, QUAD_NODES) product with
     the columns x nu and (1 - x) nu gives the decayed row (their sum) and,
     through the shift difference, its derivatives in lambda_dark and
     lambda_bright; nu's own derivative in gamma T is -(x - <x>) nu.

@@ -1,6 +1,7 @@
 """The readout reports: the synthetic end-to-end D(2,1) experiment as
-``experiment.v1`` (pulse, calibration, population fit and parity scans),
-and the calibration and population fit of recorded counts as ``fit.v1``."""
+``experiment.v1`` (the pulse, then the certification of the state it
+makes by calibration, population fit and parity scans), and the
+calibration and population fit of recorded counts as ``fit.v1``."""
 
 from __future__ import annotations
 
@@ -77,35 +78,33 @@ def fit_report(hist, ref_bright, ref_dark, t_detect, n_bootstrap, seed):
     }
 
 
-def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
-                   n_bootstrap=DEFAULT_N_BOOTSTRAP):
-    """End-to-end synthetic run on one chain config; returns the report dict.
-
-    Simulates the preparation pulse, draws reference/experiment/parity
-    count histograms from the true readout model, calibrates against the
-    references, fits populations and parity scans, and assembles the
-    final fidelity with its statistical error.  Each parity scan takes
-    ``n_bootstrap // 2`` resamples, so ``n_bootstrap`` must be >= 4.
-    """
+def _check_resample_count(n_bootstrap):
+    """Raise ValueError unless ``n_bootstrap`` is an integer of at least 4,
+    as each parity scan takes ``n_bootstrap // 2`` resamples."""
     _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap < 4:
         raise ValueError(f"n_bootstrap must be >= 4, got {n_bootstrap}")
-    if chain_file.ancilla_index is None:
-        raise DataError("experiment needs an ancilla_index entry in the config")
-    config = chain_file.config
-    addressed = tuple(i for i in range(config.n_ions)
-                      if i != chain_file.ancilla_index)
-    if len(addressed) != 2:
-        raise DataError("the readout pipeline models exactly 2 qubit ions")
 
-    pulse = first_max_fidelity(config, addressed, m=1)
-    rho = pulse.reduced_density
-    populations = _bright_populations(rho)
 
+def certify_state(rho, shots, seed, model=DEFAULT_MODEL,
+                  n_bootstrap=DEFAULT_N_BOOTSTRAP):
+    """Certify the two-qubit state ``rho`` from photon counts alone; returns
+    the readout entries of ``experiment.v1``.
+
+    Draws reference, experiment and parity-scan count histograms from the
+    true readout ``model``, calibrates against the references, fits the
+    populations and both parity scans, and reports the fidelity ``(c1 +
+    coherence) / 2`` with its statistical error.  Seeds are spawned from
+    ``SeedSequence(seed)`` in order of use: both references, the
+    experiment shots, the population fit, every phase of the single then
+    the double scan, and the two scan analyses.  Another qubit count or a
+    bad ``n_bootstrap`` raises ValueError before any draw.
+    """
+    _check_resample_count(n_bootstrap)
+    if rho.n_qubits != 2:
+        raise ValueError(f"the readout models exactly 2 qubits, got "
+                         f"{rho.n_qubits}")
     phases = [k * np.pi / N_PHASES for k in range(N_PHASES)]
-    # seeds in order of use: both references, the experiment shots, the
-    # population fit, every phase of the single then the double scan, and
-    # the two scan analyses
     seed_iter = iter(np.random.SeedSequence(seed).spawn(6 + 2 * N_PHASES))
 
     cm_true = composite_dists(model)
@@ -123,8 +122,8 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
     # n_max + 1 bins, so its last build is reused
     cm_fit = composite_dists(cal.model, n_max)
 
-    fit = ml_fit(record(populations, shots), cm_fit, n_bootstrap=n_bootstrap,
-                 seed=next(seed_iter))
+    fit = ml_fit(record(_bright_populations(rho), shots), cm_fit,
+                 n_bootstrap=n_bootstrap, seed=next(seed_iter))
 
     # the single scan rotates the prepared state once, the double scan
     # rotates it after a first pi/2 pulse at phase 0
@@ -144,24 +143,7 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
     c1_err = float(fit.std_errors[1])
     coherence = res_single.offset
     coherence_err = res_single.offset_error
-    fidelity = 0.5 * (c1_hat + coherence)
-    fidelity_err = 0.5 * float(np.hypot(c1_err, coherence_err))
-
     return {
-        "schema": "experiment.v1",
-        "chain": {
-            "masses": list(config.masses),
-            "ancilla_index": chain_file.ancilla_index,
-            "omega_z_hz": chain_file.omega_z_hz,
-            "k_projection": config.k_projection,
-        },
-        "simulation": {
-            "couplings": pulse.couplings,
-            "pulse_duration": pulse.duration,
-            "fidelity": pulse.fidelity,
-            "populations": populations,
-        },
-        "readout_model_true": dataclasses.asdict(model),
         "calibration": {
             **_calibration_section(cal),
             "log_likelihood": cal.log_likelihood,
@@ -186,11 +168,50 @@ def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
             "coherence_error": coherence_err,
             "odd_population": c1_hat,
             "odd_population_error": c1_err,
-            "value": fidelity,
-            "error": fidelity_err,
-            "simulated": pulse.fidelity,
+            "value": 0.5 * (c1_hat + coherence),
+            "error": 0.5 * float(np.hypot(c1_err, coherence_err)),
         },
         "shots": {"per_reference": shots, "experiment": shots,
                   "per_phase": shots_per_phase},
+    }
+
+
+def run_experiment(chain_file, shots, seed, model=DEFAULT_MODEL,
+                   n_bootstrap=DEFAULT_N_BOOTSTRAP):
+    """End-to-end synthetic run on one chain config; returns the
+    ``experiment.v1`` report dict: the preparation pulse on the chain's
+    two qubit ions, then :func:`certify_state` of the state it makes.
+    ``n_bootstrap`` (an integer of at least 4), the ancilla and the qubit
+    count are checked before the pulse.
+    """
+    _check_resample_count(n_bootstrap)
+    if chain_file.ancilla_index is None:
+        raise DataError("experiment needs an ancilla_index entry in the config")
+    config = chain_file.config
+    addressed = tuple(i for i in range(config.n_ions)
+                      if i != chain_file.ancilla_index)
+    if len(addressed) != 2:
+        raise DataError("the readout pipeline models exactly 2 qubit ions")
+
+    pulse = first_max_fidelity(config, addressed, m=1)
+    rho = pulse.reduced_density
+    readout = certify_state(rho, shots, seed, model, n_bootstrap)
+    readout["fidelity"]["simulated"] = pulse.fidelity
+    return {
+        "schema": "experiment.v1",
+        "chain": {
+            "masses": list(config.masses),
+            "ancilla_index": chain_file.ancilla_index,
+            "omega_z_hz": chain_file.omega_z_hz,
+            "k_projection": config.k_projection,
+        },
+        "simulation": {
+            "couplings": pulse.couplings,
+            "pulse_duration": pulse.duration,
+            "fidelity": pulse.fidelity,
+            "populations": _bright_populations(rho),
+        },
+        "readout_model_true": dataclasses.asdict(model),
+        **readout,
         "seed": seed,
     }

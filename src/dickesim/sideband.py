@@ -52,7 +52,7 @@ import numpy as np
 from . import chain as chain_mod
 from ._frozen import freeze
 from .dicke import QubitDensity
-from .errors import SearchError, _check_integer, unwrap
+from .errors import ConvergenceError, SearchError, _check_integer, unwrap
 
 GRID_PER_PERIOD = 50  # F(t) grid points per pi / Omega'
 MAX_PERIODS = 20.0  # the scan stops at MAX_PERIODS * pi / Omega'
@@ -266,6 +266,15 @@ class _Krylov:
     coefficient is ``gamma_{n+1} = alpha_{k+1}``.  The rows of a stack step
     in lockstep, each with its own coefficients, so that a row's bits
     depend on the row alone.
+
+    Once :meth:`cover` has solved a row, ``s`` holds its frequencies and
+    ``weight`` its real Dicke weights ``a_k = (D.U_k) U[0, k]`` for even m
+    and ``(D.V_k) U[0, k]`` for odd m (``U = Q_E X`` and ``V = Q_O Y``,
+    never formed; D the Dicke target, the phonon-free states over
+    ``sqrt(C(N, m))``, which lie in the half of m's parity), so that
+    ``F(t) = (sum_k a_k g(s_k t))^2`` with g from :func:`_wave`.  A row of
+    k steps fills the first k of the width's columns of ``s``, ``weight``,
+    X and ``Y^T``; the rest are zero.
     """
 
     def __init__(self, halves, om, omega_prime):
@@ -373,9 +382,10 @@ class _Krylov:
     def _solve(self, rows):
         """The spectrum of the rows whose step count moved, from the thin
         SVD ``L = X S Y^T`` of their bidiagonal: ``s``, X and ``Y^T``,
-        zero-padded to the width, and the weights of :func:`_spectrum`,
-        with ``U[0] = X[0]`` (each E vector after ``e_0`` loses its e_0
-        part exactly) and the Dicke sums of the bases times X or Y."""
+        zero-padded to the width, and the weights ``a_k`` of the class
+        docstring, with ``U[0] = X[0]`` (each E vector after ``e_0`` loses
+        its e_0 part exactly) and the Dicke sums of the bases times X or
+        Y."""
         rows = rows[self.steps[rows] != self.solved[rows]]
         h = self.halves
         odd = h.sector.m % 2
@@ -424,30 +434,6 @@ def _orthogonalise(x, basis):
     norms of what is left."""
     x -= (np.swapaxes(basis @ x[:, :, None], 1, 2) @ basis)[:, 0]
     return np.sqrt((x * x).sum(axis=1))
-
-
-def _spectrum(sector, om, t):
-    """The pulse on a ``(B, N)`` coupling stack, solved on the sector's two
-    parity halves from a Krylov space of H started at ``e_0``, with each
-    row's error bound at most KRYLOV_TOL at its time ``t``.
-
-    Returns the stack's :class:`_Krylov`: each row's frequencies ``s``
-    and real Dicke weights a (``weight``), both ``(B, w)`` with w the
-    width of :class:`_Halves`, such that ``F(t) = (sum_k a_k g(s_k t))^2``
-    (see :func:`_wave`), the factors X ``(B, w + 1, w)`` and ``Y^T``
-    ``(B, w, w)`` of its bidiagonal and its two bases, from which
-    ``state(t)`` builds the pulse; a row of k steps fills the first k of
-    the w columns, and the rest are zero.  With ``U = Q_E X`` and
-    ``V = Q_O Y`` (never formed), ``a_k = (D.U_k) U[0, k]`` for even m and
-    ``(D.V_k) U[0, k]`` for odd m, with D the Dicke target: the phonon-free
-    states over ``sqrt(C(N, m))``, which lie in the half of m's parity.
-    The full-grid test oracle reads the spectrum here; the search keeps
-    one :class:`_Krylov` per chunk and grows it block by block, which
-    gives the same bits.
-    """
-    krylov = _Krylov(_Halves.of(sector), om, _omega_prime(om))
-    krylov.cover(np.arange(len(om)), np.asarray(t, dtype=float))
-    return krylov
 
 
 def _wave(odd, x):
@@ -673,17 +659,18 @@ def fidelity_vs_mass_ratio(template, mu_grid, m):
     equilibrium and one stacked mode solve for the whole grid), and
     searches them as one :func:`first_max_from_couplings` stack.  Returns,
     in grid order, each row's PulseResult or the exception the row raised;
-    the sweep goes on past a failed row, and if the coupling stack fails
-    as a whole (the equilibrium, say), every row holds that failure.  An
-    ``m`` that is not an integer in 1..(qubit count), or a mass ratio that
-    is not finite and positive, raises ValueError before any solve.
+    the sweep goes on past a failed row, and if the equilibrium stalls
+    (ConvergenceError), every row holds that failure; any other error of
+    the coupling solve propagates.  An ``m`` that is not an integer in
+    1..(qubit count), or a mass ratio that is not finite and positive,
+    raises ValueError before any solve.
     """
     _check_m(m, template.n_qubits)
     masses = template._masses(mu_grid)
     try:
         outcomes = chain_mod._couplings(template.config, masses,
                                         list(template.addressed()))
-    except Exception as exc:
+    except ConvergenceError as exc:
         outcomes = [exc] * len(masses)
     rows = [r for r, eta in enumerate(outcomes)
             if not isinstance(eta, Exception)]

@@ -173,6 +173,19 @@ def first_max_full_space(couplings, m, cutoff, grid_per_period=50):
     return float(res.x), -float(res.fun)
 
 
+def krylov_spectrum(sector, om, t):
+    """The pulse spectrum of a ``(B, N)`` coupling stack as the search
+    solves it: a fresh :class:`dickesim.sideband._Krylov` on the sector's
+    parity halves, stepped until each row's error bound is at most
+    KRYLOV_TOL at its time ``t``.  Its ``s`` and ``weight`` give F(t)
+    through ``sideband._fidelity``, and ``state(t)`` the pulse; the search
+    grows one such basis block by block, which gives the same bits."""
+    krylov = sideband._Krylov(sideband._Halves.of(sector), om,
+                              sideband._omega_prime(om))
+    krylov.cover(np.arange(len(om)), np.asarray(t, dtype=float))
+    return krylov
+
+
 def first_max_full_grid(couplings, m):
     """Duration and fidelity of the pulse search when it evaluates F(t) on
     every grid point up to the end of a scan block before it picks the
@@ -191,7 +204,7 @@ def first_max_full_grid(couplings, m):
     span = 2 * sideband.GRID_PER_PERIOD
     for first in range(0, steps_cap - 1, span - 1):
         end = min(first + span, steps_cap)
-        krylov = sideband._spectrum(sector, om[None], grid[[end]])
+        krylov = krylov_spectrum(sector, om[None], grid[[end]])
         freqs, weight = krylov.s, krylov.weight
         f = sideband._fidelity(freqs, weight, odd, grid[None, :end + 1])[0]
         peaks = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] >= f[2:]))

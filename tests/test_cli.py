@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -595,6 +596,24 @@ def test_fit_round_trip(tmp_path):
     assert abs(c[1] - 0.80) < 0.02
     assert abs(c[2] - 0.12) < 0.02
     assert report["parity"] == pytest.approx(-0.60, abs=0.04)
+
+
+def test_fit_options_have_help_and_t_detect_reads_alike():
+    # fit's --t-detect is added by hand beside the generated readout-model
+    # flags of experiment and synth, and must read as they do
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    fit = commands["fit"]
+    assert all(action.help for action in fit._actions)
+
+    def t_detect_help(command):
+        action, = (a for a in commands[command]._actions
+                   if "--t-detect" in a.option_strings)
+        return action.help
+
+    assert (t_detect_help("fit") == t_detect_help("experiment")
+            == t_detect_help("synth") == cli._MODEL_FLAG_HELP["t_detect"])
 
 
 @pytest.mark.parametrize("n_bootstrap", ["1", "-3"])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from conftest import (FullSpace, assert_identity_semantics, dense_spectrum,
                       dicke_fidelity, dicke_vector, evolve,
-                      first_max_full_grid, first_max_full_space, purity,
-                      w_fidelity_analytic)
+                      first_max_full_grid, first_max_full_space,
+                      krylov_spectrum, purity, w_fidelity_analytic)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
@@ -654,8 +654,8 @@ def test_krylov_spectrum_obeys_the_small_time_law(n, m):
     om = 1.0 + 0.1 * np.random.default_rng(n).standard_normal(n)
     sector = ExcitationSector(n_qubits=n, m=m)
     # the spectrum of the first scan block, as the search takes it
-    krylov = sideband._spectrum(
-        sector, om[None], [2.0 * np.pi / np.linalg.norm(om)])
+    krylov = krylov_spectrum(sector, om[None],
+                             [2.0 * np.pi / np.linalg.norm(om)])
     freqs, weight = krylov.s, krylov.weight
     t = 1e-2
     f = sideband._fidelity(freqs, weight, m % 2 == 1, np.array([[t]]))[0, 0]
@@ -696,7 +696,7 @@ def test_krylov_basis_resumed_for_later_blocks_matches_a_fresh_one():
         grown.cover(np.arange(1), np.array([end]))
         steps.append(int(grown.steps[0]))
     assert steps[0] < steps[1] < steps[2]
-    fresh = sideband._spectrum(sector, om, ends[-1:])
+    fresh = krylov_spectrum(sector, om, ends[-1:])
     for name in ("s", "weight", "x", "yt"):
         assert getattr(grown, name).tobytes() == getattr(fresh, name).tobytes()
     t = ends[-1:] / 2.0
@@ -832,7 +832,7 @@ def test_parity_split_matches_the_dense_eigenbasis(case):
     split = np.sort(np.concatenate([dense[0][0], -dense[0][0], zeros]))
     assert np.max(np.abs(split - evals)) < 1e-12 * omega_prime
     t = np.linspace(0.0, 3.0 * np.pi / omega_prime, 151)
-    krylov = sideband._spectrum(sector, om[None], t[-1:])
+    krylov = krylov_spectrum(sector, om[None], t[-1:])
     assert np.array_equal(krylov.halves.even, even)
     dicke = vecs[sector.phonons == 0].sum(axis=0) / np.sqrt(comb(n, m))
     amp = np.exp(-1j * np.outer(t, evals)) @ (dicke * vecs[0])
@@ -968,6 +968,18 @@ def test_sweep_equilibrium_failure_reaches_every_row(monkeypatch):
     assert len(rows) == 2
     assert all(isinstance(row, ConvergenceError) and "stalled" in str(row)
                for row in rows)
+
+
+def test_sweep_lets_any_other_coupling_solve_error_propagate(monkeypatch):
+    # only a stalled equilibrium becomes every row's outcome; a
+    # programming error in the mode solve is not written as row text
+    def broken(config, masses):
+        raise TypeError("broken mode stack")
+
+    monkeypatch.setattr(chain_mod, "_mode_stack", broken)
+    template = ChainTemplate.symmetric(2, placement="center")
+    with pytest.raises(TypeError, match="broken mode stack"):
+        fidelity_vs_mass_ratio(template, [0.5, 2.0], 1)
 
 
 def test_sweep_without_a_chain_solves_no_equilibrium(monkeypatch):
