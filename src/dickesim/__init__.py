@@ -3,6 +3,8 @@ preparation in mixed-species ion chains: chain normal modes, exact
 red-sideband pulse dynamics, fidelity-versus-mass-ratio scans, and the
 photon-count maximum-likelihood readout pipeline."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .chain import (ChainConfig, ChainFile, ChainTemplate,
@@ -23,4 +25,7 @@ from .sideband import (ExcitationSector, PulseResult,
                        first_max_from_couplings, reduce_to_qubits,
                        rsb_hamiltonian)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind stay out, so that
+# ``from dickesim import *`` binds no module over a caller's own names
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -327,13 +327,16 @@ def build_parser():
     parser = _Parser(prog="dickesim",
                      description="Mixed-species ion chain Dicke-state "
                                  "preparation simulator and readout analysis")
-    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--version", action="version", version=__version__,
+                        help="print the version and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_modes = sub.add_parser("modes", help="axial mode table for one chain")
     p_modes.add_argument("--config", required=True, help="chain config file")
-    p_modes.add_argument("--out", default="-")
-    p_modes.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_modes.add_argument("--out", default="-",
+                         help="output file ('-' for stdout)")
+    p_modes.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="modes.v1 as a CSV table or as JSON")
     p_modes.set_defaults(func=cmd_modes)
 
     p_sweep = sub.add_parser("sweep", help="fidelity versus ancilla mass ratio")
@@ -341,25 +344,39 @@ def build_parser():
                          help="chain config file (needs ancilla_index)")
     p_sweep.add_argument("--m", type=int, default=1,
                          help="number of excitations in the target state")
-    p_sweep.add_argument("--mu-start", type=float, default=0.1)
-    p_sweep.add_argument("--mu-stop", type=float, default=10.0)
-    p_sweep.add_argument("--mu-points", type=int, default=20)
+    p_sweep.add_argument("--mu-start", type=float, default=0.1,
+                         help="first ancilla-to-qubit mass ratio of the grid")
+    p_sweep.add_argument("--mu-stop", type=float, default=10.0,
+                         help="last mass ratio of the grid (included)")
+    p_sweep.add_argument("--mu-points", type=int, default=20,
+                         help="number of mass ratios in the grid (>= 1)")
     p_sweep.add_argument("--mu-log", action="store_true",
                          help="log-spaced mass-ratio grid")
     p_sweep.add_argument("--carrier-rate", type=float, default=None,
                          help="carrier Rabi rate Omega_0 (rad/s) for "
                               "converting durations to seconds")
-    p_sweep.add_argument("--out", default="-")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--out", default="-",
+                         help="output file ('-' for stdout)")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="sweep.v1 as a CSV table or as JSON, which "
+                              "adds each row's reduced qubit density")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_exp = sub.add_parser("experiment",
                            help="synthetic end-to-end preparation and readout")
     p_exp.add_argument("--config", required=True,
                        help="chain config file (needs ancilla_index)")
-    p_exp.add_argument("--shots", type=int, default=50000)
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--out", default="-")
+    p_exp.add_argument("--shots", type=int, default=50000,
+                       help="shots per record: each of the two references "
+                            "and the population record take this many, "
+                            "each parity-scan phase max(shots // 5, 200) "
+                            "(>= 100)")
+    p_exp.add_argument("--seed", type=int, default=0,
+                       help="seed of every draw: the reference, population "
+                            "and scan records and the bootstrap resamples "
+                            "of the fits (>= 0)")
+    p_exp.add_argument("--out", default="-",
+                       help="output JSON file ('-' for stdout)")
     _add_model_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -384,12 +401,17 @@ def build_parser():
     p_fit.set_defaults(func=cmd_fit)
 
     p_synth = sub.add_parser("synth", help="generate synthetic shot records")
-    p_synth.add_argument("--c0", type=float, required=True)
-    p_synth.add_argument("--c1", type=float, required=True)
-    p_synth.add_argument("--c2", type=float, required=True)
-    p_synth.add_argument("--shots", type=int, default=10000)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", default="-")
+    for k in range(3):
+        p_synth.add_argument(f"--c{k}", type=float, required=True,
+                             help=f"population with {k} of the two ions "
+                                  "bright (the three sum to 1)")
+    p_synth.add_argument("--shots", type=int, default=10000,
+                         help="number of shots in all, one count per "
+                              "output line (>= 0)")
+    p_synth.add_argument("--seed", type=int, default=0,
+                         help="seed of the shot draws (>= 0)")
+    p_synth.add_argument("--out", default="-",
+                         help="output file ('-' for stdout)")
     _add_model_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 

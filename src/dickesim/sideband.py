@@ -31,7 +31,13 @@ The Dicke target lies in one half, by the parity of m, so its amplitude
 is real up to a phase, ``A(t) = sum_k a_k g(s_k t)`` with g = sin for odd
 m and cos - 1 for even m, and ``F = A^2`` is a sum over at most k real
 frequencies.  The same search runs from (2, 1) to (20, 10), 616,666
-states, where a dense sector matrix would take 3 TB.  The phonon number
+states, where a dense sector matrix would take 3 TB.  The search reads
+the sector through one operator, ``_Halves``, built once per search: E's
+mask with the start as E's state 0, the two link tables (links join E
+and O only), the half that holds the Dicke target with the target's mask
+over it and its norm ``sqrt(C(N, m))``, every state's phonon number and
+the Krylov width; anything that keeps that contract runs through the
+same Krylov growth, scan and refine.  The phonon number
 fixes the qubit weight, so the reduced qubit density is block-diagonal by
 weight; it is built only when a caller reads it from a pulse result (a
 sweep row is its pulse result or the exception the row raised).
@@ -201,20 +207,35 @@ def _link_amplitudes(links, om):
 
 @dataclass(frozen=True, eq=False)
 class _Halves:
-    """An excitation sector split by the parity of its up-qubit count:
-    the even half E holds the start state (its state 0) and the odd half
-    O, and the links of H only join E to O.  Built once per search."""
+    """The operator the pulse search reads: an excitation sector split by
+    the parity of its up-qubit count, built once per search.  The search
+    relies on this contract and reads the sector itself nowhere:
+
+    - ``even`` masks the even half E over the states; E's state 0, which
+      is also state 0 of the whole, is the start;
+    - the links of H join E and O only: ``into_even`` (B, from O to E)
+      and ``into_odd`` (B^T, from E to O);
+    - the Dicke target is ``dicke``, a mask over the half that ``odd``
+      names (O for odd m), divided by ``norm``, ``sqrt(C(N, m))``;
+    - ``phonons`` labels every state with its phonon number;
+    - ``width`` is the Golub-Kahan steps a row can take,
+      ``min(De, Do, KRYLOV_CAP)``.
+
+    ``sector`` is only handed on, unread, to :class:`PulseResult`."""
 
     sector: ExcitationSector
-    even: np.ndarray  # mask of E over the sector's states
-    into_even: _Links  # B, from O to E
-    into_odd: _Links  # B^T, from E to O
-    dicke: np.ndarray  # mask of the Dicke target over the half of m's parity
-    width: int  # Golub-Kahan steps a row can take: min(De, Do, KRYLOV_CAP)
+    even: np.ndarray
+    into_even: _Links
+    into_odd: _Links
+    odd: bool
+    dicke: np.ndarray
+    norm: float
+    phonons: np.ndarray
+    width: int
 
     @classmethod
     def of(cls, sector):
-        even = (sector.m - sector.phonons) % 2 == 0
+        even, odd = (sector.m - sector.phonons) % 2 == 0, sector.m % 2 == 1
         bits = 1 << (sector.n_qubits - 1 - np.arange(sector.n_qubits))[:, None]
 
         def links(into, from_):
@@ -225,11 +246,12 @@ class _Halves:
             other = np.searchsorted(sector.qubits[from_], qubits ^ bits)
             return _Links(np.where(n > 0, other, 0), 0.5 * np.sqrt(n))
 
-        dicke = sector.phonons == 0
         return cls(
             sector=sector, even=even,
             into_even=links(even, ~even), into_odd=links(~even, even),
-            dicke=dicke[~even] if sector.m % 2 else dicke[even],
+            odd=odd, dicke=(sector.phonons == 0)[~even if odd else even],
+            norm=np.sqrt(comb(sector.n_qubits, sector.m)),
+            phonons=sector.phonons,
             width=min(np.count_nonzero(even), np.count_nonzero(~even),
                       KRYLOV_CAP))
 
@@ -270,11 +292,10 @@ class _Krylov:
     Once :meth:`cover` has solved a row, ``s`` holds its frequencies and
     ``weight`` its real Dicke weights ``a_k = (D.U_k) U[0, k]`` for even m
     and ``(D.V_k) U[0, k]`` for odd m (``U = Q_E X`` and ``V = Q_O Y``,
-    never formed; D the Dicke target, the phonon-free states over
-    ``sqrt(C(N, m))``, which lie in the half of m's parity), so that
-    ``F(t) = (sum_k a_k g(s_k t))^2`` with g from :func:`_wave`.  A row of
-    k steps fills the first k of the width's columns of ``s``, ``weight``,
-    X and ``Y^T``; the rest are zero.
+    never formed; D the Dicke target of :class:`_Halves`, its mask over
+    ``norm``), so that ``F(t) = (sum_k a_k g(s_k t))^2`` with g from
+    :func:`_wave`.  A row of k steps fills the first k of the width's
+    columns of ``s``, ``weight``, X and ``Y^T``; the rest are zero.
     """
 
     def __init__(self, halves, om, omega_prime):
@@ -387,8 +408,7 @@ class _Krylov:
         its e_0 part exactly) and the Dicke sums of the bases times X or
         Y."""
         rows = rows[self.steps[rows] != self.solved[rows]]
-        h = self.halves
-        odd = h.sector.m % 2
+        h, odd = self.halves, self.halves.odd
         for k in np.unique(self.steps[rows]):
             group = rows[self.steps[rows] == k]
             lower = np.zeros((len(group), k + 1, k))
@@ -407,19 +427,18 @@ class _Krylov:
             self.s[group, :k] = s
             self.x[group, :k + 1, :k] = x
             self.yt[group, :k, :k] = yt
-            self.weight[group, :k] = (overlap / np.sqrt(comb(h.sector.n_qubits,
-                                                             h.sector.m))
-                                      * x[:, 0])
+            self.weight[group, :k] = overlap / h.norm * x[:, 0]
             self.solved[group] = k
 
     def state(self, t):
-        """Each row's state over the sector at its time ``t``, from its
-        spectrum and bases: ``psi_E = e_0 + Q_E X (cos St - 1) X[0]^T``
-        and ``psi_O = -i Q_O Y sin St X[0]^T``.  It takes every row of
-        the stack, so that no row subset copies the bases."""
+        """Each row's state over the operator's states at its time ``t``,
+        from its spectrum and bases:
+        ``psi_E = e_0 + Q_E X (cos St - 1) X[0]^T`` and
+        ``psi_O = -i Q_O Y sin St X[0]^T``.  It takes every row of the
+        stack, so that no row subset copies the bases."""
         h = self.halves
         arg, head = (self.s * t[:, None])[:, None], self.x[:, :1]
-        states = np.zeros((len(t), h.sector.dimension), dtype=complex)
+        states = np.zeros((len(t), len(h.phonons)), dtype=complex)
         states[:, h.even] = (_wave(False, arg) * head
                              @ np.swapaxes(self.x, 1, 2) @ self.basis_e)[:, 0]
         states[:, 0] += 1.0
@@ -554,7 +573,7 @@ def first_max_from_couplings(couplings, m):
         outcomes[r] = ValueError("at least one coupling must be nonzero")
     rows = np.flatnonzero(finite & (omega_prime != 0.0))
     halves = _Halves.of(ExcitationSector(n_qubits=n, m=m))
-    row_bytes = (16 * max(halves.sector.dimension, 2 * GRID_PER_PERIOD + 1)
+    row_bytes = (16 * max(len(halves.phonons), 2 * GRID_PER_PERIOD + 1)
                  * (halves.width + 1))
     chunk = max(1, CHUNK_BYTES // row_bytes)
     for first in range(0, len(rows), chunk):
@@ -569,9 +588,7 @@ def _search_chunk(halves, om, omega_prime):
     """The first-maximum search on a stack of finite, nonzero coupling
     rows with their Omega'; returns each row's PulseResult or SearchError.
     Its arrays go when it returns, so chunks do not pile up."""
-    sector = halves.sector
-    krylov = _Krylov(halves, om, omega_prime)
-    odd = sector.m % 2 == 1
+    krylov, odd = _Krylov(halves, om, omega_prime), halves.odd
 
     dt = np.pi / (GRID_PER_PERIOD * omega_prime)
     steps_cap = int(np.ceil(GRID_PER_PERIOD * MAX_PERIODS))
@@ -617,8 +634,8 @@ def _search_chunk(halves, om, omega_prime):
         krylov.s[peaked], krylov.weight[peaked], odd, *peak[peaked, :3].T)
     states = krylov.state(t_star)  # failures at t = 0: e_0
     # each row's phonon distribution, added up in state order per row
-    phonons = np.zeros((len(om), sector.m + 1))
-    np.add.at(phonons, (slice(None), sector.phonons), np.abs(states) ** 2)
+    phonons = np.zeros((len(om), halves.phonons.max() + 1))
+    np.add.at(phonons, (slice(None), halves.phonons), np.abs(states) ** 2)
     stepping = np.isin(np.arange(len(peaked)), unsettled).tolist()
     t_star, f_star = t_star.tolist(), f_star.tolist()
     grid_peak = peak[:, 3].tolist()
@@ -634,7 +651,7 @@ def _search_chunk(halves, om, omega_prime):
             outcomes[k] = PulseResult(
                 duration=t_star[k], fidelity=min(f_star[k], 1.0),
                 phonon_distribution=phonons[k], couplings=om[k],
-                sector=sector, state=states[k])
+                sector=halves.sector, state=states[k])
             continue
         outcomes[k] = SearchError(
             f"Newton refine ended at t = {t_star[k]:.6f}/Omega_0: {why}")
@@ -646,7 +663,8 @@ def first_max_fidelity(config, addressed, m):
     the addressed ions (about the chain's equilibrium) -> first-maximum
     search.  An ``m`` that is not an integer in 1..(distinct addressed
     ions) raises ValueError before the mode solve."""
-    _check_m(m, len(chain_mod._addressed_ions(config, addressed)))
+    addressed = chain_mod._addressed_ions(config, addressed)
+    _check_m(m, len(addressed))
     return first_max_from_couplings(
         chain_mod.coupling_strengths(config, addressed), m)
 

@@ -598,14 +598,17 @@ def test_fit_round_trip(tmp_path):
     assert report["parity"] == pytest.approx(-0.60, abs=0.04)
 
 
-def test_fit_options_have_help_and_t_detect_reads_alike():
-    # fit's --t-detect is added by hand beside the generated readout-model
-    # flags of experiment and synth, and must read as they do
+def test_every_option_has_help_and_t_detect_reads_alike():
+    # every option of the program and of each subcommand says what it
+    # does; fit's --t-detect is added by hand beside the generated
+    # readout-model flags of experiment and synth, and must read as they do
     parser = cli.build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    fit = commands["fit"]
-    assert all(action.help for action in fit._actions)
+    assert list(commands) == ["modes", "sweep", "experiment", "fit", "synth"]
+    for command in (parser, *commands.values()):
+        assert all(action.help for action in command._actions
+                   if action.option_strings)
 
     def t_detect_help(command):
         action, = (a for a in commands[command]._actions

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import dickesim
@@ -93,3 +94,18 @@ def test_cli_reaches_the_library_through_public_names_only():
     # bench/test_checks.py imports run_experiment from the CLI module
     from dickesim.cli import run_experiment
     assert run_experiment is dickesim.run_experiment
+
+
+def test_star_import_binds_the_public_names_and_no_module():
+    # __all__ is every name the package imports from its submodules, and
+    # none of the submodules those imports bind
+    tree = ast.parse(Path(dickesim.__file__).read_text("utf-8"))
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    namespace = {}
+    exec("from dickesim import *", namespace)
+    del namespace["__builtins__"]
+    assert not [name for name, value in namespace.items()
+                if isinstance(value, types.ModuleType)]
+    assert set(namespace) == set(dickesim.__all__) == imported

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from dickesim import (ChainTemplate, ConvergenceError, ExcitationSector,
-                      LambDickeWarning, SearchError, UnstableCrystalError,
-                      fidelity_vs_mass_ratio, first_max_fidelity,
-                      first_max_from_couplings, reduce_to_qubits,
-                      rsb_hamiltonian, solve_equilibrium)
+from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
+                      ExcitationSector, LambDickeWarning, SearchError,
+                      UnstableCrystalError, fidelity_vs_mass_ratio,
+                      first_max_fidelity, first_max_from_couplings,
+                      reduce_to_qubits, rsb_hamiltonian, solve_equilibrium)
 from dickesim import chain as chain_mod
 from dickesim import sideband
 
@@ -747,6 +748,61 @@ def test_krylov_cap_fails_its_rows_alone(monkeypatch):
                             r"error bound \S+ at t = \S+/Omega_0", str(row))
 
 
+class SealedSector:
+    """A stand-in sector that fails on any attribute read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the pulse search read sector.{name}")
+
+
+def permuted_operator(halves, rng):
+    """``halves`` with each half's states shuffled (E's start state kept
+    first), its link tables, Dicke mask and phonon labels remapped to
+    match, and a :class:`SealedSector`.  Returns it and, for each state of
+    the shuffled operator, the sector state it holds."""
+    e_at, o_at = np.flatnonzero(halves.even), np.flatnonzero(~halves.even)
+    # new state i of a half is its old state e_new[i] or o_new[i]
+    e_new = np.concatenate([[0], 1 + rng.permutation(len(e_at) - 1)])
+    o_new = rng.permutation(len(o_at))
+
+    def remap(links, new, other_new):
+        return sideband._Links(np.argsort(other_new)[links.other[:, new]],
+                               links.amp[:, new])
+
+    state_of = np.empty(len(halves.even), dtype=int)
+    state_of[e_at], state_of[o_at] = e_at[e_new], o_at[o_new]
+    fake = dataclasses.replace(
+        halves, sector=SealedSector(),
+        into_even=remap(halves.into_even, e_new, o_new),
+        into_odd=remap(halves.into_odd, o_new, e_new),
+        dicke=halves.dicke[o_new if halves.odd else e_new],
+        phonons=halves.phonons[state_of])
+    return fake, state_of
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (6, 3), (8, 4)])
+def test_search_on_a_permuted_operator_matches_the_sector(n, m):
+    # the search reads only the operator's fields, never its sector: the
+    # sector's operator with its states shuffled within each half gives
+    # the sector's pulse, state permuted back, to rounding
+    rng = np.random.default_rng(10 * n + m)
+    halves = sideband._Halves.of(ExcitationSector(n_qubits=n, m=m))
+    fake, state_of = permuted_operator(halves, rng)
+    om = np.vstack([rng.uniform(0.3, 1.5, size=(4, n)), np.full(n, 0.8)])
+    omega_prime = sideband._omega_prime(om)
+    for res, alike in zip(sideband._search_chunk(halves, om, omega_prime),
+                          sideband._search_chunk(fake, om, omega_prime)):
+        assert isinstance(res, sideband.PulseResult)
+        assert isinstance(alike.sector, SealedSector)
+        assert abs(alike.duration - res.duration) <= 1e-12 * res.duration
+        assert abs(alike.fidelity - res.fidelity) <= 1e-12
+        assert np.max(np.abs(alike.phonon_distribution
+                             - res.phonon_distribution)) <= 1e-12
+        state = np.empty_like(alike.state)
+        state[state_of] = alike.state
+        assert np.max(np.abs(state - res.state)) <= 1e-12
+
+
 @pytest.mark.parametrize("n,m", [(4, 2), (4, 3), (5, 2)])
 def test_symmetric_dynamics_stay_in_ladder(n, m):
     # equal couplings: population outside (Dicke state x Fock) span < 1e-10
@@ -894,6 +950,14 @@ def test_first_max_fidelity_from_chain_config():
     cfg = template.config_for(27.0 / 25.0)
     res = first_max_fidelity(cfg, template.addressed(), 1)
     assert res.fidelity == pytest.approx(0.9999667928, abs=1e-9)
+
+
+def test_first_max_fidelity_reads_a_one_shot_addressed_iterable_once():
+    cfg = ChainConfig(masses=(25, 25, 27))
+    res = first_max_fidelity(cfg, (i for i in (0, 1)), 1)
+    listed = first_max_fidelity(cfg, [0, 1], 1)
+    assert (res.duration, res.fidelity) == (listed.duration, listed.fidelity)
+    assert res.state.tobytes() == listed.state.tobytes()
 
 
 def test_symmetric_config_perfect_for_any_mass_ratio():

@@ -1,6 +1,7 @@
 """tools/frozen_digests.py runs every frozen command on the working tree,
 its leaf diff names the field that moved most between two outputs, and
-its tree comparison exits 1 when any output differs."""
+its tree comparison exits 1 when any output differs; tools/code_lines.py
+counts the lines that hold code."""
 
 import hashlib
 import importlib.util
@@ -127,3 +128,41 @@ def test_compare_exits_1_when_a_tree_fails(monkeypatch, capsys):
     monkeypatch.setattr(tool.subprocess, "run", fake_runs({}))
     assert tool.compare("new", "old") == 1
     assert "no tree old" in capsys.readouterr().err
+
+
+CODE_LINES_SAMPLE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment leaves its line a code line
+
+# a comment line
+
+
+class Thing:
+    """A class docstring."""
+
+    def path(self):
+        """A function docstring
+        over two lines."""
+        note = """a string that is no docstring:
+
+        each of its lines is code"""
+        return os.path.join(
+            "a",
+            note)
+'''
+
+
+def test_code_lines_counts_the_lines_that_hold_code(tmp_path):
+    # import, class, def, the three lines of the note and the three of the
+    # call
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "sample.py").write_text(CODE_LINES_SAMPLE)
+    (tmp_path / "first.py").write_text('"""Only a docstring."""\nx = 1\n')
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.splitlines() == ["     1 first.py",
+                                       "     9 pkg/sample.py",
+                                       "    10 total"]
