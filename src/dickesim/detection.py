@@ -25,11 +25,11 @@ is concave, so the optimum is global, and Newton steps with the exact
 Hessian on the face of the simplex that holds the free populations reach
 it in a few iterations, where EM-style updates crawl near the boundary.
 Uncertainties come from a nonparametric bootstrap of 0 (none) or at least
-2 resamples.  The fits of a call go through one loop over blocks of at
+2 resamples.  The fits of a call go through two loops over blocks of at
 most ``_BLOCK_ROWS`` rows: the point fits (one sample, or every phase of
-a parity scan), then their bootstrap resamples, each block drawn from
-the histograms' own Generators as it is reached, so that the working set
-does not grow with the resample count.  A fit stops after the step whose
+a parity scan), then their bootstrap resamples, each resample block drawn
+from the histograms' own Generators as it is reached, so that the working
+set does not grow with the resample count.  A fit stops after the step whose
 Newton decrement is at most 1e-10, and its result does not depend on the
 rest of its block.
 
@@ -398,38 +398,33 @@ def _check_histogram(hist, name, n_bins=None):
 def _fit(hists, cm, n_bootstrap, seeds):
     """One FitResult per row of ``hists``: the rows are fit from the
     uniform populations, then their bootstrap resamples (drawn for row j
-    from ``seeds[j]``) each from its row's fit, in blocks of at most
-    _BLOCK_ROWS Newton rows, so that the working set does not grow with
-    ``n_bootstrap``.  ``n_bootstrap`` is 0 (no errors) or >= 2 (a ddof=1
-    std)."""
+    from ``seeds[j]``) each from its row's fit, in two loops over blocks
+    of at most _BLOCK_ROWS Newton rows, so that the working set does not
+    grow with ``n_bootstrap``.  ``n_bootstrap`` is 0 (no errors, and no
+    resample block) or >= 2 (a ddof=1 std)."""
     _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
     n, k = len(hists), cm.shape[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     totals = np.sum(hists, axis=1)
-    # row r < n is the fit of hists[r], row n + j * n_bootstrap + b the
-    # fit of resample b of hists[j].  A resample starts from its
-    # histogram's fit, so no block mixes the two kinds; a Generator's
-    # successive multinomial draws of some rows each are the rows of one
-    # draw of all of them, and a row's fit does not depend on its block
-    fits = np.empty((n * (1 + n_bootstrap), k))
-    for lo in [*range(0, n, _BLOCK_ROWS), *range(n, len(fits), _BLOCK_ROWS)]:
-        hi = min(lo + _BLOCK_ROWS, n if lo < n else len(fits))
-        if lo < n:
-            h, starts = hists[lo:hi], np.full((hi - lo, k), 1.0 / k)
-        else:
-            j = (np.arange(lo, hi) - n) // n_bootstrap
-            h = np.concatenate([
-                rngs[i].multinomial(int(totals[i]), hists[i] / totals[i],
-                                    size=m)
-                for i, m in zip(*np.unique(j, return_counts=True))],
-                dtype=float)
-            starts = np.clip(fits[j], 1e-6, None)
-        fits[lo:hi] = _newton(h, cm, starts)
-    c_hat = fits[:n]
-    boots = (fits[n:].reshape(n, n_bootstrap, k) if n_bootstrap
-             else [None] * n)
+    c_hat = np.empty((n, k))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        c_hat[lo:hi] = _newton(hists[lo:hi], cm, np.full((hi - lo, k), 1 / k))
+    # row j * n_bootstrap + b is resample b of hists[j], which starts from
+    # that histogram's fit; a Generator's successive multinomial draws of
+    # some rows each are the rows of one draw of all of them, and a row's
+    # fit does not depend on its block
+    boots = np.empty((n * n_bootstrap, k))
+    for lo in range(0, len(boots), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(boots))
+        j = np.arange(lo, hi) // n_bootstrap
+        h = np.concatenate([
+            rngs[i].multinomial(int(totals[i]), hists[i] / totals[i], size=m)
+            for i, m in zip(*np.unique(j, return_counts=True))], dtype=float)
+        boots[lo:hi] = _newton(h, cm, np.clip(c_hat[j], 1e-6, None))
+    boots = boots.reshape(n, n_bootstrap, k) if n_bootstrap else [None] * n
     lls = _log_likelihood(hists, c_hat, cm)
     return [FitResult(populations=c, log_likelihood=float(l),
                       std_errors=(np.zeros(k) if b is None

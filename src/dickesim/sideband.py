@@ -146,6 +146,17 @@ class PulseResult:
         return reduce_to_qubits(self.sector, self.state)
 
 
+def _check_couplings(couplings):
+    """The float array of a real ``(N,)`` coupling vector or ``(B, N)``
+    stack (a complex one passes if its imaginary part is zero); anything
+    else raises ValueError."""
+    om = np.asarray(couplings)
+    if om.ndim not in (1, 2) or np.iscomplexobj(om) and np.any(om.imag):
+        raise ValueError("couplings must be a real (N,) vector or (B, N) "
+                         f"stack, got {om.dtype} of shape {om.shape}")
+    return np.asarray(om.real, dtype=float)
+
+
 def rsb_hamiltonian(sector, couplings):
     """Resonant red-sideband Hamiltonian on an excitation sector.
 
@@ -154,12 +165,9 @@ def rsb_hamiltonian(sector, couplings):
     gives the ``(B, D, D)`` stack of their Hamiltonians.  The pulse search
     never builds it; it applies the same link table as a sparse product.
     """
-    om = np.asarray(couplings)
-    if np.iscomplexobj(om) and np.max(np.abs(om.imag)) > 0:
-        raise ValueError("couplings must be real")
-    om = om.astype(float)
+    om = _check_couplings(couplings)
     n = sector.n_qubits
-    if om.ndim not in (1, 2) or om.shape[-1] != n:
+    if om.shape[-1] != n:
         raise ValueError(f"need exactly {n} couplings, got {om.shape}")
     # each link joins an E state to an O state, so E's table holds it once
     halves = _Halves.of(sector)
@@ -316,7 +324,6 @@ class _Krylov:
                                        for n in range(2 * width + 2)])
         self.until = np.zeros(rows)  # the time each row's spectrum covers
         # each row's spectrum at its step count, zero-padded to the width
-        self.solved = np.zeros(rows, dtype=int)
         self.s = np.zeros((rows, width))
         self.weight = np.zeros((rows, width))
         self.x = np.zeros((rows, width + 1, width))
@@ -401,13 +408,13 @@ class _Krylov:
         return rows, rows, tuple(a[~shut] for a in arrays)
 
     def _solve(self, rows):
-        """The spectrum of the rows whose step count moved, from the thin
-        SVD ``L = X S Y^T`` of their bidiagonal: ``s``, X and ``Y^T``,
-        zero-padded to the width, and the weights ``a_k`` of the class
-        docstring, with ``U[0] = X[0]`` (each E vector after ``e_0`` loses
-        its e_0 part exactly) and the Dicke sums of the bases times X or
-        Y."""
-        rows = rows[self.steps[rows] != self.solved[rows]]
+        """The spectrum of ``rows`` from the thin SVD ``L = X S Y^T`` of
+        their bidiagonal: ``s``, X and ``Y^T``, zero-padded to the width,
+        and the weights ``a_k`` of the class docstring, with ``U[0] = X[0]``
+        (each E vector after ``e_0`` loses its e_0 part exactly) and the
+        Dicke sums of the bases times X or Y.  The stacked SVD solves each
+        matrix on its own, so a row re-solved at an unchanged step count
+        gets the same bits."""
         h, odd = self.halves, self.halves.odd
         for k in np.unique(self.steps[rows]):
             group = rows[self.steps[rows] == k]
@@ -428,7 +435,6 @@ class _Krylov:
             self.x[group, :k + 1, :k] = x
             self.yt[group, :k, :k] = yt
             self.weight[group, :k] = overlap / h.norm * x[:, 0]
-            self.solved[group] = k
 
     def state(self, t):
         """Each row's state over the operator's states at its time ``t``,
@@ -549,8 +555,9 @@ def first_max_from_couplings(couplings, m):
     Raises
     ------
     ValueError
-        Before any solve, if ``m`` is not an int or numpy integer (a bool
-        is neither) in 1..N.
+        Before any solve, if ``couplings`` is not a real ``(N,)`` vector
+        or ``(B, N)`` stack, or if ``m`` is not an int or numpy integer (a
+        bool is neither) in 1..N.
     SearchError
         If no local maximum appears before the time cap, if the Krylov
         bound is still above ``KRYLOV_TOL`` after ``KRYLOV_CAP`` steps, or
@@ -558,7 +565,7 @@ def first_max_from_couplings(couplings, m):
         ``NEWTON_CAP`` steps, or ends with F below the grid peak it started
         from.
     """
-    om = np.asarray(couplings, dtype=float)
+    om = _check_couplings(couplings)
     stacked = om.ndim == 2
     om = om if stacked else om[None, :]
     n = om.shape[1]
@@ -600,7 +607,7 @@ def _search_chunk(halves, om, omega_prime):
     # that the peak test on their seam reads.  A row's Krylov basis grows
     # to cover each block it scans.
     span = 2 * GRID_PER_PERIOD
-    scanning, peaked = np.arange(len(om)), []
+    scanning = np.arange(len(om))
     for first in range(0, steps_cap - 1, span - 1):
         if not scanning.size:
             break
@@ -622,13 +629,12 @@ def _search_chunk(halves, om, omega_prime):
         peak[scanning[found]] = np.stack(
             [grid[found, j + 1], grid[found, j], grid[found, j + 2],
              f[found, j + 1]], axis=1)
-        peaked += scanning[found].tolist()
         scanning = np.delete(scanning, found)
     for k in scanning:
         outcomes[k] = SearchError(
             "no fidelity maximum found before "
             f"t = {steps_cap * dt[k]:.3f}/Omega_0")
-    peaked = np.sort(np.array(peaked, dtype=int))
+    peaked = np.flatnonzero(peak[:, 0])  # a grid peak lies at t > 0
     t_star, f_star = np.zeros(len(om)), np.zeros(len(om))
     t_star[peaked], f_star[peaked], curvature, unsettled = _refine(
         krylov.s[peaked], krylov.weight[peaked], odd, *peak[peaked, :3].T)

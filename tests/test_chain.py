@@ -592,6 +592,29 @@ def test_coupling_stack_rows_equal_the_chains_solved_alone(n, omega_z, mus,
     assert "out of range" in str(rows[-2])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=9).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(min_value=1.0, max_value=300.0), min_size=n,
+             max_size=n),
+    st.integers(min_value=0, max_value=n - 1),
+    st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))))
+def test_a_mirrored_chain_has_the_same_modes_and_mirrored_couplings(chain):
+    # the Coulomb chain has no preferred end: reversing the masses (with
+    # the reference ion and the addressed ions mirrored as well) mirrors
+    # every position and mode vector, so the in-phase couplings come out
+    # reversed and the mode frequencies stay put, to rounding
+    masses, ref, addressed = chain
+    n = len(masses)
+    cfg = ChainConfig(masses=masses, reference_index=ref)
+    mirror = ChainConfig(masses=masses[::-1], reference_index=n - 1 - ref)
+    eta = coupling_strengths(cfg, sorted(addressed))
+    eta_mirror = coupling_strengths(mirror, [n - 1 - i for i in addressed])
+    assert eta_mirror == pytest.approx(eta[::-1], rel=1e-11, abs=0.0)
+    assert (solve_axial_modes(mirror).frequencies
+            == pytest.approx(solve_axial_modes(cfg).frequencies, rel=1e-12,
+                             abs=0.0))
+
+
 def test_sweep_builds_no_chain_config_per_row(monkeypatch):
     calls = []
     post_init = ChainConfig.__post_init__

@@ -764,26 +764,42 @@ def test_fits_do_not_depend_on_the_block_size(monkeypatch, block):
     # resamples each: 7-row blocks end inside one histogram's resamples
     # (after the 7th) and between two histograms' (after the 70th),
     # 150-row blocks hold all of a call's resamples, and 10**6 rows are
-    # one batch
+    # one batch.  Without resamples the nine point fits are all the rows
+    # that reach the Newton fit, whatever the block size
     cm = composite_dists(MODEL)
     hist = _binned(synthesize_shots((0.0, 0.9, 0.1), cm, 5_000, seed=94), cm)
     scans = _scan_histograms(dicke_state(2, 1).density(),
                              np.arange(9) * np.pi / 9, 2_000, seed=95)
     hists = np.stack([h for _, h in scans]).astype(float)
+    newton, newton_rows = detection._newton, []
+
+    def counted(h, pmat, starts):
+        newton_rows.append(len(h))
+        return newton(h, pmat, starts)
 
     def run():
+        seeds = np.random.SeedSequence(97).spawn(len(scans))
+        newton_rows.clear()
+        point_fits = detection._fit(hists, cm, 0, seeds)
+        assert sum(newton_rows) == len(hists)
         return (ml_fit(hist, cm, n_bootstrap=40, seed=96),
                 parity_scan_analysis(scans, cm, n_bootstrap=10, seed=97),
-                detection._fit(hists, cm, 10,
-                               np.random.SeedSequence(97).spawn(len(scans))))
+                detection._fit(hists, cm, 10, seeds), point_fits)
 
-    fit, scan, scan_fits = run()
+    monkeypatch.setattr(detection, "_newton", counted)
+    fit, scan, scan_fits, point_fits = run()
     monkeypatch.setattr(detection, "_BLOCK_ROWS", block)
-    fit_b, scan_b, scan_fits_b = run()
+    fit_b, scan_b, scan_fits_b, point_fits_b = run()
     for a, b in zip([fit, *scan_fits], [fit_b, *scan_fits_b]):
         for name in ("populations", "std_errors", "bootstrap_populations",
                      "log_likelihood"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+    for a, b, boot in zip(point_fits, point_fits_b, scan_fits):
+        assert a.bootstrap_populations is b.bootstrap_populations is None
+        assert not np.any(a.std_errors) and not np.any(b.std_errors)
+        for name in ("populations", "log_likelihood"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert np.array_equal(getattr(a, name), getattr(boot, name))
     for field in dataclasses.fields(ParityScanResult):
         assert np.array_equal(getattr(scan, field.name),
                               getattr(scan_b, field.name))

@@ -600,6 +600,34 @@ def test_first_max_rejects_a_phonon_number_that_is_no_integer(m,
         first_max_from_couplings(np.array([0.5, 0.7, 0.9]), m)
 
 
+@pytest.mark.parametrize("couplings", [
+    np.array([1 + 0.5j, 1.0]), [1 + 0.5j, 1.0], np.array(1.0),
+    np.ones((1, 1, 2))], ids=["complex-array", "complex-list", "0-d", "3-d"])
+def test_couplings_that_are_no_real_vector_or_stack_are_rejected(
+        couplings, monkeypatch):
+    # a complex array would lose its imaginary part in the float cast and
+    # run as the pulse of its real part
+    def never(*args):
+        raise AssertionError("the pulse search ran")
+
+    monkeypatch.setattr(sideband, "_Krylov", never)
+    with pytest.raises(ValueError, match=r"couplings must be a real \(N,\) "
+                                         r"vector or \(B, N\) stack"):
+        first_max_from_couplings(couplings, 1)
+    with pytest.raises(ValueError, match=r"couplings must be a real \(N,\) "
+                                         r"vector or \(B, N\) stack"):
+        rsb_hamiltonian(ExcitationSector(n_qubits=2, m=1), couplings)
+
+
+def test_complex_couplings_with_a_zero_imaginary_part_are_real():
+    om = np.array([0.5, 0.7, 0.9])
+    res = first_max_from_couplings(om.astype(complex), 2)
+    assert res.duration == first_max_from_couplings(om, 2).duration
+    sector = ExcitationSector(n_qubits=3, m=2)
+    assert np.array_equal(rsb_hamiltonian(sector, om + 0j),
+                          rsb_hamiltonian(sector, om))
+
+
 @pytest.mark.parametrize("m", [1.5, True])
 def test_pulse_search_from_chains_rejects_a_non_integer_m_before_solving(
         m, monkeypatch):
@@ -702,6 +730,31 @@ def test_krylov_basis_resumed_for_later_blocks_matches_a_fresh_one():
         assert getattr(grown, name).tobytes() == getattr(fresh, name).tobytes()
     t = ends[-1:] / 2.0
     assert grown.state(t).tobytes() == fresh.state(t).tobytes()
+
+
+def test_krylov_rows_re_solved_at_their_step_count_keep_their_bits():
+    # cover solves every row it is handed, also one that takes no further
+    # step; the stacked SVD solves each bidiagonal on its own, so the row
+    # gets back its bits, whichever rows share its stack.  The spectra are
+    # wiped first, so that only a re-solve can restore them
+    sector = ExcitationSector(n_qubits=8, m=4)
+    om = 1.0 + 0.2 * np.random.default_rng(11).standard_normal((5, 8))
+    om[2] = 1.0  # equal couplings close the basis after two steps
+    omega_prime = sideband._omega_prime(om)
+    krylov = sideband._Krylov(sideband._Halves.of(sector), om, omega_prime)
+    t = 100 * np.pi / (50.0 * omega_prime)
+    krylov.cover(np.arange(5), t)
+    steps = krylov.steps.copy()
+    assert len(np.unique(steps)) > 1
+    solved = {name: getattr(krylov, name).copy()
+              for name in ("s", "weight", "x", "yt")}
+    for rows in (np.arange(5), np.array([3]), np.array([0, 2, 4])):
+        for name in solved:
+            getattr(krylov, name)[rows] = 0.0
+        assert not krylov.cover(rows, t[rows]).size
+        assert np.array_equal(krylov.steps, steps)
+        for name, value in solved.items():
+            assert getattr(krylov, name).tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(14, 7), (16, 8)])
