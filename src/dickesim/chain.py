@@ -24,7 +24,7 @@ import numpy as np
 
 from ._frozen import freeze
 from .errors import (ConvergenceError, DataError, UnstableCrystalError,
-                     _check_integer, _is_integer, unwrap)
+                     _check_integer, _is_integer)
 
 HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS = 1.66053906660e-27  # kg
@@ -324,8 +324,16 @@ def _addressed_ions(config, addressed):
 
 def _couplings(config, masses, addressed):
     """:func:`coupling_strengths` of the sorted ``addressed`` ions for
-    every mass row of :func:`_mode_stack`: per row its couplings or its
-    UnstableCrystalError, with one warning per SI row past 0.3."""
+    every mass row of :func:`_mode_stack`, with one warning per SI row
+    past 0.3.
+
+    Returns ``(outcomes, rows, eta)`` in the form of :func:`_mode_stack`:
+    ``outcomes`` holds, per mass row, its UnstableCrystalError or None,
+    and the read-only ``(len(rows), len(addressed))`` array ``eta`` holds
+    the couplings of the other rows, ``rows``, in order.  ``eta`` is a
+    slice of the mode stack and Fortran-ordered; the pulse search makes
+    its own C-ordered copy.
+    """
     outcomes, rows, _, _, _, z = _mode_stack(config, masses)
     eta = config.k_projection * z[:, addressed, 0]
     eta.setflags(write=False)
@@ -336,9 +344,7 @@ def _couplings(config, masses, addressed):
                 f"max |eta| = {peak:.3f} exceeds {LAMB_DICKE_THRESHOLD}; the "
                 "linear sideband coupling model is unreliable here",
                 LambDickeWarning, stacklevel=3)
-    for r, row in zip(rows, eta):
-        outcomes[r] = row
-    return outcomes
+    return outcomes, rows, eta
 
 
 def coupling_strengths(config, addressed):
@@ -355,7 +361,10 @@ def coupling_strengths(config, addressed):
     or one out of range.
     """
     addressed = _addressed_ions(config, addressed)
-    return unwrap(_couplings(config, [config.masses], addressed)[0])
+    outcomes, _, eta = _couplings(config, [config.masses], addressed)
+    if outcomes[0] is not None:
+        raise outcomes[0]
+    return eta[0]
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from math import comb, lgamma
 
 import numpy as np
@@ -84,7 +83,8 @@ class ExcitationSector:
     State j is ``|qubits[j]> (x) |phonons[j]>``, with the qubit indices
     (popcount <= m) in ascending order and in the convention of
     :mod:`dickesim.dicke` (qubit 0 is the most significant bit).  State 0
-    is all qubits down with m phonons.
+    is all qubits down with m phonons.  The indices are int64, so the
+    sector holds at most 63 qubits.
     """
 
     n_qubits: int
@@ -99,17 +99,18 @@ class ExcitationSector:
             raise ValueError("need at least one qubit")
         if self.m < 0:
             raise ValueError("excitation number must be >= 0")
-        # the indices with k = 0..m up qubits, enumerated, then sorted
-        n = self.n_qubits
-        bits = 1 << (n - 1 - np.arange(n))
-        by_count = [np.array(list(combinations(bits, k)), dtype=int)
-                    .reshape(comb(n, k), k).sum(axis=1)
-                    for k in range(min(self.m, n) + 1)]
-        qubits = np.concatenate(by_count)
-        ups = np.repeat(np.arange(len(by_count)), [len(q) for q in by_count])
-        order = np.argsort(qubits)
-        object.__setattr__(self, "qubits", qubits[order])
-        object.__setattr__(self, "phonons", self.m - ups[order])
+        if self.n_qubits > 63:
+            raise ValueError("the qubit indices are int64: at most 63 qubits")
+        # the qubits from the least significant up: the states that raise
+        # the new top bit (from at most m - 1 up) go after those that do
+        # not, so the indices come out ascending
+        qubits = ups = np.zeros(1, dtype=int)
+        for bit in range(self.n_qubits):
+            room = ups < self.m
+            qubits = np.concatenate([qubits, qubits[room] | 1 << bit])
+            ups = np.concatenate([ups, ups[room] + 1])
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "phonons", self.m - ups)
         freeze(self, int, "qubits", "phonons")
 
     @property
@@ -147,14 +148,17 @@ class PulseResult:
 
 
 def _check_couplings(couplings):
-    """The float array of a real ``(N,)`` coupling vector or ``(B, N)``
-    stack (a complex one passes if its imaginary part is zero); anything
-    else raises ValueError."""
+    """The C-ordered float array of a real ``(N,)`` coupling vector or
+    ``(B, N)`` stack (a complex one passes if its imaginary part is zero);
+    anything else raises ValueError.  The stacked dot of
+    :func:`_omega_prime` adds a row up in an order that follows the stack's
+    memory layout, so the copy is C-ordered whatever the caller's layout: a
+    row then gives the bits of its one-row call in any stack."""
     om = np.asarray(couplings)
     if om.ndim not in (1, 2) or np.iscomplexobj(om) and np.any(om.imag):
         raise ValueError("couplings must be a real (N,) vector or (B, N) "
                          f"stack, got {om.dtype} of shape {om.shape}")
-    return np.asarray(om.real, dtype=float)
+    return np.ascontiguousarray(om.real, dtype=float)
 
 
 def rsb_hamiltonian(sector, couplings):
@@ -547,17 +551,19 @@ def first_max_from_couplings(couplings, m):
     A ``(B, N)`` stack of coupling vectors is searched in chunks of as
     many rows as ``CHUNK_BYTES`` holds, counted by each row's Krylov width:
     one lockstep Krylov growth, scan and refine per chunk, each row on its
-    own grid with its own step count.  A row's result does not depend on
-    its chunk.  The call then returns a list that holds, per row, its
-    PulseResult or the ValueError or SearchError the row raises on its
-    own.
+    own grid with its own step count.  The stack is searched as a
+    C-ordered copy, so a row's result depends neither on its chunk nor on
+    the caller's memory layout (Fortran order, a step slice).  The call
+    then returns a list that holds, per row, its PulseResult or the
+    ValueError or SearchError the row raises on its own.
 
     Raises
     ------
     ValueError
         Before any solve, if ``couplings`` is not a real ``(N,)`` vector
-        or ``(B, N)`` stack, or if ``m`` is not an int or numpy integer (a
-        bool is neither) in 1..N.
+        or ``(B, N)`` stack, if ``m`` is not an int or numpy integer (a
+        bool is neither) in 1..N, or if N is above 63, the bound of
+        :class:`ExcitationSector`'s int64 qubit indices.
     SearchError
         If no local maximum appears before the time cap, if the Krylov
         bound is still above ``KRYLOV_TOL`` after ``KRYLOV_CAP`` steps, or
@@ -692,14 +698,10 @@ def fidelity_vs_mass_ratio(template, mu_grid, m):
     _check_m(m, template.n_qubits)
     masses = template._masses(mu_grid)
     try:
-        outcomes = chain_mod._couplings(template.config, masses,
-                                        list(template.addressed()))
+        outcomes, rows, eta = chain_mod._couplings(
+            template.config, masses, list(template.addressed()))
     except ConvergenceError as exc:
-        outcomes = [exc] * len(masses)
-    rows = [r for r, eta in enumerate(outcomes)
-            if not isinstance(eta, Exception)]
-    pulses = first_max_from_couplings(
-        np.reshape([outcomes[r] for r in rows], (-1, template.n_qubits)), m)
-    for r, pulse in zip(rows, pulses):
+        return [exc] * len(masses)
+    for r, pulse in zip(rows, first_max_from_couplings(eta, m)):
         outcomes[r] = pulse
     return outcomes

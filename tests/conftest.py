@@ -8,7 +8,9 @@ scaling-and-squaring (``scipy.linalg.expm``) instead of eigendecomposition.
 A second pulse reference runs the program's own F(t) scan over the whole
 grid, where the program stops at the first chunk that holds a peak, and a
 third takes the spectrum from a dense SVD of the sector Hamiltonian, where
-the program grows a Krylov space.
+the program grows a Krylov space.  The sector's states are enumerated as
+combinations of up qubits and then sorted, where the program adds one
+qubit at a time in index order.
 The readout-fit oracle runs the plain EM update on one histogram at a
 time, and draws and fits bootstrap resamples one after another, where the
 program fits a whole stack of histograms in one batch with Newton steps.
@@ -27,6 +29,7 @@ starts dark on its own.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -132,6 +135,20 @@ class FullSpace:
         """<D(N,m)| rho_qubits |D(N,m)>."""
         dicke = (self.ups == m) / np.sqrt(np.sum(self.ups == m))
         return float(np.sum(np.abs(dicke @ self.grid(psi)) ** 2))
+
+
+def enumerated_sector(n_qubits, m):
+    """The ``(qubits, phonons)`` of the N-qubit m-excitation sector: the
+    indices with k = 0..m up qubits, enumerated as combinations of bits
+    (qubit 0 the most significant), then sorted."""
+    bits = 1 << (n_qubits - 1 - np.arange(n_qubits))
+    by_count = [np.array(list(combinations(bits, k)), dtype=int)
+                .reshape(comb(n_qubits, k), k).sum(axis=1)
+                for k in range(min(m, n_qubits) + 1)]
+    qubits = np.concatenate(by_count)
+    ups = np.repeat(np.arange(len(by_count)), [len(q) for q in by_count])
+    order = np.argsort(qubits)
+    return qubits[order], m - ups[order]
 
 
 def evolve(psi, hamiltonian, t):

@@ -547,13 +547,14 @@ def test_mode_stack_shares_one_equilibrium(monkeypatch):
     monkeypatch.setattr(chain_mod, "solve_equilibrium", counted)
     template = ChainTemplate(ChainConfig(masses=(1.0, 1.0, 1.0, 1.0)), 1)
     mus = (0.5, 2.0, 1e-300)
-    stack = chain_mod._couplings(template.config, template._masses(mus),
-                                 [0, 2, 3])
+    outcomes, rows, eta = chain_mod._couplings(
+        template.config, template._masses(mus), [0, 2, 3])
     assert calls == [template.config]
-    assert isinstance(stack[2], UnstableCrystalError)
+    assert isinstance(outcomes[2], UnstableCrystalError)
+    assert rows.tolist() == [0, 1]
     # the scaled equilibrium reads only the ion count, so every row equals
     # the chain solved on its own
-    for mu, row in zip(mus[:2], stack):
+    for mu, row in zip(mus[:2], eta, strict=True):
         assert row.tobytes() == coupling_strengths(template.config_for(mu),
                                                    (0, 2, 3)).tobytes()
 

@@ -7,7 +7,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 from conftest import (FullSpace, assert_identity_semantics, dense_spectrum,
-                      dicke_fidelity, dicke_vector, evolve,
+                      dicke_fidelity, dicke_vector, enumerated_sector, evolve,
                       first_max_full_grid, first_max_full_space,
                       krylov_spectrum, purity, w_fidelity_analytic)
 from hypothesis import example, given, settings
@@ -110,6 +110,7 @@ def test_sector_takes_integers(n_qubits, m, name):
 
 @pytest.mark.parametrize("n_qubits,m,message", [
     (0, 1, "at least one qubit"), (2, -1, "excitation number must be >= 0"),
+    (64, 1, "at most 63 qubits"),
 ])
 def test_sector_rejects_sizes_out_of_range(n_qubits, m, message):
     with pytest.raises(ValueError, match=message):
@@ -131,6 +132,28 @@ def test_sector_size_does_not_scale_with_two_to_the_n():
     assert sector.dimension == 466
     assert sector.qubits[-1] == 0b11 << 28
     assert list(sector.qubits) == sorted(sector.qubits)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 15)
+                                 for m in range(n + 3)] + [(30, 2), (40, 3)])
+def test_sector_equals_the_enumerated_combinations(n, m):
+    sector = ExcitationSector(n_qubits=n, m=m)
+    qubits, phonons = enumerated_sector(n, m)
+    for got, want in ((sector.qubits, qubits), (sector.phonons, phonons)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sector_holds_up_to_63_qubits():
+    # the indices are int64: 64 qubits used to wrap bit 63 negative, and
+    # 65 or more gave duplicate indices, with no error
+    sector = ExcitationSector(n_qubits=63, m=1)
+    assert sector.dimension == 64
+    assert np.all(np.diff(sector.qubits) > 0)
+    assert sector.qubits[-1] == 1 << 62
+    # the 64-coupling search used to fail on its phonon distribution
+    with pytest.raises(ValueError, match="at most 63 qubits"):
+        first_max_from_couplings(np.ones(64), 1)
 
 
 def test_sector_accepts_numpy_integers():
@@ -1020,18 +1043,22 @@ def test_symmetric_config_perfect_for_any_mass_ratio():
         assert res.fidelity == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sweep_rows_in_grid_order_and_mu1_matches_no_ancilla():
-    template = ChainTemplate.symmetric(3, placement="center")
-    grid = [0.5, 1.0, 2.0]
-    rows = fidelity_vs_mass_ratio(template, grid, 1)
+@pytest.mark.parametrize("n,placement,m", [
+    (n, placement, m) for n in range(2, 11) for placement in ("center", "edge")
+    for m in sorted({1, n // 2})])
+def test_sweep_rows_in_grid_order_and_mu1_matches_no_ancilla(n, placement, m):
+    template = ChainTemplate.symmetric(n, placement=placement)
+    grid = [0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0]
+    rows = fidelity_vs_mass_ratio(template, grid, m)
     assert len(rows) == len(grid)
     for mu, row in zip(grid, rows):
         assert_same_outcome(row, first_max_fidelity(
-            template.config_for(mu), template.addressed(), 1))
+            template.config_for(mu), template.addressed(), m))
     # mu = 1 reproduces the equal-coupling (no ancilla needed) case
-    assert rows[1].fidelity == pytest.approx(1.0, abs=1e-9)
-    no_ancilla = first_max_from_couplings(np.ones(3), 1)
-    assert rows[1].fidelity == pytest.approx(no_ancilla.fidelity, abs=1e-9)
+    no_ancilla = first_max_from_couplings(np.ones(n), m)
+    assert rows[3].fidelity == pytest.approx(no_ancilla.fidelity, abs=1e-9)
+    if m == 1:
+        assert rows[3].fidelity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sweep_mass_ratio_degradation_m2():
@@ -1229,6 +1256,19 @@ def test_single_phonon_rows_past_eight_qubits_match_alone(n):
     stack = np.random.default_rng(n).uniform(0.1, 1.5, (3, n))
     for row, om in zip(first_max_from_couplings(stack, 1), stack):
         assert_same_outcome(row, first_max_from_couplings(om, 1))
+
+
+def test_stack_rows_do_not_depend_on_its_memory_layout():
+    # the stacked Omega' dot adds a row up in the order of the stack's
+    # layout; on a Fortran-ordered or step-sliced stack row 2 once ended
+    # with other bits than its one-row call
+    stack = np.random.default_rng(1).uniform(0.1, 1.5, (8, 6))
+    alone = [first_max_from_couplings(om, 3) for om in stack]
+    for layout in (np.asfortranarray(stack),
+                   np.repeat(stack, 2, axis=1)[:, ::2]):
+        for row, want in zip(first_max_from_couplings(layout, 3), alone,
+                             strict=True):
+            assert_same_outcome(row, want)
 
 
 def test_failed_rows_inside_a_chunk_keep_their_own_errors(monkeypatch):
