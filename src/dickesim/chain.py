@@ -24,7 +24,7 @@ import numpy as np
 
 from ._frozen import freeze
 from .errors import (ConvergenceError, DataError, UnstableCrystalError,
-                     _check_integer, _is_integer)
+                     _check_integer, _is_integer, unwrap)
 
 HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS = 1.66053906660e-27  # kg
@@ -300,8 +300,7 @@ def solve_axial_modes(config):
         at or below 1e-10.
     """
     outcomes, _, eq, freqs, vecs, z = _mode_stack(config, [config.masses])
-    if outcomes[0] is not None:
-        raise outcomes[0]
+    unwrap(outcomes[0])
     return ModeSet(frequencies=freqs[0], eigenvectors=vecs[0],
                    ground_state_amplitudes=z[0],
                    lamb_dicke=config.k_projection * z[0], equilibrium=eq)
@@ -341,7 +340,7 @@ def _couplings(config, masses, addressed):
         peaks = np.max(np.abs(eta), axis=1)
         for peak in peaks[peaks > LAMB_DICKE_THRESHOLD]:
             warnings.warn(
-                f"max |eta| = {peak:.3f} exceeds {LAMB_DICKE_THRESHOLD}; the "
+                f"max |eta| = {peak:.3g} exceeds {LAMB_DICKE_THRESHOLD}; the "
                 "linear sideband coupling model is unreliable here",
                 LambDickeWarning, stacklevel=3)
     return outcomes, rows, eta
@@ -362,8 +361,7 @@ def coupling_strengths(config, addressed):
     """
     addressed = _addressed_ions(config, addressed)
     outcomes, _, eta = _couplings(config, [config.masses], addressed)
-    if outcomes[0] is not None:
-        raise outcomes[0]
+    unwrap(outcomes[0])
     return eta[0]
 
 

@@ -76,6 +76,15 @@ CLOSURE = 1e-13  # a Lanczos coefficient below this * Omega' closes a basis
 CHUNK_BYTES = 1 << 20
 
 
+def _check_qubits(n):
+    """Raise ValueError unless an :class:`ExcitationSector` holds ``n``
+    qubits: at least one, and at most 63, since its indices are int64."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if n > 63:
+        raise ValueError("the qubit indices are int64: at most 63 qubits")
+
+
 @dataclass(frozen=True)
 class ExcitationSector:
     """The states of N qubits and one mode that hold exactly m excitations.
@@ -95,12 +104,9 @@ class ExcitationSector:
     def __post_init__(self):
         _check_integer(self.n_qubits, "n_qubits")
         _check_integer(self.m, "m")
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
+        _check_qubits(self.n_qubits)
         if self.m < 0:
             raise ValueError("excitation number must be >= 0")
-        if self.n_qubits > 63:
-            raise ValueError("the qubit indices are int64: at most 63 qubits")
         # the qubits from the least significant up: the states that raise
         # the new top bit (from at most m - 1 up) go after those that do
         # not, so the indices come out ascending
@@ -281,8 +287,10 @@ def _apply(links, amps, x):
 
 def _omega_prime(om):
     """Omega' of each row of a ``(B, N)`` stack as np.linalg.norm takes it
-    for one vector: sqrt of a BLAS dot."""
-    with np.errstate(invalid="ignore"):  # non-finite rows leave just below
+    for one vector: sqrt of a BLAS dot.  A row whose square sum leaves
+    double range gets 0 or inf, a non-finite row inf or NaN, all quietly:
+    the search turns such rows away."""
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.sqrt((om[:, None, :] @ om[:, :, None])[:, 0, 0])
 
 
@@ -357,23 +365,20 @@ class _Krylov:
     def cover(self, rows, t):
         """Step each row until its error bound at time t is at most
         KRYLOV_TOL or its basis closes, and solve its spectrum there.
-        Returns the rows that reach the width first."""
+        Each round steps the open rows above the bound that are short of
+        the width, those at the lowest step count first.  Returns the rows
+        at the width whose bound is still above KRYLOV_TOL."""
         self.until[rows] = t
-        need = rows[~self.closed[rows]]
-        need = need[self.bound(need) > np.log(KRYLOV_TOL)]
-        stuck = []
-        while need.size:
+        while True:
+            need = rows[~self.closed[rows]]
+            need = need[self.bound(need) > np.log(KRYLOV_TOL)]
             full = self.steps[need] == self.halves.width
-            stuck += need[full].tolist()
-            need = need[~full]
-            if need.size:
-                level = self.steps[need].min()
-                self._step(need[self.steps[need] == level])
-                need = need[~self.closed[need]]
-                need = need[self.bound(need) > np.log(KRYLOV_TOL)]
-        stuck = np.array(stuck, dtype=int)
-        self._solve(np.setdiff1d(rows, stuck))
-        return stuck
+            if full.all():
+                break
+            short = need[~full]
+            self._step(short[self.steps[short] == self.steps[short].min()])
+        self._solve(np.setdiff1d(rows, need))
+        return need
 
     def _step(self, rows):
         """One Golub-Kahan step for rows at the same step count k: the
@@ -524,12 +529,14 @@ def _refine(freqs, weight, odd, t, lo, hi):
 
 def _check_m(m, n):
     """Raise ValueError unless the phonon number ``m`` is an int or numpy
-    integer (a bool is neither) in 1..n, the number of qubits."""
+    integer (a bool is neither) in 1..n, the number of qubits, and an
+    :class:`ExcitationSector` holds n qubits."""
     _check_integer(m, "m")
     if m < 1:
         raise ValueError("need at least one phonon to convert")
     if m > n:
         raise ValueError(f"{m} phonons cannot all be absorbed by {n} qubits")
+    _check_qubits(n)
 
 
 def first_max_from_couplings(couplings, m):
@@ -557,13 +564,19 @@ def first_max_from_couplings(couplings, m):
     then returns a list that holds, per row, its PulseResult or the
     ValueError or SearchError the row raises on its own.
 
+    A row is searched only if its Omega', taken as one double by
+    :func:`_omega_prime`, has ``0 < Omega' < inf``.  Any other row (a NaN
+    or inf coupling, all zeros, a square sum that under- or overflows) is
+    a ValueError that names its Omega'.
+
     Raises
     ------
     ValueError
         Before any solve, if ``couplings`` is not a real ``(N,)`` vector
         or ``(B, N)`` stack, if ``m`` is not an int or numpy integer (a
         bool is neither) in 1..N, or if N is above 63, the bound of
-        :class:`ExcitationSector`'s int64 qubit indices.
+        :class:`ExcitationSector`'s int64 qubit indices; and for a row
+        whose Omega' is not in ``(0, inf)``, before that row's solve.
     SearchError
         If no local maximum appears before the time cap, if the Krylov
         bound is still above ``KRYLOV_TOL`` after ``KRYLOV_CAP`` steps, or
@@ -576,15 +589,13 @@ def first_max_from_couplings(couplings, m):
     om = om if stacked else om[None, :]
     n = om.shape[1]
     _check_m(m, n)
-    outcomes = [None] * len(om)
     omega_prime = _omega_prime(om)
     # a row that LAPACK cannot decompose would fail the whole stack
-    finite = np.all(np.isfinite(om), axis=1)
-    for r in np.flatnonzero(~finite):
-        outcomes[r] = ValueError("couplings must be finite")
-    for r in np.flatnonzero(finite & (omega_prime == 0.0)):
-        outcomes[r] = ValueError("at least one coupling must be nonzero")
-    rows = np.flatnonzero(finite & (omega_prime != 0.0))
+    admitted = (0.0 < omega_prime) & (omega_prime < np.inf)
+    outcomes = [None if ok else ValueError(
+        f"couplings need a finite nonzero Omega' in double range: got "
+        f"Omega' = {w!r}") for ok, w in zip(admitted, omega_prime.tolist())]
+    rows = np.flatnonzero(admitted)
     halves = _Halves.of(ExcitationSector(n_qubits=n, m=m))
     row_bytes = (16 * max(len(halves.phonons), 2 * GRID_PER_PERIOD + 1)
                  * (halves.width + 1))
@@ -598,9 +609,10 @@ def first_max_from_couplings(couplings, m):
 
 
 def _search_chunk(halves, om, omega_prime):
-    """The first-maximum search on a stack of finite, nonzero coupling
-    rows with their Omega'; returns each row's PulseResult or SearchError.
-    Its arrays go when it returns, so chunks do not pile up."""
+    """The first-maximum search on a stack of admitted coupling rows
+    (``0 < Omega' < inf``) with their Omega'; returns each row's
+    PulseResult or SearchError.  Its arrays go when it returns, so chunks
+    do not pile up."""
     krylov, odd = _Krylov(halves, om, omega_prime), halves.odd
 
     dt = np.pi / (GRID_PER_PERIOD * omega_prime)

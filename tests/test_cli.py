@@ -1,23 +1,25 @@
 import argparse
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from dickesim import cli, experiment, first_max_from_couplings
-from dickesim.chain import read_chain_file
+from dickesim.chain import LambDickeWarning, read_chain_file
 from dickesim.cli import main, run_experiment
 
 
 def write_chain(tmp_path, name="chain.cfg", masses="25, 25, 27",
-                ancilla="ancilla_index = 2\n", omega="2.55e6", reference=0):
+                ancilla="ancilla_index = 2\n", omega="2.55e6", reference=0,
+                k_projection="1.1e7"):
     path = tmp_path / name
     path.write_text(
         f"masses = {masses}\n"
         f"omega_z = {omega}\n"
         f"reference_index = {reference}\n"
-        "k_projection = 1.1e7\n"
+        f"k_projection = {k_projection}\n"
         + ancilla)
     return str(path)
 
@@ -251,6 +253,27 @@ def test_sweep_row_with_out_of_range_mass_ratio_names_it(tmp_path):
                  "--out", str(alone_json)] + json_flags) == 0
     assert [intact] == json.loads(alone_json.read_text())["rows"]
     assert intact["error"] is None and intact["reduced_density"] is not None
+
+
+def test_sweep_row_whose_omega_prime_overflows_names_it(tmp_path, capsys):
+    # every eta is about 1e292, so Omega'^2 overflows: the row used to
+    # print numpy RuntimeWarnings and then read as a missed maximum
+    cfg = write_chain(tmp_path, k_projection="1e300")
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg, "--m", "1", "--mu-start", "1",
+                     "--mu-stop", "1", "--mu-points", "1",
+                     "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert "Omega' = inf" in rows[0][header.index("error")]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    # the peak eta is printed to three significant digits, not 298
+    lamb_dicke = [str(w.message) for w in caught
+                  if issubclass(w.category, LambDickeWarning)]
+    short = re.compile(r"max \|eta\| = \d\.\d\de\+\d+ exceeds")
+    assert lamb_dicke and all(short.match(m) for m in lamb_dicke)
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -156,6 +156,19 @@ def test_sector_holds_up_to_63_qubits():
         first_max_from_couplings(np.ones(64), 1)
 
 
+def test_searches_past_63_qubits_raise_before_any_solve(monkeypatch):
+    # both used to solve the equilibrium and the modes first
+    def no_solve(config):
+        raise AssertionError("solved the equilibrium")
+
+    monkeypatch.setattr(chain_mod, "solve_equilibrium", no_solve)
+    with pytest.raises(ValueError, match="at most 63 qubits"):
+        fidelity_vs_mass_ratio(ChainTemplate.symmetric(64, placement="edge"),
+                               [1.0, 2.0], 1)
+    with pytest.raises(ValueError, match="at most 63 qubits"):
+        first_max_fidelity(ChainConfig(masses=(1.0,) * 65), range(64), 1)
+
+
 def test_sector_accepts_numpy_integers():
     sector = ExcitationSector(n_qubits=np.int64(4), m=np.int32(2))
     assert sector == ExcitationSector(n_qubits=4, m=2)
@@ -539,16 +552,24 @@ def test_first_peak_scan_across_chunk_seams_matches_full_grid(monkeypatch,
 
 def test_stacked_search_keeps_bad_rows_to_themselves(monkeypatch):
     # a NaN or inf row would stop LAPACK for the whole stack, a zero row
-    # has no Omega'; the good rows must come out as they do alone, whether
-    # the stack is one chunk or a chunk per row
+    # has no Omega', and so has a row whose Omega'^2 under- or overflows
+    # (1e-300 used to read as all zero, 1e300 to warn and then miss the
+    # maximum); the good rows must come out as they do alone, whether the
+    # stack is one chunk or a chunk per row
     stack = np.array([[1.0, np.nan], [0.7, 1.1], [np.inf, 0.0], [0.0, 0.0],
-                      [1.3, 0.4]])
+                      [1.3, 0.4], [1e-300, 1e-300], [1e-170, 1e-170],
+                      [1e300, 1e300]])
     for chunk_bytes in (sideband.CHUNK_BYTES, 1):
         monkeypatch.setattr(sideband, "CHUNK_BYTES", chunk_bytes)
-        nan, good, inf, zero, other = first_max_from_couplings(stack, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (nan, good, inf, zero, other,
+             *out_of_range) = first_max_from_couplings(stack, 1)
+        for bad in (nan, inf, zero, *out_of_range):
+            assert isinstance(bad, ValueError) and "Omega'" in str(bad)
         for bad in (nan, inf):
-            assert isinstance(bad, ValueError) and "finite" in str(bad)
-        assert isinstance(zero, ValueError) and "nonzero" in str(zero)
+            assert "finite" in str(bad)
+        assert "nonzero" in str(zero)
         for res, row in ((good, stack[1]), (other, stack[4])):
             alone = first_max_from_couplings(row, 1)
             assert (res.duration, res.fidelity) == (alone.duration,
