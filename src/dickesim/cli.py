@@ -5,7 +5,9 @@ plot-ready CSV tables or JSON reports.  Physical inputs are SI (masses in
 u, frequencies in Hz in config files); simulator times are dimensionless
 in units of 1/Omega_0 unless a carrier rate is supplied for conversion.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+which includes a request too large for memory (numpy's MemoryError): each
+failure is one ``dickesim:`` line on stderr, with no traceback.
 """
 
 from __future__ import annotations
@@ -433,7 +435,7 @@ def main(argv=None):
         print(f"dickesim: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, UnstableCrystalError, SearchError,
-            np.linalg.LinAlgError, ValueError) as exc:
+            np.linalg.LinAlgError, ValueError, MemoryError) as exc:
         print(f"dickesim: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -398,10 +398,10 @@ def _check_histogram(hist, name, n_bins=None):
 def _fit(hists, cm, n_bootstrap, seeds):
     """One FitResult per row of ``hists``: the rows are fit from the
     uniform populations, then their bootstrap resamples (drawn for row j
-    from ``seeds[j]``) each from its row's fit, in two loops over blocks
-    of at most _BLOCK_ROWS Newton rows, so that the working set does not
-    grow with ``n_bootstrap``.  ``n_bootstrap`` is 0 (no errors, and no
-    resample block) or >= 2 (a ddof=1 std)."""
+    from ``np.random.default_rng(seeds[j])``) each from its row's fit, in
+    two loops over blocks of at most _BLOCK_ROWS Newton rows, so that the
+    working set does not grow with ``n_bootstrap``.  ``n_bootstrap`` is 0
+    (no errors, and no resample block) or >= 2 (a ddof=1 std)."""
     _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
@@ -441,7 +441,8 @@ def ml_fit(hist, cm, n_bootstrap=DEFAULT_N_BOOTSTRAP, seed=0):
     ``cm`` is the array from :func:`composite_dists`, and ``hist`` has one
     bin per column of it, for the counts 0..n_max.  Standard errors are
     the bootstrap standard deviations over ``n_bootstrap`` multinomial
-    resamples (0 for none, else at least 2).
+    resamples (0 for none, else at least 2), drawn from
+    ``np.random.default_rng(seed)``: an int, SeedSequence or Generator.
     """
     hists = _check_histogram(hist, "photon-count", cm.shape[1])[None]
     return _fit(hists, cm, n_bootstrap, [seed])[0]
@@ -657,13 +658,15 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     ``scans`` is an iterable of (phi, hist), each histogram fit as by
     :func:`ml_fit` against the :func:`composite_dists` array ``cm`` with
     ``n_bootstrap`` resamples, at least 2 (``ValueError`` before any fit
-    otherwise).  The sinusoid weights each phase by 1 / sigma^2 of its
-    bootstrap parity error, floored at 1e-3 of the largest (and at 1e-6).
-    The fit enforces the pi period of a two-qubit parity oscillation, so
-    its offset is the coherence term: the two-phase average (parity(0) +
-    parity(pi/2)) / 2 of the fitted curve.  Phases that leave its three
-    parameters unidentified, such as fewer than three distinct phases
-    modulo pi, raise IdentifiabilityError before any fit.
+    otherwise); phase j's resamples are drawn from stream j of
+    ``np.random.default_rng(seed).spawn(len(scans))``, for a ``seed`` that
+    is an int, SeedSequence or Generator.  The sinusoid weights each phase
+    by 1 / sigma^2 of its bootstrap parity error, floored at 1e-3 of the
+    largest (and at 1e-6).  The fit enforces the pi period of a two-qubit
+    parity oscillation, so its offset is the coherence term: the two-phase
+    average (parity(0) + parity(pi/2)) / 2 of the fitted curve.  Phases
+    that leave its three parameters unidentified, such as fewer than three
+    distinct phases modulo pi, raise IdentifiabilityError before any fit.
     """
     _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap < 2:
@@ -678,11 +681,10 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
             "the analysis phases do not fix the pi-periodic fit: need at "
             "least 3 distinct phases modulo pi")
 
-    root = (seed if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed))
     hists = np.stack([_check_histogram(hist, "photon-count", cm.shape[1])
                       for _, hist in scans])
-    fits = _fit(hists, cm, n_bootstrap, root.spawn(len(scans)))
+    fits = _fit(hists, cm, n_bootstrap,
+                np.random.default_rng(seed).spawn(len(scans)))
     parities = np.array([parity_from_fit(fit) for fit in fits])
     errors = np.array([parity_std_from_fit(fit) for fit in fits])
 

@@ -94,26 +94,28 @@ def certify_state(rho, shots, seed, model=DEFAULT_MODEL,
     Draws reference, experiment and parity-scan count histograms from the
     true readout ``model``, calibrates against the references, fits the
     populations and both parity scans, and reports the fidelity ``(c1 +
-    coherence) / 2`` with its statistical error.  Seeds are spawned from
-    ``SeedSequence(seed)`` in order of use: both references, the
-    experiment shots, the population fit, every phase of the single then
-    the double scan, and the two scan analyses.  Another qubit count or a
-    bad ``n_bootstrap`` raises ValueError before any draw.
+    coherence) / 2`` with its statistical error.  ``seed`` is an int,
+    SeedSequence or Generator; each draw takes the next stream that
+    ``np.random.default_rng(seed).spawn`` makes, in order of use: both
+    references, the experiment shots, the population fit, every phase of
+    the single then the double scan, and the two scan analyses.  Another
+    qubit count or a bad ``n_bootstrap`` raises ValueError before any
+    draw.
     """
     _check_resample_count(n_bootstrap)
     if rho.n_qubits != 2:
         raise ValueError(f"the readout models exactly 2 qubits, got "
                          f"{rho.n_qubits}")
     phases = [k * np.pi / N_PHASES for k in range(N_PHASES)]
-    seed_iter = iter(np.random.SeedSequence(seed).spawn(6 + 2 * N_PHASES))
+    rng = np.random.default_rng(seed)
 
     cm_true = composite_dists(model)
     n_max = cm_true.shape[1] - 1
 
     def record(c, n_shots):
-        """The count histogram of a shot record drawn from the next seed,
-        binned component by component as drawn."""
-        *_, draws = _shot_draws(c, cm_true, n_shots, next(seed_iter))
+        """The count histogram of a shot record drawn from the next
+        stream, binned component by component as drawn."""
+        *_, draws = _shot_draws(c, cm_true, n_shots, rng.spawn(1)[0])
         return sum(np.bincount(d, minlength=n_max + 1) for d in draws)
 
     cal = calibrate(record((0.0, 0.0, 1.0), shots),
@@ -123,7 +125,7 @@ def certify_state(rho, shots, seed, model=DEFAULT_MODEL,
     cm_fit = composite_dists(cal.model, n_max)
 
     fit = ml_fit(record(_bright_populations(rho), shots), cm_fit,
-                 n_bootstrap=n_bootstrap, seed=next(seed_iter))
+                 n_bootstrap=n_bootstrap, seed=rng.spawn(1)[0])
 
     # the single scan rotates the prepared state once, the double scan
     # rotates it after a first pi/2 pulse at phase 0
@@ -135,7 +137,7 @@ def certify_state(rho, shots, seed, model=DEFAULT_MODEL,
              for start in (rho, rotated_density(rho, np.pi / 2, 0.0))]
     res_single, res_double = [
         parity_scan_analysis(scan, cm_fit, n_bootstrap=n_bootstrap // 2,
-                             seed=next(seed_iter))
+                             seed=rng.spawn(1)[0])
         for scan in scans]
     period = estimate_period(res_double.phases, res_double.parities)
 

@@ -217,12 +217,6 @@ class _Links:
     amp: np.ndarray
 
 
-def _link_amplitudes(links, om):
-    """The ``(B, N, states)`` amplitudes ``(Omega_q / 2) sqrt(n)`` of a
-    ``(B, N)`` coupling stack over a :class:`_Links` table."""
-    return links.amp * om[:, :, None]
-
-
 @dataclass(frozen=True, eq=False)
 class _Halves:
     """The operator the pulse search reads: an excitation sector split by
@@ -321,8 +315,9 @@ class _Krylov:
     def __init__(self, halves, om, omega_prime):
         self.halves = halves
         rows, width = len(om), halves.width
-        self.to_e = _link_amplitudes(halves.into_even, om)
-        self.to_o = _link_amplitudes(halves.into_odd, om)
+        # the (B, N, states) amplitudes (Omega_q / 2) sqrt(n) of each link
+        self.to_e = halves.into_even.amp * om[:, :, None]
+        self.to_o = halves.into_odd.amp * om[:, :, None]
         self.floor = CLOSURE * omega_prime
         self.basis_e = np.zeros((rows, width + 1, self.to_e.shape[2]))
         self.basis_o = np.zeros((rows, width + 1, self.to_o.shape[2]))

@@ -753,6 +753,28 @@ def test_fit_calibration_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "ABNORMAL (nit=2, nfev=9)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "synth", "sweep", "experiment"])
+def test_oversized_request_exits_3_with_one_line(tmp_path, capsys, command):
+    # 10^17 counts, shots or rows ask numpy for hundreds of PiB, which it
+    # refuses before it touches any memory; the refusal is a failure like
+    # any other, one line and exit 3, and no output file is written
+    huge, cfg = str(10**17), write_chain(tmp_path)
+    out = tmp_path / "out"
+    args = {
+        "fit": _fit_inputs(tmp_path, 500, 2000) + ["--n-max", huge],
+        "synth": ["synth", "--c0", "1", "--c1", "0", "--c2", "0",
+                  "--shots", huge],
+        "sweep": ["sweep", "--config", cfg, "--mu-points", huge],
+        "experiment": ["experiment", "--config", cfg, "--shots", huge],
+    }[command]
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"dickesim: numeric failure: Unable to allocate "
+                        r"[^\n]*\n", err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "experiment"])
 @pytest.mark.parametrize("flag,value", [
     ("--lambda-bright", "nan"),

@@ -1193,6 +1193,22 @@ def test_parity_scan_matches_per_phase_ml_fit(double):
         assert abs(res.parity_errors[j] - parity_std_from_fit(fit)) < 1e-8
 
 
+@pytest.mark.parametrize("s", [0, 3])
+def test_parity_scan_takes_every_seed_that_default_rng_takes(s):
+    # an int, its SeedSequence and its Generator spawn the same stream for
+    # each phase, so they give the same scan to the bit
+    scans = _scan_histograms(dicke_state(2, 1).density(),
+                             np.arange(6) * np.pi / 6, 2_000, seed=48)
+    cm = composite_dists(MODEL)
+    by_int, *others = [
+        parity_scan_analysis(scans, cm, n_bootstrap=10, seed=seed)
+        for seed in (s, np.random.SeedSequence(s), np.random.default_rng(s))]
+    for res in others:
+        for field in dataclasses.fields(res):
+            assert (np.asarray(getattr(res, field.name)).tobytes()
+                    == np.asarray(getattr(by_int, field.name)).tobytes())
+
+
 def test_parity_scan_offset_error_matches_the_spread_of_offsets():
     # an oracle for offset_error that does not use its weighted least
     # squares: R = 60 independent scans of one interior state, 12 phases

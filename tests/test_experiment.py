@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import json
@@ -70,7 +71,9 @@ def test_experiment_records_bin_the_shots_of_synthesize_shots(monkeypatch,
                                                               shots):
     # each record bins its counts component by component as they are
     # drawn; it is the histogram of synthesize_shots' shot array for the
-    # same populations and seed.  The references hold one component each.
+    # same populations and stream.  The references hold one component
+    # each.  A stream is a Generator that the record draws from, so the spy
+    # keeps a copy of it as it was handed over.
     draws, hists = [], []
 
     def spy(name, take):
@@ -81,7 +84,7 @@ def test_experiment_records_bin_the_shots_of_synthesize_shots(monkeypatch,
             return real(*args, **kwargs)
         monkeypatch.setattr(experiment, name, call)
 
-    spy("_shot_draws", lambda *args: draws.append(args))
+    spy("_shot_draws", lambda *args: draws.append(copy.deepcopy(args)))
     spy("calibrate", lambda bright, dark: hists.extend([bright, dark]))
     spy("ml_fit", lambda hist, cm: hists.append(hist))
     spy("parity_scan_analysis",
@@ -147,6 +150,19 @@ def test_certify_state_recovers_a_mixed_state(seed):
     assert report["population_fit"]["c"] == pytest.approx([0.0, 0.97, 0.03],
                                                           abs=0.005)
     assert "simulated" not in report["fidelity"]
+
+
+@pytest.mark.parametrize("s", [0, 3])
+def test_certify_state_takes_every_seed_that_default_rng_takes(s):
+    # an int, its SeedSequence and its Generator spawn the same streams in
+    # the same order, so they certify a state in the same report bytes
+    rho = w_mixed_with_both_bright(0.97)
+    reports = {json.dumps(experiment.certify_state(rho, 1000, seed,
+                                                   n_bootstrap=4),
+                          sort_keys=True, default=dickesim.cli._json_default)
+               for seed in (s, np.random.SeedSequence(s),
+                            np.random.default_rng(s))}
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("n_qubits", [1, 3])

@@ -539,11 +539,19 @@ def test_first_peak_scan_across_chunk_seams_matches_full_grid(monkeypatch,
                                                               peak_step):
     # scaling H by s leaves the grid alone and moves the single-phonon
     # peak from step 50 to step 50 / s, onto and beside the seams that
-    # the two-period chunks share (steps 99-100 and 198-199)
-    build = sideband._link_amplitudes
+    # the two-period chunks share (steps 99-100 and 198-199); the links of
+    # both halves carry the scale, and Omega' and the grid do not
+    build = sideband._Halves.of
     scale = 50.0 / peak_step
-    monkeypatch.setattr(sideband, "_link_amplitudes",
-                        lambda links, om: scale * build(links, om))
+
+    def scaled(sector):
+        halves = build(sector)
+        return dataclasses.replace(halves, **{
+            name: sideband._Links(links.other, scale * links.amp)
+            for name in ("into_even", "into_odd")
+            for links in [getattr(halves, name)]})
+
+    monkeypatch.setattr(sideband._Halves, "of", staticmethod(scaled))
     t_star, f_star, step = first_max_full_grid(np.ones(3), 1)
     assert step == peak_step
     res = first_max_from_couplings(np.ones(3), 1)
