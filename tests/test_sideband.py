@@ -546,10 +546,10 @@ def test_first_peak_scan_across_chunk_seams_matches_full_grid(monkeypatch,
 
     def scaled(sector):
         halves = build(sector)
-        return dataclasses.replace(halves, **{
-            name: sideband._Links(links.other, scale * links.amp)
-            for name in ("into_even", "into_odd")
-            for links in [getattr(halves, name)]})
+        even, odd = halves.into_even, halves.into_odd
+        return dataclasses.replace(
+            halves, into_even=sideband._Links(even.other, scale * even.amp),
+            into_odd=sideband._Links(odd.other, scale * odd.amp))
 
     monkeypatch.setattr(sideband._Halves, "of", staticmethod(scaled))
     t_star, f_star, step = first_max_full_grid(np.ones(3), 1)
