@@ -116,9 +116,9 @@ class ModeSet:
     None, frequencies are in units of omega_z and amplitudes in scaled
     lengths (hbar = 1), otherwise in rad/s and metres.  Only
     :func:`solve_axial_modes` builds one.  The pulse layer reads no
-    ModeSet: it takes a sweep's couplings from ``_couplings``, one mode
-    stack for all its rows, and one chain's from
-    :func:`coupling_strengths`, which wraps it.
+    ModeSet: it takes its couplings from ``_couplings``, one mode stack
+    for all of a sweep's rows and a one-row stack for a single chain, the
+    route :func:`coupling_strengths` also takes.
     """
 
     frequencies: np.ndarray
@@ -233,6 +233,10 @@ def _mode_stack(config, masses):
     Returns ``(outcomes, rows, eq, freqs, vecs, z)``: ``outcomes`` holds,
     per mass row, the UnstableCrystalError it raises on its own, or None,
     and the arrays hold the modes of the other rows, ``rows``, in order.
+    The amplitudes ``z = b sqrt(hbar / (2 m omega))`` come from one
+    expression for both unit systems, ``omega`` being the scaled
+    frequency times a unit: ``(hbar, m, unit)`` is ``(1, m / m_ref, 1)``
+    in scaled units and ``(HBAR, m u, omega_z)`` in SI.
     """
     eq = solve_equilibrium(config)
     masses = np.asarray(masses, dtype=float)
@@ -267,14 +271,10 @@ def _mode_stack(config, masses):
             f"in-phase component {vecs[k, :, 0].min():.3e}; need > 0 and "
             "> 1e-10)")
     rows, evals, vecs = rows[resolved], evals[resolved], vecs[resolved]
-    freqs = np.sqrt(evals)
-    if config.omega_z is None:
-        # hbar = m_ref = omega_z = 1
-        z = vecs / np.sqrt(2.0 * mt[rows][:, :, None] * freqs[:, None, :])
-    else:
-        freqs = freqs * config.omega_z
-        m_kg = masses[rows] * ATOMIC_MASS
-        z = vecs * np.sqrt(HBAR / (2.0 * m_kg[:, :, None] * freqs[:, None, :]))
+    hbar, m, unit = ((1.0, mt[rows], 1.0) if config.omega_z is None else
+                     (HBAR, masses[rows] * ATOMIC_MASS, config.omega_z))
+    freqs = np.sqrt(evals) * unit
+    z = vecs * np.sqrt(hbar / (2.0 * m[:, :, None] * freqs[:, None, :]))
     return outcomes, rows, eq, freqs, vecs, z
 
 
@@ -324,7 +324,8 @@ def _addressed_ions(config, addressed):
 def _couplings(config, masses, addressed):
     """:func:`coupling_strengths` of the sorted ``addressed`` ions for
     every mass row of :func:`_mode_stack`, with one warning per SI row
-    past 0.3.
+    past 0.3.  Each public entry point calls it directly, so the warning
+    names that entry point's caller.
 
     Returns ``(outcomes, rows, eta)`` in the form of :func:`_mode_stack`:
     ``outcomes`` holds, per mass row, its UnstableCrystalError or None,
@@ -459,9 +460,9 @@ class ChainFile:
 
 def text_lines(path):
     """Yield ``(line number, text)`` for each non-blank line of a UTF-8 text
-    file, with ``#`` comments removed.  Bytes that are not UTF-8 raise a
-    :class:`DataError`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    file, with ``#`` comments removed.  A leading byte order mark is
+    dropped; bytes that are not UTF-8 raise a :class:`DataError`."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()

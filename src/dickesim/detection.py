@@ -373,41 +373,43 @@ def _newton(h, pmat, starts):
                            "iterations")
 
 
-def _check_histogram(hist, name, n_bins=None):
-    """``hist`` as a float array, once it is a histogram of photon counts:
-    1-d, real, finite and non-negative.  A fit passes ``n_bins``, the
-    column count of its composite array, and needs at least one count; a
-    calibration reference needs two occupied bins to fix the rates."""
+def _check_histogram(hist, name, n_bins):
+    """``hist`` as a float array, once it is a histogram of photon counts
+    over n = 0..n_bins - 1: 1-d, real, finite and non-negative, with
+    ``n_bins`` bins."""
     h = np.asarray(hist)
     if (h.ndim != 1 or h.dtype.kind not in "iuf"
             or not np.all(np.isfinite(h)) or np.any(h < 0)):
         raise DataError(f"{name} histogram must be 1-d, finite and "
                         "non-negative real numbers")
-    if n_bins is None and np.count_nonzero(h) < 2:
-        raise IdentifiabilityError(f"{name} reference histogram " + (
-            "occupies a single bin; rates are not identifiable"
-            if np.any(h) else "is empty"))
-    if n_bins is not None and len(h) != n_bins:
+    if len(h) != n_bins:
         raise DataError(f"{name} histogram must have {n_bins} bins, one per "
                         f"count 0..{n_bins - 1}; got {len(h)}")
-    if n_bins is not None and not np.any(h):
-        raise ValueError(f"{name} histogram holds no counts")
     return h.astype(float)
 
 
 def _fit(hists, cm, n_bootstrap, seeds):
-    """One FitResult per row of ``hists``: the rows are fit from the
-    uniform populations, then their bootstrap resamples (drawn for row j
-    from ``np.random.default_rng(seeds[j])``) each from its row's fit, in
-    two loops over blocks of at most _BLOCK_ROWS Newton rows, so that the
-    working set does not grow with ``n_bootstrap``.  ``n_bootstrap`` is 0
-    (no errors, and no resample block) or >= 2 (a ddof=1 std)."""
+    """One FitResult per histogram in ``hists``: each is checked against
+    the columns of ``cm`` (a DataError) and must hold at least one count,
+    a total of at least 1 (a ValueError), so that a bootstrap resample
+    draws at least one shot.  The histograms are fit from the uniform
+    populations, then their bootstrap resamples (drawn for histogram j
+    from ``np.random.default_rng(seeds[j])``) each from its histogram's
+    fit, in two loops over blocks of at most _BLOCK_ROWS Newton rows, so
+    that the working set does not grow with ``n_bootstrap``.
+    ``n_bootstrap`` is 0 (no errors, and no resample block) or >= 2 (a
+    ddof=1 std)."""
+    hists = np.stack([_check_histogram(h, "photon-count", cm.shape[1])
+                      for h in hists])
+    totals = np.sum(hists, axis=1)
+    if np.any(totals < 1):
+        raise ValueError("photon-count histogram holds no counts: its total "
+                         f"{totals.min():g} is below one")
     _check_integer(n_bootstrap, "n_bootstrap")
     if n_bootstrap != 0 and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
     n, k = len(hists), cm.shape[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    totals = np.sum(hists, axis=1)
     c_hat = np.empty((n, k))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -443,9 +445,11 @@ def ml_fit(hist, cm, n_bootstrap=DEFAULT_N_BOOTSTRAP, seed=0):
     the bootstrap standard deviations over ``n_bootstrap`` multinomial
     resamples (0 for none, else at least 2), drawn from
     ``np.random.default_rng(seed)``: an int, SeedSequence or Generator.
+    A histogram with another bin count, or one that is not 1-d, finite
+    and non-negative, is a DataError; one whose total is below one count
+    is a ValueError.
     """
-    hists = _check_histogram(hist, "photon-count", cm.shape[1])[None]
-    return _fit(hists, cm, n_bootstrap, [seed])[0]
+    return _fit([hist], cm, n_bootstrap, [seed])[0]
 
 
 def _parity(c):
@@ -572,9 +576,10 @@ def _pearson_chi2(hist, probs):
 def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT):
     """Joint maximum-likelihood fit of the four readout rates to two
     reference histograms: an all-bright preparation (both ions down,
-    P(n|2)) and an all-dark preparation (both ions up, P(n|0)).  The
-    longer histogram sets n_max; the shorter one is padded with empty
-    bins.
+    P(n|2)) and an all-dark preparation (both ions up, P(n|0)).  Both
+    share one count range, 0..n_max, set by the bright one: a dark
+    reference with another bin count is a DataError, and a reference that
+    occupies fewer than two bins an IdentifiabilityError.
 
     The two references constrain only three combinations of the four
     rates: gamma, lambda_bg + 2 lambda_dark and lambda_bg + 2
@@ -586,10 +591,15 @@ def calibrate(ref_bright, ref_dark, t_detect=DEFAULT_T_DETECT):
     """
     from scipy import optimize
 
-    hb, hd = (_check_histogram(hist, name) for hist, name in
-              ((ref_bright, "bright"), (ref_dark, "dark")))
-    n_max = max(len(hb), len(hd)) - 1
-    hb, hd = (np.pad(h, (0, n_max + 1 - len(h))) for h in (hb, hd))
+    hb = _check_histogram(ref_bright, "bright", np.size(ref_bright))
+    hd = _check_histogram(ref_dark, "dark", len(hb))
+    for h, name in ((hb, "bright"), (hd, "dark")):
+        # two occupied bins fix the rates
+        if np.count_nonzero(h) < 2:
+            raise IdentifiabilityError(f"{name} reference histogram " + (
+                "occupies a single bin; rates are not identifiable"
+                if np.any(h) else "is empty"))
+    n_max = len(hb) - 1
 
     # the start values; gamma is fit as gamma * t_detect, the only way it
     # enters the likelihood
@@ -655,8 +665,9 @@ def _check_phases(phases):
 def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
     """Per-phase ML parity estimates and a least-squares sinusoid fit.
 
-    ``scans`` is an iterable of (phi, hist), each histogram fit as by
-    :func:`ml_fit` against the :func:`composite_dists` array ``cm`` with
+    ``scans`` is an iterable of (phi, hist), each histogram checked and
+    fit as by :func:`ml_fit` against the :func:`composite_dists` array
+    ``cm`` (all histograms are checked before any fit) with
     ``n_bootstrap`` resamples, at least 2 (``ValueError`` before any fit
     otherwise); phase j's resamples are drawn from stream j of
     ``np.random.default_rng(seed).spawn(len(scans))``, for a ``seed`` that
@@ -681,9 +692,7 @@ def parity_scan_analysis(scans, cm, n_bootstrap=100, seed=0):
             "the analysis phases do not fix the pi-periodic fit: need at "
             "least 3 distinct phases modulo pi")
 
-    hists = np.stack([_check_histogram(hist, "photon-count", cm.shape[1])
-                      for _, hist in scans])
-    fits = _fit(hists, cm, n_bootstrap,
+    fits = _fit([hist for _, hist in scans], cm, n_bootstrap,
                 np.random.default_rng(seed).spawn(len(scans)))
     parities = np.array([parity_from_fit(fit) for fit in fits])
     errors = np.array([parity_std_from_fit(fit) for fit in fits])

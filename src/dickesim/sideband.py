@@ -684,8 +684,9 @@ def first_max_fidelity(config, addressed, m):
     ions) raises ValueError before the mode solve."""
     addressed = chain_mod._addressed_ions(config, addressed)
     _check_m(m, len(addressed))
-    return first_max_from_couplings(
-        chain_mod.coupling_strengths(config, addressed), m)
+    outcomes, _, eta = chain_mod._couplings(config, [config.masses], addressed)
+    unwrap(outcomes[0])
+    return first_max_from_couplings(eta[0], m)
 
 
 def fidelity_vs_mass_ratio(template, mu_grid, m):

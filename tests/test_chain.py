@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (assert_identity_semantics, length_scale,
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from dickesim import (ChainConfig, ChainTemplate, ConvergenceError,
                       LambDickeWarning, coupling_strengths,
-                      fidelity_vs_mass_ratio, read_chain_file,
+                      fidelity_vs_mass_ratio, first_max_fidelity,
+                      read_chain_file,
                       scaled_gradient, scaled_hessian, solve_axial_modes,
                       solve_equilibrium)
 from dickesim import chain as chain_mod
@@ -284,6 +287,48 @@ def test_lamb_dicke_warning_in_si_mode():
                       k_projection=1.0e12)
     with pytest.warns(LambDickeWarning):
         coupling_strengths(cfg, (0, 1))
+
+
+@pytest.mark.parametrize("entry", ["coupling_strengths", "first_max_fidelity",
+                                   "fidelity_vs_mass_ratio"])
+def test_lamb_dicke_warning_names_the_callers_file(entry):
+    # three 1 u ions at 100 kHz with k = 3e7 / m reach max eta = 3.89; each
+    # public route to the couplings warns at the line that called it
+    cfg = ChainConfig(masses=(1.0, 1.0, 1.0), omega_z=2 * np.pi * 1e5,
+                      k_projection=3e7)
+    calls = {
+        "coupling_strengths": lambda: coupling_strengths(cfg, (0, 1, 2)),
+        "first_max_fidelity": lambda: first_max_fidelity(cfg, (0, 1, 2), 1),
+        "fidelity_vs_mass_ratio": lambda: fidelity_vs_mass_ratio(
+            ChainTemplate(cfg, 2), [1.0], 1),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        calls[entry]()
+    assert [w.category for w in caught] == [LambDickeWarning]
+    assert "max |eta| = 3.89" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("masses, reference, omega_z", [
+    ((25.0, 25.0, 27.0), 0, 2 * np.pi * 2.55e6),
+    ((9.0, 40.0, 40.0, 43.0), 2, 2 * np.pi * 1.1e6),
+    ((171.0, 138.0, 171.0, 171.0, 9.0), 1, 2 * np.pi * 3.0e5),
+])
+def test_si_amplitudes_are_the_scaled_ones_in_metres(masses, reference,
+                                                      omega_z):
+    # both unit systems share one amplitude formula: SI amplitudes are the
+    # scaled ones times the oscillator length sqrt(hbar / (m_ref omega_z))
+    si = solve_axial_modes(ChainConfig(masses=masses,
+                                       reference_index=reference,
+                                       omega_z=omega_z))
+    scaled = solve_axial_modes(ChainConfig(masses=masses,
+                                           reference_index=reference))
+    m_ref = masses[reference] * chain_mod.ATOMIC_MASS
+    expected = (scaled.ground_state_amplitudes
+                * np.sqrt(chain_mod.HBAR / (m_ref * omega_z)))
+    assert np.allclose(si.ground_state_amplitudes, expected,
+                       rtol=1e-13, atol=0.0)
 
 
 def test_eta_continuous_in_mass_ratio():

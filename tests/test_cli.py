@@ -129,6 +129,18 @@ def test_modes_non_utf8_config_exits_2(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_modes_reads_a_config_that_starts_with_a_bom(tmp_path):
+    # editors on Windows save UTF-8 with a leading byte order mark
+    cfg = write_chain(tmp_path)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "chain.cfg").read_bytes())
+    outs = [tmp_path / "plain.csv", tmp_path / "bom.csv"]
+    for path, out in zip((cfg, str(bom)), outs):
+        assert main(["modes", "--config", path, "--out", str(out)]) == 0
+    assert outs[0].read_text().startswith("# modes.v1")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["modes"])  # missing --config
@@ -682,6 +694,20 @@ def test_fit_non_utf8_input_exits_2(tmp_path, capsys, bad):
                  "--ref-dark", str(refs)])
     assert code == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--shots", "--ref-bright", "--ref-dark"])
+def test_fit_reads_inputs_that_start_with_a_bom(tmp_path, flag):
+    # a byte order mark on a shot file or histogram CSV changes no byte
+    # of the report
+    args = _fit_inputs(tmp_path, 500, 2000) + ["--seed", "3"]
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    assert main(args + ["--out", str(plain)]) == 0
+    target = tmp_path / args[args.index(flag) + 1]
+    target.write_bytes(b"\xef\xbb\xbf" + target.read_bytes())
+    assert main(args + ["--out", str(bom)]) == 0
+    assert json.loads(plain.read_text())["schema"] == "fit.v1"
+    assert plain.read_bytes() == bom.read_bytes()
 
 
 def test_fit_count_beyond_n_max_names_line(tmp_path, capsys):

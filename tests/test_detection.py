@@ -857,6 +857,25 @@ def test_ml_fit_rejects_bad_samples():
                 fit()
 
 
+def test_fits_reject_a_total_below_one_count_before_any_newton_fit(
+        monkeypatch):
+    # a bootstrap resample of a 0.5-count histogram would draw
+    # int(0.5) = 0 shots; the fit refuses it at n_bootstrap = 0 as well
+    cm = composite_dists(MODEL, n_max=100)
+    half = np.zeros(101)
+    half[4] = 0.5
+
+    def newton(h, pmat, starts):
+        raise AssertionError("a histogram below one count reached _newton")
+
+    monkeypatch.setattr(detection, "_newton", newton)
+    for fit in (lambda: ml_fit(half, cm, n_bootstrap=0),
+                lambda: ml_fit(half, cm, n_bootstrap=2),
+                _fits_of(half, cm)[1]):
+        with pytest.raises(ValueError, match="holds no counts: its total 0.5"):
+            fit()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fits_reject_non_finite_counts(bad):
     # a non-finite bin must not reach the bootstrap's multinomial
@@ -1110,6 +1129,18 @@ def test_calibrate_rejects_degenerate_references():
     single_bin[4] = 500
     with pytest.raises(IdentifiabilityError):
         calibrate(good, single_bin)
+
+
+def test_calibrate_rejects_a_dark_reference_of_another_count_range():
+    # both references share the bright one's bins, counts 0..n_max
+    cm = composite_dists(MODEL)
+    good = np.bincount(synthesize_shots((0.0, 0.0, 1.0), cm, 1000, seed=30),
+                       minlength=101)
+    dark = np.bincount(synthesize_shots((1.0, 0.0, 0.0), cm, 1000, seed=31),
+                       minlength=101)
+    with pytest.raises(DataError,
+                       match="dark histogram must have 101 bins.*got 90"):
+        calibrate(good, dark[:90])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
